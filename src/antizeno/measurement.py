@@ -13,9 +13,10 @@ indistinguishable from a genuine no-click in the record. At epsilon = 0 a
 pure input stays pure and the map reduces to projecting out the excited
 qubit component.
 
-P_g is block-diagonal in the qubit-major basis convention (the ground block
-is the first half of the indices), so the projected branch is computed by
-masking rather than explicit projector products.
+P_g is diagonal in every basis the package uses (the state records which
+of its components carry an excited qubit), so the projected branch is
+computed by masking rather than explicit projector products. Batched states
+are measured run by run in one array operation.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """No-click probability and the conditional (normalized) post state."""
+    """No-click probability (one per run for a batch) and the conditional
+    (normalized) post state."""
 
-    no_click_probability: float
+    no_click_probability: float | np.ndarray
     post_state: QuantumState
 
 
@@ -58,27 +60,37 @@ def measure_no_click(s: QuantumState, m: MeasurementModel) -> MeasurementOutcome
     """Apply the no-click branch of the measurement map.
 
     Raises ``NumericalError`` ("certain click") if the no-click probability
-    underflows, i.e. the state is fully excited under an ideal measurement.
+    of any run underflows, i.e. the state is fully excited under an ideal
+    measurement.
     """
-    half = s.dim // 2
     if m.epsilon == 0.0 and s.kind == "pure":
         projected = s.data.copy()
-        projected[half:] = 0.0
-        prob = float(np.vdot(projected, projected).real)
-        if prob < _CERTAIN_CLICK_TOL:
-            raise NumericalError("certain click: state has no de-excited component")
-        return MeasurementOutcome(min(prob, 1.0), QuantumState.pure(projected / np.sqrt(prob)))
+        projected[..., s.excited] = 0.0
+        prob = np.sum(projected.real**2 + projected.imag**2, axis=-1)
+        _check_no_click(prob)
+        post = QuantumState.pure(projected / np.sqrt(prob)[..., None], s.excited)
+        return MeasurementOutcome(_per_run(np.minimum(prob, 1.0)), post)
 
     rho = s.promoted().data
+    ground = ~s.excited
     sigma = m.epsilon * rho
     # (1 - eps) * P_g rho P_g keeps only the ground-qubit block
-    sigma[:half, :half] += (1.0 - m.epsilon) * rho[:half, :half]
-    prob = float(np.trace(sigma).real)
-    if prob < _CERTAIN_CLICK_TOL:
+    sigma += (1.0 - m.epsilon) * (rho * np.outer(ground, ground))
+    prob = np.trace(sigma, axis1=-2, axis2=-1).real
+    _check_no_click(prob)
+    post = QuantumState.density(sigma / prob[..., None, None], s.excited)
+    return MeasurementOutcome(_per_run(np.minimum(prob, 1.0)), post)
+
+
+def _check_no_click(prob: np.ndarray) -> None:
+    if np.min(prob) < _CERTAIN_CLICK_TOL:
         raise NumericalError("certain click: state has no de-excited component")
-    return MeasurementOutcome(min(prob, 1.0), QuantumState.density(sigma / prob))
 
 
-def click_probability(s: QuantumState, m: MeasurementModel) -> float:
+def _per_run(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def click_probability(s: QuantumState, m: MeasurementModel) -> float | np.ndarray:
     """(1 - epsilon) * <P_e>: complement of the no-click probability."""
     return (1.0 - m.epsilon) * excitation_probability(s)

@@ -5,7 +5,9 @@ Two Hamiltonians are provided: the full model with counter-rotating coupling
 sigma_x (a + a^dagger), and its rotating-wave (excitation-conserving)
 counterpart used as a null reference. The full model conserves the parity
 (-1)**(n+s), and its ground state lives in the even sector: it is a chain
-|g,0>, |e,1>, |g,2>, ... whose coefficients grow with the coupling. The
+|g,0>, |e,1>, |g,2>, ... whose coefficients grow with the coupling. On
+that chain both models are real, symmetric and tridiagonal
+(``even_chain_hamiltonian``), which is where the survival protocol runs. The
 qubit excitation probability in that ground state scales quadratically with
 g/omega at resonance; for small coupling the leading chain coefficient has
 the closed form -g/(omega+omega0).
@@ -35,6 +37,8 @@ __all__ = [
     "rabi_hamiltonian",
     "jaynes_cummings_hamiltonian",
     "hamiltonian",
+    "even_chain_hamiltonian",
+    "even_chain_excited",
     "ground_state",
     "excitation_probability",
     "perturbative_c1",
@@ -137,6 +141,31 @@ def hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
     raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
 
 
+def even_chain_hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
+    """The model restricted to the even parity chain |g,0>, |e,1>, |g,2>, ...
+
+    Chain site k is |g,k> for even k and |e,k> for odd k, k = 0..n_max, so
+    the chain holds the whole even sector of the truncated space. The
+    matrix is real, symmetric and tridiagonal: the diagonal is
+    omega*k - omega0/2 on |g,k> and omega*k + omega0/2 on |e,k>, and the
+    bond between k and k+1 is g*sqrt(k+1). The rotating-wave model ("jc")
+    keeps only the (e,k) <-> (g,k+1) bonds, i.e. those leaving odd k.
+    """
+    if kind not in HAMILTONIAN_KINDS:
+        raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
+    k = np.arange(p.n_max + 1)
+    diagonal = p.omega * k + 0.5 * p.omega0 * np.where(even_chain_excited(p.n_max), 1.0, -1.0)
+    bonds = p.g * np.sqrt(k[1:])
+    if kind == "jc":
+        bonds[0::2] = 0.0
+    return HermitianOperator(np.diag(diagonal) + np.diag(bonds, 1) + np.diag(bonds, -1))
+
+
+def even_chain_excited(n_max: int) -> np.ndarray:
+    """Which even-chain sites carry an excited qubit (the odd ones)."""
+    return np.arange(n_max + 1) % 2 == 1
+
+
 def _block_p_e(vec: np.ndarray) -> float:
     half = vec.size // 2
     return float(np.sum(np.abs(vec[half:]) ** 2))
@@ -184,19 +213,21 @@ def _extract_chain(state: np.ndarray, nf: int) -> np.ndarray:
     return chain
 
 
-def excitation_probability(state: "QuantumState") -> float:
-    """Qubit excitation probability <P_e> of a normalized state."""
+def excitation_probability(state: "QuantumState") -> float | np.ndarray:
+    """Qubit excitation probability <P_e> of a normalized state; one value
+    per run for a batch."""
     data = state.data
     if state.kind == "pure":
-        norm_sq = float(np.vdot(data, data).real)
-        if abs(norm_sq - 1.0) > 1e-8:
-            raise NumericalError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
-        return _block_p_e(data)
-    trace = float(np.trace(data).real)
-    if abs(trace - 1.0) > 1e-8:
-        raise NumericalError(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    half = data.shape[0] // 2
-    return float(np.sum(np.diag(data).real[half:]))
+        populations = data.real**2 + data.imag**2
+        what = "state norm^2"
+    else:
+        populations = np.diagonal(data, axis1=-2, axis2=-1).real
+        what = "density matrix trace"
+    drift = np.max(np.abs(np.sum(populations, axis=-1) - 1.0))
+    if drift > 1e-8:
+        raise NumericalError(f"{what} deviates from 1 by {drift:.3e}")
+    p_e = np.sum(populations[..., state.excited], axis=-1)
+    return p_e if state.batched else float(p_e)
 
 
 def perturbative_c1(p: ModelParams) -> float:

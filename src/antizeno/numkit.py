@@ -1,5 +1,5 @@
-"""Minimal dense complex linear algebra: tensor products, Hermitian
-eigendecompositions and spectral propagators.
+"""Minimal dense linear algebra: tensor products, Hermitian (or real
+symmetric) eigendecompositions and spectral propagators.
 
 Everything here is plain dense numpy. Composite dimensions in this package
 stay a few hundred at most, so dense LAPACK routines are both the simplest
@@ -42,7 +42,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def complex_matrix(entries) -> np.ndarray:
     """Validate and return a square, finite complex matrix."""
-    a = np.ascontiguousarray(entries, dtype=complex)
+    return _square_matrix(entries, complex)
+
+
+def _square_matrix(entries, dtype) -> np.ndarray:
+    a = np.ascontiguousarray(entries, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
@@ -54,16 +58,18 @@ def complex_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense complex matrix with verified Hermiticity.
+    """Dense matrix with verified Hermiticity.
 
-    Construction fails if any entry of ``A - A^dagger`` exceeds
-    ``HERMITICITY_TOL`` in magnitude.
+    Real input stays real (a real symmetric matrix, which LAPACK
+    diagonalizes faster); anything else is stored as complex. Construction
+    fails if any entry of ``A - A^dagger`` exceeds ``HERMITICITY_TOL`` in
+    magnitude.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = complex_matrix(self.matrix)
+        m = _square_matrix(self.matrix, complex if np.iscomplexobj(self.matrix) else float)
         dev = np.max(np.abs(m - m.conj().T))
         if dev > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e}")
@@ -76,7 +82,8 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (real, ascending) and orthonormal eigenvectors (columns).
+    """Eigenvalues (real, ascending) and orthonormal eigenvectors (columns;
+    real for a real symmetric operator, complex otherwise).
 
     Within a degenerate eigenvalue block the individual eigenvectors carry no
     ordering guarantee; downstream code must only rely on the span.
@@ -87,7 +94,9 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.ascontiguousarray(self.eigenvectors, dtype=complex)
+        vecs = np.ascontiguousarray(
+            self.eigenvectors, dtype=complex if np.iscomplexobj(self.eigenvectors) else float
+        )
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalue/eigenvector shapes do not match")
         if np.any(np.diff(vals) < 0):
@@ -133,14 +142,16 @@ def hermitian_eig(h: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def propagator(spec: SpectralDecomposition, t: float) -> np.ndarray:
+def propagator(spec: SpectralDecomposition, t) -> np.ndarray:
     """Unitary ``exp(-i H t)`` assembled from the spectral decomposition of H.
 
     Time is in ns, eigenvalues in GHz (hbar = 1), so the phases are
-    dimensionless.
+    dimensionless. An array of times gives a stack of propagators, one per
+    time along a leading axis.
     """
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("propagation time must be finite")
     v = spec.eigenvectors
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
+    return (v * phases[..., None, :]) @ v.conj().T

@@ -8,6 +8,15 @@ stationary, so the first factor is exactly the ground-state no-click
 probability epsilon + (1-epsilon)(1-p_e). Cumulative survival is accumulated
 in log space to avoid underflow on long schedules.
 
+The ground state has even parity and both free evolution and the no-click
+map preserve parity, so every state a run visits lives on the even chain
+|g,0>, |e,1>, |g,2>, ... of dimension n_max + 1 (``prepare_model``
+diagonalizes the real tridiagonal chain Hamiltonian once). Runs of equal
+length are advanced together: each event is one batched evolve and one
+batched measurement over all runs of a block (``dynamics.BATCH_RUNS``), so
+ensembles and period sweeps cost a few array operations per event instead
+of a Python loop per run.
+
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
 in all presets) and optional uniform time jitter. Incommensurate periods and
 jitter exist to keep the events from locking onto the post-measurement
@@ -18,14 +27,22 @@ survival decay stalls or accelerates, so presets always randomize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import QuantumState, evolve
+from .dynamics import BATCH_RUNS, QuantumState, evolve
 from .errors import NumericalError
 from .measurement import MeasurementModel, measure_no_click
-from .model import ModelParams, GroundStateDecomposition, ground_state, hamiltonian
+from .model import (
+    GroundStateDecomposition,
+    ModelParams,
+    even_chain_excited,
+    even_chain_hamiltonian,
+    ground_state,
+    hamiltonian,
+)
 from .numkit import SpectralDecomposition, hermitian_eig
 
 __all__ = [
@@ -69,12 +86,16 @@ class MeasurementSchedule:
 
 @dataclass(frozen=True)
 class SurvivalTrace:
-    """Per-event no-click probabilities and their cumulative product."""
+    """Per-event no-click probabilities and their cumulative product.
+
+    For a stack of schedules every field gains a leading run axis
+    (``mean_single`` becomes one value per run).
+    """
 
     times: np.ndarray
     single: np.ndarray
     cumulative: np.ndarray
-    mean_single: float
+    mean_single: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,18 +119,34 @@ class EnsembleTrace:
 
 @dataclass(frozen=True)
 class PreparedModel:
-    """Spectral decomposition + ground state, reusable across runs."""
+    """Even-chain spectral decomposition + ground state, reusable across
+    runs. ``spec``, the spectrum of the full space, is diagonalized the
+    first time it is read."""
 
     params: ModelParams
     kind: str
-    spec: SpectralDecomposition
+    chain: SpectralDecomposition
     ground: GroundStateDecomposition
+
+    @cached_property
+    def spec(self) -> SpectralDecomposition:
+        """Spectral decomposition of the full-space Hamiltonian."""
+        return hermitian_eig(hamiltonian(self.params, self.kind))
+
+    def chain_ground(self, runs: int | None = None) -> QuantumState:
+        """The ground state on the even chain; ``runs`` copies of it as a
+        batch when given."""
+        amplitudes = self.ground.even_chain
+        if runs is not None:
+            amplitudes = np.broadcast_to(amplitudes, (runs, amplitudes.size))
+        return QuantumState.pure(amplitudes, even_chain_excited(self.params.n_max))
 
 
 def prepare_model(p: ModelParams, kind: str = "rabi") -> PreparedModel:
-    """Diagonalize once; reuse across schedule events, sweeps and ensembles."""
-    spec = hermitian_eig(hamiltonian(p, kind))
-    return PreparedModel(p, kind, spec, ground_state(p, kind))
+    """Diagonalize the even chain once and solve the ground state; reuse
+    across schedule events, sweeps and ensembles."""
+    chain = hermitian_eig(even_chain_hamiltonian(p, kind))
+    return PreparedModel(p, kind, chain, ground_state(p, kind))
 
 
 def two_period_schedule(T1: float, ratio: float, N: int) -> MeasurementSchedule:
@@ -138,6 +175,9 @@ def jitter_schedule(
 
     Events are drawn in order; a draw that breaks the strict ordering is
     redrawn up to 100 times before giving up. Deterministic for a given seed.
+    All draws are taken at once first: they are the stream the in-order
+    rule consumes whenever no redraw is needed, so only a schedule that
+    breaks the ordering replays the rule event by event.
     """
     if not (np.isfinite(width) and width >= 0):
         raise ValueError(f"jitter width must be >= 0, got {width!r}")
@@ -145,11 +185,22 @@ def jitter_schedule(
         return MeasurementSchedule(
             s.times, {**s.provenance, "jitter_width": 0.0, "seed": int(seed)}
         )
-    rng = np.random.default_rng(int(seed))
     half_window = width / omega
-    out = np.empty_like(s.times)
+    out = s.times + np.random.default_rng(int(seed)).uniform(
+        -half_window, half_window, size=len(s)
+    )
+    if out[0] <= 0.0 or np.any(out[1:] <= out[:-1]):
+        out = _jitter_in_order(s.times, half_window, int(seed))
+    return MeasurementSchedule(
+        out, {**s.provenance, "jitter_width": float(width), "seed": int(seed)}
+    )
+
+
+def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    out = np.empty_like(times)
     prev = 0.0
-    for i, t in enumerate(s.times):
+    for i, t in enumerate(times):
         for _ in range(_JITTER_ATTEMPTS):
             candidate = t + rng.uniform(-half_window, half_window)
             if candidate > prev:
@@ -161,9 +212,7 @@ def jitter_schedule(
                 f"jitter ordering could not be restored at event {i} "
                 f"after {_JITTER_ATTEMPTS} redraws (width too large for the schedule)"
             )
-    return MeasurementSchedule(
-        out, {**s.provenance, "jitter_width": float(width), "seed": int(seed)}
-    )
+    return out
 
 
 def child_seeds(base_seed: int, runs: int) -> np.ndarray:
@@ -180,17 +229,19 @@ def _as_prepared(p, kind: str) -> PreparedModel:
 
 def run_survival(
     p: ModelParams | PreparedModel,
-    s: MeasurementSchedule,
+    s: MeasurementSchedule | Sequence[MeasurementSchedule],
     m: MeasurementModel,
     kind: str = "rabi",
 ) -> SurvivalTrace:
-    """Survival trace of one schedule, starting from the ground state.
+    """Survival trace of one schedule, or of each of a stack of schedules of
+    equal length, starting from the ground state.
 
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
     no-click probability. With epsilon = 0 the conditional state stays pure
     and the cheap pure-state path is used; otherwise the state is promoted
-    to a density matrix.
+    to a density matrix. A stack is run in blocks of runs, each event one
+    batched step for the whole block; its trace has a leading run axis.
     """
     prep = _as_prepared(p, kind)
     if prep.ground.degenerate:
@@ -198,20 +249,39 @@ def run_survival(
             "ground manifold is degenerate (omega0 = 0?); the survival protocol "
             "requires a unique ground state"
         )
-    state = QuantumState.pure(prep.ground.state)
+    one_schedule = isinstance(s, MeasurementSchedule)
+    schedules = [s] if one_schedule else list(s)
+    if not schedules:
+        raise ValueError("run_survival needs at least one schedule")
+    if len({len(schedule) for schedule in schedules}) != 1:
+        raise ValueError("stacked schedules must all have the same number of events")
+    times = np.stack([schedule.times for schedule in schedules])
+
+    singles = np.empty(times.shape)
+    block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
+    for start in range(0, len(schedules), block):
+        rows = slice(start, start + block)
+        singles[rows] = _survival_block(prep, times[rows], m)
+    cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
+    if one_schedule:
+        return SurvivalTrace(s.times, singles[0], cumulative[0], float(singles[0].mean()))
+    return SurvivalTrace(times, singles, cumulative, singles.mean(axis=-1))
+
+
+def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel) -> np.ndarray:
+    """No-click probabilities of one block of runs (rows of ``times``)."""
+    state = prep.chain_ground(len(times))
     if m.epsilon > 0.0:
         state = state.promoted()
-
-    singles = np.empty(len(s))
-    previous_time = 0.0
-    for i, t in enumerate(s.times):
-        state = evolve(prep.spec, state, t - previous_time)
+    singles = np.empty(times.shape)
+    previous = np.zeros(len(times))
+    for i in range(times.shape[1]):
+        state = evolve(prep.chain, state, times[:, i] - previous)
         outcome = measure_no_click(state, m)
         state = outcome.post_state
-        singles[i] = outcome.no_click_probability
-        previous_time = t
-    cumulative = np.exp(np.cumsum(np.log(singles)))
-    return SurvivalTrace(s.times, singles, cumulative, float(singles.mean()))
+        singles[:, i] = outcome.no_click_probability
+        previous = times[:, i]
+    return singles
 
 
 def ensemble_survival(
@@ -228,25 +298,22 @@ def ensemble_survival(
     Per-run seeds derive deterministically from ``base_seed`` via
     ``child_seeds``; the k-th run uses the same jitter draws regardless of
     epsilon or coupling, so ensembles with different detector settings are
-    paired.
+    paired. All runs go through one batched ``run_survival``.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     prep = _as_prepared(p, kind)
-    seeds = child_seeds(base_seed, runs)
-    singles = np.empty((runs, len(base)))
-    cumulatives = np.empty((runs, len(base)))
-    for k in range(runs):
-        schedule = jitter_schedule(base, jitter_width, prep.params.omega, int(seeds[k]))
-        trace = run_survival(prep, schedule, m)
-        singles[k] = trace.single
-        cumulatives[k] = trace.cumulative
+    schedules = [
+        jitter_schedule(base, jitter_width, prep.params.omega, int(seed))
+        for seed in child_seeds(base_seed, runs)
+    ]
+    trace = run_survival(prep, schedules, m)
     return EnsembleTrace(
         times=base.times,
-        single_mean=singles.mean(axis=0),
-        single_std=singles.std(axis=0),
-        cumulative_mean=cumulatives.mean(axis=0),
-        cumulative_std=cumulatives.std(axis=0),
+        single_mean=trace.single.mean(axis=0),
+        single_std=trace.single.std(axis=0),
+        cumulative_mean=trace.cumulative.mean(axis=0),
+        cumulative_std=trace.cumulative.std(axis=0),
         runs=runs,
         base_seed=int(base_seed),
     )
@@ -260,16 +327,14 @@ def sweep_T1(
     m: MeasurementModel,
     kind: str = "rabi",
 ) -> float:
-    """Mean over T1 of the final cumulative survival after N measurements."""
+    """Mean over T1 of the final cumulative survival after N measurements;
+    all periods run as one batch."""
     values = np.asarray(T1_values, dtype=float)
     if values.size == 0:
         raise ValueError("T1_values must be non-empty")
     prep = _as_prepared(p, kind)
-    finals = [
-        run_survival(prep, two_period_schedule(t1, ratio, N), m).cumulative[-1]
-        for t1 in values
-    ]
-    return float(np.mean(finals))
+    schedules = [two_period_schedule(t1, ratio, N) for t1 in values]
+    return float(np.mean(run_survival(prep, schedules, m).cumulative[:, -1]))
 
 
 def truncated_survival(c0: float, N: int) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_exponential, fit_quadratic_origin
 from .config import ExperimentConfig
-from .dynamics import QuantumState, excitation_trace
+from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
 from .model import ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
@@ -162,9 +162,7 @@ def _build_fig2(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
     series = []
     for g in config.g_values:
         prep = _prepare(config, g, n_max)
-        initial = measure_no_click(
-            _pure_ground(prep), MeasurementModel(0.0)
-        ).post_state
+        initial = measure_no_click(prep.chain_ground(), MeasurementModel(0.0)).post_state
         trace = excitation_trace(prep.params, initial, t_grid)
         columns.append(f"p1e_g_over_omega_{g:.6g}")
         series.append(trace.values)
@@ -173,10 +171,6 @@ def _build_fig2(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
         for i in range(omega_t.size)
     ]
     return {"data": Table(tuple(columns), rows)}
-
-
-def _pure_ground(prep: PreparedModel) -> QuantumState:
-    return QuantumState.pure(prep.ground.state)
 
 
 def _build_fig3(config: ExperimentConfig, n_max: int) -> dict[str, Table]:

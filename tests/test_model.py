@@ -7,8 +7,11 @@ from antizeno.model import (
     ModelParams,
     converge_cutoff,
     eigenstate_overlaps,
+    even_chain_excited,
+    even_chain_hamiltonian,
     excitation_probability,
     ground_state,
+    hamiltonian,
     jaynes_cummings_hamiltonian,
     perturbative_c1,
     rabi_hamiltonian,
@@ -85,6 +88,45 @@ class TestJaynesCummings:
         spec = hermitian_eig(jaynes_cummings_hamiltonian(p))
         for target in (0.5 - 0.23, 0.5 + 0.23):
             assert np.min(np.abs(spec.eigenvalues - target)) < 1e-12
+
+
+class TestEvenChain:
+    @pytest.mark.parametrize("kind", ["rabi", "jc"])
+    @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
+    def test_equals_even_sector_of_full_hamiltonian(self, kind, g):
+        p = ModelParams(1.0, 0.7, g, 9)
+        full = hamiltonian(p, kind).matrix
+        # chain site k is |g,k> (index k) for even k, |e,k> (index 10+k) for odd k
+        sites = [k if k % 2 == 0 else 10 + k for k in range(10)]
+        chain = even_chain_hamiltonian(p, kind).matrix
+        assert chain.dtype == float
+        # the full space builds its number operator as a^dagger a, whose
+        # diagonal carries sqrt(n)**2 rounding
+        assert np.max(np.abs(chain - full[np.ix_(sites, sites)])) <= 1e-14
+        assert even_chain_excited(9).tolist() == [k % 2 == 1 for k in range(10)]
+
+    @pytest.mark.parametrize("kind", ["rabi", "jc"])
+    def test_chain_spectrum_is_even_sector_spectrum(self, kind):
+        p = resonant(0.9, n_max=20)
+        full = hermitian_eig(hamiltonian(p, kind))
+        even = parity_operator(p.basis).matrix.diagonal().real > 0
+        sector = np.sort([
+            e for e, v in zip(full.eigenvalues, full.eigenvectors.T)
+            if np.sum(np.abs(v[even]) ** 2) > 0.5
+        ])
+        chain = hermitian_eig(even_chain_hamiltonian(p, kind)).eigenvalues
+        assert np.max(np.abs(chain - sector)) <= 1e-12
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown"):
+            even_chain_hamiltonian(resonant(0.5), "dicke")
+
+    def test_chain_ground_state_matches(self):
+        gs = ground_state(resonant(1.0))
+        spec = hermitian_eig(even_chain_hamiltonian(resonant(1.0)))
+        assert spec.eigenvalues[0] == pytest.approx(gs.energy, abs=1e-12)
+        vec = spec.eigenvectors[:, 0] * np.sign(spec.eigenvectors[0, 0])
+        assert np.max(np.abs(vec - gs.even_chain)) <= 1e-12
 
 
 class TestGroundState:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from antizeno.dynamics import QuantumState, evolve
+from antizeno.dynamics import BATCH_RUNS, QuantumState, evolve
+from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel, measure_no_click
 from antizeno.model import ModelParams
 from antizeno.protocol import (
@@ -95,6 +96,54 @@ class TestJitterSchedule:
         assert np.max(np.abs(wide.times - base.times)) <= 0.3 + 1e-15
 
 
+def sequential_jitter(base, width, omega, seed, attempts=100):
+    """The in-order jitter rule, one scalar draw per attempt."""
+    rng = np.random.default_rng(seed)
+    out, prev = [], 0.0
+    for t in base.times:
+        for _ in range(attempts):
+            candidate = t + rng.uniform(-width / omega, width / omega)
+            if candidate > prev:
+                out.append(candidate)
+                prev = candidate
+                break
+        else:
+            raise NumericalError("no ordered draw")
+    return np.array(out)
+
+
+class TestJitterMatchesSequentialRule:
+    @pytest.mark.parametrize(
+        "base,width,omega",
+        [
+            (two_period_schedule(2 * np.pi, SQRT2, 16), 0.2 * np.pi, 1.0),
+            (two_period_schedule(0.75 * np.pi, SQRT2, 3), 0.3 * np.pi, 1.0),
+            (two_period_schedule(1.0, SQRT2, 8), 0.3, 10.0),
+        ],
+    )
+    def test_bit_for_bit(self, base, width, omega):
+        for seed in child_seeds(2024, 500):
+            jittered = jitter_schedule(base, width, omega, int(seed))
+            assert np.array_equal(jittered.times, sequential_jitter(base, width, omega, int(seed)))
+
+    def test_bit_for_bit_with_redraws(self):
+        # events 0.5 apart with a +-0.4 window: many schedules break the
+        # ordering on the first draw and need the in-order redraw rule
+        base = two_period_schedule(0.5, 1.0, 20)
+        redrawn = 0
+        for seed in range(200):
+            draws = base.times + np.random.default_rng(seed).uniform(-0.4, 0.4, size=20)
+            redrawn += bool(np.any(np.diff(draws) <= 0))
+            jittered = jitter_schedule(base, 0.4, 1.0, seed)
+            assert np.array_equal(jittered.times, sequential_jitter(base, 0.4, 1.0, seed))
+        assert redrawn >= 20
+
+    def test_unrestorable_ordering_raises(self):
+        base = two_period_schedule(1e-3, 1.0, 50)
+        with pytest.raises(NumericalError, match="ordering"):
+            jitter_schedule(base, 100.0, 1.0, seed=1)
+
+
 def test_child_seeds_deterministic():
     a = child_seeds(1234, 8)
     b = child_seeds(1234, 8)
@@ -170,6 +219,61 @@ class TestRunSurvival:
             previous = t
         assert np.allclose(trace.single, singles, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["rabi", "jc"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
+    def test_chain_engine_matches_dense_full_space(self, eps, kind):
+        # oracle: the same jittered schedule run one event at a time on the
+        # full 2(n_max+1) space with the dense full-space spectrum
+        prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6), kind)
+        schedules = [
+            jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
+            for seed in (3, 4, 5, 6, 7)
+        ]
+        m = MeasurementModel(eps)
+        trace = run_survival(prep, schedules, m)
+        for row, sched in enumerate(schedules):
+            state = QuantumState.pure(prep.ground.state)
+            if eps > 0:
+                state = state.promoted()
+            previous, singles = 0.0, []
+            for t in sched.times:
+                state = evolve(prep.spec, state, t - previous)
+                outcome = measure_no_click(state, m)
+                state = outcome.post_state
+                singles.append(outcome.no_click_probability)
+                previous = t
+            assert np.allclose(trace.single[row], singles, rtol=0, atol=1e-12)
+            assert np.allclose(
+                trace.cumulative[row], np.cumprod(singles), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_batched_rows_equal_single_runs(self, eps):
+        # more runs than one density block, so block boundaries are crossed
+        prep = prepare_model(resonant(1.0))
+        runs = 2 * BATCH_RUNS["density"] + 1
+        base = two_period_schedule(2 * np.pi, SQRT2, 12)
+        schedules = [
+            jitter_schedule(base, 0.2 * np.pi, 1.0, int(seed)) for seed in child_seeds(9, runs)
+        ]
+        m = MeasurementModel(eps)
+        batch = run_survival(prep, schedules, m)
+        assert batch.single.shape == batch.cumulative.shape == (runs, 12)
+        assert batch.mean_single.shape == (runs,)
+        for row, sched in enumerate(schedules):
+            one = run_survival(prep, sched, m)
+            assert np.allclose(batch.single[row], one.single, rtol=0, atol=1e-14)
+            assert np.allclose(batch.cumulative[row], one.cumulative, rtol=0, atol=1e-14)
+            assert batch.mean_single[row] == pytest.approx(one.mean_single, abs=1e-14)
+
+    def test_stack_validation(self):
+        prep = prepare_model(resonant(0.5))
+        with pytest.raises(ValueError, match="at least one"):
+            run_survival(prep, [], MeasurementModel(0.0))
+        uneven = [two_period_schedule(1.0, SQRT2, 3), two_period_schedule(1.0, SQRT2, 4)]
+        with pytest.raises(ValueError, match="same number of events"):
+            run_survival(prep, uneven, MeasurementModel(0.0))
+
     def test_degenerate_ground_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             run_survival(
@@ -177,6 +281,26 @@ class TestRunSurvival:
                 two_period_schedule(1.0, SQRT2, 2),
                 MeasurementModel(0.0),
             )
+
+
+def test_prepare_model_defers_full_space_spectrum(monkeypatch):
+    import antizeno.model
+    import antizeno.protocol
+
+    dims = []
+    real = antizeno.protocol.hermitian_eig
+
+    def counting(h):
+        dims.append(h.dim)
+        return real(h)
+
+    monkeypatch.setattr(antizeno.protocol, "hermitian_eig", counting)
+    monkeypatch.setattr(antizeno.model, "hermitian_eig", counting)
+    prep = prepare_model(resonant(0.5, n_max=10))
+    assert sorted(dims) == [11, 22]  # the chain and the ground-state solve
+    assert prep.chain.dim == 11
+    assert prep.spec.dim == 22 and prep.spec is prep.spec
+    assert sorted(dims) == [11, 22, 22]
 
 
 class TestEnsembleSurvival:
