@@ -40,6 +40,7 @@ from .protocol import (
     SurvivalTrace,
     ensemble_survival,
     jitter_schedule,
+    jitter_times,
     prepare_model,
     run_survival,
     sweep_T1,
@@ -61,7 +62,7 @@ __all__ = [
     "HermitianOperator", "SpectralDecomposition", "hermitian_eig", "propagator", "tensor_product",
     "FockBasis", "annihilation", "parity_operator", "qubit_operator",
     "EnsembleTrace", "MeasurementSchedule", "SurvivalTrace", "ensemble_survival",
-    "jitter_schedule", "prepare_model", "run_survival", "sweep_T1",
+    "jitter_schedule", "jitter_times", "prepare_model", "run_survival", "sweep_T1",
     "truncated_survival", "two_period_schedule",
     "run",
 ]

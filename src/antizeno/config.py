@@ -64,6 +64,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega!r}")
         if self.omega0 < 0:

@@ -3,7 +3,9 @@ self-excitation law.
 
 Two Hamiltonians are provided: the full model with counter-rotating coupling
 sigma_x (a + a^dagger), and its rotating-wave (excitation-conserving)
-counterpart used as a null reference. The full model conserves the parity
+counterpart used as a null reference. Both are assembled directly from their
+diagonal and their g*sqrt(n) coupling elements in the qubit-major basis of
+``operators`` (no tensor products). The full model conserves the parity
 (-1)**(n+s), and its ground state lives in the even sector: it is a chain
 |g,0>, |e,1>, |g,2>, ... whose coefficients grow with the coupling. On
 that chain both models are real, symmetric and tridiagonal
@@ -23,8 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError
-from .numkit import HermitianOperator, SpectralDecomposition, hermitian_eig, tensor_product
-from .operators import FockBasis, annihilation, field_operator, qubit_operator
+from .numkit import HermitianOperator, SpectralDecomposition, hermitian_eig
+from .operators import FockBasis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import QuantumState
@@ -105,13 +107,7 @@ class GroundStateDecomposition:
 
 def rabi_hamiltonian(p: ModelParams) -> HermitianOperator:
     """omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger)."""
-    basis = p.basis
-    a = annihilation(basis)
-    number = field_operator(a.conj().T @ a, basis)
-    sz = qubit_operator("sigma_z", basis).matrix
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    coupling = tensor_product(sx, a + a.conj().T)
-    return HermitianOperator(p.omega * number + 0.5 * p.omega0 * sz + p.g * coupling)
+    return _full_space_hamiltonian(p, counter_rotating=True)
 
 
 def jaynes_cummings_hamiltonian(p: ModelParams) -> HermitianOperator:
@@ -121,15 +117,27 @@ def jaynes_cummings_hamiltonian(p: ModelParams) -> HermitianOperator:
     which conserves the excitation number and has the separable ground state
     |g,0> for g < omega at resonance.
     """
-    basis = p.basis
-    a = annihilation(basis)
-    number = field_operator(a.conj().T @ a, basis)
-    sz = qubit_operator("sigma_z", basis).matrix
-    sp = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g|
-    exchange = tensor_product(sp, a)
-    return HermitianOperator(
-        p.omega * number + 0.5 * p.omega0 * sz + p.g * (exchange + exchange.conj().T)
-    )
+    return _full_space_hamiltonian(p, counter_rotating=False)
+
+
+def _full_space_hamiltonian(p: ModelParams, counter_rotating: bool) -> HermitianOperator:
+    """Complex matrix on the qubit-major space, entry by entry.
+
+    The diagonal is omega*n -+ omega0/2 on |g,n> and |e,n>. Every coupling
+    element is g*sqrt(n): the exchange bonds |g,n> <-> |e,n-1> and, in the
+    full model, the counter-rotating bonds |g,n-1> <-> |e,n>.
+    """
+    nf = p.n_max + 1
+    n = np.arange(nf)
+    g_site, e_site = n, nf + n
+    h = np.zeros((2 * nf, 2 * nf), dtype=complex)
+    h[g_site, g_site] = p.omega * n - 0.5 * p.omega0
+    h[e_site, e_site] = p.omega * n + 0.5 * p.omega0
+    bonds = p.g * np.sqrt(n[1:])
+    h[g_site[1:], e_site[:-1]] = h[e_site[:-1], g_site[1:]] = bonds
+    if counter_rotating:
+        h[g_site[:-1], e_site[1:]] = h[e_site[1:], g_site[:-1]] = bonds
+    return HermitianOperator(h)
 
 
 def hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:

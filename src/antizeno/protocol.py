@@ -10,12 +10,18 @@ in log space to avoid underflow on long schedules.
 
 The ground state has even parity and both free evolution and the no-click
 map preserve parity, so every state a run visits lives on the even chain
-|g,0>, |e,1>, |g,2>, ... of dimension n_max + 1 (``prepare_model``
-diagonalizes the real tridiagonal chain Hamiltonian once). Runs of equal
-length are advanced together: each event is one batched evolve and one
-batched measurement over all runs of a block (``dynamics.BATCH_RUNS``), so
-ensembles and period sweeps cost a few array operations per event instead
-of a Python loop per run.
+|g,0>, |e,1>, |g,2>, ... of dimension n_max + 1 (a ``PreparedModel``
+diagonalizes the real tridiagonal chain Hamiltonian once, the first time a
+run needs it). Runs of equal length are advanced together: each event is one
+batched evolve and one batched measurement over all runs of a block
+(``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
+operations per event instead of a Python loop per run.
+
+A stack of runs is a ``(runs, N)`` array of event times, one schedule per
+row, validated once. ``jitter_times`` draws the stack of a jitter ensemble;
+the k-th row depends only on the base schedule, the width, omega and the
+base seed, so one draw serves every coupling and detector inefficiency that
+pairs its runs. ``sweep_T1`` builds its stack of periods by broadcasting.
 
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
 in all presets) and optional uniform time jitter. Incommensurate periods and
@@ -53,6 +59,7 @@ __all__ = [
     "prepare_model",
     "two_period_schedule",
     "jitter_schedule",
+    "jitter_times",
     "child_seeds",
     "run_survival",
     "ensemble_survival",
@@ -74,14 +81,31 @@ class MeasurementSchedule:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("schedule must contain at least one time")
-        if t[0] <= 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("schedule times must be strictly increasing and start after 0")
+        _check_times(t)
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "provenance", dict(self.provenance))
 
     def __len__(self) -> int:
         return self.times.size
+
+
+def _check_times(times: np.ndarray) -> None:
+    """Every schedule (last axis) must be finite, start after 0 and be
+    strictly increasing."""
+    if not np.all(np.isfinite(times)):
+        raise ValueError("schedule times must be finite")
+    if np.any(times[..., 0] <= 0) or np.any(np.diff(times, axis=-1) <= 0):
+        raise ValueError("schedule times must be strictly increasing and start after 0")
+
+
+def _time_stack(times) -> np.ndarray:
+    """Validate a (runs, N) stack of event times, one schedule per row."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ValueError(f"a schedule stack must be a non-empty (runs, N) array, got shape {t.shape}")
+    _check_times(t)
+    return t
 
 
 @dataclass(frozen=True)
@@ -119,14 +143,21 @@ class EnsembleTrace:
 
 @dataclass(frozen=True)
 class PreparedModel:
-    """Even-chain spectral decomposition + ground state, reusable across
-    runs. ``spec``, the spectrum of the full space, is diagonalized the
-    first time it is read."""
+    """Ground state plus spectral decompositions, reusable across runs.
+
+    ``chain``, the even-chain spectrum every survival run evolves with, and
+    ``spec``, the spectrum of the full space, are each diagonalized the
+    first time they are read, so a caller that needs only the ground state
+    pays for neither."""
 
     params: ModelParams
     kind: str
-    chain: SpectralDecomposition
     ground: GroundStateDecomposition
+
+    @cached_property
+    def chain(self) -> SpectralDecomposition:
+        """Spectral decomposition of the even-chain Hamiltonian."""
+        return hermitian_eig(even_chain_hamiltonian(self.params, self.kind))
 
     @cached_property
     def spec(self) -> SpectralDecomposition:
@@ -143,28 +174,33 @@ class PreparedModel:
 
 
 def prepare_model(p: ModelParams, kind: str = "rabi") -> PreparedModel:
-    """Diagonalize the even chain once and solve the ground state; reuse
-    across schedule events, sweeps and ensembles."""
-    chain = hermitian_eig(even_chain_hamiltonian(p, kind))
-    return PreparedModel(p, kind, chain, ground_state(p, kind))
+    """Solve the ground state once; reuse it (and the lazily diagonalized
+    even chain) across schedule events, sweeps and ensembles."""
+    return PreparedModel(p, kind, ground_state(p, kind))
 
 
 def two_period_schedule(T1: float, ratio: float, N: int) -> MeasurementSchedule:
     """N times built from alternating increments T1, T2 = ratio*T1, starting
     with T1: T1, T1+T2, 2*T1+T2, 2*T1+2*T2, ..."""
-    if not (np.isfinite(T1) and T1 > 0):
-        raise ValueError(f"T1 must be > 0, got {T1!r}")
+    return MeasurementSchedule(
+        _two_period_times(np.array([T1], dtype=float), ratio, N)[0],
+        {"T1": float(T1), "ratio": float(ratio), "jitter_width": 0.0, "seed": None},
+    )
+
+
+def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
+    """(T1.size, N) two-period event times, one row per T1 value."""
+    bad = T1[~(np.isfinite(T1) & (T1 > 0))]
+    if bad.size:
+        raise ValueError(f"T1 must be > 0, got {float(bad[0])!r}")
     if not (np.isfinite(ratio) and ratio > 0):
         raise ValueError(f"ratio must be > 0, got {ratio!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    increments = np.empty(N)
-    increments[0::2] = T1
-    increments[1::2] = ratio * T1
-    return MeasurementSchedule(
-        np.cumsum(increments),
-        {"T1": float(T1), "ratio": float(ratio), "jitter_width": 0.0, "seed": None},
-    )
+    increments = np.empty((T1.size, N))
+    increments[:, 0::2] = T1[:, None]
+    increments[:, 1::2] = (ratio * T1)[:, None]
+    return np.cumsum(increments, axis=1)
 
 
 def jitter_schedule(
@@ -215,6 +251,27 @@ def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.nda
     return out
 
 
+def jitter_times(
+    base: MeasurementSchedule, width: float, omega: float, runs: int, base_seed: int
+) -> np.ndarray:
+    """Jittered event times of a whole ensemble as a read-only (runs, N)
+    array: row k is ``jitter_schedule(base, width, omega, seed_k).times``
+    with ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps
+    its own PCG64 stream and redraw rule.
+
+    Draw once and hand the stack to every ensemble that pairs its runs
+    (``ensemble_survival(..., jittered=...)``): couplings and detector
+    inefficiencies do not enter the draws.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs!r}")
+    times = np.empty((runs, len(base)))
+    for row, seed in zip(times, child_seeds(base_seed, runs)):
+        row[:] = jitter_schedule(base, width, omega, int(seed)).times
+    times.flags.writeable = False
+    return times
+
+
 def child_seeds(base_seed: int, runs: int) -> np.ndarray:
     """Deterministic per-run seeds: SeedSequence(base_seed) expanded to
     ``runs`` uint64 words. The generator used downstream is numpy PCG64."""
@@ -229,12 +286,16 @@ def _as_prepared(p, kind: str) -> PreparedModel:
 
 def run_survival(
     p: ModelParams | PreparedModel,
-    s: MeasurementSchedule | Sequence[MeasurementSchedule],
+    s: MeasurementSchedule | Sequence[MeasurementSchedule] | np.ndarray,
     m: MeasurementModel,
     kind: str = "rabi",
 ) -> SurvivalTrace:
-    """Survival trace of one schedule, or of each of a stack of schedules of
-    equal length, starting from the ground state.
+    """Survival trace of one schedule, or of each schedule of a stack,
+    starting from the ground state.
+
+    A stack is either a sequence of schedules of equal length or a
+    (runs, N) array of event times with one schedule per row (as
+    ``jitter_times`` returns); the array is validated once as a whole.
 
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
@@ -250,16 +311,21 @@ def run_survival(
             "requires a unique ground state"
         )
     one_schedule = isinstance(s, MeasurementSchedule)
-    schedules = [s] if one_schedule else list(s)
-    if not schedules:
-        raise ValueError("run_survival needs at least one schedule")
-    if len({len(schedule) for schedule in schedules}) != 1:
-        raise ValueError("stacked schedules must all have the same number of events")
-    times = np.stack([schedule.times for schedule in schedules])
+    if one_schedule:
+        times = s.times[None]
+    elif isinstance(s, np.ndarray):
+        times = _time_stack(s)
+    else:
+        schedules = list(s)
+        if not schedules:
+            raise ValueError("run_survival needs at least one schedule")
+        if len({len(schedule) for schedule in schedules}) != 1:
+            raise ValueError("stacked schedules must all have the same number of events")
+        times = _time_stack(np.stack([schedule.times for schedule in schedules]))
 
     singles = np.empty(times.shape)
     block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
-    for start in range(0, len(schedules), block):
+    for start in range(0, len(times), block):
         rows = slice(start, start + block)
         singles[rows] = _survival_block(prep, times[rows], m)
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
@@ -292,6 +358,7 @@ def ensemble_survival(
     runs: int,
     base_seed: int,
     kind: str = "rabi",
+    jittered: np.ndarray | None = None,
 ) -> EnsembleTrace:
     """Mean/std of survival over ``runs`` jittered copies of ``base``.
 
@@ -299,15 +366,25 @@ def ensemble_survival(
     ``child_seeds``; the k-th run uses the same jitter draws regardless of
     epsilon or coupling, so ensembles with different detector settings are
     paired. All runs go through one batched ``run_survival``.
+
+    ``jittered`` shares one draw between paired ensembles: pass the stack
+    ``jitter_times(base, jitter_width, omega, runs, base_seed)`` and it is
+    run as given. ``jitter_width`` is then not read, and ``base_seed`` is
+    only recorded in the trace, so the caller vouches that the stack was
+    drawn with them. When omitted, the stack is drawn here.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     prep = _as_prepared(p, kind)
-    schedules = [
-        jitter_schedule(base, jitter_width, prep.params.omega, int(seed))
-        for seed in child_seeds(base_seed, runs)
-    ]
-    trace = run_survival(prep, schedules, m)
+    if jittered is None:
+        jittered = jitter_times(base, jitter_width, prep.params.omega, runs, base_seed)
+    else:
+        jittered = np.asarray(jittered, dtype=float)
+        if jittered.shape != (runs, len(base)):
+            raise ValueError(
+                f"jittered times must have shape {(runs, len(base))}, got {jittered.shape}"
+            )
+    trace = run_survival(prep, jittered, m)
     return EnsembleTrace(
         times=base.times,
         single_mean=trace.single.mean(axis=0),
@@ -328,13 +405,13 @@ def sweep_T1(
     kind: str = "rabi",
 ) -> float:
     """Mean over T1 of the final cumulative survival after N measurements;
-    all periods run as one batch."""
+    all periods run as one (T1, N) stack."""
     values = np.asarray(T1_values, dtype=float)
     if values.size == 0:
         raise ValueError("T1_values must be non-empty")
     prep = _as_prepared(p, kind)
-    schedules = [two_period_schedule(t1, ratio, N) for t1 in values]
-    return float(np.mean(run_survival(prep, schedules, m).cumulative[:, -1]))
+    times = _two_period_times(values, ratio, N)
+    return float(np.mean(run_survival(prep, times, m).cumulative[:, -1]))
 
 
 def truncated_survival(c0: float, N: int) -> float:

@@ -32,6 +32,7 @@ from .model import ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
     PreparedModel,
     ensemble_survival,
+    jitter_times,
     prepare_model,
     sweep_T1,
     two_period_schedule,
@@ -91,6 +92,24 @@ def _resolve_cutoff(config: ExperimentConfig) -> int:
 
 def _prepare(config: ExperimentConfig, g_over_omega: float, n_max: int) -> PreparedModel:
     return prepare_model(_model_params(config, g_over_omega, n_max))
+
+
+def _paired_ensembles(
+    config: ExperimentConfig, omega_t1: float, n: int, width: float, runs: int
+):
+    """Draw the jitter ensemble of a two-period schedule once per build and
+    return ``ensemble(prep, eps)``, which runs those draws for one coupling
+    and epsilon. Every call reuses the same draws, which is what pairs run k
+    across a table."""
+    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
+    times = jitter_times(base, width, config.omega, runs, config.seed)
+
+    def ensemble(prep: PreparedModel, eps: float):
+        return ensemble_survival(
+            prep, base, MeasurementModel(eps), width, runs, config.seed, jittered=times
+        )
+
+    return ensemble
 
 
 def _t1_grid(config: ExperimentConfig) -> np.ndarray:
@@ -199,21 +218,18 @@ def _build_fig3(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
     }
 
 
-def _fig4_ensemble(config: ExperimentConfig, g: float, n_max: int, panel: str):
-    settings = FIG4_PANELS[panel]
-    prep = _prepare(config, g, n_max)
-    base = two_period_schedule(
-        settings["omega_t1"] / config.omega, config.ratio, settings["n"]
-    )
-    return ensemble_survival(
-        prep, base, MeasurementModel(_only(config.epsilon_values, "epsilon", "fig4")),
-        settings["jitter"], settings["runs"], config.seed,
-    )
-
-
 def _build_fig4(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
+    eps = _only(config.epsilon_values, "epsilon", "fig4")
+    panels = {
+        panel: _paired_ensembles(config, s["omega_t1"], s["n"], s["jitter"], s["runs"])
+        for panel, s in FIG4_PANELS.items()
+    }
+
+    def ensemble(g: float, panel: str):
+        return panels[panel](_prepare(config, g, n_max), eps)
+
     # panel a shows the strongest coupling of the panel-b set
-    ens_a = _fig4_ensemble(config, max(config.g_values), n_max, "a")
+    ens_a = ensemble(max(config.g_values), "a")
     rows_a = [
         (
             i + 1,
@@ -233,7 +249,7 @@ def _build_fig4(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
     # panel b: survival vs event count per coupling, with exponential fits
     rows_b = []
     for g in config.g_values:
-        ens = _fig4_ensemble(config, g, n_max, "b")
+        ens = ensemble(g, "b")
         events = np.arange(1, ens.times.size + 1, dtype=float)
         fit = fit_exponential(events, ens.cumulative_mean)
         for i in range(ens.times.size):
@@ -256,9 +272,7 @@ def _build_fig4(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
 
     # panel c: mean single-event survival vs coupling, quadratic law
     grid = np.asarray(FIG4_PANEL_C_GRID, dtype=float)
-    pbar = np.array(
-        [_fig4_ensemble(config, g, n_max, "c").mean_single for g in grid]
-    )
+    pbar = np.array([ensemble(g, "c").mean_single for g in grid])
     fit = fit_quadratic_origin(grid, 1.0 - pbar)
     rows_c = [
         (float(g), float(pb), fit.coefficients["lam"], fit.r_squared)
@@ -317,17 +331,13 @@ def _build_fig5(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
 def _build_fig6(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
     g = _only(config.g_values, "coupling", "fig6")
     prep = _prepare(config, g, n_max)
-    base = two_period_schedule(
-        _only(config.omega_t1_values, "omega_t1", "fig6") / config.omega,
-        config.ratio,
-        config.n_measurements,
+    ensemble = _paired_ensembles(
+        config, _only(config.omega_t1_values, "omega_t1", "fig6"),
+        config.n_measurements, config.jitter_width, config.runs,
     )
     rows = []
     for eps in config.epsilon_values:
-        ens = ensemble_survival(
-            prep, base, MeasurementModel(eps), config.jitter_width,
-            config.runs, config.seed,
-        )
+        ens = ensemble(prep, eps)
         for i in range(ens.times.size):
             rows.append(
                 (
@@ -350,18 +360,15 @@ def _build_fig6(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
 
 
 def _build_survival(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
-    omega_t1 = _only(config.omega_t1_values, "omega_t1", "survival")
+    ensemble = _paired_ensembles(
+        config, _only(config.omega_t1_values, "omega_t1", "survival"),
+        config.n_measurements, config.jitter_width, config.runs,
+    )
     rows = []
     for g in config.g_values:
         prep = _prepare(config, g, n_max)
-        base = two_period_schedule(
-            omega_t1 / config.omega, config.ratio, config.n_measurements
-        )
         for eps in config.epsilon_values:
-            ens = ensemble_survival(
-                prep, base, MeasurementModel(eps), config.jitter_width,
-                config.runs, config.seed,
-            )
+            ens = ensemble(prep, eps)
             for i in range(ens.times.size):
                 # chi_n = (1 - p_ng) * (omega/g)^2, the per-event quadratic-law
                 # residual; undefined at g = 0

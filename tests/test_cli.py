@@ -67,6 +67,43 @@ class TestConfigRoundTrip:
             cfg.validate()
 
 
+class TestNonFiniteFields:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("omega", math.inf),
+            ("omega0", math.nan),
+            ("ratio", math.inf),
+            ("jitter_width", math.inf),
+            ("time_max", math.inf),
+            ("time_step", math.nan),
+            ("g_values", (0.5, math.inf)),
+            ("omega_t1_values", (math.nan,)),
+            ("epsilon_values", (0.1, -math.inf)),
+            ("t1_window", (0.1, math.inf)),
+            ("n_max", math.inf),
+        ],
+    )
+    def test_rejected_by_name(self, field, value):
+        cfg = ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cfg.validate()
+
+    def test_cli_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["--jitter", "inf", "--out", str(out)]) == 2
+        assert "jitter_width must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"time_max": 1e400}')
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "time_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def small_survival_args(tmp_path, name="run.csv", fmt=None):
     args = [
         "--g", "0.5",

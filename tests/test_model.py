@@ -16,8 +16,15 @@ from antizeno.model import (
     perturbative_c1,
     rabi_hamiltonian,
 )
-from antizeno.numkit import hermitian_eig
-from antizeno.operators import FockBasis, basis_state, parity_operator
+from antizeno.numkit import hermitian_eig, tensor_product
+from antizeno.operators import (
+    FockBasis,
+    annihilation,
+    basis_state,
+    field_operator,
+    parity_operator,
+    qubit_operator,
+)
 
 
 def resonant(g, n_max=40):
@@ -64,6 +71,36 @@ class TestRabiHamiltonian:
         h = rabi_hamiltonian(p).matrix
         parity = parity_operator(p.basis).matrix
         assert np.max(np.abs(h @ parity - parity @ h)) <= 1e-12
+
+
+def kron_hamiltonian(p, kind):
+    """Oracle: the model assembled from tensor products of qubit and field
+    operators."""
+    basis = p.basis
+    a = annihilation(basis)
+    number = field_operator(a.conj().T @ a, basis)
+    sz = qubit_operator("sigma_z", basis).matrix
+    if kind == "rabi":
+        coupling = tensor_product(np.array([[0, 1], [1, 0]]), a + a.conj().T)
+    else:
+        exchange = tensor_product(np.array([[0, 0], [1, 0]]), a)  # |e><g| a
+        coupling = exchange + exchange.conj().T
+    return p.omega * number + 0.5 * p.omega0 * sz + p.g * coupling
+
+
+@pytest.mark.parametrize("kind", ["rabi", "jc"])
+@pytest.mark.parametrize("n_max", [1, 40])
+def test_direct_assembly_matches_kron_oracle(kind, n_max):
+    p = resonant(0.83, n_max=n_max)
+    h = hamiltonian(p, kind).matrix
+    oracle = kron_hamiltonian(p, kind)
+    assert h.dtype == np.complex128
+    assert h.shape == oracle.shape == (2 * (n_max + 1),) * 2
+    # the oracle's number operator a^dagger a rounds its diagonal as
+    # sqrt(n)**2; every off-diagonal element agrees bit for bit
+    assert np.max(np.abs(h - oracle)) <= 1e-14
+    off = ~np.eye(h.shape[0], dtype=bool)
+    assert np.array_equal(h[off], oracle[off])
 
 
 class TestJaynesCummings:

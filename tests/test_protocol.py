@@ -10,6 +10,7 @@ from antizeno.protocol import (
     child_seeds,
     ensemble_survival,
     jitter_schedule,
+    jitter_times,
     prepare_model,
     run_survival,
     sweep_T1,
@@ -51,6 +52,13 @@ class TestTwoPeriodSchedule:
             MeasurementSchedule(np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="strictly increasing"):
             MeasurementSchedule(np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSchedule([1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSchedule([bad])
 
 
 class TestJitterSchedule:
@@ -142,6 +150,30 @@ class TestJitterMatchesSequentialRule:
         base = two_period_schedule(1e-3, 1.0, 50)
         with pytest.raises(NumericalError, match="ordering"):
             jitter_schedule(base, 100.0, 1.0, seed=1)
+
+
+class TestJitterTimes:
+    @pytest.mark.parametrize(
+        "base,width",
+        [
+            (two_period_schedule(2 * np.pi, SQRT2, 16), 0.2 * np.pi),
+            (two_period_schedule(0.5, 1.0, 20), 0.4),  # forces in-order redraws
+            (two_period_schedule(1.0, SQRT2, 4), 0.0),
+        ],
+    )
+    def test_rows_are_per_run_schedules(self, base, width):
+        times = jitter_times(base, width, 1.0, 60, 31)
+        assert times.shape == (60, len(base))
+        assert not times.flags.writeable
+        for row, seed in zip(times, child_seeds(31, 60)):
+            assert np.array_equal(row, jitter_schedule(base, width, 1.0, int(seed)).times)
+
+    def test_validation(self):
+        base = two_period_schedule(1.0, SQRT2, 4)
+        with pytest.raises(ValueError, match="runs"):
+            jitter_times(base, 0.2, 1.0, 0, 1)
+        with pytest.raises(ValueError, match="jitter width"):
+            jitter_times(base, np.inf, 1.0, 3, 1)
 
 
 def test_child_seeds_deterministic():
@@ -266,6 +298,39 @@ class TestRunSurvival:
             assert np.allclose(batch.cumulative[row], one.cumulative, rtol=0, atol=1e-14)
             assert batch.mean_single[row] == pytest.approx(one.mean_single, abs=1e-14)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_array_stack_matches_schedule_list(self, eps):
+        prep = prepare_model(resonant(1.0))
+        base = two_period_schedule(2 * np.pi, SQRT2, 9)
+        runs = BATCH_RUNS["density"] + 3
+        schedules = [
+            jitter_schedule(base, 0.2 * np.pi, 1.0, int(seed)) for seed in child_seeds(5, runs)
+        ]
+        m = MeasurementModel(eps)
+        from_list = run_survival(prep, schedules, m)
+        from_array = run_survival(prep, jitter_times(base, 0.2 * np.pi, 1.0, runs, 5), m)
+        for field in ("times", "single", "cumulative", "mean_single"):
+            assert np.array_equal(getattr(from_array, field), getattr(from_list, field))
+
+    def test_array_stack_validation(self):
+        prep = prepare_model(resonant(0.5))
+        m = MeasurementModel(0.0)
+        for shape in [(0, 3), (3, 0), (3,), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="schedule stack"):
+                run_survival(prep, np.ones(shape), m)
+        good = np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]])
+        for row, col, value, match in [
+            (1, 1, np.nan, "finite"),
+            (0, 2, np.inf, "finite"),
+            (1, 0, -np.inf, "finite"),
+            (1, 2, 2.5, "strictly increasing"),
+            (1, 0, 0.0, "start after 0"),
+        ]:
+            bad = good.copy()
+            bad[row, col] = value
+            with pytest.raises(ValueError, match=match):
+                run_survival(prep, bad, m)
+
     def test_stack_validation(self):
         prep = prepare_model(resonant(0.5))
         with pytest.raises(ValueError, match="at least one"):
@@ -297,10 +362,11 @@ def test_prepare_model_defers_full_space_spectrum(monkeypatch):
     monkeypatch.setattr(antizeno.protocol, "hermitian_eig", counting)
     monkeypatch.setattr(antizeno.model, "hermitian_eig", counting)
     prep = prepare_model(resonant(0.5, n_max=10))
-    assert sorted(dims) == [11, 22]  # the chain and the ground-state solve
-    assert prep.chain.dim == 11
+    assert dims == [22]  # the ground-state solve only
+    assert prep.chain.dim == 11 and prep.chain is prep.chain
+    assert dims == [22, 11]
     assert prep.spec.dim == 22 and prep.spec is prep.spec
-    assert sorted(dims) == [11, 22, 22]
+    assert dims == [22, 11, 22]
 
 
 class TestEnsembleSurvival:
@@ -341,7 +407,58 @@ class TestEnsembleSurvival:
             )
 
 
+class TestSharedDraws:
+    def test_shared_stack_equals_independent_ensembles(self):
+        base = two_period_schedule(2 * np.pi, SQRT2, 10)
+        width, runs, seed = 0.2 * np.pi, 2 * BATCH_RUNS["density"] + 1, 17
+        shared = jitter_times(base, width, 1.0, runs, seed)
+        for g in (0.4, 1.0):
+            prep = prepare_model(resonant(g))
+            for eps in (0.0, 0.1):
+                m = MeasurementModel(eps)
+                alone = ensemble_survival(prep, base, m, width, runs, seed)
+                paired = ensemble_survival(prep, base, m, width, runs, seed, jittered=shared)
+                for field in ("times", "single_mean", "single_std",
+                              "cumulative_mean", "cumulative_std"):
+                    assert np.array_equal(getattr(paired, field), getattr(alone, field))
+                assert (paired.runs, paired.base_seed) == (alone.runs, alone.base_seed)
+
+    def test_stack_shape_must_match_ensemble(self):
+        base = two_period_schedule(2.0, SQRT2, 5)
+        prep = prepare_model(resonant(0.5))
+        stack = jitter_times(base, 0.2, 1.0, 4, 3)
+        with pytest.raises(ValueError, match="shape"):
+            ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 5, 3, jittered=stack)
+        with pytest.raises(ValueError, match="shape"):
+            ensemble_survival(prep, two_period_schedule(2.0, SQRT2, 6), MeasurementModel(0.0),
+                              0.2, 4, 3, jittered=stack)
+        # a nested list of times is read as the array it spells
+        with pytest.raises(ValueError, match="shape"):
+            ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 5, 3,
+                              jittered=stack.tolist())
+        from_list = ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 4, 3,
+                                      jittered=stack.tolist())
+        from_array = ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 4, 3,
+                                       jittered=stack)
+        np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
+
+
 class TestSweepT1:
+    def test_broadcast_stack_matches_schedules(self):
+        prep = prepare_model(resonant(0.7))
+        values = 2 * np.pi * np.linspace(0.1, 5.0, 37)
+        m = MeasurementModel(0.0)
+        schedules = [two_period_schedule(t1, SQRT2, 7) for t1 in values]
+        expected = float(np.mean(run_survival(prep, schedules, m).cumulative[:, -1]))
+        assert sweep_T1(prep, 7, values, SQRT2, m) == expected
+
+    def test_invalid_periods_rejected(self):
+        for values in ([1.0, 0.0], [1.0, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="T1"):
+                sweep_T1(resonant(0.5), 3, values, SQRT2, MeasurementModel(0.0))
+        with pytest.raises(ValueError, match="ratio"):
+            sweep_T1(resonant(0.5), 3, [1.0], -1.0, MeasurementModel(0.0))
+
     def test_uncoupled_sweep_is_unity(self):
         values = 2 * np.pi * np.linspace(0.5, 2.0, 7)
         assert sweep_T1(resonant(0.0), 4, values, SQRT2, MeasurementModel(0.0)) == pytest.approx(

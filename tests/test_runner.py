@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from antizeno.config import ExperimentConfig
+from antizeno.config import ExperimentConfig, preset
+from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables
 
@@ -173,3 +174,36 @@ class TestMetadata:
         )
         metadata, _ = build_tables(cfg)
         assert metadata["commensurate_no_jitter"] is False
+
+
+class TestSharedJitterDraws:
+    @pytest.fixture
+    def seedings(self, monkeypatch):
+        """Counts per-run jitter seedings (one ``jitter_schedule`` call each)."""
+        calls = []
+        real = protocol.jitter_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "jitter_schedule", counting)
+        return calls
+
+    def test_fig4_draws_each_panel_once_per_build(self, seedings):
+        # 20 (panel a) + 20 (panel b, shared by 3 couplings) + 200 (panel c,
+        # shared by 11 couplings); a second build draws again, with no cache
+        cfg = preset("fig4")
+        _, first = build_tables(cfg)
+        assert len(seedings) == 240
+        _, second = build_tables(cfg)
+        assert len(seedings) == 480
+        assert first == second
+
+    def test_survival_shares_draws_across_couplings_and_epsilons(self, seedings):
+        cfg = ExperimentConfig(
+            experiment="survival", g_values=(0.5, 1.0), epsilon_values=(0.0, 0.1),
+            n_max=20, n_measurements=4, runs=5,
+        )
+        build_tables(cfg)
+        assert len(seedings) == 5
