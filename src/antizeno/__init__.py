@@ -6,63 +6,27 @@ dressed ground state, runs repeated no-click measurement protocols with
 imperfect detectors and randomized schedules, and fits the resulting
 quadratic and exponential survival laws. The ``antizeno`` CLI exposes six
 figure presets plus free-form experiments with deterministic, seeded output.
+
+The top level holds the library API the README documents; everything else
+is imported from its own module (``antizeno.numkit``, ``antizeno.operators``,
+...).
 """
 
 __version__ = "0.1.0"
 
-from .analysis import CollapseResult, FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
+from .analysis import fit_exponential
 from .config import ExperimentConfig, preset
-from .dynamics import ExcitationTrace, QuantumState, evolve, excitation_trace
 from .errors import NumericalError
-from .measurement import MeasurementModel, MeasurementOutcome, click_probability, measure_no_click
-from .model import (
-    GroundStateDecomposition,
-    ModelParams,
-    converge_cutoff,
-    eigenstate_overlaps,
-    excitation_probability,
-    ground_state,
-    jaynes_cummings_hamiltonian,
-    perturbative_c1,
-    rabi_hamiltonian,
-)
-from .numkit import (
-    HermitianOperator,
-    SpectralDecomposition,
-    hermitian_eig,
-    propagator,
-    tensor_product,
-)
-from .operators import FockBasis, annihilation, parity_operator, qubit_operator
+from .measurement import MeasurementModel
+from .model import ModelParams, ground_state
 from .protocol import (
-    EnsembleTrace,
-    MeasurementSchedule,
-    SurvivalTrace,
-    ensemble_survival,
-    jitter_schedule,
-    jitter_times,
-    prepare_model,
-    run_survival,
-    sweep_T1,
-    truncated_survival,
-    two_period_schedule,
+    ensemble_survival, jitter_times, prepare_model, run_survival, two_period_schedule,
 )
 from .runner import run
 
 __all__ = [
-    "__version__",
-    "CollapseResult", "FitResult", "collapse_slopes", "fit_exponential", "fit_quadratic_origin",
-    "ExperimentConfig", "preset",
-    "ExcitationTrace", "QuantumState", "evolve", "excitation_trace",
-    "NumericalError",
-    "MeasurementModel", "MeasurementOutcome", "click_probability", "measure_no_click",
-    "GroundStateDecomposition", "ModelParams", "converge_cutoff", "eigenstate_overlaps",
-    "excitation_probability", "ground_state", "jaynes_cummings_hamiltonian",
-    "perturbative_c1", "rabi_hamiltonian",
-    "HermitianOperator", "SpectralDecomposition", "hermitian_eig", "propagator", "tensor_product",
-    "FockBasis", "annihilation", "parity_operator", "qubit_operator",
-    "EnsembleTrace", "MeasurementSchedule", "SurvivalTrace", "ensemble_survival",
-    "jitter_schedule", "jitter_times", "prepare_model", "run_survival", "sweep_T1",
-    "truncated_survival", "two_period_schedule",
-    "run",
+    "__version__", "ExperimentConfig", "preset", "run", "NumericalError",
+    "ModelParams", "MeasurementModel", "ground_state", "prepare_model",
+    "two_period_schedule", "jitter_times", "run_survival", "ensemble_survival",
+    "fit_exponential",
 ]

@@ -19,26 +19,21 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import fit_exponential, fit_quadratic_origin
+from .analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
 from .config import ExperimentConfig
 from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
 from .model import ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
-    PreparedModel,
-    ensemble_survival,
-    jitter_times,
-    prepare_model,
-    sweep_T1,
-    two_period_schedule,
+    PreparedModel, ensemble_survival, jitter_times, prepare_model, sweep_T1, two_period_schedule,
 )
 
-__all__ = ["Table", "RunResult", "run", "build_tables", "read_config_header", "FIG4_PANELS"]
+__all__ = ["RunResult", "run", "build_tables", "read_config_header", "FIG4_PANELS"]
 
 # fig4 panel schedules (dimensionless omega*T1, events, jitter half-window,
 # ensemble size). Panels (b) and (c) share the period; the short panel-(c)
@@ -57,41 +52,22 @@ GENERATOR_NOTE = "numpy PCG64; per-run seeds = SeedSequence(seed).generate_state
 
 
 @dataclass(frozen=True)
-class Table:
-    columns: tuple[str, ...]
-    rows: list[tuple]
-
-
-@dataclass(frozen=True)
 class RunResult:
     config: ExperimentConfig
     metadata: dict
-    tables: dict[str, Table]
+    tables: dict[str, dict[str, list]]
     paths: list[str]
 
 
 def _model_params(config: ExperimentConfig, g_over_omega: float, n_max: int) -> ModelParams:
-    return ModelParams(
-        omega=config.omega,
-        omega0=config.omega0,
-        g=g_over_omega * config.omega,
-        n_max=n_max,
-    )
+    return ModelParams(config.omega, config.omega0, g_over_omega * config.omega, n_max)
 
 
 def _resolve_cutoff(config: ExperimentConfig) -> int:
     """Fixed cutoff from the config, or the converged cutoff over the g grid."""
     if config.n_max is not None:
         return config.n_max
-    candidates = [
-        converge_cutoff(_model_params(config, g, 10), 1e-8)
-        for g in config.g_values
-    ]
-    return max(candidates)
-
-
-def _prepare(config: ExperimentConfig, g_over_omega: float, n_max: int) -> PreparedModel:
-    return prepare_model(_model_params(config, g_over_omega, n_max))
+    return max(converge_cutoff(_model_params(config, g, 10), 1e-8) for g in config.g_values)
 
 
 def _paired_ensembles(
@@ -135,9 +111,10 @@ def _only(values, what: str, experiment: str):
     return values[0]
 
 
-def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, Table]]:
+def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
     """Run the experiment; return (metadata, tables keyed by name).
 
+    A table maps each column name, in schema order, to its list of cells.
     Single-table experiments use the key "data"; fig4 uses "a", "b", "c".
     """
     config.validate()
@@ -157,68 +134,88 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, Table]]:
     if config.experiment == "fig4":
         metadata["fig4_panels"] = FIG4_PANELS
 
-    builder = _BUILDERS[config.experiment]
-    return metadata, builder(config, n_max)
+    models: dict[float, PreparedModel] = {}
+
+    def prepare(g: float) -> PreparedModel:
+        """The prepared model at coupling g/omega, made once per build."""
+        if g not in models:
+            models[g] = prepare_model(_model_params(config, g, n_max))
+        return models[g]
+
+    return metadata, _BUILDERS[config.experiment](config, prepare)
 
 
-def _build_fig1(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
+# ---------------------------------------------------------------------------
+# table builders: each returns {table name: {column: cells}}
+
+
+def _events(config: ExperimentConfig, ens, **constants) -> dict:
+    """Per-event columns of one ensemble, plus constant columns."""
+    return {
+        **constants,
+        "event": list(range(1, ens.times.size + 1)),
+        "omega_t": (config.omega * ens.times).tolist(),
+        "single_mean": ens.single_mean.tolist(),
+        "single_std": ens.single_std.tolist(),
+        "cumulative_mean": ens.cumulative_mean.tolist(),
+        "cumulative_std": ens.cumulative_std.tolist(),
+    }
+
+
+def _table(schema: str, *blocks: dict) -> dict[str, list]:
+    """Stack column blocks into one table with the columns of ``schema``
+    (space separated, in order). A scalar cell is repeated down its block."""
+    table = {name: [] for name in schema.split()}
+    for block in blocks:
+        rows = max(len(v) for v in block.values() if isinstance(v, list))
+        for name, cells in table.items():
+            value = block[name]
+            cells.extend(value if isinstance(value, list) else [value] * rows)
+    return table
+
+
+def _build_fig1(config: ExperimentConfig, prepare) -> dict:
     g = np.asarray(config.g_values, dtype=float)
     if g.size < 3:
         raise ValueError("fig1 needs at least 3 couplings for the quadratic fit")
-    p_e = np.array([_prepare(config, gi, n_max).ground.p_e for gi in g])
+    p_e = np.array([prepare(gi).ground.p_e for gi in g])
     fit = fit_quadratic_origin(g, p_e)
-    rows = [
-        (float(gi), float(pi), fit.coefficients["lam"], fit.r_squared)
-        for gi, pi in zip(g, p_e)
-    ]
-    return {"data": Table(("g_over_omega", "p_e", "lambda_fit", "r_squared"), rows)}
+    return {"data": _table(
+        "g_over_omega p_e lambda_fit r_squared",
+        {"g_over_omega": g.tolist(), "p_e": p_e.tolist(),
+         "lambda_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
+    )}
 
 
-def _build_fig2(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
+def _build_fig2(config: ExperimentConfig, prepare) -> dict:
     omega_t = np.arange(0.0, config.time_max + config.time_step / 2, config.time_step)
-    t_grid = omega_t / config.omega
-    columns = ["omega_t"]
-    series = []
+    table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
-        prep = _prepare(config, g, n_max)
+        prep = prepare(g)
         initial = measure_no_click(prep.chain_ground(), MeasurementModel(0.0)).post_state
-        trace = excitation_trace(prep.params, initial, t_grid)
-        columns.append(f"p1e_g_over_omega_{g:.6g}")
-        series.append(trace.values)
-    rows = [
-        tuple([float(omega_t[i])] + [float(s[i]) for s in series])
-        for i in range(omega_t.size)
-    ]
-    return {"data": Table(tuple(columns), rows)}
+        trace = excitation_trace(prep.params, initial, omega_t / config.omega)
+        table[f"p1e_g_over_omega_{g:.6g}"] = trace.values.tolist()
+    return {"data": table}
 
 
-def _build_fig3(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
+def _build_fig3(config: ExperimentConfig, prepare) -> dict:
     t1_values = _t1_grid(config) / config.omega
     m = MeasurementModel(_only(config.epsilon_values, "epsilon", "fig3"))
     g = np.asarray(config.g_values, dtype=float)
     if g.size < 2:
         raise ValueError("fig3 needs at least 2 couplings for the exponential fit")
     mean_final = np.array(
-        [
-            sweep_T1(_prepare(config, gi, n_max), config.n_measurements,
-                     t1_values, config.ratio, m)
-            for gi in g
-        ]
+        [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
     )
     fit = fit_exponential(g**2, mean_final)
-    rows = [
-        (float(gi), float(pi), fit.coefficients["rate"], fit.r_squared)
-        for gi, pi in zip(g, mean_final)
-    ]
-    return {
-        "data": Table(
-            ("g_over_omega", "mean_final_survival", "gaussian_rate", "gaussian_r_squared"),
-            rows,
-        )
-    }
+    return {"data": _table(
+        "g_over_omega mean_final_survival gaussian_rate gaussian_r_squared",
+        {"g_over_omega": g.tolist(), "mean_final_survival": mean_final.tolist(),
+         "gaussian_rate": fit.coefficients["rate"], "gaussian_r_squared": fit.r_squared},
+    )}
 
 
-def _build_fig4(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
+def _build_fig4(config: ExperimentConfig, prepare) -> dict:
     eps = _only(config.epsilon_values, "epsilon", "fig4")
     panels = {
         panel: _paired_ensembles(config, s["omega_t1"], s["n"], s["jitter"], s["runs"])
@@ -226,185 +223,99 @@ def _build_fig4(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
     }
 
     def ensemble(g: float, panel: str):
-        return panels[panel](_prepare(config, g, n_max), eps)
+        return panels[panel](prepare(g), eps)
 
     # panel a shows the strongest coupling of the panel-b set
-    ens_a = ensemble(max(config.g_values), "a")
-    rows_a = [
-        (
-            i + 1,
-            float(config.omega * ens_a.times[i]),
-            float(ens_a.single_mean[i]),
-            float(ens_a.single_std[i]),
-            float(ens_a.cumulative_mean[i]),
-            float(ens_a.cumulative_std[i]),
-        )
-        for i in range(ens_a.times.size)
-    ]
-    table_a = Table(
-        ("event", "omega_t", "single_mean", "single_std", "cumulative_mean", "cumulative_std"),
-        rows_a,
+    table_a = _table(
+        "event omega_t single_mean single_std cumulative_mean cumulative_std",
+        _events(config, ensemble(max(config.g_values), "a")),
     )
 
     # panel b: survival vs event count per coupling, with exponential fits
-    rows_b = []
+    blocks_b = []
     for g in config.g_values:
         ens = ensemble(g, "b")
-        events = np.arange(1, ens.times.size + 1, dtype=float)
-        fit = fit_exponential(events, ens.cumulative_mean)
-        for i in range(ens.times.size):
-            rows_b.append(
-                (
-                    float(g),
-                    i + 1,
-                    float(config.omega * ens.times[i]),
-                    float(ens.cumulative_mean[i]),
-                    float(ens.cumulative_std[i]),
-                    fit.coefficients["rate"],
-                    fit.r_squared,
-                )
-            )
-    table_b = Table(
-        ("g_over_omega", "event", "omega_t", "cumulative_mean", "cumulative_std",
-         "fit_rate", "fit_r_squared"),
-        rows_b,
+        fit = fit_exponential(np.arange(1, ens.times.size + 1, dtype=float), ens.cumulative_mean)
+        blocks_b.append(_events(config, ens, g_over_omega=float(g),
+                                fit_rate=fit.coefficients["rate"], fit_r_squared=fit.r_squared))
+    table_b = _table(
+        "g_over_omega event omega_t cumulative_mean cumulative_std fit_rate fit_r_squared",
+        *blocks_b,
     )
 
     # panel c: mean single-event survival vs coupling, quadratic law
     grid = np.asarray(FIG4_PANEL_C_GRID, dtype=float)
     pbar = np.array([ensemble(g, "c").mean_single for g in grid])
     fit = fit_quadratic_origin(grid, 1.0 - pbar)
-    rows_c = [
-        (float(g), float(pb), fit.coefficients["lam"], fit.r_squared)
-        for g, pb in zip(grid, pbar)
-    ]
-    table_c = Table(
-        ("g_over_omega", "mean_single_survival", "chi_bar_fit", "r_squared"), rows_c
+    table_c = _table(
+        "g_over_omega mean_single_survival chi_bar_fit r_squared",
+        {"g_over_omega": grid.tolist(), "mean_single_survival": pbar.tolist(),
+         "chi_bar_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
     )
     return {"a": table_a, "b": table_b, "c": table_c}
 
 
-def _build_fig5(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
-    g = _only(config.g_values, "coupling", "fig5")
-    prep = _prepare(config, g, n_max)
+def _build_fig5(config: ExperimentConfig, prepare) -> dict:
+    prep = prepare(_only(config.g_values, "coupling", "fig5"))
     m = MeasurementModel(_only(config.epsilon_values, "epsilon", "fig5"))
-    ensembles = {}
-    for omega_t1 in config.omega_t1_values:
-        base = two_period_schedule(
-            omega_t1 / config.omega, config.ratio, config.n_measurements
+    ensembles = {
+        omega_t1: ensemble_survival(
+            prep, two_period_schedule(omega_t1 / config.omega, config.ratio,
+                                      config.n_measurements),
+            m, config.jitter_width, config.runs, config.seed,
         )
-        ensembles[omega_t1] = ensemble_survival(
-            prep, base, m, config.jitter_width, config.runs, config.seed
-        )
-    rates = {}
-    for omega_t1, ens in ensembles.items():
-        t_over_t1 = config.omega * ens.times / omega_t1
-        rates[omega_t1] = fit_exponential(t_over_t1, ens.cumulative_mean)
-    rate_values = [f.coefficients["rate"] for f in rates.values()]
-    ratio = max(rate_values) / min(rate_values)
-    rows = []
-    for omega_t1, ens in ensembles.items():
-        fit = rates[omega_t1]
-        for i in range(ens.times.size):
-            omega_t = float(config.omega * ens.times[i])
-            rows.append(
-                (
-                    float(omega_t1),
-                    i + 1,
-                    omega_t,
-                    omega_t / float(omega_t1),
-                    float(ens.cumulative_mean[i]),
-                    float(ens.cumulative_std[i]),
-                    fit.coefficients["rate"],
-                    float(ratio),
-                )
-            )
-    return {
-        "data": Table(
-            ("omega_t1", "event", "omega_t", "t_over_t1", "cumulative_mean",
-             "cumulative_std", "rate_per_t_over_t1", "rate_ratio_max_min"),
-            rows,
-        )
+        for omega_t1 in config.omega_t1_values
     }
+    # in omega*t units, t/T1 = omega*t / (omega*T1), so key by omega*T1
+    collapse = collapse_slopes(
+        {w: replace(ens, times=config.omega * ens.times) for w, ens in ensembles.items()}
+    )
+    blocks = [
+        _events(config, ens, omega_t1=float(w), t_over_t1=(config.omega * ens.times / w).tolist(),
+                rate_per_t_over_t1=collapse.rates[w], rate_ratio_max_min=collapse.rate_ratio)
+        for w, ens in ensembles.items()
+    ]
+    return {"data": _table(
+        "omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
+        "rate_per_t_over_t1 rate_ratio_max_min",
+        *blocks,
+    )}
 
 
-def _build_fig6(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
-    g = _only(config.g_values, "coupling", "fig6")
-    prep = _prepare(config, g, n_max)
+def _build_survival(config: ExperimentConfig, prepare) -> dict:
     ensemble = _paired_ensembles(
-        config, _only(config.omega_t1_values, "omega_t1", "fig6"),
+        config, _only(config.omega_t1_values, "omega_t1", config.experiment),
         config.n_measurements, config.jitter_width, config.runs,
     )
-    rows = []
-    for eps in config.epsilon_values:
-        ens = ensemble(prep, eps)
-        for i in range(ens.times.size):
-            rows.append(
-                (
-                    float(eps),
-                    i + 1,
-                    float(config.omega * ens.times[i]),
-                    float(ens.single_mean[i]),
-                    float(ens.single_std[i]),
-                    float(ens.cumulative_mean[i]),
-                    float(ens.cumulative_std[i]),
-                )
-            )
-    return {
-        "data": Table(
-            ("epsilon", "event", "omega_t", "single_mean", "single_std",
-             "cumulative_mean", "cumulative_std"),
-            rows,
-        )
-    }
-
-
-def _build_survival(config: ExperimentConfig, n_max: int) -> dict[str, Table]:
-    ensemble = _paired_ensembles(
-        config, _only(config.omega_t1_values, "omega_t1", "survival"),
-        config.n_measurements, config.jitter_width, config.runs,
-    )
-    rows = []
+    blocks = []
     for g in config.g_values:
-        prep = _prepare(config, g, n_max)
         for eps in config.epsilon_values:
-            ens = ensemble(prep, eps)
-            for i in range(ens.times.size):
-                # chi_n = (1 - p_ng) * (omega/g)^2, the per-event quadratic-law
-                # residual; undefined at g = 0
-                chi_n = (
-                    (1.0 - float(ens.single_mean[i])) / g**2 if g > 0 else float("nan")
-                )
-                rows.append(
-                    (
-                        float(g),
-                        float(eps),
-                        i + 1,
-                        float(config.omega * ens.times[i]),
-                        float(ens.single_mean[i]),
-                        float(ens.single_std[i]),
-                        float(ens.cumulative_mean[i]),
-                        float(ens.cumulative_std[i]),
-                        chi_n,
-                    )
-                )
-    return {
-        "data": Table(
-            ("g_over_omega", "epsilon", "event", "omega_t", "single_mean",
-             "single_std", "cumulative_mean", "cumulative_std", "chi_n"),
-            rows,
-        )
-    }
+            ens = ensemble(prepare(g), eps)
+            # chi_n = (1 - p_ng) * (omega/g)^2, the per-event quadratic-law
+            # residual; undefined at g = 0
+            chi_n = ((1.0 - ens.single_mean) / g**2).tolist() if g > 0 else math.nan
+            blocks.append(_events(config, ens, g_over_omega=float(g), epsilon=float(eps),
+                                  chi_n=chi_n))
+    return {"data": _table(
+        "g_over_omega epsilon event omega_t single_mean single_std "
+        "cumulative_mean cumulative_std chi_n",
+        *blocks,
+    )}
+
+
+def _build_fig6(config: ExperimentConfig, prepare) -> dict:
+    """The survival table at one coupling, without its g and chi_n columns."""
+    _only(config.g_values, "coupling", "fig6")
+    survival = _build_survival(config, prepare)["data"]
+    return {"data": {
+        name: cells for name, cells in survival.items()
+        if name not in ("g_over_omega", "chi_n")
+    }}
 
 
 _BUILDERS = {
-    "fig1": _build_fig1,
-    "fig2": _build_fig2,
-    "fig3": _build_fig3,
-    "fig4": _build_fig4,
-    "fig5": _build_fig5,
-    "fig6": _build_fig6,
-    "survival": _build_survival,
+    "fig1": _build_fig1, "fig2": _build_fig2, "fig3": _build_fig3, "fig4": _build_fig4,
+    "fig5": _build_fig5, "fig6": _build_fig6, "survival": _build_survival,
 }
 
 
@@ -412,46 +323,21 @@ _BUILDERS = {
 # output emission
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _metadata_lines(metadata: dict) -> list[str]:
+def _csv_text(metadata: dict, table: dict[str, list]) -> str:
+    keys = ["config", *(key for key in sorted(metadata) if key not in ("tool", "config"))]
     lines = [f"# {metadata['tool']}"]
-    lines.append(f"# config = {json.dumps(metadata['config'], sort_keys=True)}")
-    for key in sorted(metadata):
-        if key in ("tool", "config"):
-            continue
-        lines.append(f"# {key} = {json.dumps(metadata[key], sort_keys=True)}")
-    return lines
-
-
-def _csv_text(metadata: dict, table: Table) -> str:
-    lines = _metadata_lines(metadata)
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines.extend(f"# {key} = {json.dumps(metadata[key], sort_keys=True)}" for key in keys)
+    lines.append(",".join(table))
+    lines.extend(",".join(map(repr, row)) for row in zip(*table.values()))
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
-
-
-def _json_text(metadata: dict, tables: dict[str, Table]) -> str:
-    series = {}
-    for name, table in tables.items():
-        cols = {
-            col: [_json_cell(row[i]) for row in table.rows]
-            for i, col in enumerate(table.columns)
-        }
-        series[name] = cols
-    payload = {"metadata": metadata, "series": series}
-    return json.dumps(payload, sort_keys=True) + "\n"
+def _json_text(metadata: dict, tables: dict[str, dict[str, list]]) -> str:
+    series = {
+        name: {col: [None if math.isnan(v) else v for v in cells] for col, cells in table.items()}
+        for name, table in tables.items()
+    }
+    return json.dumps({"metadata": metadata, "series": series}, sort_keys=True) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -483,20 +369,18 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.out is None:
         raise ValueError("no output path configured (set out/--out)")
     metadata, tables = build_tables(config)
-    paths: list[str] = []
     if config.format == "json":
-        _atomic_write(config.out, _json_text(metadata, tables))
-        paths.append(config.out)
+        texts = {config.out: _json_text(metadata, tables)}
+    elif set(tables) == {"data"}:
+        texts = {config.out: _csv_text(metadata, tables["data"])}
     else:
-        if set(tables) == {"data"}:
-            _atomic_write(config.out, _csv_text(metadata, tables["data"]))
-            paths.append(config.out)
-        else:
-            for name in sorted(tables):
-                path = _suffixed(config.out, name)
-                _atomic_write(path, _csv_text(metadata, tables[name]))
-                paths.append(path)
-    return RunResult(config, metadata, tables, paths)
+        texts = {
+            _suffixed(config.out, name): _csv_text(metadata, tables[name])
+            for name in sorted(tables)
+        }
+    for path, text in texts.items():
+        _atomic_write(path, text)
+    return RunResult(config, metadata, tables, list(texts))
 
 
 def read_config_header(path: str) -> ExperimentConfig:

@@ -7,7 +7,7 @@ import pytest
 
 from antizeno.cli import main
 from antizeno.config import ExperimentConfig, preset
-from antizeno.runner import Table, read_config_header, run
+from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
 
 
@@ -209,23 +209,35 @@ class TestCliRuns:
         assert read_config_header(str(out)).format == "json"
 
     def test_survival_chi_diagnostic_column(self, tmp_path):
+        # chi_n is undefined at g = 0: nan in CSV, null in JSON
         out = tmp_path / "chi.json"
         args = small_survival_args(tmp_path, "chi.json", fmt="json")
+        args[args.index("--g") + 1] = "0,0.5"
         assert main(args) == 0
         series = json.loads(out.read_text())["series"]["data"]
-        chi = np.asarray(series["chi_n"], dtype=float)
-        single = np.asarray(series["single_mean"], dtype=float)
+        at_zero = [g == 0.0 for g in series["g_over_omega"]]
+        assert sum(at_zero) == 4
+        assert all(c is None for c, zero in zip(series["chi_n"], at_zero) if zero)
+        chi = np.asarray([c for c, zero in zip(series["chi_n"], at_zero) if not zero])
+        single = np.asarray([s for s, zero in zip(series["single_mean"], at_zero) if not zero])
         assert np.allclose(chi, (1 - single) / 0.5**2, atol=1e-12)
+
+        csv_out = tmp_path / "chi.csv"
+        args[args.index("--out") + 1] = str(csv_out)
+        args[args.index("--format") + 1] = "csv"
+        assert main(args) == 0
+        lines = [line for line in csv_out.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0].split(",")[-1] == "chi_n"
+        chi_cells = [line.split(",")[-1] for line in lines[1:]]
+        assert chi_cells[:4] == ["nan"] * 4
+        assert "nan" not in chi_cells[4:]
 
 
 class TestMultiTableOutput:
     @pytest.fixture
     def fake_two_panel(self, monkeypatch):
-        def builder(config, n_max):
-            return {
-                "a": Table(("x", "y"), [(1, 2.0)]),
-                "b": Table(("x", "y"), [(3, 4.0)]),
-            }
+        def builder(config, prepare):
+            return {"a": {"x": [1], "y": [2.0]}, "b": {"x": [3], "y": [4.0]}}
 
         monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)
 

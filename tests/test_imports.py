@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,3 +17,28 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def _library_use_block() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_use_block_runs(capsys):
+    exec(compile(_library_use_block(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") >= 4
+
+
+def test_top_level_api_is_what_the_readme_documents():
+    # the "Library use" imports plus the names the README lists after it
+    tree = ast.parse(_library_use_block())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "antizeno"
+        for alias in node.names
+    }
+    documented = imported | {"ExperimentConfig", "preset", "run", "NumericalError", "__version__"}
+    assert set(antizeno.__all__) == documented
+    assert all(hasattr(antizeno, name) for name in antizeno.__all__)

@@ -9,7 +9,14 @@ from antizeno.runner import build_tables
 
 
 def columns_of(tables, name="data"):
-    return tables[name].columns
+    return tuple(tables[name])
+
+
+def n_rows(table):
+    """Row count of a column table, whose columns must all be that long."""
+    lengths = {len(cells) for cells in table.values()}
+    assert len(lengths) == 1, lengths
+    return lengths.pop()
 
 
 class TestFig2Builder:
@@ -20,14 +27,14 @@ class TestFig2Builder:
         )
         _, tables = build_tables(cfg)
         table = tables["data"]
-        assert table.columns == ("omega_t", "p1e_g_over_omega_0", "p1e_g_over_omega_1")
-        omega_t = [row[0] for row in table.rows]
+        assert tuple(table) == ("omega_t", "p1e_g_over_omega_0", "p1e_g_over_omega_1")
+        omega_t = table["omega_t"]
         assert omega_t == [0.0, 0.5, 1.0, 1.5, 2.0]
         # g = 0: projected vacuum stays unexcited
-        assert all(row[1] == 0.0 for row in table.rows)
+        assert all(v == 0.0 for v in table["p1e_g_over_omega_0"])
         # g = 1: excitation starts at zero and oscillates upward
-        assert table.rows[0][2] == pytest.approx(0.0, abs=1e-12)
-        assert max(row[2] for row in table.rows) > 0.05
+        assert table["p1e_g_over_omega_1"][0] == pytest.approx(0.0, abs=1e-12)
+        assert max(table["p1e_g_over_omega_1"]) > 0.05
 
 
 class TestFig3Builder:
@@ -38,10 +45,10 @@ class TestFig3Builder:
         )
         _, tables = build_tables(cfg)
         table = tables["data"]
-        assert table.columns == (
+        assert tuple(table) == (
             "g_over_omega", "mean_final_survival", "gaussian_rate", "gaussian_r_squared"
         )
-        survival = [row[1] for row in table.rows]
+        survival = table["mean_final_survival"]
         assert survival[0] == pytest.approx(1.0, abs=1e-12)
         assert survival[0] > survival[1] > survival[2]
 
@@ -52,7 +59,7 @@ class TestFig3Builder:
         )
         _, first = build_tables(cfg)
         _, second = build_tables(cfg)
-        assert first["data"].rows == second["data"].rows
+        assert first["data"] == second["data"]
 
     def test_single_coupling_rejected(self):
         cfg = ExperimentConfig(experiment="fig3", g_values=(0.5,), n_max=16)
@@ -93,19 +100,19 @@ class TestFig4Builder:
         metadata, tables = build_tables(cfg)
         assert set(tables) == {"a", "b", "c"}
         assert metadata["fig4_panels"]["a"]["runs"] == 2
-        assert tables["a"].columns == (
+        assert tuple(tables["a"]) == (
             "event", "omega_t", "single_mean", "single_std", "cumulative_mean", "cumulative_std"
         )
-        assert len(tables["a"].rows) == 3
+        assert n_rows(tables["a"]) == 3
         # panel b: one block of rows per coupling with a shared fit
-        assert tables["b"].columns[:3] == ("g_over_omega", "event", "omega_t")
-        assert len(tables["b"].rows) == 2 * 4
+        assert tuple(tables["b"])[:3] == ("g_over_omega", "event", "omega_t")
+        assert n_rows(tables["b"]) == 2 * 4
         # panel c: one row per grid point
-        assert tables["c"].columns == (
+        assert tuple(tables["c"]) == (
             "g_over_omega", "mean_single_survival", "chi_bar_fit", "r_squared"
         )
-        assert len(tables["c"].rows) == 3
-        pbar = [row[1] for row in tables["c"].rows]
+        assert n_rows(tables["c"]) == 3
+        pbar = tables["c"]["mean_single_survival"]
         assert pbar[0] == pytest.approx(1.0, abs=1e-12)
         assert pbar[2] < pbar[1] < pbar[0]
 
@@ -119,15 +126,24 @@ class TestFig5Builder:
         )
         _, tables = build_tables(cfg)
         table = tables["data"]
-        assert table.columns == (
+        assert tuple(table) == (
             "omega_t1", "event", "omega_t", "t_over_t1", "cumulative_mean",
             "cumulative_std", "rate_per_t_over_t1", "rate_ratio_max_min",
         )
-        assert len(table.rows) == 2 * 6
-        ratios = {row[7] for row in table.rows}
+        assert n_rows(table) == 2 * 6
+        ratios = set(table["rate_ratio_max_min"])
         assert len(ratios) == 1  # global ratio repeated on every row
-        t_over_t1 = [row[3] for row in table.rows[:6]]
+        t_over_t1 = table["t_over_t1"][:6]
         assert all(b > a for a, b in zip(t_over_t1, t_over_t1[1:]))
+
+    def test_single_period_rejected(self):
+        # the rate collapse compares the decay rates of at least two periods
+        cfg = ExperimentConfig(
+            experiment="fig5", g_values=(1.0,), n_max=16, omega_t1_values=(math.pi,),
+            n_measurements=3, runs=1,
+        )
+        with pytest.raises(ValueError, match="at least two periods"):
+            build_tables(cfg)
 
 
 class TestFig6Builder:
@@ -139,12 +155,16 @@ class TestFig6Builder:
         )
         _, tables = build_tables(cfg)
         table = tables["data"]
-        assert table.columns == (
+        assert tuple(table) == (
             "epsilon", "event", "omega_t", "single_mean", "single_std",
             "cumulative_mean", "cumulative_std",
         )
-        assert len(table.rows) == 2 * 5
-        final_by_eps = {row[0]: row[5] for row in table.rows if row[1] == 5}
+        assert n_rows(table) == 2 * 5
+        final_by_eps = {
+            eps: final
+            for eps, event, final in zip(table["epsilon"], table["event"], table["cumulative_mean"])
+            if event == 5
+        }
         # the inert fraction of the detector slows the decay
         assert final_by_eps[0.2] > final_by_eps[0.0]
 
@@ -207,3 +227,21 @@ class TestSharedJitterDraws:
         )
         build_tables(cfg)
         assert len(seedings) == 5
+
+
+def test_fig4_prepares_each_coupling_once(monkeypatch):
+    # panels a, b and c share g/omega = 1, and panel b's couplings are not
+    # all on the panel-c grid: one prepared model per distinct coupling
+    couplings = []
+    real = runner_module.prepare_model
+
+    def counting(params, *args, **kwargs):
+        couplings.append(params.g)
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "prepare_model", counting)
+    cfg = preset("fig4")
+    build_tables(cfg)
+    distinct = set(cfg.g_values) | set(runner_module.FIG4_PANEL_C_GRID)
+    assert len(distinct) == 13
+    assert len(couplings) == len(set(couplings)) == 13
