@@ -81,6 +81,10 @@ class ExperimentConfig:
             raise ValueError(f"n_max must be >= 1 (or null for automatic), got {self.n_max!r}")
         if not self.omega_t1_values or any(v <= 0 for v in self.omega_t1_values):
             raise ValueError("omega_t1_values must be non-empty and > 0")
+        for name in ("g_values", "omega_t1_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
         if self.ratio <= 0:
             raise ValueError(f"ratio must be > 0, got {self.ratio!r}")
         if self.n_measurements < 1:

@@ -25,11 +25,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError
-from .numkit import HermitianOperator, SpectralDecomposition, hermitian_eig
+from .numkit import MAX_DIM, HermitianOperator, SpectralDecomposition, hermitian_eig
 from .operators import FockBasis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import QuantumState
+    from .protocol import PreparedModel
 
 __all__ = [
     "DEGENERACY_GAP",
@@ -75,7 +76,9 @@ class ModelParams:
             raise ValueError(f"omega0 must be >= 0, got {self.omega0!r}")
         if not (np.isfinite(self.g) and self.g >= 0):
             raise ValueError(f"g must be >= 0, got {self.g!r}")
-        FockBasis(self.n_max)  # validates n_max
+        # checked before any matrix is built: the full space is 2*(n_max+1)
+        if FockBasis(self.n_max).dim > MAX_DIM:
+            raise ValueError(f"n_max must be <= {MAX_DIM // 2 - 1}, got {self.n_max!r}")
 
     @property
     def basis(self) -> FockBasis:
@@ -278,10 +281,12 @@ def converge_cutoff(p: ModelParams, tol: float, kind: str = "rabi") -> int:
     )
 
 
-def assert_cutoff_converged(p: ModelParams, tol: float = 1e-8, kind: str = "rabi") -> None:
-    """Check that growing p.n_max by 10 moves ground energy and p_e by < tol."""
-    e1, pe1 = _ground_scalars(p, p.n_max, kind)
-    e2, pe2 = _ground_scalars(p, p.n_max + 10, kind)
+def assert_cutoff_converged(prepared: "PreparedModel", tol: float = 1e-8) -> None:
+    """Check that growing the cutoff of a prepared model by 10 moves its
+    ground energy and p_e by < tol; only the larger cutoff is solved."""
+    p = prepared.params
+    e1, pe1 = prepared.ground.energy, prepared.ground.p_e
+    e2, pe2 = _ground_scalars(p, p.n_max + 10, prepared.kind)
     if abs(e2 - e1) >= tol or abs(pe2 - pe1) >= tol:
         raise NumericalError(
             f"Fock cutoff n_max={p.n_max} not converged to {tol:g}: "

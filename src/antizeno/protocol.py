@@ -17,11 +17,12 @@ batched evolve and one batched measurement over all runs of a block
 (``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
 operations per event instead of a Python loop per run.
 
-A stack of runs is a ``(runs, N)`` array of event times, one schedule per
-row, validated once. ``jitter_times`` draws the stack of a jitter ensemble;
-the k-th row depends only on the base schedule, the width, omega and the
-base seed, so one draw serves every coupling and detector inefficiency that
-pairs its runs. ``sweep_T1`` builds its stack of periods by broadcasting.
+A schedule is a 1-d array of event times; a stack of runs is a ``(runs, N)``
+array, one schedule per row, validated once. ``jitter_times`` draws the
+stack of a jitter ensemble; the k-th row depends only on the base schedule,
+the width, omega and the base seed, so one draw serves every coupling and
+detector inefficiency that pairs its runs. ``sweep_T1`` builds its stack of
+periods by broadcasting.
 
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
 in all presets) and optional uniform time jitter. Incommensurate periods and
@@ -32,9 +33,8 @@ survival decay stalls or accelerates, so presets always randomize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,12 +47,10 @@ from .model import (
     even_chain_excited,
     even_chain_hamiltonian,
     ground_state,
-    hamiltonian,
 )
 from .numkit import SpectralDecomposition, hermitian_eig
 
 __all__ = [
-    "MeasurementSchedule",
     "SurvivalTrace",
     "EnsembleTrace",
     "PreparedModel",
@@ -70,41 +68,18 @@ __all__ = [
 _JITTER_ATTEMPTS = 100
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
-    """Strictly increasing measurement times (ns) plus generation metadata."""
-
-    times: np.ndarray
-    provenance: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("schedule must contain at least one time")
-        _check_times(t)
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "provenance", dict(self.provenance))
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
-def _check_times(times: np.ndarray) -> None:
-    """Every schedule (last axis) must be finite, start after 0 and be
-    strictly increasing."""
-    if not np.all(np.isfinite(times)):
-        raise ValueError("schedule times must be finite")
-    if np.any(times[..., 0] <= 0) or np.any(np.diff(times, axis=-1) <= 0):
-        raise ValueError("schedule times must be strictly increasing and start after 0")
-
-
 def _time_stack(times) -> np.ndarray:
-    """Validate a (runs, N) stack of event times, one schedule per row."""
+    """Validate one schedule (N,) or a stack (runs, N) of event times in ns,
+    one schedule per row: finite, starting after 0, strictly increasing."""
     t = np.asarray(times, dtype=float)
-    if t.ndim != 2 or t.size == 0:
-        raise ValueError(f"a schedule stack must be a non-empty (runs, N) array, got shape {t.shape}")
-    _check_times(t)
+    if t.ndim not in (1, 2) or t.size == 0:
+        raise ValueError(
+            f"a schedule stack must be a non-empty (N,) or (runs, N) array, got shape {t.shape}"
+        )
+    if not np.all(np.isfinite(t)):
+        raise ValueError("schedule times must be finite")
+    if np.any(t[..., 0] <= 0) or np.any(np.diff(t, axis=-1) <= 0):
+        raise ValueError("schedule times must be strictly increasing and start after 0")
     return t
 
 
@@ -124,8 +99,8 @@ class SurvivalTrace:
 
 @dataclass(frozen=True)
 class EnsembleTrace:
-    """Per-event mean/std of single and cumulative survival over jittered
-    schedules. ``times`` are the nominal (unjittered) event times."""
+    """Per-event mean/std of single and cumulative survival over ``runs``
+    jittered schedules. ``times`` are the nominal (unjittered) event times."""
 
     times: np.ndarray
     single_mean: np.ndarray
@@ -133,7 +108,6 @@ class EnsembleTrace:
     cumulative_mean: np.ndarray
     cumulative_std: np.ndarray
     runs: int
-    base_seed: int
 
     @property
     def mean_single(self) -> float:
@@ -143,12 +117,11 @@ class EnsembleTrace:
 
 @dataclass(frozen=True)
 class PreparedModel:
-    """Ground state plus spectral decompositions, reusable across runs.
+    """Ground state plus the even-chain spectrum, reusable across runs.
 
-    ``chain``, the even-chain spectrum every survival run evolves with, and
-    ``spec``, the spectrum of the full space, are each diagonalized the
-    first time they are read, so a caller that needs only the ground state
-    pays for neither."""
+    ``chain``, the spectrum every survival run evolves with, is diagonalized
+    the first time it is read, so a caller that needs only the ground state
+    does not pay for it."""
 
     params: ModelParams
     kind: str
@@ -158,11 +131,6 @@ class PreparedModel:
     def chain(self) -> SpectralDecomposition:
         """Spectral decomposition of the even-chain Hamiltonian."""
         return hermitian_eig(even_chain_hamiltonian(self.params, self.kind))
-
-    @cached_property
-    def spec(self) -> SpectralDecomposition:
-        """Spectral decomposition of the full-space Hamiltonian."""
-        return hermitian_eig(hamiltonian(self.params, self.kind))
 
     def chain_ground(self, runs: int | None = None) -> QuantumState:
         """The ground state on the even chain; ``runs`` copies of it as a
@@ -179,13 +147,12 @@ def prepare_model(p: ModelParams, kind: str = "rabi") -> PreparedModel:
     return PreparedModel(p, kind, ground_state(p, kind))
 
 
-def two_period_schedule(T1: float, ratio: float, N: int) -> MeasurementSchedule:
+def two_period_schedule(T1: float, ratio: float, N: int) -> np.ndarray:
     """N times built from alternating increments T1, T2 = ratio*T1, starting
-    with T1: T1, T1+T2, 2*T1+T2, 2*T1+2*T2, ..."""
-    return MeasurementSchedule(
-        _two_period_times(np.array([T1], dtype=float), ratio, N)[0],
-        {"T1": float(T1), "ratio": float(ratio), "jitter_width": 0.0, "seed": None},
-    )
+    with T1: T1, T1+T2, 2*T1+T2, 2*T1+2*T2, ... (a read-only array)."""
+    times = _two_period_times(np.array([T1], dtype=float), ratio, N)[0]
+    times.flags.writeable = False
+    return times
 
 
 def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
@@ -203,33 +170,32 @@ def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
     return np.cumsum(increments, axis=1)
 
 
-def jitter_schedule(
-    s: MeasurementSchedule, width: float, omega: float, seed: int
-) -> MeasurementSchedule:
-    """Shift each event by an independent uniform draw in [-width/omega,
-    +width/omega] (width is a dimensionless omega*dt).
+def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
+    """Shift each event of a schedule (1-d times) by an independent uniform
+    draw in [-width/omega, +width/omega] (width is a dimensionless omega*dt);
+    returns a read-only array.
 
     Events are drawn in order; a draw that breaks the strict ordering is
     redrawn up to 100 times before giving up. Deterministic for a given seed.
     All draws are taken at once first: they are the stream the in-order
     rule consumes whenever no redraw is needed, so only a schedule that
-    breaks the ordering replays the rule event by event.
+    breaks the ordering replays the rule event by event. Valid input times
+    and a finite window keep the output a valid schedule, so only the input
+    is checked.
     """
-    if not (np.isfinite(width) and width >= 0):
-        raise ValueError(f"jitter width must be >= 0, got {width!r}")
-    if width == 0.0:
-        return MeasurementSchedule(
-            s.times, {**s.provenance, "jitter_width": 0.0, "seed": int(seed)}
-        )
-    half_window = width / omega
-    out = s.times + np.random.default_rng(int(seed)).uniform(
-        -half_window, half_window, size=len(s)
-    )
-    if out[0] <= 0.0 or np.any(out[1:] <= out[:-1]):
-        out = _jitter_in_order(s.times, half_window, int(seed))
-    return MeasurementSchedule(
-        out, {**s.provenance, "jitter_width": float(width), "seed": int(seed)}
-    )
+    t = _time_stack(times)
+    if t.ndim != 1:
+        raise ValueError(f"jitter_schedule takes one schedule (N,), got shape {t.shape}")
+    half_window = width / omega if omega > 0 else np.nan
+    if not (width >= 0 and np.isfinite(half_window)):
+        raise ValueError(f"jitter width must be >= 0 and width/omega finite, got {width!r}/{omega!r}")
+    out = t.view()  # a view, so the caller's array keeps its flags
+    if width > 0.0:
+        out = t + np.random.default_rng(int(seed)).uniform(-half_window, half_window, size=t.size)
+        if out[0] <= 0.0 or np.any(out[1:] <= out[:-1]):
+            out = _jitter_in_order(t, half_window, int(seed))
+    out.flags.writeable = False
+    return out
 
 
 def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.ndarray:
@@ -251,23 +217,21 @@ def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.nda
     return out
 
 
-def jitter_times(
-    base: MeasurementSchedule, width: float, omega: float, runs: int, base_seed: int
-) -> np.ndarray:
+def jitter_times(base, width: float, omega: float, runs: int, base_seed: int) -> np.ndarray:
     """Jittered event times of a whole ensemble as a read-only (runs, N)
-    array: row k is ``jitter_schedule(base, width, omega, seed_k).times``
-    with ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps
-    its own PCG64 stream and redraw rule.
+    array: row k is ``jitter_schedule(base, width, omega, seed_k)`` with
+    ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps its own
+    PCG64 stream and redraw rule.
 
     Draw once and hand the stack to every ensemble that pairs its runs
-    (``ensemble_survival(..., jittered=...)``): couplings and detector
-    inefficiencies do not enter the draws.
+    (``ensemble_survival``): couplings and detector inefficiencies do not
+    enter the draws.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    times = np.empty((runs, len(base)))
+    times = np.empty((runs, np.size(base)))
     for row, seed in zip(times, child_seeds(base_seed, runs)):
-        row[:] = jitter_schedule(base, width, omega, int(seed)).times
+        row[:] = jitter_schedule(base, width, omega, int(seed))
     times.flags.writeable = False
     return times
 
@@ -278,24 +242,10 @@ def child_seeds(base_seed: int, runs: int) -> np.ndarray:
     return np.random.SeedSequence(int(base_seed)).generate_state(runs, dtype=np.uint64)
 
 
-def _as_prepared(p, kind: str) -> PreparedModel:
-    if isinstance(p, PreparedModel):
-        return p
-    return prepare_model(p, kind)
-
-
-def run_survival(
-    p: ModelParams | PreparedModel,
-    s: MeasurementSchedule | Sequence[MeasurementSchedule] | np.ndarray,
-    m: MeasurementModel,
-    kind: str = "rabi",
-) -> SurvivalTrace:
-    """Survival trace of one schedule, or of each schedule of a stack,
-    starting from the ground state.
-
-    A stack is either a sequence of schedules of equal length or a
-    (runs, N) array of event times with one schedule per row (as
-    ``jitter_times`` returns); the array is validated once as a whole.
+def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTrace:
+    """Survival trace of one schedule (1-d event times), or of each row of a
+    (runs, N) stack (as ``jitter_times`` returns), starting from the ground
+    state. The times are validated once as a whole.
 
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
@@ -304,33 +254,21 @@ def run_survival(
     to a density matrix. A stack is run in blocks of runs, each event one
     batched step for the whole block; its trace has a leading run axis.
     """
-    prep = _as_prepared(p, kind)
     if prep.ground.degenerate:
         raise ValueError(
             "ground manifold is degenerate (omega0 = 0?); the survival protocol "
             "requires a unique ground state"
         )
-    one_schedule = isinstance(s, MeasurementSchedule)
-    if one_schedule:
-        times = s.times[None]
-    elif isinstance(s, np.ndarray):
-        times = _time_stack(s)
-    else:
-        schedules = list(s)
-        if not schedules:
-            raise ValueError("run_survival needs at least one schedule")
-        if len({len(schedule) for schedule in schedules}) != 1:
-            raise ValueError("stacked schedules must all have the same number of events")
-        times = _time_stack(np.stack([schedule.times for schedule in schedules]))
-
-    singles = np.empty(times.shape)
+    times = _time_stack(times)
+    stack = np.atleast_2d(times)
+    singles = np.empty(stack.shape)
     block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
-    for start in range(0, len(times), block):
+    for start in range(0, len(stack), block):
         rows = slice(start, start + block)
-        singles[rows] = _survival_block(prep, times[rows], m)
+        singles[rows] = _survival_block(prep, stack[rows], m)
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
-    if one_schedule:
-        return SurvivalTrace(s.times, singles[0], cumulative[0], float(singles[0].mean()))
+    if times.ndim == 1:
+        return SurvivalTrace(times, singles[0], cumulative[0], float(singles[0].mean()))
     return SurvivalTrace(times, singles, cumulative, singles.mean(axis=-1))
 
 
@@ -350,66 +288,39 @@ def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel)
     return singles
 
 
-def ensemble_survival(
-    p: ModelParams | PreparedModel,
-    base: MeasurementSchedule,
-    m: MeasurementModel,
-    jitter_width: float,
-    runs: int,
-    base_seed: int,
-    kind: str = "rabi",
-    jittered: np.ndarray | None = None,
-) -> EnsembleTrace:
-    """Mean/std of survival over ``runs`` jittered copies of ``base``.
+def ensemble_survival(prep: PreparedModel, base, m: MeasurementModel, jittered) -> EnsembleTrace:
+    """Mean/std of survival over the jittered copies of the schedule
+    ``base``, given as the (runs, N) stack ``jittered`` that
+    ``jitter_times(base, ...)`` draws.
 
-    Per-run seeds derive deterministically from ``base_seed`` via
-    ``child_seeds``; the k-th run uses the same jitter draws regardless of
-    epsilon or coupling, so ensembles with different detector settings are
-    paired. All runs go through one batched ``run_survival``.
-
-    ``jittered`` shares one draw between paired ensembles: pass the stack
-    ``jitter_times(base, jitter_width, omega, runs, base_seed)`` and it is
-    run as given. ``jitter_width`` is then not read, and ``base_seed`` is
-    only recorded in the trace, so the caller vouches that the stack was
-    drawn with them. When omitted, the stack is drawn here.
+    The k-th run uses the same jitter draws regardless of epsilon or
+    coupling, so ensembles that share one stack are paired. All runs go
+    through one batched ``run_survival``.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs!r}")
-    prep = _as_prepared(p, kind)
-    if jittered is None:
-        jittered = jitter_times(base, jitter_width, prep.params.omega, runs, base_seed)
-    else:
-        jittered = np.asarray(jittered, dtype=float)
-        if jittered.shape != (runs, len(base)):
-            raise ValueError(
-                f"jittered times must have shape {(runs, len(base))}, got {jittered.shape}"
-            )
+    base = _time_stack(base)
+    jittered = np.asarray(jittered, dtype=float)
+    if base.ndim != 1 or jittered.ndim != 2 or jittered.shape[1:] != base.shape:
+        raise ValueError(
+            f"jittered times must be a (runs, N) stack of the schedule {base.shape}, "
+            f"got shape {jittered.shape}"
+        )
     trace = run_survival(prep, jittered, m)
     return EnsembleTrace(
-        times=base.times,
+        times=base,
         single_mean=trace.single.mean(axis=0),
         single_std=trace.single.std(axis=0),
         cumulative_mean=trace.cumulative.mean(axis=0),
         cumulative_std=trace.cumulative.std(axis=0),
-        runs=runs,
-        base_seed=int(base_seed),
+        runs=len(jittered),
     )
 
 
-def sweep_T1(
-    p: ModelParams | PreparedModel,
-    N: int,
-    T1_values,
-    ratio: float,
-    m: MeasurementModel,
-    kind: str = "rabi",
-) -> float:
+def sweep_T1(prep: PreparedModel, N: int, T1_values, ratio: float, m: MeasurementModel) -> float:
     """Mean over T1 of the final cumulative survival after N measurements;
     all periods run as one (T1, N) stack."""
     values = np.asarray(T1_values, dtype=float)
     if values.size == 0:
         raise ValueError("T1_values must be non-empty")
-    prep = _as_prepared(p, kind)
     times = _two_period_times(values, ratio, N)
     return float(np.mean(run_survival(prep, times, m).cumulative[:, -1]))
 

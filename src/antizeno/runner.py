@@ -81,9 +81,7 @@ def _paired_ensembles(
     times = jitter_times(base, width, config.omega, runs, config.seed)
 
     def ensemble(prep: PreparedModel, eps: float):
-        return ensemble_survival(
-            prep, base, MeasurementModel(eps), width, runs, config.seed, jittered=times
-        )
+        return ensemble_survival(prep, base, MeasurementModel(eps), times)
 
     return ensemble
 
@@ -119,9 +117,17 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     """
     config.validate()
     n_max = _resolve_cutoff(config)
+    models: dict[float, PreparedModel] = {}
+
+    def prepare(g: float) -> PreparedModel:
+        """The prepared model at coupling g/omega, made once per build."""
+        if g not in models:
+            models[g] = prepare_model(_model_params(config, g, n_max))
+        return models[g]
+
     largest_g = max(config.g_values)
     if largest_g > 0:
-        assert_cutoff_converged(_model_params(config, largest_g, n_max))
+        assert_cutoff_converged(prepare(largest_g))
 
     metadata = {
         "tool": f"antizeno {__version__}",
@@ -133,15 +139,6 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     }
     if config.experiment == "fig4":
         metadata["fig4_panels"] = FIG4_PANELS
-
-    models: dict[float, PreparedModel] = {}
-
-    def prepare(g: float) -> PreparedModel:
-        """The prepared model at coupling g/omega, made once per build."""
-        if g not in models:
-            models[g] = prepare_model(_model_params(config, g, n_max))
-        return models[g]
-
     return metadata, _BUILDERS[config.experiment](config, prepare)
 
 
@@ -257,14 +254,11 @@ def _build_fig4(config: ExperimentConfig, prepare) -> dict:
 
 def _build_fig5(config: ExperimentConfig, prepare) -> dict:
     prep = prepare(_only(config.g_values, "coupling", "fig5"))
-    m = MeasurementModel(_only(config.epsilon_values, "epsilon", "fig5"))
+    eps = _only(config.epsilon_values, "epsilon", "fig5")
     ensembles = {
-        omega_t1: ensemble_survival(
-            prep, two_period_schedule(omega_t1 / config.omega, config.ratio,
-                                      config.n_measurements),
-            m, config.jitter_width, config.runs, config.seed,
-        )
-        for omega_t1 in config.omega_t1_values
+        w: _paired_ensembles(config, w, config.n_measurements, config.jitter_width,
+                             config.runs)(prep, eps)
+        for w in config.omega_t1_values
     }
     # in omega*t units, t/T1 = omega*t / (omega*T1), so key by omega*T1
     collapse = collapse_slopes(

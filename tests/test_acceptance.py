@@ -15,6 +15,7 @@ from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, ground_state
 from antizeno.protocol import (
     ensemble_survival,
+    jitter_times,
     prepare_model,
     run_survival,
     sweep_T1,
@@ -84,13 +85,12 @@ def test_criterion_04_exponential_survival_law():
     panel = FIG4_PANELS["b"]
     rates = {}
     for g in (1 / 3, 2 / 3, 1.0):
+        base = two_period_schedule(panel["omega_t1"], SQRT2, panel["n"])
         ens = ensemble_survival(
             prepare_model(resonant(g)),
-            two_period_schedule(panel["omega_t1"], SQRT2, panel["n"]),
+            base,
             MeasurementModel(0.0),
-            panel["jitter"],
-            max(panel["runs"], 20),
-            SEED,
+            jitter_times(base, panel["jitter"], 1.0, max(panel["runs"], 20), SEED),
         )
         events = np.arange(1, panel["n"] + 1, dtype=float)
         fit = fit_exponential(events, ens.cumulative_mean)
@@ -107,15 +107,12 @@ def test_criterion_04_exponential_survival_law():
 def test_criterion_05_mean_single_shot_quadratic():
     panel = FIG4_PANELS["c"]
     grid = np.linspace(0.0, 1.0, 11)
+    base = two_period_schedule(panel["omega_t1"], SQRT2, panel["n"])
+    stack = jitter_times(base, panel["jitter"], 1.0, panel["runs"], SEED)
     pbar = np.array(
         [
             ensemble_survival(
-                prepare_model(resonant(g)),
-                two_period_schedule(panel["omega_t1"], SQRT2, panel["n"]),
-                MeasurementModel(0.0),
-                panel["jitter"],
-                panel["runs"],
-                SEED,
+                prepare_model(resonant(g)), base, MeasurementModel(0.0), stack
             ).mean_single
             for g in grid
         ]
@@ -150,13 +147,9 @@ def test_criterion_07_rate_collapse_across_periods():
     prep = prepare_model(resonant(1.0))
     rates = {}
     for omega_t1 in (math.pi, 2 * math.pi, 3 * math.pi):
+        base = two_period_schedule(omega_t1, SQRT2, 16)
         ens = ensemble_survival(
-            prep,
-            two_period_schedule(omega_t1, SQRT2, 16),
-            MeasurementModel(0.0),
-            0.2 * math.pi,
-            20,
-            SEED,
+            prep, base, MeasurementModel(0.0), jitter_times(base, 0.2 * math.pi, 1.0, 20, SEED)
         )
         fit = fit_exponential(ens.times / omega_t1, ens.cumulative_mean)
         rates[omega_t1] = fit.coefficients["rate"]
@@ -169,8 +162,9 @@ def test_criterion_07_rate_collapse_across_periods():
 def test_criterion_08_weak_measurement_robustness():
     prep = prepare_model(resonant(1.0))
     base = two_period_schedule(2 * math.pi, SQRT2, 16)
+    stack = jitter_times(base, 0.2 * math.pi, 1.0, 20, SEED)
     ensembles = {
-        eps: ensemble_survival(prep, base, MeasurementModel(eps), 0.2 * math.pi, 20, SEED)
+        eps: ensemble_survival(prep, base, MeasurementModel(eps), stack)
         for eps in (0.0, 0.1, 0.2)
     }
     for ens in ensembles.values():
@@ -237,7 +231,9 @@ def test_criterion_10_invariant_suite(tmp_path):
         assert abs(total - 1.0) <= 1e-12
 
     # cumulative-survival monotonicity
-    trace = run_survival(p, two_period_schedule(2 * math.pi, SQRT2, 12), MeasurementModel(0.1))
+    trace = run_survival(
+        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12), MeasurementModel(0.1)
+    )
     assert np.all(np.diff(trace.cumulative) <= 0)
 
     # cutoff convergence between n_max = 40 and 50 at g/omega = 1

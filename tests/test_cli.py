@@ -159,6 +159,18 @@ class TestCliRuns:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []  # no temp leftovers either
 
+    @pytest.mark.parametrize("args,field", [
+        (["--preset", "fig2", "--g", "0.5,0.5"], "g_values"),
+        (["--preset", "fig5", "--omega-t1", "3.14,3.14"], "omega_t1_values"),
+        (["--preset", "fig1", "--n-max", "512"], "n_max"),
+    ])
+    def test_rejected_input_exits_2_naming_the_field(self, tmp_path, capsys, args, field):
+        out = tmp_path / "bad.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and field in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_out_exits_2(self, capsys):
         assert main(["--preset", "fig1"]) == 2
         assert "out" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,12 @@ def test_top_level_api_is_what_the_readme_documents():
     documented = imported | {"ExperimentConfig", "preset", "run", "NumericalError", "__version__"}
     assert set(antizeno.__all__) == documented
     assert all(hasattr(antizeno, name) for name in antizeno.__all__)
+
+
+def test_every_module_export_resolves():
+    # a name deleted from a module but left in its __all__ fails here, not
+    # in the first caller that imports it
+    for info in pkgutil.iter_modules(antizeno.__path__):
+        module = importlib.import_module(f"antizeno.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], f"antizeno.{info.name}.__all__ names {missing}"

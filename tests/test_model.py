@@ -5,6 +5,7 @@ from antizeno.dynamics import QuantumState
 from antizeno.errors import NumericalError
 from antizeno.model import (
     ModelParams,
+    assert_cutoff_converged,
     converge_cutoff,
     eigenstate_overlaps,
     even_chain_excited,
@@ -40,6 +41,13 @@ def test_params_validation():
         ModelParams(1.0, 1.0, -0.5, 40)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, 0.5, 0)
+
+
+def test_params_reject_cutoff_beyond_dimension_cap():
+    # 2*(n_max+1) <= MAX_DIM = 1024, checked before any matrix is built
+    assert ModelParams(1.0, 1.0, 0.5, 511).basis.dim == 1024
+    with pytest.raises(ValueError, match="n_max must be <= 511"):
+        ModelParams(1.0, 1.0, 0.5, 512)
 
 
 class TestRabiHamiltonian:
@@ -271,6 +279,15 @@ class TestConvergeCutoff:
         with pytest.raises(ValueError):
             converge_cutoff(resonant(0.5), 0.0)
 
+    def test_check_on_prepared_model(self):
+        from antizeno.protocol import prepare_model
+
+        assert_cutoff_converged(prepare_model(resonant(1.0)))
+        with pytest.raises(NumericalError, match="n_max=8 not converged"):
+            assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8)))
+        # the rotating-wave ground state |g,0> is exact at any cutoff
+        assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8), "jc"))
+
 
 class TestEigenstateOverlaps:
     def test_self_overlap(self):
@@ -297,7 +314,7 @@ class TestEigenstateOverlaps:
         projected = measure_no_click(
             QuantumState.pure(prep.ground.state), MeasurementModel(0.0)
         ).post_state
-        overlaps = eigenstate_overlaps(projected, prep.spec, 6)
+        overlaps = eigenstate_overlaps(projected, hermitian_eig(rabi_hamiltonian(prep.params)), 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10
         assert np.allclose(overlaps, golden["projected_ground_overlaps_g1_k6"], atol=1e-12)
 

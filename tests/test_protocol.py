@@ -4,9 +4,9 @@ import pytest
 from antizeno.dynamics import BATCH_RUNS, QuantumState, evolve
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel, measure_no_click
-from antizeno.model import ModelParams
+from antizeno.model import ModelParams, hamiltonian
+from antizeno.numkit import hermitian_eig
 from antizeno.protocol import (
-    MeasurementSchedule,
     child_seeds,
     ensemble_survival,
     jitter_schedule,
@@ -29,15 +29,16 @@ class TestTwoPeriodSchedule:
     def test_alternating_increments(self):
         sched = two_period_schedule(1.0, SQRT2, 4)
         expected = [1.0, 1.0 + SQRT2, 2.0 + SQRT2, 2.0 + 2 * SQRT2]
-        assert np.allclose(sched.times, expected, atol=1e-15)
+        assert np.allclose(sched, expected, atol=1e-15)
+        assert sched.shape == (4,) and not sched.flags.writeable
 
     def test_equal_periods_give_uniform_grid(self):
         sched = two_period_schedule(0.5, 1.0, 5)
-        assert np.allclose(sched.times, [0.5, 1.0, 1.5, 2.0, 2.5], atol=1e-15)
+        assert np.allclose(sched, [0.5, 1.0, 1.5, 2.0, 2.5], atol=1e-15)
 
     def test_single_event(self):
         sched = two_period_schedule(2.0, SQRT2, 1)
-        assert np.allclose(sched.times, [2.0])
+        assert np.allclose(sched, [2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,32 +49,38 @@ class TestTwoPeriodSchedule:
             two_period_schedule(1.0, SQRT2, 0)
 
     def test_schedule_type_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MeasurementSchedule(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MeasurementSchedule(np.array([0.0, 1.0]))
+        # a 1-d schedule is checked where it enters: run_survival and
+        # jitter_schedule
+        prep = prepare_model(resonant(0.5, n_max=10))
+        for times in ([1.0, 1.0], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                run_survival(prep, np.array(times), MeasurementModel(0.0))
+            with pytest.raises(ValueError, match="strictly increasing"):
+                jitter_schedule(np.array(times), 0.1, 1.0, seed=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_times_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementSchedule([1.0, bad, 3.0])
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementSchedule([bad])
+        prep = prepare_model(resonant(0.5, n_max=10))
+        for times in ([1.0, bad, 3.0], [bad]):
+            with pytest.raises(ValueError, match="finite"):
+                run_survival(prep, times, MeasurementModel(0.0))
+            with pytest.raises(ValueError, match="finite"):
+                jitter_schedule(times, 0.1, 1.0, seed=1)
 
 
 class TestJitterSchedule:
     def test_zero_width_is_identity(self):
         base = two_period_schedule(1.0, SQRT2, 6)
         jittered = jitter_schedule(base, 0.0, 1.0, seed=99)
-        assert np.array_equal(jittered.times, base.times)
+        assert np.array_equal(jittered, base)
 
     def test_deterministic_for_seed(self):
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
         a = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=7)
         b = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=7)
         c = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=8)
-        assert np.array_equal(a.times, b.times)
-        assert not np.array_equal(a.times, c.times)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_uniform_distribution_oracle(self):
         # 10^4 draws: shifts stay inside +-width and their empirical mean is
@@ -83,7 +90,7 @@ class TestJitterSchedule:
         shifts = []
         for seed in range(2500):
             jittered = jitter_schedule(base, width, 1.0, seed=seed)
-            shifts.extend(jittered.times - base.times)
+            shifts.extend(jittered - base)
         shifts = np.asarray(shifts)
         assert shifts.size == 10_000
         assert np.max(np.abs(shifts)) <= width
@@ -93,22 +100,23 @@ class TestJitterSchedule:
         base = two_period_schedule(0.5, 1.0, 20)
         for seed in range(25):
             jittered = jitter_schedule(base, 0.4, 1.0, seed=seed)
-            assert np.all(np.diff(jittered.times) > 0)
-            assert jittered.times[0] > 0
+            assert np.all(np.diff(jittered) > 0)
+            assert jittered[0] > 0
+            assert not jittered.flags.writeable
 
     def test_jitter_scales_with_omega(self):
         base = two_period_schedule(1.0, SQRT2, 5)
         wide = jitter_schedule(base, 0.3, 1.0, seed=3)
         narrow = jitter_schedule(base, 0.3, 10.0, seed=3)
-        assert np.max(np.abs(narrow.times - base.times)) <= 0.03 + 1e-15
-        assert np.max(np.abs(wide.times - base.times)) <= 0.3 + 1e-15
+        assert np.max(np.abs(narrow - base)) <= 0.03 + 1e-15
+        assert np.max(np.abs(wide - base)) <= 0.3 + 1e-15
 
 
 def sequential_jitter(base, width, omega, seed, attempts=100):
     """The in-order jitter rule, one scalar draw per attempt."""
     rng = np.random.default_rng(seed)
     out, prev = [], 0.0
-    for t in base.times:
+    for t in base:
         for _ in range(attempts):
             candidate = t + rng.uniform(-width / omega, width / omega)
             if candidate > prev:
@@ -132,7 +140,7 @@ class TestJitterMatchesSequentialRule:
     def test_bit_for_bit(self, base, width, omega):
         for seed in child_seeds(2024, 500):
             jittered = jitter_schedule(base, width, omega, int(seed))
-            assert np.array_equal(jittered.times, sequential_jitter(base, width, omega, int(seed)))
+            assert np.array_equal(jittered, sequential_jitter(base, width, omega, int(seed)))
 
     def test_bit_for_bit_with_redraws(self):
         # events 0.5 apart with a +-0.4 window: many schedules break the
@@ -140,10 +148,10 @@ class TestJitterMatchesSequentialRule:
         base = two_period_schedule(0.5, 1.0, 20)
         redrawn = 0
         for seed in range(200):
-            draws = base.times + np.random.default_rng(seed).uniform(-0.4, 0.4, size=20)
+            draws = base + np.random.default_rng(seed).uniform(-0.4, 0.4, size=20)
             redrawn += bool(np.any(np.diff(draws) <= 0))
             jittered = jitter_schedule(base, 0.4, 1.0, seed)
-            assert np.array_equal(jittered.times, sequential_jitter(base, 0.4, 1.0, seed))
+            assert np.array_equal(jittered, sequential_jitter(base, 0.4, 1.0, seed))
         assert redrawn >= 20
 
     def test_unrestorable_ordering_raises(self):
@@ -166,7 +174,7 @@ class TestJitterTimes:
         assert times.shape == (60, len(base))
         assert not times.flags.writeable
         for row, seed in zip(times, child_seeds(31, 60)):
-            assert np.array_equal(row, jitter_schedule(base, width, 1.0, int(seed)).times)
+            assert np.array_equal(row, jitter_schedule(base, width, 1.0, int(seed)))
 
     def test_validation(self):
         base = two_period_schedule(1.0, SQRT2, 4)
@@ -174,6 +182,11 @@ class TestJitterTimes:
             jitter_times(base, 0.2, 1.0, 0, 1)
         with pytest.raises(ValueError, match="jitter width"):
             jitter_times(base, np.inf, 1.0, 3, 1)
+        for omega in (0.0, -1.0, 1e-320):  # width/omega must stay finite
+            with pytest.raises(ValueError, match="jitter width"):
+                jitter_times(base, 0.2, omega, 3, 1)
+        with pytest.raises(ValueError, match="one schedule"):
+            jitter_schedule(np.stack([base, base]), 0.2, 1.0, 1)
 
 
 def test_child_seeds_deterministic():
@@ -187,21 +200,21 @@ def test_child_seeds_deterministic():
 class TestRunSurvival:
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(
-            resonant(0.0), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(0.0)
+            prepare_model(resonant(0.0)), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(0.0)
         )
         assert np.allclose(trace.single, 1.0, atol=1e-12)
         assert np.allclose(trace.cumulative, 1.0, atol=1e-12)
 
     def test_inert_detector(self):
         trace = run_survival(
-            resonant(1.0), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(1.0)
+            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(1.0)
         )
         assert np.allclose(trace.single, 1.0, atol=1e-12)
         assert np.allclose(trace.cumulative, 1.0, atol=1e-12)
 
     def test_golden_full_simulation(self, golden):
         trace = run_survival(
-            resonant(1.0),
+            prepare_model(resonant(1.0)),
             two_period_schedule(2 * np.pi, SQRT2, 8),
             MeasurementModel(0.0),
         )
@@ -219,7 +232,7 @@ class TestRunSurvival:
 
     def test_cumulative_is_product_and_non_increasing(self):
         trace = run_survival(
-            resonant(1.0), two_period_schedule(2.0, SQRT2, 10), MeasurementModel(0.1)
+            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 10), MeasurementModel(0.1)
         )
         assert np.all(np.diff(trace.cumulative) <= 0)
         assert np.allclose(trace.cumulative, np.cumprod(trace.single), atol=1e-12)
@@ -227,8 +240,8 @@ class TestRunSurvival:
 
     def test_deterministic(self):
         sched = two_period_schedule(2.0, SQRT2, 5)
-        a = run_survival(resonant(0.7), sched, MeasurementModel(0.1))
-        b = run_survival(resonant(0.7), sched, MeasurementModel(0.1))
+        a = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
+        b = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
         assert np.array_equal(a.single, b.single)
         assert np.array_equal(a.cumulative, b.cumulative)
 
@@ -239,12 +252,13 @@ class TestRunSurvival:
         sched = two_period_schedule(2 * np.pi, SQRT2, 8)
         trace = run_survival(prep, sched, MeasurementModel(0.0))
 
+        spec = hermitian_eig(hamiltonian(prep.params))
         state = QuantumState.pure(prep.ground.state).promoted()
         m = MeasurementModel(0.0)
         previous = 0.0
         singles = []
-        for t in sched.times:
-            state = evolve(prep.spec, state, t - previous)
+        for t in sched:
+            state = evolve(spec, state, t - previous)
             outcome = measure_no_click(state, m)
             state = outcome.post_state
             singles.append(outcome.no_click_probability)
@@ -257,6 +271,7 @@ class TestRunSurvival:
         # oracle: the same jittered schedule run one event at a time on the
         # full 2(n_max+1) space with the dense full-space spectrum
         prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6), kind)
+        spec = hermitian_eig(hamiltonian(prep.params, kind))
         schedules = [
             jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
             for seed in (3, 4, 5, 6, 7)
@@ -268,8 +283,8 @@ class TestRunSurvival:
             if eps > 0:
                 state = state.promoted()
             previous, singles = 0.0, []
-            for t in sched.times:
-                state = evolve(prep.spec, state, t - previous)
+            for t in sched:
+                state = evolve(spec, state, t - previous)
                 outcome = measure_no_click(state, m)
                 state = outcome.post_state
                 singles.append(outcome.no_click_probability)
@@ -315,7 +330,7 @@ class TestRunSurvival:
     def test_array_stack_validation(self):
         prep = prepare_model(resonant(0.5))
         m = MeasurementModel(0.0)
-        for shape in [(0, 3), (3, 0), (3,), (2, 2, 2)]:
+        for shape in [(0, 3), (3, 0), (0,), (), (2, 2, 2)]:
             with pytest.raises(ValueError, match="schedule stack"):
                 run_survival(prep, np.ones(shape), m)
         good = np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]])
@@ -333,16 +348,17 @@ class TestRunSurvival:
 
     def test_stack_validation(self):
         prep = prepare_model(resonant(0.5))
-        with pytest.raises(ValueError, match="at least one"):
+        # a list of schedules is read as the array it spells
+        with pytest.raises(ValueError, match="non-empty"):
             run_survival(prep, [], MeasurementModel(0.0))
         uneven = [two_period_schedule(1.0, SQRT2, 3), two_period_schedule(1.0, SQRT2, 4)]
-        with pytest.raises(ValueError, match="same number of events"):
+        with pytest.raises(ValueError):
             run_survival(prep, uneven, MeasurementModel(0.0))
 
     def test_degenerate_ground_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             run_survival(
-                ModelParams(1.0, 0.0, 0.5, 40),
+                prepare_model(ModelParams(1.0, 0.0, 0.5, 40)),
                 two_period_schedule(1.0, SQRT2, 2),
                 MeasurementModel(0.0),
             )
@@ -365,22 +381,22 @@ def test_prepare_model_defers_full_space_spectrum(monkeypatch):
     assert dims == [22]  # the ground-state solve only
     assert prep.chain.dim == 11 and prep.chain is prep.chain
     assert dims == [22, 11]
-    assert prep.spec.dim == 22 and prep.spec is prep.spec
-    assert dims == [22, 11, 22]
 
 
 class TestEnsembleSurvival:
     def test_zero_jitter_has_zero_std(self):
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
-        ens = ensemble_survival(prep, base, MeasurementModel(0.0), 0.0, 4, 42)
+        stack = jitter_times(base, 0.0, 1.0, 4, 42)
+        ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
         assert np.max(ens.single_std) == 0.0
         assert np.max(ens.cumulative_std) == 0.0
 
     def test_single_run_equals_trace(self):
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
-        ens = ensemble_survival(prep, base, MeasurementModel(0.0), 0.0, 1, 42)
+        stack = jitter_times(base, 0.0, 1.0, 1, 42)
+        ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
         trace = run_survival(prep, base, MeasurementModel(0.0))
         assert np.allclose(ens.cumulative_mean, trace.cumulative, atol=1e-15)
         assert ens.mean_single == pytest.approx(trace.mean_single, abs=1e-15)
@@ -388,16 +404,21 @@ class TestEnsembleSurvival:
     def test_deterministic(self):
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 6)
-        a = ensemble_survival(prep, base, MeasurementModel(0.1), 0.2 * np.pi, 5, 7)
-        b = ensemble_survival(prep, base, MeasurementModel(0.1), 0.2 * np.pi, 5, 7)
+        a, b = (
+            ensemble_survival(
+                prep, base, MeasurementModel(0.1), jitter_times(base, 0.2 * np.pi, 1.0, 5, 7)
+            )
+            for _ in range(2)
+        )
         assert np.array_equal(a.cumulative_mean, b.cumulative_mean)
         assert np.array_equal(a.single_std, b.single_std)
 
     def test_epsilon_ordering_within_one_std(self):
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
+        stack = jitter_times(base, 0.2 * np.pi, 1.0, 10, 1234)
         results = {
-            eps: ensemble_survival(prep, base, MeasurementModel(eps), 0.2 * np.pi, 10, 1234)
+            eps: ensemble_survival(prep, base, MeasurementModel(eps), stack)
             for eps in (0.0, 0.1, 0.2)
         }
         for low, high in ((0.0, 0.1), (0.1, 0.2)):
@@ -416,30 +437,30 @@ class TestSharedDraws:
             prep = prepare_model(resonant(g))
             for eps in (0.0, 0.1):
                 m = MeasurementModel(eps)
-                alone = ensemble_survival(prep, base, m, width, runs, seed)
-                paired = ensemble_survival(prep, base, m, width, runs, seed, jittered=shared)
+                alone = ensemble_survival(prep, base, m, jitter_times(base, width, 1.0, runs, seed))
+                paired = ensemble_survival(prep, base, m, shared)
                 for field in ("times", "single_mean", "single_std",
                               "cumulative_mean", "cumulative_std"):
                     assert np.array_equal(getattr(paired, field), getattr(alone, field))
-                assert (paired.runs, paired.base_seed) == (alone.runs, alone.base_seed)
+                assert paired.runs == alone.runs == runs
 
     def test_stack_shape_must_match_ensemble(self):
         base = two_period_schedule(2.0, SQRT2, 5)
         prep = prepare_model(resonant(0.5))
         stack = jitter_times(base, 0.2, 1.0, 4, 3)
-        with pytest.raises(ValueError, match="shape"):
-            ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 5, 3, jittered=stack)
-        with pytest.raises(ValueError, match="shape"):
-            ensemble_survival(prep, two_period_schedule(2.0, SQRT2, 6), MeasurementModel(0.0),
-                              0.2, 4, 3, jittered=stack)
+        m = MeasurementModel(0.0)
+        for bad_base, bad_stack in [
+            (two_period_schedule(2.0, SQRT2, 6), stack),  # other event count
+            (base, stack[0]),  # one row is not a stack
+            (base, stack[None]),
+            (stack, stack),  # the nominal schedule is one row
+        ]:
+            with pytest.raises(ValueError, match="shape"):
+                ensemble_survival(prep, bad_base, m, bad_stack)
         # a nested list of times is read as the array it spells
-        with pytest.raises(ValueError, match="shape"):
-            ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 5, 3,
-                              jittered=stack.tolist())
-        from_list = ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 4, 3,
-                                      jittered=stack.tolist())
-        from_array = ensemble_survival(prep, base, MeasurementModel(0.0), 0.2, 4, 3,
-                                       jittered=stack)
+        from_list = ensemble_survival(prep, base.tolist(), m, stack.tolist())
+        from_array = ensemble_survival(prep, base, m, stack)
+        assert from_list.runs == from_array.runs == 4
         np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
 
 
@@ -455,15 +476,14 @@ class TestSweepT1:
     def test_invalid_periods_rejected(self):
         for values in ([1.0, 0.0], [1.0, np.nan], [np.inf]):
             with pytest.raises(ValueError, match="T1"):
-                sweep_T1(resonant(0.5), 3, values, SQRT2, MeasurementModel(0.0))
+                sweep_T1(prepare_model(resonant(0.5)), 3, values, SQRT2, MeasurementModel(0.0))
         with pytest.raises(ValueError, match="ratio"):
-            sweep_T1(resonant(0.5), 3, [1.0], -1.0, MeasurementModel(0.0))
+            sweep_T1(prepare_model(resonant(0.5)), 3, [1.0], -1.0, MeasurementModel(0.0))
 
     def test_uncoupled_sweep_is_unity(self):
         values = 2 * np.pi * np.linspace(0.5, 2.0, 7)
-        assert sweep_T1(resonant(0.0), 4, values, SQRT2, MeasurementModel(0.0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        mean = sweep_T1(prepare_model(resonant(0.0)), 4, values, SQRT2, MeasurementModel(0.0))
+        assert mean == pytest.approx(1.0, abs=1e-12)
 
     def test_single_value_equals_final_survival(self):
         prep = prepare_model(resonant(0.9))
@@ -474,7 +494,7 @@ class TestSweepT1:
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            sweep_T1(resonant(0.5), 4, [], SQRT2, MeasurementModel(0.0))
+            sweep_T1(prepare_model(resonant(0.5)), 4, [], SQRT2, MeasurementModel(0.0))
 
 
 class TestTruncatedSurvival:

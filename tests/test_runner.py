@@ -245,3 +245,25 @@ def test_fig4_prepares_each_coupling_once(monkeypatch):
     distinct = set(cfg.g_values) | set(runner_module.FIG4_PANEL_C_GRID)
     assert len(distinct) == 13
     assert len(couplings) == len(set(couplings)) == 13
+
+
+@pytest.mark.parametrize("name,solves", [("fig1", 102), ("fig4", 27)])
+def test_cutoff_check_reuses_the_prepared_ground_state(monkeypatch, name, solves):
+    # one ground-state solve per coupling (plus one chain solve per coupling
+    # that runs a survival protocol) and one more for the cutoff check, at
+    # n_max + 10 only
+    import antizeno.dynamics
+    import antizeno.model
+
+    dims = []
+    real = antizeno.model.hermitian_eig
+
+    def counting(h):
+        dims.append(h.dim)
+        return real(h)
+
+    for module in (antizeno.model, protocol, antizeno.dynamics):
+        monkeypatch.setattr(module, "hermitian_eig", counting)
+    build_tables(preset(name))
+    assert len(dims) == solves
+    assert dims.count(2 * (40 + 10 + 1)) == 1
