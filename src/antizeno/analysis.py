@@ -19,7 +19,7 @@ __all__ = ["FitResult", "CollapseResult", "fit_quadratic_origin", "fit_exponenti
 # exponential fits (log-space blowup); the drop count is reported.
 EXP_FIT_FLOOR = 1e-12
 
-FIT_MODELS = ("quadratic_origin", "exponential", "linear")
+FIT_MODELS = ("quadratic_origin", "exponential")
 
 
 @dataclass(frozen=True)

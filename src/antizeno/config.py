@@ -13,6 +13,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
+from .model import CUTOFF_STEP
+from .numkit import MAX_DIM
+
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "survival")
@@ -21,6 +24,10 @@ FORMATS = ("csv", "json")
 T1_SAMPLINGS = ("uniform", "random")
 
 _SQRT2 = math.sqrt(2.0)
+
+# With any coupling > 0 the cutoff check also solves n_max + CUTOFF_STEP,
+# which must fit the full space (n_max <= MAX_DIM // 2 - 1).
+_MAX_CHECKED_N_MAX = MAX_DIM // 2 - 1 - CUTOFF_STEP
 
 
 def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
@@ -79,9 +86,14 @@ class ExperimentConfig:
             raise ValueError("couplings g/omega must be >= 0")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be >= 1 (or null for automatic), got {self.n_max!r}")
+        if self.n_max is not None and max(self.g_values) > 0 and self.n_max > _MAX_CHECKED_N_MAX:
+            raise ValueError(
+                f"n_max must be <= {_MAX_CHECKED_N_MAX} when a coupling is > 0 (the cutoff "
+                f"check solves n_max + {CUTOFF_STEP}), got {self.n_max!r}"
+            )
         if not self.omega_t1_values or any(v <= 0 for v in self.omega_t1_values):
             raise ValueError("omega_t1_values must be non-empty and > 0")
-        for name in ("g_values", "omega_t1_values"):
+        for name in ("g_values", "omega_t1_values", "epsilon_values"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values!r}")

@@ -4,9 +4,8 @@ spectral decomposition.
 A state is a pure amplitude vector or a density matrix, optionally with a
 leading run axis: a batch of independent runs advanced together by one
 array operation per step. The state records which of its components carry
-an excited qubit, so the same code serves the full qubit (x) Fock space and
-the even parity chain that the survival protocol runs on (dimension
-n_max + 1, see ``model.even_chain_hamiltonian``).
+an excited qubit; every state the package builds lives on the even parity
+chain (dimension n_max + 1, see ``model.even_chain_hamiltonian``).
 
 Pure states are evolved as V exp(-i E t) V^dagger psi without forming the
 propagator; density matrices get U rho U^dagger with one propagator per run.
@@ -48,10 +47,8 @@ class QuantumState:
     """Pure-state amplitude vector or density matrix, or a batch of them
     along a leading run axis.
 
-    ``excited`` marks the components that carry an excited qubit. By
-    default the state lives on the full qubit-major composite space, whose
-    second half is the excited block; the even parity chain passes
-    ``model.even_chain_excited``.
+    ``excited`` marks the components that carry an excited qubit; on the
+    even parity chain it is ``model.even_chain_excited``.
 
     Invariants are enforced at construction, for every run of a batch:
     unit norm for pure states; Hermiticity, unit trace and positivity (min
@@ -60,7 +57,7 @@ class QuantumState:
 
     kind: str  # "pure" | "density"
     data: np.ndarray
-    excited: np.ndarray | None = None
+    excited: np.ndarray
 
     def __post_init__(self):
         data = np.array(self.data, dtype=complex, copy=True)
@@ -87,25 +84,20 @@ class QuantumState:
         else:
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
         dim = data.shape[-1]
-        if self.excited is None:
-            if dim < 4 or dim % 2:
-                raise ValueError(f"composite dimension must be even and >= 4, got {dim}")
-            excited = np.arange(dim) >= dim // 2
-        else:
-            excited = np.array(self.excited, dtype=bool, copy=True)
-            if excited.shape != (dim,):
-                raise ValueError(f"excited mask must have shape ({dim},), got {excited.shape}")
+        excited = np.array(self.excited, dtype=bool, copy=True)
+        if excited.shape != (dim,):
+            raise ValueError(f"excited mask must have shape ({dim},), got {excited.shape}")
         data.flags.writeable = False
         excited.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "excited", excited)
 
     @classmethod
-    def pure(cls, amplitudes, excited=None) -> "QuantumState":
+    def pure(cls, amplitudes, excited) -> "QuantumState":
         return cls("pure", np.asarray(amplitudes, dtype=complex), excited)
 
     @classmethod
-    def density(cls, matrix, excited=None) -> "QuantumState":
+    def density(cls, matrix, excited) -> "QuantumState":
         return cls("density", np.asarray(matrix, dtype=complex), excited)
 
     @property
@@ -172,12 +164,12 @@ def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
 def excitation_trace(
     p: "_model.ModelParams", initial: QuantumState, t_grid, kind: str = "rabi"
 ) -> ExcitationTrace:
-    """Excitation probability of ``initial`` evolved to each grid time.
+    """Excitation probability of ``initial``, a state on the even parity
+    chain, evolved to each grid time.
 
-    ``initial`` lives on the full space or, with dimension n_max + 1, on the
-    even parity chain; the matching Hamiltonian is diagonalized once. Each
-    grid point is evolved independently from ``initial``, so the grid need
-    not start at zero; the grid times are advanced in batches.
+    The chain Hamiltonian is diagonalized once. Each grid point is evolved
+    independently from ``initial``, so the grid need not start at zero; the
+    grid times are advanced in batches.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -186,9 +178,7 @@ def excitation_trace(
         raise ValueError("t_grid must be strictly increasing")
     if initial.batched:
         raise ValueError("excitation_trace needs a single initial state, not a batch")
-    on_chain = initial.dim == p.n_max + 1
-    h = _model.even_chain_hamiltonian(p, kind) if on_chain else _model.hamiltonian(p, kind)
-    spec = hermitian_eig(h)
+    spec = hermitian_eig(_model.even_chain_hamiltonian(p, kind))
     block = BATCH_RUNS[initial.kind]
     values = np.empty(t.size)
     for start in range(0, t.size, block):

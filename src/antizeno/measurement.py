@@ -1,4 +1,4 @@
-"""No-click / click measurement maps for the qubit detector.
+"""No-click measurement map for the qubit detector.
 
 The detector is modeled as a two-outcome completely positive map with an
 inefficiency parameter epsilon: with probability epsilon it does nothing,
@@ -27,9 +27,8 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import NumericalError
-from .model import excitation_probability
 
-__all__ = ["MeasurementModel", "MeasurementOutcome", "measure_no_click", "click_probability"]
+__all__ = ["MeasurementModel", "MeasurementOutcome", "measure_no_click"]
 
 # Below this no-click trace the state is (numerically) fully excited and the
 # conditional state is undefined.
@@ -90,7 +89,3 @@ def _check_no_click(prob: np.ndarray) -> None:
 def _per_run(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
-
-def click_probability(s: QuantumState, m: MeasurementModel) -> float | np.ndarray:
-    """(1 - epsilon) * <P_e>: complement of the no-click probability."""
-    return (1.0 - m.epsilon) * excitation_probability(s)

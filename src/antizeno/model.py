@@ -3,9 +3,10 @@ self-excitation law.
 
 Two Hamiltonians are provided: the full model with counter-rotating coupling
 sigma_x (a + a^dagger), and its rotating-wave (excitation-conserving)
-counterpart used as a null reference. Both are assembled directly from their
-diagonal and their g*sqrt(n) coupling elements in the qubit-major basis of
-``operators`` (no tensor products). The full model conserves the parity
+counterpart used as a null reference. ``hamiltonian`` assembles either one
+on the full space directly from its diagonal and its g*sqrt(n) coupling
+elements in the qubit-major basis of ``operators``; the ground-state solve
+is its only caller. The full model conserves the parity
 (-1)**(n+s), and its ground state lives in the even sector: it is a chain
 |g,0>, |e,1>, |g,2>, ... whose coefficients grow with the coupling. On
 that chain both models are real, symmetric and tridiagonal
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError
-from .numkit import MAX_DIM, HermitianOperator, SpectralDecomposition, hermitian_eig
+from .numkit import MAX_DIM, HermitianOperator, hermitian_eig
 from .operators import FockBasis
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,19 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEGENERACY_GAP",
     "CUTOFF_CAP",
+    "CUTOFF_STEP",
     "ModelParams",
     "GroundStateDecomposition",
-    "rabi_hamiltonian",
-    "jaynes_cummings_hamiltonian",
     "hamiltonian",
     "even_chain_hamiltonian",
     "even_chain_excited",
     "ground_state",
     "excitation_probability",
-    "perturbative_c1",
     "converge_cutoff",
     "assert_cutoff_converged",
-    "eigenstate_overlaps",
 ]
 
 # Ground manifolds with a gap below this are reported as degenerate.
@@ -55,6 +53,9 @@ DEGENERACY_GAP = 1e-10
 
 # converge_cutoff gives up at this n_max.
 CUTOFF_CAP = 200
+
+# Both cutoff checks compare a cutoff with this many more photons.
+CUTOFF_STEP = 10
 
 HAMILTONIAN_KINDS = ("rabi", "jc")
 
@@ -80,47 +81,27 @@ class ModelParams:
         if FockBasis(self.n_max).dim > MAX_DIM:
             raise ValueError(f"n_max must be <= {MAX_DIM // 2 - 1}, got {self.n_max!r}")
 
-    @property
-    def basis(self) -> FockBasis:
-        return FockBasis(self.n_max)
-
 
 @dataclass(frozen=True)
 class GroundStateDecomposition:
-    """Ground energy, state vector and even-chain coefficients.
+    """Ground energy and even-chain coefficients.
 
     ``even_chain[k]`` is the amplitude on |g,k> for even k and on |e,k> for
     odd k; ``p_e`` is the qubit excitation probability. The global phase is
     fixed so that ``even_chain[0]`` is real and >= 0.
 
     When the ground manifold is numerically degenerate (gap below
-    ``DEGENERACY_GAP``, e.g. at omega0 = 0) the result is flagged: ``state``
-    and ``even_chain`` are then one arbitrary member of the manifold (no
+    ``DEGENERACY_GAP``, e.g. at omega0 = 0) the result is flagged:
+    ``even_chain`` is then read off one arbitrary member of the manifold (no
     phase fix, no parity guarantee) while ``p_e`` is the basis-independent
     equal-weight average over the degenerate block.
     """
 
     energy: float
-    state: np.ndarray
     even_chain: np.ndarray
     p_e: float
     gap: float
     degenerate: bool = False
-
-
-def rabi_hamiltonian(p: ModelParams) -> HermitianOperator:
-    """omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger)."""
-    return _full_space_hamiltonian(p, counter_rotating=True)
-
-
-def jaynes_cummings_hamiltonian(p: ModelParams) -> HermitianOperator:
-    """Rotating-wave counterpart: the counter-rotating terms are dropped.
-
-    H = omega a^dagger a + (omega0/2) sigma_z + g (sigma^+ a + sigma^- a^dagger),
-    which conserves the excitation number and has the separable ground state
-    |g,0> for g < omega at resonance.
-    """
-    return _full_space_hamiltonian(p, counter_rotating=False)
 
 
 def _full_space_hamiltonian(p: ModelParams, counter_rotating: bool) -> HermitianOperator:
@@ -144,12 +125,16 @@ def _full_space_hamiltonian(p: ModelParams, counter_rotating: bool) -> Hermitian
 
 
 def hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
-    """Dispatch between the full model ("rabi") and the RWA model ("jc")."""
-    if kind == "rabi":
-        return rabi_hamiltonian(p)
-    if kind == "jc":
-        return jaynes_cummings_hamiltonian(p)
-    raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
+    """The model on the full space.
+
+    "rabi" is omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
+    "jc" is its rotating-wave counterpart, with g (sigma^+ a + sigma^- a^dagger)
+    as the coupling: it conserves the excitation number and has the
+    separable ground state |g,0> for g < omega at resonance.
+    """
+    if kind not in HAMILTONIAN_KINDS:
+        raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
+    return _full_space_hamiltonian(p, counter_rotating=kind == "rabi")
 
 
 def even_chain_hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
@@ -185,43 +170,36 @@ def _block_p_e(vec: np.ndarray) -> float:
 def ground_state(p: ModelParams, kind: str = "rabi") -> GroundStateDecomposition:
     """Lowest eigenstate of the model, decomposed along the even parity chain.
 
-    The caller is responsible for using a converged cutoff (see
-    ``converge_cutoff``).
+    Raises ``NumericalError`` when a nondegenerate ground state lies in the
+    odd parity sector (the rotating-wave model past g = omega at resonance)
+    or leaks out of the even one. The caller is responsible for using a
+    converged cutoff (see ``converge_cutoff``).
     """
     spec = hermitian_eig(hamiltonian(p, kind))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     energy = float(vals[0])
     gap = float(vals[1] - vals[0])
-    nf = p.n_max + 1
+    # chain site k is |g,k> for even k and |e,k> for odd k
+    k = np.arange(p.n_max + 1)
+    sites = np.where(k % 2 == 0, k, p.n_max + 1 + k)
 
     if gap < DEGENERACY_GAP:
         block = np.flatnonzero(vals - vals[0] < DEGENERACY_GAP)
         p_e = float(np.mean([_block_p_e(vecs[:, i]) for i in block]))
-        state = vecs[:, 0].copy()
-        chain = _extract_chain(state, nf)
-        return GroundStateDecomposition(energy, state, chain, p_e, gap, degenerate=True)
+        return GroundStateDecomposition(energy, vecs[sites, 0], p_e, gap, degenerate=True)
 
-    state = vecs[:, 0].copy()
+    state = vecs[:, 0]
     c0 = state[0]
     if abs(c0) > 0:
         state = state * (c0.conjugate() / abs(c0))
-    chain = _extract_chain(state, nf)
+    chain = state[sites]
 
     odd_weight = 1.0 - float(np.sum(np.abs(chain) ** 2))
+    if odd_weight > 0.5:
+        raise NumericalError(f"the {kind} ground state lies in the odd parity sector")
     if abs(odd_weight) > 1e-10:
-        raise NumericalError(
-            f"ground state leaks out of the even parity sector by {odd_weight:.3e}"
-        )
-    p_e = _block_p_e(state)
-    return GroundStateDecomposition(energy, state, chain, p_e, gap, degenerate=False)
-
-
-def _extract_chain(state: np.ndarray, nf: int) -> np.ndarray:
-    # chain[k] = <g,k|G> for even k, <e,k|G> for odd k
-    chain = np.empty(nf, dtype=complex)
-    for k in range(nf):
-        chain[k] = state[k] if k % 2 == 0 else state[nf + k]
-    return chain
+        raise NumericalError(f"ground state leaks out of the even parity sector by {odd_weight:.3e}")
+    return GroundStateDecomposition(energy, chain, _block_p_e(state), gap, degenerate=False)
 
 
 def excitation_probability(state: "QuantumState") -> float | np.ndarray:
@@ -241,23 +219,15 @@ def excitation_probability(state: "QuantumState") -> float | np.ndarray:
     return p_e if state.batched else float(p_e)
 
 
-def perturbative_c1(p: ModelParams) -> float:
-    """Leading-order chain coefficient -g/(omega+omega0), valid for g << omega.
-
-    Squared, this gives the small-coupling excitation probability; at
-    resonance the quadratic-law prefactor is omega^2/(omega+omega0)^2 = 1/4.
-    """
-    return -p.g / (p.omega + p.omega0)
-
-
 def _ground_scalars(p: ModelParams, n_max: int, kind: str) -> tuple[float, float]:
     gs = ground_state(replace(p, n_max=n_max), kind)
     return gs.energy, gs.p_e
 
 
 def converge_cutoff(p: ModelParams, tol: float, kind: str = "rabi") -> int:
-    """Smallest n_max (stepping by 10 from 10) whose ground energy and p_e
-    both move by less than ``tol`` when the cutoff grows by 10.
+    """Smallest n_max (stepping by CUTOFF_STEP = 10 from 10) whose ground
+    energy and p_e both move by less than ``tol`` when the cutoff grows by
+    CUTOFF_STEP.
 
     Raises ``NumericalError`` if the cap (n_max = 200) is reached without
     convergence.
@@ -271,9 +241,9 @@ def converge_cutoff(p: ModelParams, tol: float, kind: str = "rabi") -> int:
             cache[n_max] = _ground_scalars(p, n_max, kind)
         return cache[n_max]
 
-    for candidate in range(10, CUTOFF_CAP, 10):
+    for candidate in range(CUTOFF_STEP, CUTOFF_CAP, CUTOFF_STEP):
         e1, pe1 = scalars(candidate)
-        e2, pe2 = scalars(candidate + 10)
+        e2, pe2 = scalars(candidate + CUTOFF_STEP)
         if abs(e2 - e1) < tol and abs(pe2 - pe1) < tol:
             return candidate
     raise NumericalError(
@@ -282,23 +252,14 @@ def converge_cutoff(p: ModelParams, tol: float, kind: str = "rabi") -> int:
 
 
 def assert_cutoff_converged(prepared: "PreparedModel", tol: float = 1e-8) -> None:
-    """Check that growing the cutoff of a prepared model by 10 moves its
-    ground energy and p_e by < tol; only the larger cutoff is solved."""
+    """Check that growing the cutoff of a prepared model by CUTOFF_STEP
+    moves its ground energy and p_e by < tol; only the larger cutoff is
+    solved."""
     p = prepared.params
     e1, pe1 = prepared.ground.energy, prepared.ground.p_e
-    e2, pe2 = _ground_scalars(p, p.n_max + 10, prepared.kind)
+    e2, pe2 = _ground_scalars(p, p.n_max + CUTOFF_STEP, prepared.kind)
     if abs(e2 - e1) >= tol or abs(pe2 - pe1) >= tol:
         raise NumericalError(
             f"Fock cutoff n_max={p.n_max} not converged to {tol:g}: "
             f"dE={abs(e2 - e1):.3e}, dp_e={abs(pe2 - pe1):.3e}"
         )
-
-
-def eigenstate_overlaps(state: "QuantumState", spec: SpectralDecomposition, k: int) -> np.ndarray:
-    """Overlap probabilities |<E_i|psi>|^2 with the k lowest eigenstates."""
-    if state.kind != "pure":
-        raise ValueError("eigenstate_overlaps requires a pure state")
-    if not 1 <= k <= spec.dim:
-        raise ValueError(f"k must be in [1, {spec.dim}], got {k}")
-    amps = spec.eigenvectors[:, :k].conj().T @ state.data
-    return np.abs(amps) ** 2

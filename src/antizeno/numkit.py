@@ -1,5 +1,5 @@
-"""Minimal dense linear algebra: tensor products, Hermitian (or real
-symmetric) eigendecompositions and spectral propagators.
+"""Minimal dense linear algebra: Hermitian (or real symmetric)
+eigendecompositions and spectral propagators.
 
 Everything here is plain dense numpy. Composite dimensions in this package
 stay a few hundred at most, so dense LAPACK routines are both the simplest
@@ -20,10 +20,8 @@ __all__ = [
     "MAX_DIM",
     "HERMITICITY_TOL",
     "UNITARITY_TOL",
-    "complex_matrix",
     "HermitianOperator",
     "SpectralDecomposition",
-    "tensor_product",
     "hermitian_eig",
     "propagator",
 ]
@@ -38,11 +36,6 @@ UNITARITY_TOL = 1e-10
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def complex_matrix(entries) -> np.ndarray:
-    """Validate and return a square, finite complex matrix."""
-    return _square_matrix(entries, complex)
 
 
 def _square_matrix(entries, dtype) -> np.ndarray:
@@ -110,22 +103,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices.
-
-    Entry ((i1,i2),(j1,j2)) of the result is ``a[i1,j1] * b[i2,j2]`` with the
-    first factor as the outer (slow) index.
-    """
-    a = complex_matrix(a)
-    b = complex_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(
-            f"tensor product dimension {dim} exceeds cap {MAX_DIM}; check the Fock cutoff"
-        )
-    return np.kron(a, b)
 
 
 def hermitian_eig(h: HermitianOperator) -> SpectralDecomposition:

@@ -1,5 +1,5 @@
-"""Operators on the composite qubit (x) Fock space under one fixed basis
-convention.
+"""The basis convention of the composite qubit (x) Fock space and its photon
+truncation.
 
 Basis convention (qubit-major): index(s, n) = s*(n_max+1) + n with
 s=0 -> |g>, s=1 -> |e> and n the photon number. The qubit-ground block
@@ -15,24 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import HermitianOperator, tensor_product
-
-__all__ = [
-    "FockBasis",
-    "basis_index",
-    "basis_state",
-    "annihilation",
-    "field_operator",
-    "qubit_operator",
-    "parity_operator",
-]
-
-_QUBIT_MATRICES = {
-    "sigma_x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "sigma_z": np.array([[-1, 0], [0, 1]], dtype=complex),
-    "P_e": np.array([[0, 0], [0, 1]], dtype=complex),
-    "P_g": np.array([[1, 0], [0, 0]], dtype=complex),
-}
+__all__ = ["FockBasis"]
 
 
 @dataclass(frozen=True)
@@ -46,70 +29,6 @@ class FockBasis:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
     @property
-    def field_dim(self) -> int:
-        return self.n_max + 1
-
-    @property
     def dim(self) -> int:
         """Composite dimension 2*(n_max+1)."""
         return 2 * (self.n_max + 1)
-
-
-def basis_index(basis: FockBasis, s: int, n: int) -> int:
-    """Flat index of |s, n> (s=0 for |g>, s=1 for |e>)."""
-    if s not in (0, 1):
-        raise ValueError("qubit label s must be 0 (ground) or 1 (excited)")
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"photon number {n} outside [0, {basis.n_max}]")
-    return s * basis.field_dim + n
-
-
-def basis_state(basis: FockBasis, s: int, n: int) -> np.ndarray:
-    """Amplitude vector of the product state |s, n>."""
-    v = np.zeros(basis.dim, dtype=complex)
-    v[basis_index(basis, s, n)] = 1.0
-    return v
-
-
-def annihilation(basis: FockBasis) -> np.ndarray:
-    """Field annihilation operator on the Fock factor alone.
-
-    a|n> = sqrt(n)|n-1>, truncated at n_max. The commutator [a, a^dagger]
-    equals the identity only on photon numbers below n_max; the defect in the
-    last diagonal entry is the price of truncation and is controlled by the
-    cutoff-convergence check in the model module.
-    """
-    nf = basis.field_dim
-    a = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def field_operator(m: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Lift a field-factor matrix to the composite space (qubit identity)."""
-    return tensor_product(np.eye(2, dtype=complex), m)
-
-
-def qubit_operator(which: str, basis: FockBasis) -> HermitianOperator:
-    """Qubit operator tensored with the field identity.
-
-    ``which`` is one of ``sigma_x``, ``sigma_z``, ``P_e``, ``P_g``.
-    """
-    try:
-        q = _QUBIT_MATRICES[which]
-    except KeyError:
-        raise ValueError(
-            f"unknown qubit operator {which!r}; expected one of {sorted(_QUBIT_MATRICES)}"
-        ) from None
-    return HermitianOperator(tensor_product(q, np.eye(basis.field_dim, dtype=complex)))
-
-
-def parity_operator(basis: FockBasis) -> HermitianOperator:
-    """Diagonal parity operator with value (-1)**(n+s) on |s, n>.
-
-    |g,0> and |e,1> sit in the even (+1) sector.
-    """
-    field_signs = np.array([(-1.0) ** n for n in range(basis.field_dim)])
-    diag = np.concatenate([field_signs, -field_signs])
-    return HermitianOperator(np.diag(diag.astype(complex)))

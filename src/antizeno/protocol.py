@@ -1,5 +1,5 @@
 """Repeated-measurement survival protocol: schedules, single runs, jitter
-ensembles, period sweeps and the truncated-chain closed form.
+ensembles and period sweeps.
 
 A run starts from the model ground state, measures at each schedule time and
 keeps only the no-click branch: record the per-event no-click probability,
@@ -62,7 +62,6 @@ __all__ = [
     "run_survival",
     "ensemble_survival",
     "sweep_T1",
-    "truncated_survival",
 ]
 
 _JITTER_ATTEMPTS = 100
@@ -324,13 +323,3 @@ def sweep_T1(prep: PreparedModel, N: int, T1_values, ratio: float, m: Measuremen
     times = _two_period_times(values, ratio, N)
     return float(np.mean(run_survival(prep, times, m).cumulative[:, -1]))
 
-
-def truncated_survival(c0: float, N: int) -> float:
-    """|c0|**(2N+2): survival after N measurements if every no-click left the
-    system exactly in the ground state (two-state truncation of the chain)."""
-    magnitude = abs(c0)
-    if magnitude > 1.0 + 1e-12:
-        raise ValueError(f"|c0| must be <= 1, got {magnitude!r}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N!r}")
-    return float(min(magnitude, 1.0) ** (2 * N + 2))

@@ -19,10 +19,10 @@ from antizeno.protocol import (
     prepare_model,
     run_survival,
     sweep_T1,
-    truncated_survival,
     two_period_schedule,
 )
 from antizeno.runner import FIG4_PANELS
+from oracle import truncated_survival
 
 SQRT2 = math.sqrt(2.0)
 SEED = 1234
@@ -202,32 +202,34 @@ def test_criterion_09_truncated_chain_oracle():
 
 
 def test_criterion_10_invariant_suite(tmp_path):
-    from antizeno.model import rabi_hamiltonian
+    from antizeno.model import hamiltonian
     from antizeno.numkit import hermitian_eig, propagator
-    from antizeno.operators import parity_operator
-    from antizeno.measurement import click_probability, measure_no_click
+    from antizeno.measurement import measure_no_click
     from antizeno.config import ExperimentConfig
     from antizeno.runner import run
+    from oracle import click_probability, excited, parity_operator
 
     # Hermiticity and unitarity
     p = resonant(1.0)
-    h = rabi_hamiltonian(p)
+    h = hamiltonian(p, "rabi")
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
     spec = hermitian_eig(h)
     u = propagator(spec, 1.7)
     assert np.max(np.abs(u.conj().T @ u - np.eye(spec.dim))) <= 1e-10
 
     # parity conservation
-    parity = parity_operator(p.basis).matrix
+    parity = parity_operator(p.n_max)
     assert np.max(np.abs(h.matrix @ parity - parity @ h.matrix)) <= 1e-12
 
     # CP-map probability conservation on random states
     rng = np.random.default_rng(SEED)
     for eps in (0.0, 0.15, 1.0):
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = QuantumState.density((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
+        rho = QuantumState.density((a @ a.conj().T) / np.trace(a @ a.conj().T).real, excited(12))
         m = MeasurementModel(eps)
-        total = click_probability(rho, m) + measure_no_click(rho, m).no_click_probability
+        total = click_probability(rho.data, rho.excited, eps) + measure_no_click(
+            rho, m
+        ).no_click_probability
         assert abs(total - 1.0) <= 1e-12
 
     # cumulative-survival monotonicity

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from antizeno.analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
+from antizeno.analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
 from antizeno.protocol import SurvivalTrace
 
 
@@ -10,6 +10,12 @@ def synthetic_trace(times, cumulative):
     cumulative = np.asarray(cumulative, dtype=float)
     singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
     return SurvivalTrace(times, singles, cumulative, float(singles.mean()))
+
+
+def test_fit_result_rejects_linear_model():
+    # no fit produces a linear model
+    with pytest.raises(ValueError, match="unknown fit model"):
+        FitResult("linear", {"slope": 1.0}, 1.0, 0.0)
 
 
 class TestFitQuadraticOrigin:

@@ -163,6 +163,8 @@ class TestCliRuns:
         (["--preset", "fig2", "--g", "0.5,0.5"], "g_values"),
         (["--preset", "fig5", "--omega-t1", "3.14,3.14"], "omega_t1_values"),
         (["--preset", "fig1", "--n-max", "512"], "n_max"),
+        (["--g", "0.5", "--epsilon", "0.1,0.1", "--n-measurements", "3", "--runs", "2"],
+         "epsilon_values"),
     ])
     def test_rejected_input_exits_2_naming_the_field(self, tmp_path, capsys, args, field):
         out = tmp_path / "bad.csv"
@@ -170,6 +172,18 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "validation error" in err and field in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_cutoff_check_bounds_n_max(self, tmp_path, capsys):
+        # with a coupling > 0 the cutoff check also solves n_max + 10, and the
+        # full space allows n_max <= 511
+        out = tmp_path / "bad.csv"
+        assert main(["--preset", "fig1", "--n-max", "502", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_max must be <= 501" in err and "cutoff check" in err
+        assert list(tmp_path.iterdir()) == []
+        preset("fig1").with_overrides(n_max=501).validate()
+        # without a coupling there is no cutoff check
+        ExperimentConfig(g_values=(0.0,), n_max=511).validate()
 
     def test_missing_out_exits_2(self, capsys):
         assert main(["--preset", "fig1"]) == 2

@@ -6,12 +6,13 @@ from antizeno.measurement import MeasurementModel, measure_no_click
 from antizeno.model import (
     ModelParams,
     even_chain_excited,
+    even_chain_hamiltonian,
     excitation_probability,
-    rabi_hamiltonian,
+    hamiltonian,
 )
 from antizeno.numkit import hermitian_eig
-from antizeno.operators import FockBasis, basis_state, parity_operator
 from antizeno.protocol import prepare_model
+from oracle import embed_even_chain, excited, parity_operator
 
 
 def resonant(g, n_max=40):
@@ -21,41 +22,35 @@ def resonant(g, n_max=40):
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return QuantumState.pure(v / np.linalg.norm(v))
+    return QuantumState.pure(v / np.linalg.norm(v), excited(dim))
 
 
 def random_density(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return QuantumState.density(rho / np.trace(rho))
+    return QuantumState.density(rho / np.trace(rho), excited(dim))
 
 
 class TestQuantumState:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError, match="norm"):
-            QuantumState.pure(np.ones(4))
+            QuantumState.pure(np.ones(4), excited(4))
 
     def test_rejects_non_hermitian_density(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
-            QuantumState.density(m)
+            QuantumState.density(m, excited(4))
 
     def test_rejects_negative_density(self):
         m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
-            QuantumState.density(m)
+            QuantumState.density(m, excited(4))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            QuantumState.density(np.eye(4, dtype=complex))
-
-    def test_rejects_odd_dimension(self):
-        v = np.zeros(5, dtype=complex)
-        v[0] = 1.0
-        with pytest.raises(ValueError, match="even"):
-            QuantumState.pure(v)
+            QuantumState.density(np.eye(4, dtype=complex), excited(4))
 
     def test_promoted_pure_state(self):
         state = random_state(6, seed=4)
@@ -78,8 +73,8 @@ class TestBatchedQuantumState:
         return np.stack([random_density(6, seed=k).data for k in range(5)])
 
     def test_accepts_valid_batches(self):
-        pure = QuantumState.pure(self.pure_batch())
-        density = QuantumState.density(self.density_batch())
+        pure = QuantumState.pure(self.pure_batch(), excited(6))
+        density = QuantumState.density(self.density_batch(), excited(6))
         assert (pure.batched, pure.runs, pure.dim) == (True, 5, 6)
         assert (density.batched, density.runs, density.dim) == (True, 5, 6)
         single = random_state(6, seed=0)
@@ -89,28 +84,28 @@ class TestBatchedQuantumState:
         data = self.pure_batch()
         data[3] *= 1.001
         with pytest.raises(ValueError, match=r"norm.*run 3"):
-            QuantumState.pure(data)
+            QuantumState.pure(data, excited(6))
 
     def test_rejects_one_non_hermitian(self):
         data = self.density_batch()
         data[2, 0, 1] += 1e-9
         with pytest.raises(ValueError, match=r"Hermitian.*run 2"):
-            QuantumState.density(data)
+            QuantumState.density(data, excited(6))
 
     def test_rejects_one_bad_trace(self):
         data = self.density_batch()
         data[4] *= 1.001
         with pytest.raises(ValueError, match=r"trace.*run 4"):
-            QuantumState.density(data)
+            QuantumState.density(data, excited(6))
 
     def test_rejects_one_negative(self):
         data = self.density_batch()
         data[1] = np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"positive.*run 1"):
-            QuantumState.density(data)
+            QuantumState.density(data, excited(6))
 
     def test_promoted_batch_is_per_run_projector(self):
-        batch = QuantumState.pure(self.pure_batch())
+        batch = QuantumState.pure(self.pure_batch(), excited(6))
         rho = batch.promoted()
         assert rho.batched and rho.runs == 5
         for k in range(5):
@@ -119,6 +114,7 @@ class TestBatchedQuantumState:
     def test_excited_mask(self):
         full = random_state(6, seed=1)
         assert full.excited.tolist() == [False] * 3 + [True] * 3
+        assert not full.excited.flags.writeable
         chain = QuantumState.pure(np.eye(5)[0], even_chain_excited(4))
         assert chain.dim == 5 and chain.excited.tolist() == [False, True, False, True, False]
         with pytest.raises(ValueError, match="mask"):
@@ -128,14 +124,14 @@ class TestBatchedQuantumState:
 class TestEvolve:
     def setup_method(self):
         self.p = resonant(0.7, n_max=12)
-        self.spec = hermitian_eig(rabi_hamiltonian(self.p))
+        self.spec = hermitian_eig(hamiltonian(self.p))
 
     def test_zero_time_identity(self):
         state = random_state(self.spec.dim, seed=9)
         assert np.max(np.abs(evolve(self.spec, state, 0.0).data - state.data)) <= 1e-14
 
     def test_eigenstate_is_stationary(self):
-        state = QuantumState.pure(self.spec.eigenvectors[:, 2])
+        state = QuantumState.pure(self.spec.eigenvectors[:, 2], excited(self.spec.dim))
         evolved = evolve(self.spec, state, 3.3)
         phase = np.vdot(state.data, evolved.data)
         assert abs(abs(phase) - 1.0) <= 1e-12
@@ -157,9 +153,8 @@ class TestEvolve:
         assert np.max(np.abs(evolved_rho.data - expected)) <= 1e-12
 
     def test_conservation_laws_along_trace(self):
-        h = rabi_hamiltonian(self.p).matrix
-        parity = parity_operator(self.p.basis).matrix
-        even_projector = (np.eye(self.spec.dim) + parity) / 2
+        h = hamiltonian(self.p).matrix
+        even_projector = (np.eye(self.spec.dim) + parity_operator(self.p.n_max)) / 2
         state = random_state(self.spec.dim, seed=12)
         energy0 = np.vdot(state.data, h @ state.data).real
         even0 = np.vdot(state.data, even_projector @ state.data).real
@@ -176,13 +171,18 @@ class TestEvolve:
         singles = [random_state(self.spec.dim, seed=20 + k) for k in range(times.size)]
         if promote:
             singles = [state.promoted() for state in singles]
-        batch = QuantumState(singles[0].kind, np.stack([state.data for state in singles]))
+        batch = QuantumState(
+            singles[0].kind, np.stack([state.data for state in singles]), singles[0].excited
+        )
         evolved = evolve(self.spec, batch, times)
         for k, t in enumerate(times):
             assert np.max(np.abs(evolved.data[k] - evolve(self.spec, singles[k], t).data)) <= 1e-14
 
     def test_times_must_match_runs(self):
-        batch = QuantumState.pure(np.stack([random_state(self.spec.dim, seed=k).data for k in range(3)]))
+        dim = self.spec.dim
+        batch = QuantumState.pure(
+            np.stack([random_state(dim, seed=k).data for k in range(3)]), excited(dim)
+        )
         with pytest.raises(ValueError, match="per run"):
             evolve(self.spec, batch, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="per run"):
@@ -201,14 +201,14 @@ class TestEvolve:
 class TestExcitationTrace:
     def test_stationary_vacuum(self):
         p = resonant(0.0, n_max=8)
-        initial = QuantumState.pure(basis_state(FockBasis(8), 0, 0))
+        initial = QuantumState.pure(np.eye(9)[0], even_chain_excited(8))  # |g,0>
         trace = excitation_trace(p, initial, np.linspace(0.0, 10.0, 41))
         assert np.max(trace.values) == 0.0
 
     def test_eigenstate_constant(self):
         p = resonant(0.5, n_max=10)
-        spec = hermitian_eig(rabi_hamiltonian(p))
-        initial = QuantumState.pure(spec.eigenvectors[:, 1])
+        spec = hermitian_eig(even_chain_hamiltonian(p))
+        initial = QuantumState.pure(spec.eigenvectors[:, 1], even_chain_excited(10))
         trace = excitation_trace(p, initial, np.linspace(0.0, 10.0, 41))
         assert np.max(trace.values) - np.min(trace.values) <= 1e-12
 
@@ -220,13 +220,11 @@ class TestExcitationTrace:
         rng = np.random.default_rng(3)
         chain = rng.normal(size=15) + 1j * rng.normal(size=15)
         chain /= np.linalg.norm(chain)
-        full = np.zeros(30, dtype=complex)
-        for k, amplitude in enumerate(chain):
-            full[k if k % 2 == 0 else 15 + k] = amplitude
         grid = np.linspace(0.0, 30.0, 601)
         on_chain = excitation_trace(p, QuantumState.pure(chain, even_chain_excited(14)), grid, kind)
-        on_full = excitation_trace(p, QuantumState.pure(full), grid, kind)
-        assert np.max(np.abs(on_chain.values - on_full.values)) <= 1e-12
+        copies = np.broadcast_to(embed_even_chain(chain), (grid.size, 30))
+        full = evolve(hermitian_eig(hamiltonian(p, kind)), QuantumState.pure(copies, excited(30)), grid)
+        assert np.max(np.abs(on_chain.values - excitation_probability(full))) <= 1e-12
 
     @pytest.mark.parametrize("g_key,g", [("0.333333", 1 / 3), ("0.666667", 2 / 3), ("1", 1.0)])
     def test_long_time_average_golden(self, golden, g_key, g):
@@ -235,9 +233,7 @@ class TestExcitationTrace:
         # more qubit excitation); the ratio approaches 1 as coupling grows
         p = resonant(g)
         prep = prepare_model(p)
-        initial = measure_no_click(
-            QuantumState.pure(prep.ground.state), MeasurementModel(0.0)
-        ).post_state
+        initial = measure_no_click(prep.chain_ground(), MeasurementModel(0.0)).post_state
         grid = np.arange(0.0, 200.0 + 0.01, 0.02)
         trace = excitation_trace(p, initial, grid)
         ratio = float(np.mean(trace.values)) / prep.ground.p_e

@@ -7,24 +7,21 @@ from antizeno.model import (
     ModelParams,
     assert_cutoff_converged,
     converge_cutoff,
-    eigenstate_overlaps,
     even_chain_excited,
     even_chain_hamiltonian,
     excitation_probability,
     ground_state,
     hamiltonian,
-    jaynes_cummings_hamiltonian,
-    perturbative_c1,
-    rabi_hamiltonian,
 )
-from antizeno.numkit import hermitian_eig, tensor_product
-from antizeno.operators import (
-    FockBasis,
-    annihilation,
+from antizeno.numkit import MAX_DIM, hermitian_eig
+from oracle import (
     basis_state,
-    field_operator,
+    eigenstate_overlaps,
+    embed_even_chain,
+    excited,
+    kron_hamiltonian,
     parity_operator,
-    qubit_operator,
+    perturbative_c1,
 )
 
 
@@ -45,7 +42,7 @@ def test_params_validation():
 
 def test_params_reject_cutoff_beyond_dimension_cap():
     # 2*(n_max+1) <= MAX_DIM = 1024, checked before any matrix is built
-    assert ModelParams(1.0, 1.0, 0.5, 511).basis.dim == 1024
+    assert 2 * (ModelParams(1.0, 1.0, 0.5, 511).n_max + 1) == MAX_DIM == 1024
     with pytest.raises(ValueError, match="n_max must be <= 511"):
         ModelParams(1.0, 1.0, 0.5, 512)
 
@@ -53,15 +50,14 @@ def test_params_reject_cutoff_beyond_dimension_cap():
 class TestRabiHamiltonian:
     def test_single_ladder_matrix_element(self):
         p = resonant(0.37, n_max=6)
-        h = rabi_hamiltonian(p).matrix
-        basis = p.basis
-        g0 = basis_state(basis, 0, 0)
-        e1 = basis_state(basis, 1, 1)
+        h = hamiltonian(p, "rabi").matrix
+        g0 = basis_state(p.n_max, 0, 0)
+        e1 = basis_state(p.n_max, 1, 1)
         assert np.vdot(e1, h @ g0) == pytest.approx(0.37, abs=1e-14)
 
     def test_uncoupled_spectrum(self):
         p = ModelParams(1.0, 1.0, 0.0, 10)
-        spec = hermitian_eig(rabi_hamiltonian(p))
+        spec = hermitian_eig(hamiltonian(p, "rabi"))
         expected = np.sort(
             np.concatenate([np.arange(11) - 0.5, np.arange(11) + 0.5])
         )
@@ -69,31 +65,16 @@ class TestRabiHamiltonian:
 
     def test_parity_commutator(self):
         p = resonant(0.7, n_max=20)
-        h = rabi_hamiltonian(p).matrix
-        parity = parity_operator(p.basis).matrix
-        assert np.max(np.abs(h @ parity - parity @ h)) <= 1e-13
+        h = hamiltonian(p, "rabi").matrix
+        op = parity_operator(p.n_max)
+        assert np.max(np.abs(h @ op - op @ h)) <= 1e-13
 
     @pytest.mark.parametrize("omega,omega0,g", [(1.0, 1.0, 0.3), (2.0, 0.5, 1.4), (1.0, 0.0, 1.0)])
     def test_parity_conserved_across_parameters(self, omega, omega0, g):
         p = ModelParams(omega, omega0, g, 24)
-        h = rabi_hamiltonian(p).matrix
-        parity = parity_operator(p.basis).matrix
-        assert np.max(np.abs(h @ parity - parity @ h)) <= 1e-12
-
-
-def kron_hamiltonian(p, kind):
-    """Oracle: the model assembled from tensor products of qubit and field
-    operators."""
-    basis = p.basis
-    a = annihilation(basis)
-    number = field_operator(a.conj().T @ a, basis)
-    sz = qubit_operator("sigma_z", basis).matrix
-    if kind == "rabi":
-        coupling = tensor_product(np.array([[0, 1], [1, 0]]), a + a.conj().T)
-    else:
-        exchange = tensor_product(np.array([[0, 0], [1, 0]]), a)  # |e><g| a
-        coupling = exchange + exchange.conj().T
-    return p.omega * number + 0.5 * p.omega0 * sz + p.g * coupling
+        h = hamiltonian(p, "rabi").matrix
+        op = parity_operator(p.n_max)
+        assert np.max(np.abs(h @ op - op @ h)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["rabi", "jc"])
@@ -121,16 +102,15 @@ class TestJaynesCummings:
 
     def test_counter_rotating_element_removed(self):
         p = resonant(0.37, n_max=6)
-        h = jaynes_cummings_hamiltonian(p).matrix
-        basis = p.basis
-        g0 = basis_state(basis, 0, 0)
-        e1 = basis_state(basis, 1, 1)
+        h = hamiltonian(p, "jc").matrix
+        g0 = basis_state(p.n_max, 0, 0)
+        e1 = basis_state(p.n_max, 1, 1)
         assert np.vdot(e1, h @ g0) == 0.0
 
     def test_resonant_doublet(self):
         # one-excitation block at resonance: energies omega/2 +- g
         p = resonant(0.23, n_max=14)
-        spec = hermitian_eig(jaynes_cummings_hamiltonian(p))
+        spec = hermitian_eig(hamiltonian(p, "jc"))
         for target in (0.5 - 0.23, 0.5 + 0.23):
             assert np.min(np.abs(spec.eigenvalues - target)) < 1e-12
 
@@ -154,7 +134,7 @@ class TestEvenChain:
     def test_chain_spectrum_is_even_sector_spectrum(self, kind):
         p = resonant(0.9, n_max=20)
         full = hermitian_eig(hamiltonian(p, kind))
-        even = parity_operator(p.basis).matrix.diagonal().real > 0
+        even = parity_operator(p.n_max).diagonal().real > 0
         sector = np.sort([
             e for e, v in zip(full.eigenvalues, full.eigenvectors.T)
             if np.sum(np.abs(v[even]) ** 2) > 0.5
@@ -202,11 +182,41 @@ class TestGroundState:
 
     def test_invariants(self):
         gs = ground_state(resonant(0.8))
-        assert np.linalg.norm(gs.state) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(np.abs(gs.even_chain) ** 2) == pytest.approx(1.0, abs=1e-10)
         assert gs.even_chain[0].imag == 0.0
         assert gs.even_chain[0].real >= 0.0
         assert gs.p_e == pytest.approx(np.sum(np.abs(gs.even_chain[1::2]) ** 2), abs=1e-10)
+
+    @pytest.mark.parametrize("g", [1.1, 1.5])
+    def test_jc_odd_sector_ground_state_is_named(self, g):
+        # past g = omega at resonance the rotating-wave ground state is the
+        # lower one-excitation doublet state, which has odd parity
+        with pytest.raises(NumericalError, match="lies in the odd parity sector"):
+            ground_state(ModelParams(1.0, 1.0, g, 20), "jc")
+
+    def test_deep_strong_rabi_ground_state_stays_even(self):
+        gs = ground_state(ModelParams(1.0, 1.0, 2.0, 80))
+        assert not gs.degenerate
+        assert np.sum(np.abs(gs.even_chain) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+    def test_partial_leak_still_raises(self, monkeypatch):
+        import antizeno.model
+        from antizeno.numkit import SpectralDecomposition
+
+        real = antizeno.model.hermitian_eig
+
+        def leaky(h):
+            # rotate the even ground state by 1e-3 rad into the first
+            # excited state, which is odd at g/omega = 0.5
+            spec = real(h)
+            v = spec.eigenvectors.copy()
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            v[:, 0], v[:, 1] = c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]
+            return SpectralDecomposition(spec.eigenvalues, v)
+
+        monkeypatch.setattr(antizeno.model, "hermitian_eig", leaky)
+        with pytest.raises(NumericalError, match="leaks out of the even parity sector by 1.0"):
+            ground_state(resonant(0.5, n_max=12))
 
     def test_monotone_excitation_on_grid(self):
         pes = [ground_state(resonant(g)).p_e for g in np.linspace(0.0, 1.0, 11)]
@@ -215,23 +225,20 @@ class TestGroundState:
 
 class TestExcitationProbability:
     def test_deexcited_product_state(self):
-        basis = FockBasis(6)
-        state = QuantumState.pure(basis_state(basis, 0, 5))
+        state = QuantumState.pure(basis_state(6, 0, 5), excited(14))
         assert excitation_probability(state) == 0.0
 
     def test_equal_superposition(self):
-        basis = FockBasis(3)
-        vec = (basis_state(basis, 0, 0) + basis_state(basis, 1, 1)) / np.sqrt(2)
-        assert excitation_probability(QuantumState.pure(vec)) == pytest.approx(0.5, abs=1e-14)
+        vec = (basis_state(3, 0, 0) + basis_state(3, 1, 1)) / np.sqrt(2)
+        state = QuantumState.pure(vec, excited(8))
+        assert excitation_probability(state) == pytest.approx(0.5, abs=1e-14)
 
     def test_maximally_mixed(self):
-        dim = FockBasis(5).dim
-        rho = QuantumState.density(np.eye(dim) / dim)
+        rho = QuantumState.density(np.eye(12) / 12, excited(12))
         assert excitation_probability(rho) == pytest.approx(0.5, abs=1e-14)
 
     def test_norm_violation_raises(self):
-        basis = FockBasis(2)
-        state = QuantumState.pure(basis_state(basis, 0, 0))
+        state = QuantumState.pure(basis_state(2, 0, 0), excited(6))
         # bypass the constructor to model an upstream bug
         object.__setattr__(state, "data", 1.001 * state.data)
         with pytest.raises(NumericalError, match="norm"):
@@ -291,18 +298,14 @@ class TestConvergeCutoff:
 
 class TestEigenstateOverlaps:
     def test_self_overlap(self):
-        p = resonant(0.6, n_max=12)
-        spec = hermitian_eig(rabi_hamiltonian(p))
-        state = QuantumState.pure(spec.eigenvectors[:, 0])
-        overlaps = eigenstate_overlaps(state, spec, 4)
+        vecs = hermitian_eig(hamiltonian(resonant(0.6, n_max=12))).eigenvectors
+        overlaps = eigenstate_overlaps(vecs[:, 0], vecs, 4)
         assert overlaps[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(overlaps[1:]) < 1e-20
 
     def test_orthogonal_excited_state(self):
-        p = resonant(0.6, n_max=12)
-        spec = hermitian_eig(rabi_hamiltonian(p))
-        state = QuantumState.pure(spec.eigenvectors[:, 3])
-        overlaps = eigenstate_overlaps(state, spec, 4)
+        vecs = hermitian_eig(hamiltonian(resonant(0.6, n_max=12))).eigenvectors
+        overlaps = eigenstate_overlaps(vecs[:, 3], vecs, 4)
         assert overlaps[0] < 1e-20
         assert overlaps[3] == pytest.approx(1.0, abs=1e-12)
 
@@ -311,19 +314,12 @@ class TestEigenstateOverlaps:
         from antizeno.protocol import prepare_model
 
         prep = prepare_model(resonant(1.0))
-        projected = measure_no_click(
-            QuantumState.pure(prep.ground.state), MeasurementModel(0.0)
-        ).post_state
-        overlaps = eigenstate_overlaps(projected, hermitian_eig(rabi_hamiltonian(prep.params)), 6)
+        ground = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(82))
+        projected = measure_no_click(ground, MeasurementModel(0.0)).post_state
+        vecs = hermitian_eig(hamiltonian(prep.params)).eigenvectors
+        overlaps = eigenstate_overlaps(projected.data, vecs, 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10
         assert np.allclose(overlaps, golden["projected_ground_overlaps_g1_k6"], atol=1e-12)
-
-    def test_rejects_density_matrix(self):
-        p = resonant(0.6, n_max=8)
-        spec = hermitian_eig(rabi_hamiltonian(p))
-        rho = QuantumState.density(np.eye(spec.dim) / spec.dim)
-        with pytest.raises(ValueError, match="pure"):
-            eigenstate_overlaps(rho, spec, 2)
 
 
 class TestQuadraticLaw:

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from antizeno.numkit import (
-    MAX_DIM,
-    HermitianOperator,
-    SpectralDecomposition,
-    hermitian_eig,
-    propagator,
-    tensor_product,
-)
+from antizeno.numkit import HermitianOperator, SpectralDecomposition, hermitian_eig, propagator
+from oracle import field_operator, qubit_operator
 
 
 def random_hermitian(dim, seed):
@@ -18,20 +12,20 @@ def random_hermitian(dim, seed):
 
 
 class TestTensorProduct:
+    """The Kronecker lifts of tests/oracle.py: the qubit is the outer (slow)
+    factor, so composite index (s, n) is s*(n_max+1) + n."""
+
     def test_identity_times_identity(self):
-        result = tensor_product(np.eye(2), np.eye(3))
-        assert np.array_equal(result, np.eye(6, dtype=complex))
+        assert np.array_equal(field_operator(np.eye(3)), np.eye(6, dtype=complex))
 
     def test_diagonal_case(self):
-        sz = np.diag([1.0, -1.0])
-        result = tensor_product(sz, np.eye(2))
-        assert np.array_equal(np.diag(result).real, [1, 1, -1, -1])
+        assert np.array_equal(np.diag(qubit_operator("sigma_z", 1)).real, [-1, -1, 1, 1])
 
     def test_index_formula_on_random_entries(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        result = tensor_product(a, b)
+        result = np.kron(a, np.eye(4)) @ field_operator(b)
         for _ in range(3):
             i1, j1 = rng.integers(0, 2, size=2)
             i2, j2 = rng.integers(0, 4, size=2)
@@ -39,20 +33,14 @@ class TestTensorProduct:
             assert abs(result[i1 * 4 + i2, j1 * 4 + j2] - a[i1, j1] * b[i2, j2]) <= 1e-14
 
     def test_associative_for_integer_matrices(self):
+        # lifting a qubit and a field factor and multiplying is the product
+        # of the two, in either order
         rng = np.random.default_rng(3)
-        mats = [rng.integers(-5, 6, size=(n, n)).astype(complex) for n in (2, 3, 2)]
-        left = tensor_product(tensor_product(mats[0], mats[1]), mats[2])
-        right = tensor_product(mats[0], tensor_product(mats[1], mats[2]))
-        assert np.array_equal(left, right)
-
-    def test_dimension_cap(self):
-        big = np.eye(MAX_DIM // 2 + 1)
-        with pytest.raises(ValueError, match="cap"):
-            tensor_product(big, np.eye(2))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            tensor_product(np.ones((2, 3)), np.eye(2))
+        a = rng.integers(-5, 6, size=(2, 2)).astype(complex)
+        b = rng.integers(-5, 6, size=(3, 3)).astype(complex)
+        qubit, field = np.kron(a, np.eye(3)), field_operator(b)
+        assert np.array_equal(qubit @ field, np.kron(a, b))
+        assert np.array_equal(field @ qubit, np.kron(a, b))
 
 
 class TestHermitianOperator:

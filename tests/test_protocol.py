@@ -14,9 +14,9 @@ from antizeno.protocol import (
     prepare_model,
     run_survival,
     sweep_T1,
-    truncated_survival,
     two_period_schedule,
 )
+from oracle import embed_even_chain, excited, truncated_survival
 
 SQRT2 = np.sqrt(2.0)
 
@@ -253,7 +253,8 @@ class TestRunSurvival:
         trace = run_survival(prep, sched, MeasurementModel(0.0))
 
         spec = hermitian_eig(hamiltonian(prep.params))
-        state = QuantumState.pure(prep.ground.state).promoted()
+        dim = 2 * (prep.params.n_max + 1)
+        state = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(dim)).promoted()
         m = MeasurementModel(0.0)
         previous = 0.0
         singles = []
@@ -279,7 +280,8 @@ class TestRunSurvival:
         m = MeasurementModel(eps)
         trace = run_survival(prep, schedules, m)
         for row, sched in enumerate(schedules):
-            state = QuantumState.pure(prep.ground.state)
+            dim = 2 * (prep.params.n_max + 1)
+            state = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(dim))
             if eps > 0:
                 state = state.promoted()
             previous, singles = 0.0, []
@@ -515,9 +517,3 @@ class TestTruncatedSurvival:
         t1_values = 2 * np.pi * np.linspace(0.1, 5.0, 100)
         simulated = sweep_T1(prep, 8, t1_values, SQRT2, MeasurementModel(0.0))
         assert 0.5 <= simulated / truncated <= 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            truncated_survival(1.5, 3)
-        with pytest.raises(ValueError):
-            truncated_survival(0.5, -1)
