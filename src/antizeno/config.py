@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from .model import CUTOFF_STEP
@@ -28,6 +29,16 @@ _SQRT2 = math.sqrt(2.0)
 # With any coupling > 0 the cutoff check also solves n_max + CUTOFF_STEP,
 # which must fit the full space (n_max <= MAX_DIM // 2 - 1).
 _MAX_CHECKED_N_MAX = MAX_DIM // 2 - 1 - CUTOFF_STEP
+
+
+_INT_FIELDS = ("n_max", "n_measurements", "runs", "t1_count", "seed")
+_REAL_FIELDS = ("omega", "omega0", "ratio", "jitter_width", "time_max", "time_step")
+_TUPLE_FIELDS = ("g_values", "omega_t1_values", "epsilon_values", "t1_window")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A ``kind`` number that is not a bool (JSON true/false)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
@@ -76,6 +87,19 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) or (name == "n_max" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in _TUPLE_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(_is_number(v) for v in value)):
+                raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
+        if not (self.out is None or (isinstance(self.out, str) and self.out)):
+            raise ValueError(f"out must be a non-empty path string or null, got {self.out!r}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega!r}")
         if self.omega0 < 0:
@@ -117,8 +141,8 @@ class ExperimentConfig:
             raise ValueError(f"t1_sampling must be one of {T1_SAMPLINGS}")
         if self.time_max <= 0 or self.time_step <= 0 or self.time_step > self.time_max:
             raise ValueError("time grid requires 0 < time_step <= time_max")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
 
@@ -139,8 +163,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        for key in ("g_values", "omega_t1_values", "epsilon_values", "t1_window"):
-            if key in kwargs and kwargs[key] is not None:
+        for key in _TUPLE_FIELDS:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

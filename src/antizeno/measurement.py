@@ -13,10 +13,9 @@ indistinguishable from a genuine no-click in the record. At epsilon = 0 a
 pure input stays pure and the map reduces to projecting out the excited
 qubit component.
 
-P_g is diagonal in every basis the package uses (the state records which
-of its components carry an excited qubit), so the projected branch is
-computed by masking rather than explicit projector products. Batched states
-are measured run by run in one array operation.
+P_g is diagonal on the even parity chain (it keeps the even sites), so the
+projected branch is computed by masking rather than explicit projector
+products. Every run of a batch is measured in one array operation.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import NumericalError
+from .model import even_chain_excited
 
-__all__ = ["MeasurementModel", "MeasurementOutcome", "measure_no_click"]
+__all__ = ["MeasurementModel", "measure_no_click"]
 
 # Below this no-click trace the state is (numerically) fully excited and the
 # conditional state is undefined.
@@ -46,46 +46,32 @@ class MeasurementModel:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """No-click probability (one per run for a batch) and the conditional
-    (normalized) post state."""
+def measure_no_click(s: QuantumState, m: MeasurementModel) -> tuple[np.ndarray, QuantumState]:
+    """Apply the no-click branch of the measurement map to every run.
 
-    no_click_probability: float | np.ndarray
-    post_state: QuantumState
-
-
-def measure_no_click(s: QuantumState, m: MeasurementModel) -> MeasurementOutcome:
-    """Apply the no-click branch of the measurement map.
-
-    Raises ``NumericalError`` ("certain click") if the no-click probability
-    of any run underflows, i.e. the state is fully excited under an ideal
-    measurement.
+    Returns the no-click probability of each run and the conditional
+    (normalized) post state. Raises ``NumericalError`` ("certain click") if
+    the no-click probability of any run underflows, i.e. the state is fully
+    excited under an ideal measurement.
     """
+    excited = even_chain_excited(s.dim - 1)
     if m.epsilon == 0.0 and s.kind == "pure":
         projected = s.data.copy()
-        projected[..., s.excited] = 0.0
+        projected[..., excited] = 0.0
         prob = np.sum(projected.real**2 + projected.imag**2, axis=-1)
         _check_no_click(prob)
-        post = QuantumState.pure(projected / np.sqrt(prob)[..., None], s.excited)
-        return MeasurementOutcome(_per_run(np.minimum(prob, 1.0)), post)
+        return np.minimum(prob, 1.0), QuantumState("pure", projected / np.sqrt(prob)[..., None])
 
     rho = s.promoted().data
-    ground = ~s.excited
+    ground = ~excited
     sigma = m.epsilon * rho
     # (1 - eps) * P_g rho P_g keeps only the ground-qubit block
     sigma += (1.0 - m.epsilon) * (rho * np.outer(ground, ground))
     prob = np.trace(sigma, axis1=-2, axis2=-1).real
     _check_no_click(prob)
-    post = QuantumState.density(sigma / prob[..., None, None], s.excited)
-    return MeasurementOutcome(_per_run(np.minimum(prob, 1.0)), post)
+    return np.minimum(prob, 1.0), QuantumState("density", sigma / prob[..., None, None])
 
 
 def _check_no_click(prob: np.ndarray) -> None:
     if np.min(prob) < _CERTAIN_CLICK_TOL:
         raise NumericalError("certain click: state has no de-excited component")
-
-
-def _per_run(values: np.ndarray) -> float | np.ndarray:
-    return float(values) if values.ndim == 0 else values
-

@@ -202,9 +202,8 @@ def ground_state(p: ModelParams, kind: str = "rabi") -> GroundStateDecomposition
     return GroundStateDecomposition(energy, chain, _block_p_e(state), gap, degenerate=False)
 
 
-def excitation_probability(state: "QuantumState") -> float | np.ndarray:
-    """Qubit excitation probability <P_e> of a normalized state; one value
-    per run for a batch."""
+def excitation_probability(state: "QuantumState") -> np.ndarray:
+    """Qubit excitation probability <P_e> of each run of a normalized batch."""
     data = state.data
     if state.kind == "pure":
         populations = data.real**2 + data.imag**2
@@ -215,8 +214,7 @@ def excitation_probability(state: "QuantumState") -> float | np.ndarray:
     drift = np.max(np.abs(np.sum(populations, axis=-1) - 1.0))
     if drift > 1e-8:
         raise NumericalError(f"{what} deviates from 1 by {drift:.3e}")
-    p_e = np.sum(populations[..., state.excited], axis=-1)
-    return p_e if state.batched else float(p_e)
+    return np.sum(populations[..., even_chain_excited(state.dim - 1)], axis=-1)
 
 
 def _ground_scalars(p: ModelParams, n_max: int, kind: str) -> tuple[float, float]:

@@ -4,8 +4,7 @@ eigendecompositions and spectral propagators.
 Everything here is plain dense numpy. Composite dimensions in this package
 stay a few hundred at most, so dense LAPACK routines are both the simplest
 and the fastest option. All returned objects are immutable (arrays are
-marked read-only) and all functions are pure, so values can be shared
-freely across parallel workers.
+marked read-only) and all functions are pure.
 """
 
 from __future__ import annotations

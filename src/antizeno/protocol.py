@@ -42,9 +42,9 @@ from .dynamics import BATCH_RUNS, QuantumState, evolve
 from .errors import NumericalError
 from .measurement import MeasurementModel, measure_no_click
 from .model import (
+    DEGENERACY_GAP,
     GroundStateDecomposition,
     ModelParams,
-    even_chain_excited,
     even_chain_hamiltonian,
     ground_state,
 )
@@ -131,13 +131,10 @@ class PreparedModel:
         """Spectral decomposition of the even-chain Hamiltonian."""
         return hermitian_eig(even_chain_hamiltonian(self.params, self.kind))
 
-    def chain_ground(self, runs: int | None = None) -> QuantumState:
-        """The ground state on the even chain; ``runs`` copies of it as a
-        batch when given."""
+    def chain_ground(self, runs: int) -> QuantumState:
+        """``runs`` copies of the ground state on the even chain, as a batch."""
         amplitudes = self.ground.even_chain
-        if runs is not None:
-            amplitudes = np.broadcast_to(amplitudes, (runs, amplitudes.size))
-        return QuantumState.pure(amplitudes, even_chain_excited(self.params.n_max))
+        return QuantumState("pure", np.broadcast_to(amplitudes, (runs, amplitudes.size)))
 
 
 def prepare_model(p: ModelParams, kind: str = "rabi") -> PreparedModel:
@@ -255,8 +252,8 @@ def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTra
     """
     if prep.ground.degenerate:
         raise ValueError(
-            "ground manifold is degenerate (omega0 = 0?); the survival protocol "
-            "requires a unique ground state"
+            f"ground manifold is degenerate (gap {prep.ground.gap:.3e} < DEGENERACY_GAP = "
+            f"{DEGENERACY_GAP:g}); the survival protocol requires a unique ground state"
         )
     times = _time_stack(times)
     stack = np.atleast_2d(times)
@@ -280,9 +277,7 @@ def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel)
     previous = np.zeros(len(times))
     for i in range(times.shape[1]):
         state = evolve(prep.chain, state, times[:, i] - previous)
-        outcome = measure_no_click(state, m)
-        state = outcome.post_state
-        singles[:, i] = outcome.no_click_probability
+        singles[:, i], state = measure_no_click(state, m)
         previous = times[:, i]
     return singles
 

@@ -5,7 +5,8 @@ Every output file embeds a metadata header with the exact configuration
 the Fock cutoff actually used. Outputs contain no timestamps or environment
 state, so a fixed (config, seed) reproduces files byte for byte. Files are
 written atomically (temp file + rename) and only after the whole experiment
-has completed, so no partial file survives a failure.
+has completed; a multi-file set is renamed into place only once every file
+of it is written, so no partial file or set survives a failure.
 
 Column schemas are fixed per experiment kind and documented in the README.
 The fig4 preset produces three panel tables: in CSV mode they are written to
@@ -15,6 +16,7 @@ the single ``series`` object.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -189,9 +191,9 @@ def _build_fig2(config: ExperimentConfig, prepare) -> dict:
     table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
         prep = prepare(g)
-        initial = measure_no_click(prep.chain_ground(), MeasurementModel(0.0)).post_state
-        trace = excitation_trace(prep.params, initial, omega_t / config.omega)
-        table[f"p1e_g_over_omega_{g:.6g}"] = trace.values.tolist()
+        _, initial = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
+        values = excitation_trace(prep.params, initial, omega_t / config.omega)
+        table[f"p1e_g_over_omega_{g:.6g}"] = values.tolist()
     return {"data": table}
 
 
@@ -334,16 +336,30 @@ def _json_text(metadata: dict, tables: dict[str, dict[str, list]]) -> str:
     return json.dumps({"metadata": metadata, "series": series}, sort_keys=True) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".antizeno-", suffix=".tmp")
+def _write_all(texts: dict[str, str]) -> None:
+    """Write a whole output set or none of it: every file goes to a temp
+    file first, and the temps are renamed over their targets only once all
+    of them are written. Files get mode 0o666 & ~umask, as ``open`` would."""
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: list[tuple[str, str]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".antizeno-", suffix=".tmp")
+            temps.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for _, path in temps:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -372,8 +388,7 @@ def run(config: ExperimentConfig) -> RunResult:
             _suffixed(config.out, name): _csv_text(metadata, tables[name])
             for name in sorted(tables)
         }
-    for path, text in texts.items():
-        _atomic_write(path, text)
+    _write_all(texts)
     return RunResult(config, metadata, tables, list(texts))
 
 

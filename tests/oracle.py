@@ -74,6 +74,45 @@ def embed_even_chain(chain):
     return full
 
 
+def qubit_p_e(data):
+    """Qubit excitation probability of qubit-major amplitude vectors, one per
+    row of ``data``: the weight on the second half."""
+    half = data.shape[-1] // 2
+    return np.sum(np.abs(data[..., half:]) ** 2, axis=-1)
+
+
+def no_click(data, epsilon):
+    """No-click branch (1 - epsilon) P_g rho P_g + epsilon rho on a
+    qubit-major state vector or density matrix: (probability, normalized
+    post state). A vector stays a vector only at epsilon = 0."""
+    p_g = np.diag(~excited(data.shape[-1])).astype(complex)
+    if data.ndim == 1 and epsilon == 0.0:
+        projected = p_g @ data
+        prob = np.vdot(projected, projected).real
+        return prob, projected / np.sqrt(prob)
+    rho = np.outer(data, data.conj()) if data.ndim == 1 else data
+    sigma = (1.0 - epsilon) * p_g @ rho @ p_g + epsilon * rho
+    prob = np.trace(sigma).real
+    return prob, sigma / prob
+
+
+def full_space_singles(h, psi, times, epsilon, density=False):
+    """Per-event no-click probabilities of one schedule, run event by event
+    on the full space from the vector ``psi``: exp(-i h dt) from a dense
+    ``eigh`` of the matrix ``h``, then ``no_click``. ``density`` starts from
+    the projector of ``psi`` even at epsilon = 0."""
+    vals, vecs = np.linalg.eigh(h)
+    state = np.outer(psi, psi.conj()) if density else psi
+    previous, singles = 0.0, []
+    for t in times:
+        u = (vecs * np.exp(-1j * vals * (t - previous))) @ vecs.conj().T
+        state = u @ state if state.ndim == 1 else u @ state @ u.conj().T
+        prob, state = no_click(state, epsilon)
+        singles.append(prob)
+        previous = t
+    return np.array(singles)
+
+
 def click_probability(data, excited_mask, epsilon):
     """(1 - epsilon) <P_e> of a state vector or density matrix."""
     data = np.asarray(data)

@@ -6,6 +6,7 @@ bit for bit.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -202,12 +203,12 @@ def test_criterion_09_truncated_chain_oracle():
 
 
 def test_criterion_10_invariant_suite(tmp_path):
-    from antizeno.model import hamiltonian
+    from antizeno.model import even_chain_excited, hamiltonian
     from antizeno.numkit import hermitian_eig, propagator
     from antizeno.measurement import measure_no_click
     from antizeno.config import ExperimentConfig
     from antizeno.runner import run
-    from oracle import click_probability, excited, parity_operator
+    from oracle import click_probability, parity_operator
 
     # Hermiticity and unitarity
     p = resonant(1.0)
@@ -225,11 +226,11 @@ def test_criterion_10_invariant_suite(tmp_path):
     rng = np.random.default_rng(SEED)
     for eps in (0.0, 0.15, 1.0):
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = QuantumState.density((a @ a.conj().T) / np.trace(a @ a.conj().T).real, excited(12))
+        rho = QuantumState("density", ((a @ a.conj().T) / np.trace(a @ a.conj().T).real)[None])
         m = MeasurementModel(eps)
-        total = click_probability(rho.data, rho.excited, eps) + measure_no_click(
+        total = click_probability(rho.data[0], even_chain_excited(11), eps) + measure_no_click(
             rho, m
-        ).no_click_probability
+        )[0][0]
         assert abs(total - 1.0) <= 1e-12
 
     # cumulative-survival monotonicity
@@ -250,9 +251,9 @@ def test_criterion_10_invariant_suite(tmp_path):
         runs=4, seed=SEED, out=str(tmp_path / "det.csv"),
     )
     first = run(cfg).paths[0]
-    blob = open(first, "rb").read()
+    blob = Path(first).read_bytes()
     second = run(cfg).paths[0]
-    assert open(second, "rb").read() == blob
+    assert Path(second).read_bytes() == blob
 
     report(10, "invariant suite: hermiticity, unitarity, parity, CP bookkeeping, "
                "monotonicity, cutoff stability, bit-level determinism")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -102,6 +103,39 @@ class TestNonFiniteFields:
         assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
         assert "time_max must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("values,field", [
+        ({"runs": 2.5}, "runs"),
+        ({"n_measurements": 3.5}, "n_measurements"),
+        ({"t1_count": 2.5, "experiment": "fig3"}, "t1_count"),
+        ({"runs": True}, "runs"),
+        ({"n_max": False}, "n_max"),
+        ({"g_values": "abc"}, "g_values"),
+        ({"g_values": 5}, "g_values"),
+        ({"epsilon_values": [0.0, True]}, "epsilon_values"),
+        ({"omega": "1"}, "omega"),
+        ({"t1_window": [0.1, "5"]}, "t1_window"),
+        ({"jitter_width": None}, "jitter_width"),
+        ({"seed": -1}, "seed"),
+        ({"out": 5}, "out"),
+        ({"out": ""}, "out"),
+    ])
+    def test_config_file_exits_2_naming_the_field(self, tmp_path, capsys, values, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": str(tmp_path / "x.csv"), **values}))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert f"validation error [antizeno.config]: {field} must" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_scalars_are_accepted(self):
+        ExperimentConfig(runs=np.int64(3), omega=np.float64(1.0), g_values=(np.float64(0.5),)).validate()
 
 
 def small_survival_args(tmp_path, name="run.csv", fmt=None):
@@ -285,3 +319,51 @@ class TestMultiTableOutput:
         assert result.paths == [str(tmp_path / "multi.json")]
         payload = json.loads((tmp_path / "multi.json").read_text())
         assert set(payload["series"]) == {"a", "b"}
+
+
+class TestOutputSet:
+    """A multi-file output set is written whole or not at all."""
+
+    @pytest.fixture
+    def three_panel(self, monkeypatch, tmp_path):
+        def builder(config, prepare):
+            return {name: {"x": [1], "y": [2.0]} for name in "abc"}
+
+        monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)
+        return ExperimentConfig(
+            experiment="survival", g_values=(0.1,), n_max=12, out=str(tmp_path / "multi.csv")
+        )
+
+    def test_directory_target_exits_4_writing_nothing(self, tmp_path, capsys):
+        (tmp_path / "fig4_c.csv").mkdir()
+        assert main(["--preset", "fig4", "--out", str(tmp_path / "fig4.csv")]) == 4
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["fig4_c.csv"]
+        assert list((tmp_path / "fig4_c.csv").iterdir()) == []
+
+    def test_write_failure_on_third_file_writes_nothing(self, tmp_path, monkeypatch, three_panel):
+        real = runner_module.tempfile.mkstemp
+        temps = []
+
+        def third_unwritable(*args, **kwargs):
+            fd, path = real(*args, **kwargs)
+            temps.append(path)
+            if len(temps) == 3:
+                os.close(fd)
+                fd = os.open(path, os.O_RDONLY)
+            return fd, path
+
+        monkeypatch.setattr(runner_module.tempfile, "mkstemp", third_unwritable)
+        with pytest.raises(OSError):
+            run(three_panel)
+        assert len(temps) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_files_follow_the_umask(self, three_panel, umask, mode):
+        previous = os.umask(umask)
+        try:
+            paths = run(three_panel).paths
+        finally:
+            os.umask(previous)
+        assert [stat.S_IMODE(os.stat(p).st_mode) for p in paths] == [mode] * 3

@@ -18,7 +18,6 @@ from oracle import (
     basis_state,
     eigenstate_overlaps,
     embed_even_chain,
-    excited,
     kron_hamiltonian,
     parity_operator,
     perturbative_c1,
@@ -224,21 +223,24 @@ class TestGroundState:
 
 
 class TestExcitationProbability:
+    # states are batches on the even chain: site k is |g,k> for even k and
+    # |e,k> for odd k
+
     def test_deexcited_product_state(self):
-        state = QuantumState.pure(basis_state(6, 0, 5), excited(14))
-        assert excitation_probability(state) == 0.0
+        state = QuantumState("pure", np.eye(7)[4:5])  # |g,4>
+        assert excitation_probability(state).tolist() == [0.0]
 
     def test_equal_superposition(self):
-        vec = (basis_state(3, 0, 0) + basis_state(3, 1, 1)) / np.sqrt(2)
-        state = QuantumState.pure(vec, excited(8))
-        assert excitation_probability(state) == pytest.approx(0.5, abs=1e-14)
+        vec = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)  # (|g,0> + |e,1>)/sqrt(2)
+        state = QuantumState("pure", np.stack([np.eye(4)[0], vec]))
+        assert excitation_probability(state) == pytest.approx([0.0, 0.5], abs=1e-14)
 
     def test_maximally_mixed(self):
-        rho = QuantumState.density(np.eye(12) / 12, excited(12))
-        assert excitation_probability(rho) == pytest.approx(0.5, abs=1e-14)
+        rho = QuantumState("density", np.eye(12)[None] / 12)
+        assert excitation_probability(rho) == pytest.approx([0.5], abs=1e-14)
 
     def test_norm_violation_raises(self):
-        state = QuantumState.pure(basis_state(2, 0, 0), excited(6))
+        state = QuantumState("pure", np.eye(6)[:1])
         # bypass the constructor to model an upstream bug
         object.__setattr__(state, "data", 1.001 * state.data)
         with pytest.raises(NumericalError, match="norm"):
@@ -314,10 +316,9 @@ class TestEigenstateOverlaps:
         from antizeno.protocol import prepare_model
 
         prep = prepare_model(resonant(1.0))
-        ground = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(82))
-        projected = measure_no_click(ground, MeasurementModel(0.0)).post_state
+        _, projected = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
         vecs = hermitian_eig(hamiltonian(prep.params)).eigenvectors
-        overlaps = eigenstate_overlaps(projected.data, vecs, 6)
+        overlaps = eigenstate_overlaps(embed_even_chain(projected.data[0]), vecs, 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10
         assert np.allclose(overlaps, golden["projected_ground_overlaps_g1_k6"], atol=1e-12)
 

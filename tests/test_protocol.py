@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from antizeno.dynamics import BATCH_RUNS, QuantumState, evolve
+from antizeno.dynamics import BATCH_RUNS
 from antizeno.errors import NumericalError
-from antizeno.measurement import MeasurementModel, measure_no_click
+from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, hamiltonian
-from antizeno.numkit import hermitian_eig
 from antizeno.protocol import (
     child_seeds,
     ensemble_survival,
@@ -16,7 +15,7 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from oracle import embed_even_chain, excited, truncated_survival
+from oracle import embed_even_chain, full_space_singles, truncated_survival
 
 SQRT2 = np.sqrt(2.0)
 
@@ -252,18 +251,10 @@ class TestRunSurvival:
         sched = two_period_schedule(2 * np.pi, SQRT2, 8)
         trace = run_survival(prep, sched, MeasurementModel(0.0))
 
-        spec = hermitian_eig(hamiltonian(prep.params))
-        dim = 2 * (prep.params.n_max + 1)
-        state = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(dim)).promoted()
-        m = MeasurementModel(0.0)
-        previous = 0.0
-        singles = []
-        for t in sched:
-            state = evolve(spec, state, t - previous)
-            outcome = measure_no_click(state, m)
-            state = outcome.post_state
-            singles.append(outcome.no_click_probability)
-            previous = t
+        singles = full_space_singles(
+            hamiltonian(prep.params).matrix, embed_even_chain(prep.ground.even_chain), sched, 0.0,
+            density=True,
+        )
         assert np.allclose(trace.single, singles, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
@@ -272,7 +263,7 @@ class TestRunSurvival:
         # oracle: the same jittered schedule run one event at a time on the
         # full 2(n_max+1) space with the dense full-space spectrum
         prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6), kind)
-        spec = hermitian_eig(hamiltonian(prep.params, kind))
+        h = hamiltonian(prep.params, kind).matrix
         schedules = [
             jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
             for seed in (3, 4, 5, 6, 7)
@@ -280,17 +271,7 @@ class TestRunSurvival:
         m = MeasurementModel(eps)
         trace = run_survival(prep, schedules, m)
         for row, sched in enumerate(schedules):
-            dim = 2 * (prep.params.n_max + 1)
-            state = QuantumState.pure(embed_even_chain(prep.ground.even_chain), excited(dim))
-            if eps > 0:
-                state = state.promoted()
-            previous, singles = 0.0, []
-            for t in sched:
-                state = evolve(spec, state, t - previous)
-                outcome = measure_no_click(state, m)
-                state = outcome.post_state
-                singles.append(outcome.no_click_probability)
-                previous = t
+            singles = full_space_singles(h, embed_even_chain(prep.ground.even_chain), sched, eps)
             assert np.allclose(trace.single[row], singles, rtol=0, atol=1e-12)
             assert np.allclose(
                 trace.cumulative[row], np.cumprod(singles), rtol=0, atol=1e-12
@@ -358,12 +339,22 @@ class TestRunSurvival:
             run_survival(prep, uneven, MeasurementModel(0.0))
 
     def test_degenerate_ground_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        # omega0 = 0: the two parity sectors tie
+        with pytest.raises(ValueError, match=r"degenerate \(gap .* < DEGENERACY_GAP = 1e-10\)"):
             run_survival(
                 prepare_model(ModelParams(1.0, 0.0, 0.5, 40)),
                 two_period_schedule(1.0, SQRT2, 2),
                 MeasurementModel(0.0),
             )
+
+    def test_jc_tie_reports_its_gap(self):
+        # the rotating-wave model at resonance ties across sectors at g = omega
+        # with omega0 > 0, so the message states the gap rather than a cause
+        prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20), "jc")
+        assert prep.ground.degenerate and prep.ground.gap == 0.0
+        with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
+            run_survival(prep, two_period_schedule(1.0, SQRT2, 2), MeasurementModel(0.0))
+        assert "omega0" not in str(info.value)
 
 
 def test_prepare_model_defers_full_space_spectrum(monkeypatch):
