@@ -8,7 +8,7 @@ quadratic and exponential survival laws. The ``antizeno`` CLI exposes six
 figure presets plus free-form experiments with deterministic, seeded output.
 
 The top level holds the library API the README documents; everything else
-is imported from its own module (``antizeno.numkit``, ``antizeno.operators``,
+is imported from its own module (``antizeno.numkit``, ``antizeno.protocol``,
 ...).
 """
 

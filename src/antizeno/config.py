@@ -14,8 +14,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
-from .model import CUTOFF_STEP
-from .numkit import MAX_DIM
+from .model import CHECKED_N_MAX_CAP, CUTOFF_STEP
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
 
@@ -25,10 +24,6 @@ FORMATS = ("csv", "json")
 T1_SAMPLINGS = ("uniform", "random")
 
 _SQRT2 = math.sqrt(2.0)
-
-# With any coupling > 0 the cutoff check also solves n_max + CUTOFF_STEP,
-# which must fit the full space (n_max <= MAX_DIM // 2 - 1).
-_MAX_CHECKED_N_MAX = MAX_DIM // 2 - 1 - CUTOFF_STEP
 
 
 _INT_FIELDS = ("n_max", "n_measurements", "runs", "t1_count", "seed")
@@ -110,9 +105,9 @@ class ExperimentConfig:
             raise ValueError("couplings g/omega must be >= 0")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be >= 1 (or null for automatic), got {self.n_max!r}")
-        if self.n_max is not None and max(self.g_values) > 0 and self.n_max > _MAX_CHECKED_N_MAX:
+        if self.n_max is not None and max(self.g_values) > 0 and self.n_max > CHECKED_N_MAX_CAP:
             raise ValueError(
-                f"n_max must be <= {_MAX_CHECKED_N_MAX} when a coupling is > 0 (the cutoff "
+                f"n_max must be <= {CHECKED_N_MAX_CAP} when a coupling is > 0 (the cutoff "
                 f"check solves n_max + {CUTOFF_STEP}), got {self.n_max!r}"
             )
         if not self.omega_t1_values or any(v <= 0 for v in self.omega_t1_values):

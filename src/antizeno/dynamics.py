@@ -116,9 +116,7 @@ def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
     return QuantumState("density", u @ s.data @ u.conj().swapaxes(-1, -2))
 
 
-def excitation_trace(
-    p: "_model.ModelParams", initial: QuantumState, t_grid, kind: str = "rabi"
-) -> np.ndarray:
+def excitation_trace(p: "_model.ModelParams", initial: QuantumState, t_grid) -> np.ndarray:
     """Excitation probability of ``initial``, a one-run batch, evolved to
     each time of the ascending grid ``t_grid`` (ns).
 
@@ -133,7 +131,7 @@ def excitation_trace(
         raise ValueError("t_grid must be strictly increasing")
     if initial.runs != 1:
         raise ValueError(f"excitation_trace needs a one-run batch, got {initial.runs} runs")
-    spec = hermitian_eig(_model.even_chain_hamiltonian(p, kind))
+    spec = hermitian_eig(_model.even_chain_hamiltonian(p))
     block = BATCH_RUNS[initial.kind]
     values = np.empty(t.size)
     for start in range(0, t.size, block):

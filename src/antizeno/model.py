@@ -15,6 +15,10 @@ qubit excitation probability in that ground state scales quadratically with
 g/omega at resonance; for small coupling the leading chain coefficient has
 the closed form -g/(omega+omega0).
 
+``ModelParams`` is the whole model, its Hamiltonian kind included, and this
+module owns every Fock-cutoff rule: the n_max caps and the step and
+tolerance that both cutoff checks use.
+
 Units: frequencies in GHz, times in ns, hbar = 1.
 """
 
@@ -27,7 +31,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .numkit import MAX_DIM, HermitianOperator, hermitian_eig
-from .operators import FockBasis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import QuantumState
@@ -35,8 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DEGENERACY_GAP",
+    "N_MAX_CAP",
+    "CHECKED_N_MAX_CAP",
     "CUTOFF_CAP",
     "CUTOFF_STEP",
+    "CUTOFF_TOL",
     "ModelParams",
     "GroundStateDecomposition",
     "hamiltonian",
@@ -51,24 +57,34 @@ __all__ = [
 # Ground manifolds with a gap below this are reported as degenerate.
 DEGENERACY_GAP = 1e-10
 
+HAMILTONIAN_KINDS = ("rabi", "jc")
+
+# Largest Fock cutoff: the full space 2*(n_max+1) must fit numkit's MAX_DIM.
+N_MAX_CAP = MAX_DIM // 2 - 1
+
+# Both cutoff checks compare a cutoff with this many more photons, and
+# agree when the ground energy and p_e move by less than CUTOFF_TOL.
+CUTOFF_STEP = 10
+CUTOFF_TOL = 1e-8
+
+# Largest cutoff that leaves room for the check at n_max + CUTOFF_STEP.
+CHECKED_N_MAX_CAP = N_MAX_CAP - CUTOFF_STEP
+
 # converge_cutoff gives up at this n_max.
 CUTOFF_CAP = 200
-
-# Both cutoff checks compare a cutoff with this many more photons.
-CUTOFF_STEP = 10
-
-HAMILTONIAN_KINDS = ("rabi", "jc")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters: resonator frequency, qubit splitting, coupling (GHz)
-    and the Fock cutoff."""
+    """The whole model: resonator frequency, qubit splitting, coupling
+    (GHz), Fock cutoff and Hamiltonian kind ("rabi", or its rotating-wave
+    counterpart "jc")."""
 
     omega: float
     omega0: float
     g: float
     n_max: int
+    kind: str = "rabi"
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
@@ -77,9 +93,15 @@ class ModelParams:
             raise ValueError(f"omega0 must be >= 0, got {self.omega0!r}")
         if not (np.isfinite(self.g) and self.g >= 0):
             raise ValueError(f"g must be >= 0, got {self.g!r}")
-        # checked before any matrix is built: the full space is 2*(n_max+1)
-        if FockBasis(self.n_max).dim > MAX_DIM:
-            raise ValueError(f"n_max must be <= {MAX_DIM // 2 - 1}, got {self.n_max!r}")
+        # checked before any matrix is built
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        if self.n_max > N_MAX_CAP:
+            raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max!r}")
+        if self.kind not in HAMILTONIAN_KINDS:
+            raise ValueError(
+                f"unknown Hamiltonian kind {self.kind!r}; expected one of {HAMILTONIAN_KINDS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,8 +126,14 @@ class GroundStateDecomposition:
     degenerate: bool = False
 
 
-def _full_space_hamiltonian(p: ModelParams, counter_rotating: bool) -> HermitianOperator:
-    """Complex matrix on the qubit-major space, entry by entry.
+def hamiltonian(p: ModelParams) -> HermitianOperator:
+    """The model on the full space, a complex matrix in the qubit-major
+    basis of ``operators``, assembled entry by entry.
+
+    "rabi" is omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
+    "jc" is its rotating-wave counterpart, with g (sigma^+ a + sigma^- a^dagger)
+    as the coupling: it conserves the excitation number and has the
+    separable ground state |g,0> for g < omega at resonance.
 
     The diagonal is omega*n -+ omega0/2 on |g,n> and |e,n>. Every coupling
     element is g*sqrt(n): the exchange bonds |g,n> <-> |e,n-1> and, in the
@@ -119,25 +147,12 @@ def _full_space_hamiltonian(p: ModelParams, counter_rotating: bool) -> Hermitian
     h[e_site, e_site] = p.omega * n + 0.5 * p.omega0
     bonds = p.g * np.sqrt(n[1:])
     h[g_site[1:], e_site[:-1]] = h[e_site[:-1], g_site[1:]] = bonds
-    if counter_rotating:
+    if p.kind == "rabi":
         h[g_site[:-1], e_site[1:]] = h[e_site[1:], g_site[:-1]] = bonds
     return HermitianOperator(h)
 
 
-def hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
-    """The model on the full space.
-
-    "rabi" is omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
-    "jc" is its rotating-wave counterpart, with g (sigma^+ a + sigma^- a^dagger)
-    as the coupling: it conserves the excitation number and has the
-    separable ground state |g,0> for g < omega at resonance.
-    """
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
-    return _full_space_hamiltonian(p, counter_rotating=kind == "rabi")
-
-
-def even_chain_hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOperator:
+def even_chain_hamiltonian(p: ModelParams) -> HermitianOperator:
     """The model restricted to the even parity chain |g,0>, |e,1>, |g,2>, ...
 
     Chain site k is |g,k> for even k and |e,k> for odd k, k = 0..n_max, so
@@ -147,12 +162,10 @@ def even_chain_hamiltonian(p: ModelParams, kind: str = "rabi") -> HermitianOpera
     bond between k and k+1 is g*sqrt(k+1). The rotating-wave model ("jc")
     keeps only the (e,k) <-> (g,k+1) bonds, i.e. those leaving odd k.
     """
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValueError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
     k = np.arange(p.n_max + 1)
     diagonal = p.omega * k + 0.5 * p.omega0 * np.where(even_chain_excited(p.n_max), 1.0, -1.0)
     bonds = p.g * np.sqrt(k[1:])
-    if kind == "jc":
+    if p.kind == "jc":
         bonds[0::2] = 0.0
     return HermitianOperator(np.diag(diagonal) + np.diag(bonds, 1) + np.diag(bonds, -1))
 
@@ -167,15 +180,26 @@ def _block_p_e(vec: np.ndarray) -> float:
     return float(np.sum(np.abs(vec[half:]) ** 2))
 
 
-def ground_state(p: ModelParams, kind: str = "rabi") -> GroundStateDecomposition:
+def ground_state(p: ModelParams) -> GroundStateDecomposition:
     """Lowest eigenstate of the model, decomposed along the even parity chain.
 
     Raises ``NumericalError`` when a nondegenerate ground state lies in the
-    odd parity sector (the rotating-wave model past g = omega at resonance)
-    or leaks out of the even one. The caller is responsible for using a
-    converged cutoff (see ``converge_cutoff``).
+    odd parity sector (the rotating-wave model past g = omega at resonance,
+    or a cutoff too small for deep-strong Rabi coupling) or leaks out of the
+    even one. The caller is responsible for using a converged cutoff (see
+    ``converge_cutoff``).
     """
-    spec = hermitian_eig(hamiltonian(p, kind))
+    gs = _even_ground_state(p)
+    if gs is None:
+        raise NumericalError(
+            f"the {p.kind} ground state lies in the odd parity sector at n_max={p.n_max}"
+        )
+    return gs
+
+
+def _even_ground_state(p: ModelParams) -> GroundStateDecomposition | None:
+    """``ground_state``, or None when it lies in the odd parity sector."""
+    spec = hermitian_eig(hamiltonian(p))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     energy = float(vals[0])
     gap = float(vals[1] - vals[0])
@@ -196,7 +220,7 @@ def ground_state(p: ModelParams, kind: str = "rabi") -> GroundStateDecomposition
 
     odd_weight = 1.0 - float(np.sum(np.abs(chain) ** 2))
     if odd_weight > 0.5:
-        raise NumericalError(f"the {kind} ground state lies in the odd parity sector")
+        return None
     if abs(odd_weight) > 1e-10:
         raise NumericalError(f"ground state leaks out of the even parity sector by {odd_weight:.3e}")
     return GroundStateDecomposition(energy, chain, _block_p_e(state), gap, degenerate=False)
@@ -217,47 +241,48 @@ def excitation_probability(state: "QuantumState") -> np.ndarray:
     return np.sum(populations[..., even_chain_excited(state.dim - 1)], axis=-1)
 
 
-def _ground_scalars(p: ModelParams, n_max: int, kind: str) -> tuple[float, float]:
-    gs = ground_state(replace(p, n_max=n_max), kind)
-    return gs.energy, gs.p_e
+def _moved(a: GroundStateDecomposition, b: GroundStateDecomposition) -> tuple[float, float]:
+    """How far the ground energy and p_e move between two cutoffs."""
+    return abs(b.energy - a.energy), abs(b.p_e - a.p_e)
 
 
-def converge_cutoff(p: ModelParams, tol: float, kind: str = "rabi") -> int:
-    """Smallest n_max (stepping by CUTOFF_STEP = 10 from 10) whose ground
-    energy and p_e both move by less than ``tol`` when the cutoff grows by
-    CUTOFF_STEP.
+def converge_cutoff(p: ModelParams) -> int:
+    """Smallest n_max (stepping by CUTOFF_STEP = 10 from 10; ``p.n_max`` is
+    not read) whose ground energy and p_e both move by less than CUTOFF_TOL
+    when the cutoff grows by CUTOFF_STEP.
 
-    Raises ``NumericalError`` if the cap (n_max = 200) is reached without
-    convergence.
+    The Rabi ground state has even parity at every coupling, so a ground
+    state in the odd sector at a trial cutoff is a truncation artifact: that
+    cutoff counts as not converged. Raises ``NumericalError`` if the cap
+    (n_max = 200) is reached without convergence, naming the odd sector if
+    it is still the lowest there (the rotating-wave model past g = omega).
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    cache: dict[int, tuple[float, float]] = {}
-
-    def scalars(n_max: int) -> tuple[float, float]:
-        if n_max not in cache:
-            cache[n_max] = _ground_scalars(p, n_max, kind)
-        return cache[n_max]
-
-    for candidate in range(CUTOFF_STEP, CUTOFF_CAP, CUTOFF_STEP):
-        e1, pe1 = scalars(candidate)
-        e2, pe2 = scalars(candidate + CUTOFF_STEP)
-        if abs(e2 - e1) < tol and abs(pe2 - pe1) < tol:
-            return candidate
+    previous = None
+    for n_max in range(CUTOFF_STEP, CUTOFF_CAP + 1, CUTOFF_STEP):
+        current = _even_ground_state(replace(p, n_max=n_max))
+        if previous is not None and current is not None:
+            if max(_moved(previous, current)) < CUTOFF_TOL:
+                return n_max - CUTOFF_STEP
+        previous = current
+    if previous is None:
+        raise NumericalError(
+            f"the {p.kind} ground state lies in the odd parity sector up to the "
+            f"n_max={CUTOFF_CAP} cap"
+        )
     raise NumericalError(
-        f"cutoff not converged to tol={tol:g} at the n_max={CUTOFF_CAP} cap"
+        f"cutoff not converged to tol={CUTOFF_TOL:g} at the n_max={CUTOFF_CAP} cap"
     )
 
 
-def assert_cutoff_converged(prepared: "PreparedModel", tol: float = 1e-8) -> None:
+def assert_cutoff_converged(prepared: "PreparedModel") -> None:
     """Check that growing the cutoff of a prepared model by CUTOFF_STEP
-    moves its ground energy and p_e by < tol; only the larger cutoff is
-    solved."""
+    moves its ground energy and p_e by < CUTOFF_TOL; only the larger cutoff
+    is solved."""
     p = prepared.params
-    e1, pe1 = prepared.ground.energy, prepared.ground.p_e
-    e2, pe2 = _ground_scalars(p, p.n_max + CUTOFF_STEP, prepared.kind)
-    if abs(e2 - e1) >= tol or abs(pe2 - pe1) >= tol:
+    larger = ground_state(replace(p, n_max=p.n_max + CUTOFF_STEP))
+    d_energy, d_p_e = _moved(prepared.ground, larger)
+    if max(d_energy, d_p_e) >= CUTOFF_TOL:
         raise NumericalError(
-            f"Fock cutoff n_max={p.n_max} not converged to {tol:g}: "
-            f"dE={abs(e2 - e1):.3e}, dp_e={abs(pe2 - pe1):.3e}"
+            f"Fock cutoff n_max={p.n_max} not converged to {CUTOFF_TOL:g}: "
+            f"dE={d_energy:.3e}, dp_e={d_p_e:.3e}"
         )

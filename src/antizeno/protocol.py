@@ -123,13 +123,12 @@ class PreparedModel:
     does not pay for it."""
 
     params: ModelParams
-    kind: str
     ground: GroundStateDecomposition
 
     @cached_property
     def chain(self) -> SpectralDecomposition:
         """Spectral decomposition of the even-chain Hamiltonian."""
-        return hermitian_eig(even_chain_hamiltonian(self.params, self.kind))
+        return hermitian_eig(even_chain_hamiltonian(self.params))
 
     def chain_ground(self, runs: int) -> QuantumState:
         """``runs`` copies of the ground state on the even chain, as a batch."""
@@ -137,10 +136,10 @@ class PreparedModel:
         return QuantumState("pure", np.broadcast_to(amplitudes, (runs, amplitudes.size)))
 
 
-def prepare_model(p: ModelParams, kind: str = "rabi") -> PreparedModel:
+def prepare_model(p: ModelParams) -> PreparedModel:
     """Solve the ground state once; reuse it (and the lazily diagonalized
     even chain) across schedule events, sweeps and ensembles."""
-    return PreparedModel(p, kind, ground_state(p, kind))
+    return PreparedModel(p, ground_state(p))
 
 
 def two_period_schedule(T1: float, ratio: float, N: int) -> np.ndarray:

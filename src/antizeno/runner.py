@@ -30,7 +30,7 @@ from .analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
 from .config import ExperimentConfig
 from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
-from .model import ModelParams, assert_cutoff_converged, converge_cutoff
+from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
     PreparedModel, ensemble_survival, jitter_times, prepare_model, sweep_T1, two_period_schedule,
 )
@@ -69,7 +69,7 @@ def _resolve_cutoff(config: ExperimentConfig) -> int:
     """Fixed cutoff from the config, or the converged cutoff over the g grid."""
     if config.n_max is not None:
         return config.n_max
-    return max(converge_cutoff(_model_params(config, g, 10), 1e-8) for g in config.g_values)
+    return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP)) for g in config.g_values)
 
 
 def _paired_ensembles(
@@ -136,7 +136,7 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         "config": config.to_dict(),
         "generator": GENERATOR_NOTE,
         "cutoff_used": n_max,
-        "cutoff_stable_to": 1e-8,
+        "cutoff_stable_to": CUTOFF_TOL,
         "commensurate_no_jitter": _commensurate_no_jitter(config),
     }
     if config.experiment == "fig4":

@@ -46,12 +46,12 @@ def parity_operator(n_max):
     return np.diag(np.concatenate([signs, -signs])).astype(complex)
 
 
-def kron_hamiltonian(p, kind):
+def kron_hamiltonian(p):
     """The Rabi ("rabi") or Jaynes-Cummings ("jc") Hamiltonian of the model
-    parameters ``p``, assembled from tensor products."""
+    parameters ``p`` (kind ``p.kind``), assembled from tensor products."""
     a = annihilation(p.n_max)
     number = field_operator(a.conj().T @ a)
-    if kind == "rabi":
+    if p.kind == "rabi":
         coupling = np.kron(QUBIT["sigma_x"], a + a.conj().T)
     else:
         exchange = np.kron(np.array([[0, 0], [1, 0]]), a)  # |e><g| a
@@ -111,6 +111,32 @@ def full_space_singles(h, psi, times, epsilon, density=False):
         singles.append(prob)
         previous = t
     return np.array(singles)
+
+
+def trajectory_survival(h, psi, times, epsilon):
+    """Cumulative no-click survival after each event of one schedule, as the
+    quantum-trajectory sum over the subsets S of the first n events at which
+    the detector acted:
+
+        sum_S epsilon**(n - |S|) (1 - epsilon)**|S| ||psi_S||**2,
+
+    where psi_S is the pure state ``psi`` evolved under the real symmetric
+    even-chain matrix ``h`` and projected onto the qubit-ground sites (even
+    k) at the events of S, left unnormalized. No density matrix is formed:
+    each event doubles the list of pure branches."""
+    vals, vecs = np.linalg.eigh(h)
+    ground = np.arange(len(psi)) % 2 == 0
+    branches = np.array([psi], dtype=complex)
+    weights = np.ones(1)
+    previous, cumulative = 0.0, []
+    for t in times:
+        u = (vecs * np.exp(-1j * vals * (t - previous))) @ vecs.conj().T
+        branches = branches @ u.T
+        branches = np.concatenate([branches, branches * ground])
+        weights = np.concatenate([epsilon * weights, (1.0 - epsilon) * weights])
+        cumulative.append(np.sum(weights * np.sum(np.abs(branches) ** 2, axis=1)))
+        previous = t
+    return np.array(cumulative)
 
 
 def click_probability(data, excited_mask, epsilon):

@@ -29,8 +29,8 @@ SQRT2 = math.sqrt(2.0)
 SEED = 1234
 
 
-def resonant(g, n_max=40):
-    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max)
+def resonant(g, n_max=40, kind="rabi"):
+    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max, kind=kind)
 
 
 def report(number, text):
@@ -57,7 +57,7 @@ def test_criterion_02_rwa_null():
     worst_pe = 0.0
     worst_dev = 0.0
     for g in (0.1, 0.5, 0.9):
-        prep = prepare_model(resonant(g), kind="jc")
+        prep = prepare_model(resonant(g, kind="jc"))
         assert prep.ground.p_e <= 1e-12
         trace = run_survival(
             prep, two_period_schedule(0.75 * math.pi, SQRT2, 8), MeasurementModel(0.0)
@@ -212,7 +212,7 @@ def test_criterion_10_invariant_suite(tmp_path):
 
     # Hermiticity and unitarity
     p = resonant(1.0)
-    h = hamiltonian(p, "rabi")
+    h = hamiltonian(p)
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
     spec = hermitian_eig(h)
     u = propagator(spec, 1.7)

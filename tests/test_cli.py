@@ -219,6 +219,15 @@ class TestCliRuns:
         # without a coupling there is no cutoff check
         ExperimentConfig(g_values=(0.0,), n_max=511).validate()
 
+    def test_auto_cutoff_at_deep_strong_coupling(self, tmp_path):
+        # n_max = 10 and 20 leave the g/omega = 2.5 ground state in the odd
+        # sector; the auto search steps past them
+        out = tmp_path / "x.csv"
+        assert main(["--preset", "fig1", "--g", "0.5,1,2.5", "--n-max", "auto",
+                     "--out", str(out)]) == 0
+        header = out.read_text(encoding="utf-8").splitlines()
+        assert "# cutoff_used = 30" in header
+
     def test_missing_out_exits_2(self, capsys):
         assert main(["--preset", "fig1"]) == 2
         assert "out" in capsys.readouterr().err

@@ -9,8 +9,8 @@ from antizeno.protocol import prepare_model
 from oracle import embed_even_chain, parity_operator, qubit_p_e
 
 
-def resonant(g, n_max=40):
-    return ModelParams(1.0, 1.0, g, n_max)
+def resonant(g, n_max=40, kind="rabi"):
+    return ModelParams(1.0, 1.0, g, n_max, kind)
 
 
 def random_state(dim, seed):
@@ -207,14 +207,14 @@ class TestExcitationTrace:
     def test_chain_matches_full_space(self, kind):
         # an even-sector state evolves identically on the chain and embedded
         # in the full space
-        p = resonant(0.8, n_max=14)
+        p = resonant(0.8, n_max=14, kind=kind)
         rng = np.random.default_rng(3)
         chain = rng.normal(size=15) + 1j * rng.normal(size=15)
         chain /= np.linalg.norm(chain)
         grid = np.linspace(0.0, 30.0, 601)
-        on_chain = excitation_trace(p, QuantumState("pure", chain[None]), grid, kind)
+        on_chain = excitation_trace(p, QuantumState("pure", chain[None]), grid)
         copies = np.broadcast_to(embed_even_chain(chain), (grid.size, 30))
-        full = evolve(hermitian_eig(hamiltonian(p, kind)), QuantumState("pure", copies), grid)
+        full = evolve(hermitian_eig(hamiltonian(p)), QuantumState("pure", copies), grid)
         assert np.max(np.abs(on_chain - qubit_p_e(full.data))) <= 1e-12
 
     @pytest.mark.parametrize("g_key,g", [("0.333333", 1 / 3), ("0.666667", 2 / 3), ("1", 1.0)])

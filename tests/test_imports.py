@@ -21,15 +21,33 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def _library_use_block() -> str:
+def _readme_section(heading: str) -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _library_use_block() -> str:
+    return _readme_section("Library use").split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_library_use_block_runs(capsys):
     exec(compile(_library_use_block(), "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") >= 4
+
+
+def test_readme_states_the_cutoff_rules():
+    # the Configuration paragraph quotes model's cutoff numbers, so a cap
+    # restated in model cannot leave the docs behind
+    from antizeno import model
+
+    section = " ".join(_readme_section("Configuration").split())
+    tol = f"{model.CUTOFF_TOL:.0e}".replace("e-0", "e-")
+    for phrase in (
+        f"stepping by {model.CUTOFF_STEP}", f"stable to {tol}", f"n_max = {model.CUTOFF_CAP}",
+        f"at most {model.N_MAX_CAP}", f"at most {model.CHECKED_N_MAX_CAP} when",
+        f"`n_max + {model.CUTOFF_STEP}`",
+    ):
+        assert phrase in section, phrase
 
 
 def test_top_level_api_is_what_the_readme_documents():

@@ -24,8 +24,8 @@ from oracle import (
 )
 
 
-def resonant(g, n_max=40):
-    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max)
+def resonant(g, n_max=40, kind="rabi"):
+    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max, kind=kind)
 
 
 def test_params_validation():
@@ -49,14 +49,14 @@ def test_params_reject_cutoff_beyond_dimension_cap():
 class TestRabiHamiltonian:
     def test_single_ladder_matrix_element(self):
         p = resonant(0.37, n_max=6)
-        h = hamiltonian(p, "rabi").matrix
+        h = hamiltonian(p).matrix
         g0 = basis_state(p.n_max, 0, 0)
         e1 = basis_state(p.n_max, 1, 1)
         assert np.vdot(e1, h @ g0) == pytest.approx(0.37, abs=1e-14)
 
     def test_uncoupled_spectrum(self):
         p = ModelParams(1.0, 1.0, 0.0, 10)
-        spec = hermitian_eig(hamiltonian(p, "rabi"))
+        spec = hermitian_eig(hamiltonian(p))
         expected = np.sort(
             np.concatenate([np.arange(11) - 0.5, np.arange(11) + 0.5])
         )
@@ -64,14 +64,14 @@ class TestRabiHamiltonian:
 
     def test_parity_commutator(self):
         p = resonant(0.7, n_max=20)
-        h = hamiltonian(p, "rabi").matrix
+        h = hamiltonian(p).matrix
         op = parity_operator(p.n_max)
         assert np.max(np.abs(h @ op - op @ h)) <= 1e-13
 
     @pytest.mark.parametrize("omega,omega0,g", [(1.0, 1.0, 0.3), (2.0, 0.5, 1.4), (1.0, 0.0, 1.0)])
     def test_parity_conserved_across_parameters(self, omega, omega0, g):
         p = ModelParams(omega, omega0, g, 24)
-        h = hamiltonian(p, "rabi").matrix
+        h = hamiltonian(p).matrix
         op = parity_operator(p.n_max)
         assert np.max(np.abs(h @ op - op @ h)) <= 1e-12
 
@@ -79,9 +79,9 @@ class TestRabiHamiltonian:
 @pytest.mark.parametrize("kind", ["rabi", "jc"])
 @pytest.mark.parametrize("n_max", [1, 40])
 def test_direct_assembly_matches_kron_oracle(kind, n_max):
-    p = resonant(0.83, n_max=n_max)
-    h = hamiltonian(p, kind).matrix
-    oracle = kron_hamiltonian(p, kind)
+    p = resonant(0.83, n_max=n_max, kind=kind)
+    h = hamiltonian(p).matrix
+    oracle = kron_hamiltonian(p)
     assert h.dtype == np.complex128
     assert h.shape == oracle.shape == (2 * (n_max + 1),) * 2
     # the oracle's number operator a^dagger a rounds its diagonal as
@@ -93,23 +93,23 @@ def test_direct_assembly_matches_kron_oracle(kind, n_max):
 
 class TestJaynesCummings:
     def test_separable_ground_state(self):
-        p = resonant(0.5, n_max=12)
-        gs = ground_state(p, kind="jc")
+        p = resonant(0.5, n_max=12, kind="jc")
+        gs = ground_state(p)
         assert gs.energy == pytest.approx(-0.5, abs=1e-12)
         assert abs(gs.even_chain[0]) == pytest.approx(1.0, abs=1e-12)
         assert gs.p_e <= 1e-12
 
     def test_counter_rotating_element_removed(self):
-        p = resonant(0.37, n_max=6)
-        h = hamiltonian(p, "jc").matrix
+        p = resonant(0.37, n_max=6, kind="jc")
+        h = hamiltonian(p).matrix
         g0 = basis_state(p.n_max, 0, 0)
         e1 = basis_state(p.n_max, 1, 1)
         assert np.vdot(e1, h @ g0) == 0.0
 
     def test_resonant_doublet(self):
         # one-excitation block at resonance: energies omega/2 +- g
-        p = resonant(0.23, n_max=14)
-        spec = hermitian_eig(hamiltonian(p, "jc"))
+        p = resonant(0.23, n_max=14, kind="jc")
+        spec = hermitian_eig(hamiltonian(p))
         for target in (0.5 - 0.23, 0.5 + 0.23):
             assert np.min(np.abs(spec.eigenvalues - target)) < 1e-12
 
@@ -118,11 +118,11 @@ class TestEvenChain:
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
     def test_equals_even_sector_of_full_hamiltonian(self, kind, g):
-        p = ModelParams(1.0, 0.7, g, 9)
-        full = hamiltonian(p, kind).matrix
+        p = ModelParams(1.0, 0.7, g, 9, kind)
+        full = hamiltonian(p).matrix
         # chain site k is |g,k> (index k) for even k, |e,k> (index 10+k) for odd k
         sites = [k if k % 2 == 0 else 10 + k for k in range(10)]
-        chain = even_chain_hamiltonian(p, kind).matrix
+        chain = even_chain_hamiltonian(p).matrix
         assert chain.dtype == float
         # the full space builds its number operator as a^dagger a, whose
         # diagonal carries sqrt(n)**2 rounding
@@ -131,19 +131,19 @@ class TestEvenChain:
 
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     def test_chain_spectrum_is_even_sector_spectrum(self, kind):
-        p = resonant(0.9, n_max=20)
-        full = hermitian_eig(hamiltonian(p, kind))
+        p = resonant(0.9, n_max=20, kind=kind)
+        full = hermitian_eig(hamiltonian(p))
         even = parity_operator(p.n_max).diagonal().real > 0
         sector = np.sort([
             e for e, v in zip(full.eigenvalues, full.eigenvectors.T)
             if np.sum(np.abs(v[even]) ** 2) > 0.5
         ])
-        chain = hermitian_eig(even_chain_hamiltonian(p, kind)).eigenvalues
+        chain = hermitian_eig(even_chain_hamiltonian(p)).eigenvalues
         assert np.max(np.abs(chain - sector)) <= 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
-            even_chain_hamiltonian(resonant(0.5), "dicke")
+            resonant(0.5, kind="dicke")
 
     def test_chain_ground_state_matches(self):
         gs = ground_state(resonant(1.0))
@@ -191,7 +191,13 @@ class TestGroundState:
         # past g = omega at resonance the rotating-wave ground state is the
         # lower one-excitation doublet state, which has odd parity
         with pytest.raises(NumericalError, match="lies in the odd parity sector"):
-            ground_state(ModelParams(1.0, 1.0, g, 20), "jc")
+            ground_state(ModelParams(1.0, 1.0, g, 20, "jc"))
+
+    def test_odd_sector_error_names_the_cutoff(self):
+        # at g/omega = 2.5 the Rabi ground state is even, but n_max = 10
+        # is too small to resolve it
+        with pytest.raises(NumericalError, match="lies in the odd parity sector at n_max=10"):
+            ground_state(resonant(2.5, n_max=10))
 
     def test_deep_strong_rabi_ground_state_stays_even(self):
         gs = ground_state(ModelParams(1.0, 1.0, 2.0, 80))
@@ -263,30 +269,37 @@ class TestPerturbativeC1:
 
 class TestConvergeCutoff:
     def test_uncoupled_returns_first_candidate(self):
-        assert converge_cutoff(resonant(0.0), 1e-8) == 10
+        assert converge_cutoff(resonant(0.0)) == 10
 
     def test_resonant_golden(self, golden):
-        converged = converge_cutoff(resonant(1.0), 1e-8)
+        converged = converge_cutoff(resonant(1.0))
         assert converged == golden["converged_nmax_g1_tol1e-8"]
         assert converged <= 60
 
-    def test_unreachable_tolerance_contract(self):
+    def test_unreachable_tolerance_contract(self, monkeypatch):
         # successive cutoffs may agree bit-for-bit, in which case the
         # contract ("smallest converged candidate") is satisfied before the
         # cap; otherwise the cap must raise
-        from antizeno.model import _ground_scalars
+        import antizeno.model
 
+        monkeypatch.setattr(antizeno.model, "CUTOFF_TOL", 1e-30)
         try:
-            n = converge_cutoff(resonant(1.0), 1e-30)
+            n = converge_cutoff(resonant(1.0))
         except NumericalError:
             return
-        e1, pe1 = _ground_scalars(resonant(1.0), n, "rabi")
-        e2, pe2 = _ground_scalars(resonant(1.0), n + 10, "rabi")
-        assert abs(e2 - e1) < 1e-30 and abs(pe2 - pe1) < 1e-30
+        gs1, gs2 = ground_state(resonant(1.0, n)), ground_state(resonant(1.0, n + 10))
+        assert abs(gs2.energy - gs1.energy) < 1e-30 and abs(gs2.p_e - gs1.p_e) < 1e-30
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            converge_cutoff(resonant(0.5), 0.0)
+    @pytest.mark.parametrize("g,n_max", [(2.0, 30), (2.5, 30), (3.0, 40), (4.0, 50)])
+    def test_steps_past_under_resolved_cutoffs(self, g, n_max):
+        # deep-strong coupling puts the truncated ground state in the odd
+        # sector at small cutoffs; those cutoffs count as not converged
+        assert converge_cutoff(resonant(g)) == n_max
+
+    def test_jc_odd_sector_raises_at_the_cap(self):
+        # the rotating-wave ground state past g = omega is odd at every cutoff
+        with pytest.raises(NumericalError, match="odd parity sector up to the n_max=200 cap"):
+            converge_cutoff(resonant(1.1, kind="jc"))
 
     def test_check_on_prepared_model(self):
         from antizeno.protocol import prepare_model
@@ -295,7 +308,7 @@ class TestConvergeCutoff:
         with pytest.raises(NumericalError, match="n_max=8 not converged"):
             assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8)))
         # the rotating-wave ground state |g,0> is exact at any cutoff
-        assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8), "jc"))
+        assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8, kind="jc")))
 
 
 class TestEigenstateOverlaps:
@@ -342,4 +355,4 @@ class TestQuadraticLaw:
 
     @pytest.mark.parametrize("g", [0.1, 0.5, 0.9])
     def test_rwa_null(self, g):
-        assert ground_state(resonant(g), kind="jc").p_e <= 1e-12
+        assert ground_state(resonant(g, kind="jc")).p_e <= 1e-12

@@ -4,21 +4,21 @@ built on it."""
 import numpy as np
 import pytest
 
-from antizeno.operators import FockBasis
+from antizeno.model import ModelParams
 from oracle import annihilation, basis_state, field_operator, parity_operator, qubit_operator
 
 
 def test_basis_validation():
-    with pytest.raises(ValueError):
-        FockBasis(0)
-    with pytest.raises(ValueError):
-        FockBasis(-3)
-    assert FockBasis(5).dim == 12
+    # the photon truncation is a field of the model, checked there
+    for n_max in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            ModelParams(1.0, 1.0, 0.5, n_max)
+    assert basis_state(ModelParams(1.0, 1.0, 0.5, 5).n_max, 0, 0).size == 12
 
 
 def test_basis_index_is_bijective():
     states = np.array([basis_state(4, s, n) for s in (0, 1) for n in range(5)])
-    assert np.array_equal(states, np.eye(FockBasis(4).dim))
+    assert np.array_equal(states, np.eye(2 * (4 + 1)))
 
 
 class TestAnnihilation:
@@ -50,7 +50,7 @@ class TestAnnihilation:
 class TestQubitOperators:
     def test_completeness(self):
         total = qubit_operator("P_e", 3) + qubit_operator("P_g", 3)
-        assert np.array_equal(total, np.eye(FockBasis(3).dim, dtype=complex))
+        assert np.array_equal(total, np.eye(2 * (3 + 1), dtype=complex))
 
     def test_sigma_x_flips_spin(self):
         sx = qubit_operator("sigma_x", 3)
@@ -83,4 +83,4 @@ class TestParity:
 
     def test_squares_to_identity_exactly(self):
         op = parity_operator(6)
-        assert np.array_equal(op @ op, np.eye(FockBasis(6).dim, dtype=complex))
+        assert np.array_equal(op @ op, np.eye(2 * (6 + 1), dtype=complex))

@@ -4,7 +4,7 @@ import pytest
 from antizeno.dynamics import BATCH_RUNS
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel
-from antizeno.model import ModelParams, hamiltonian
+from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
 from antizeno.protocol import (
     child_seeds,
     ensemble_survival,
@@ -15,13 +15,15 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from oracle import embed_even_chain, full_space_singles, truncated_survival
+from oracle import (
+    embed_even_chain, full_space_singles, trajectory_survival, truncated_survival,
+)
 
 SQRT2 = np.sqrt(2.0)
 
 
-def resonant(g, n_max=40):
-    return ModelParams(1.0, 1.0, g, n_max)
+def resonant(g, n_max=40, kind="rabi"):
+    return ModelParams(1.0, 1.0, g, n_max, kind)
 
 
 class TestTwoPeriodSchedule:
@@ -262,8 +264,8 @@ class TestRunSurvival:
     def test_chain_engine_matches_dense_full_space(self, eps, kind):
         # oracle: the same jittered schedule run one event at a time on the
         # full 2(n_max+1) space with the dense full-space spectrum
-        prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6), kind)
-        h = hamiltonian(prep.params, kind).matrix
+        prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6, kind=kind))
+        h = hamiltonian(prep.params).matrix
         schedules = [
             jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
             for seed in (3, 4, 5, 6, 7)
@@ -276,6 +278,23 @@ class TestRunSurvival:
             assert np.allclose(
                 trace.cumulative[row], np.cumprod(singles), rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("params", [
+        resonant(0.5, n_max=20), resonant(1.0, n_max=20), resonant(0.6, n_max=20, kind="jc"),
+    ], ids=["rabi-0.5", "rabi-1", "jc-0.6"])
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2 * np.pi], ids=["plain", "jittered"])
+    def test_density_path_matches_trajectory_sum(self, params, eps, jitter):
+        # oracle: the 2^8 pure-state trajectories of an 8-event schedule,
+        # weighted by which events the detector acted at; no density code
+        prep = prepare_model(params)
+        base = two_period_schedule(2 * np.pi, SQRT2, 8)
+        stack = jitter_times(base, jitter, 1.0, 3, 11)
+        trace = run_survival(prep, stack, MeasurementModel(eps))
+        h = even_chain_hamiltonian(params).matrix
+        for row, times in enumerate(stack):
+            expected = trajectory_survival(h, prep.ground.even_chain, times, eps)
+            assert np.max(np.abs(trace.cumulative[row] - expected)) <= 1e-13
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_batched_rows_equal_single_runs(self, eps):
@@ -347,10 +366,21 @@ class TestRunSurvival:
                 MeasurementModel(0.0),
             )
 
+    def test_degeneracy_threshold_from_both_sides(self):
+        # at g = 0 the gap is exactly omega0: just above DEGENERACY_GAP the
+        # ground state is unique and the protocol runs, just below it is not
+        schedule = two_period_schedule(1.0, SQRT2, 2)
+        above = prepare_model(ModelParams(1.0, 2e-10, 0.0, 10))
+        assert not above.ground.degenerate
+        assert run_survival(above, schedule, MeasurementModel(0.1)).cumulative.tolist() == [1.0, 1.0]
+        below = prepare_model(ModelParams(1.0, 5e-11, 0.0, 10))
+        with pytest.raises(ValueError, match=r"gap 5\.000e-11 < DEGENERACY_GAP = 1e-10"):
+            run_survival(below, schedule, MeasurementModel(0.1))
+
     def test_jc_tie_reports_its_gap(self):
         # the rotating-wave model at resonance ties across sectors at g = omega
         # with omega0 > 0, so the message states the gap rather than a cause
-        prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20), "jc")
+        prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20, "jc"))
         assert prep.ground.degenerate and prep.ground.gap == 0.0
         with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
             run_survival(prep, two_period_schedule(1.0, SQRT2, 2), MeasurementModel(0.0))
