@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Configuration is assembled in three layers: defaults (or a figure preset),
-then a JSON config file, then command-line flags; later layers win. Exit
-codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+then a JSON config file, then the flags given, each of which sets the
+ExperimentConfig field named by its ``dest``; later layers win. Exit codes:
+0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _n_max(text: str):
+def _n_max(text: str) -> int | None:
     if text.lower() in ("auto", "none", "null"):
-        return "auto"
+        return None
     return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an absent flag leaves no attribute, so only the flags given override
     parser = argparse.ArgumentParser(
         prog="antizeno",
+        argument_default=argparse.SUPPRESS,
         description=(
             "Simulate repeated qubit measurements on an ultrastrongly coupled "
             "qubit-resonator system and emit plot-ready CSV/JSON."
@@ -47,17 +50,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (keys = ExperimentConfig fields)")
     parser.add_argument("--omega", type=float, help="resonator frequency (GHz)")
     parser.add_argument("--omega0", type=float, help="qubit splitting (GHz)")
-    parser.add_argument("--g", type=_float_list, metavar="G[,G...]",
+    parser.add_argument("--g", dest="g_values", type=_float_list, metavar="G[,G...]",
                         help="couplings g/omega (comma-separated)")
-    parser.add_argument("--epsilon", type=_float_list, metavar="E[,E...]",
+    parser.add_argument("--epsilon", dest="epsilon_values", type=_float_list, metavar="E[,E...]",
                         help="detector do-nothing probabilities (comma-separated)")
     parser.add_argument("--n-max", type=_n_max, metavar="N|auto",
                         help="Fock cutoff, or 'auto' to converge it")
-    parser.add_argument("--omega-t1", type=_float_list, metavar="X[,X...]",
+    parser.add_argument("--omega-t1", dest="omega_t1_values", type=_float_list, metavar="X[,X...]",
                         help="dimensionless omega*T1 values (comma-separated)")
     parser.add_argument("--ratio", type=float, help="T2/T1 period ratio")
     parser.add_argument("--n-measurements", type=int, help="events per schedule")
-    parser.add_argument("--jitter", type=float, metavar="W",
+    parser.add_argument("--jitter", dest="jitter_width", type=float, metavar="W",
                         help="jitter half-window as dimensionless omega*dt")
     parser.add_argument("--runs", type=int, help="jitter ensemble size")
     parser.add_argument("--seed", type=int, help="base seed (64-bit integer)")
@@ -67,35 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.preset is not None:
-        config = preset(args.preset)
-    else:
-        config = ExperimentConfig()
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
+    flags = vars(args)
+    config = preset(flags.pop("preset")) if "preset" in flags else ExperimentConfig()
+    if "config" in flags:
+        with open(flags.pop("config"), encoding="utf-8") as handle:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ValueError("config file must contain a JSON object")
         config = ExperimentConfig.from_dict({**config.to_dict(), **file_values})
-    config = config.with_overrides(
-        omega=args.omega,
-        omega0=args.omega0,
-        g_values=args.g,
-        epsilon_values=args.epsilon,
-        omega_t1_values=args.omega_t1,
-        ratio=args.ratio,
-        n_measurements=args.n_measurements,
-        jitter_width=args.jitter,
-        runs=args.runs,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
-    if args.n_max is not None:
-        # n_max=None means "auto", so this override cannot go through
-        # with_overrides (which treats None as "not given")
-        config = dataclasses.replace(config, n_max=None if args.n_max == "auto" else args.n_max)
-    return config
+    return dataclasses.replace(config, **flags)
 
 
 def main(argv=None) -> int:

@@ -40,12 +40,34 @@ def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
     return tuple(stop * i / (n - 1) for i in range(n))
 
 
+# fig2 names one column per coupling with this format.
+FIG2_COLUMN = "p1e_g_over_omega_{:.6g}"
+
+# What each experiment needs of its list fields: (field, what, test). validate
+# enforces every rule, so a bad shape is rejected before any eigensolve.
+INPUT_RULES = {
+    "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v: len(v) >= 3)],
+    "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
+              lambda v: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
+    "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v: len(v) >= 2),
+             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1)],
+    "fig4": [("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1)],
+    "fig5": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
+             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
+             ("omega_t1_values", "at least two periods for the rate collapse",
+              lambda v: len(v) >= 2)],
+    "fig6": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
+             ("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
+    "survival": [("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: model parameters, schedule, detector and output.
 
-    Fields not used by a given experiment kind are ignored by the runner
-    (fig4 fixes its three panel schedules internally; see the runner module).
+    ``INPUT_RULES`` says what each experiment needs of its list fields (fig4
+    fixes its three panel schedules internally; see the runner module).
     """
 
     experiment: str = "survival"
@@ -140,6 +162,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
+        for name, what, holds in INPUT_RULES[self.experiment]:
+            values = getattr(self, name)
+            if not holds(values):
+                raise ValueError(f"{name}: {self.experiment} needs {what}, got {values!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

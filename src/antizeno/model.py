@@ -180,7 +180,7 @@ def _block_p_e(vec: np.ndarray) -> float:
     return float(np.sum(np.abs(vec[half:]) ** 2))
 
 
-def ground_state(p: ModelParams) -> GroundStateDecomposition:
+def ground_state(p: ModelParams, solved: dict | None = None) -> GroundStateDecomposition:
     """Lowest eigenstate of the model, decomposed along the even parity chain.
 
     Raises ``NumericalError`` when a nondegenerate ground state lies in the
@@ -188,8 +188,12 @@ def ground_state(p: ModelParams) -> GroundStateDecomposition:
     or a cutoff too small for deep-strong Rabi coupling) or leaks out of the
     even one. The caller is responsible for using a converged cutoff (see
     ``converge_cutoff``).
+
+    ``solved`` is an optional memo of solves keyed by ``ModelParams``. Every
+    function here that solves a model takes one, so that callers sharing a
+    dict (the runner, within one build) never solve the same model twice.
     """
-    gs = _even_ground_state(p)
+    gs = _even_ground_state(p, solved)
     if gs is None:
         raise NumericalError(
             f"the {p.kind} ground state lies in the odd parity sector at n_max={p.n_max}"
@@ -197,8 +201,16 @@ def ground_state(p: ModelParams) -> GroundStateDecomposition:
     return gs
 
 
-def _even_ground_state(p: ModelParams) -> GroundStateDecomposition | None:
-    """``ground_state``, or None when it lies in the odd parity sector."""
+def _even_ground_state(p: ModelParams, solved: dict | None) -> GroundStateDecomposition | None:
+    """``ground_state``, or None when it lies in the odd parity sector; read
+    from ``solved`` if it holds ``p``, else solved and stored there."""
+    solved = {} if solved is None else solved
+    if p not in solved:
+        solved[p] = _solve_even_ground_state(p)
+    return solved[p]
+
+
+def _solve_even_ground_state(p: ModelParams) -> GroundStateDecomposition | None:
     spec = hermitian_eig(hamiltonian(p))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
     energy = float(vals[0])
@@ -246,7 +258,7 @@ def _moved(a: GroundStateDecomposition, b: GroundStateDecomposition) -> tuple[fl
     return abs(b.energy - a.energy), abs(b.p_e - a.p_e)
 
 
-def converge_cutoff(p: ModelParams) -> int:
+def converge_cutoff(p: ModelParams, solved: dict | None = None) -> int:
     """Smallest n_max (stepping by CUTOFF_STEP = 10 from 10; ``p.n_max`` is
     not read) whose ground energy and p_e both move by less than CUTOFF_TOL
     when the cutoff grows by CUTOFF_STEP.
@@ -259,7 +271,7 @@ def converge_cutoff(p: ModelParams) -> int:
     """
     previous = None
     for n_max in range(CUTOFF_STEP, CUTOFF_CAP + 1, CUTOFF_STEP):
-        current = _even_ground_state(replace(p, n_max=n_max))
+        current = _even_ground_state(replace(p, n_max=n_max), solved)
         if previous is not None and current is not None:
             if max(_moved(previous, current)) < CUTOFF_TOL:
                 return n_max - CUTOFF_STEP
@@ -274,12 +286,12 @@ def converge_cutoff(p: ModelParams) -> int:
     )
 
 
-def assert_cutoff_converged(prepared: "PreparedModel") -> None:
+def assert_cutoff_converged(prepared: "PreparedModel", solved: dict | None = None) -> None:
     """Check that growing the cutoff of a prepared model by CUTOFF_STEP
     moves its ground energy and p_e by < CUTOFF_TOL; only the larger cutoff
     is solved."""
     p = prepared.params
-    larger = ground_state(replace(p, n_max=p.n_max + CUTOFF_STEP))
+    larger = ground_state(replace(p, n_max=p.n_max + CUTOFF_STEP), solved)
     d_energy, d_p_e = _moved(prepared.ground, larger)
     if max(d_energy, d_p_e) >= CUTOFF_TOL:
         raise NumericalError(

@@ -136,10 +136,11 @@ class PreparedModel:
         return QuantumState("pure", np.broadcast_to(amplitudes, (runs, amplitudes.size)))
 
 
-def prepare_model(p: ModelParams) -> PreparedModel:
-    """Solve the ground state once; reuse it (and the lazily diagonalized
-    even chain) across schedule events, sweeps and ensembles."""
-    return PreparedModel(p, ground_state(p))
+def prepare_model(p: ModelParams, solved: dict | None = None) -> PreparedModel:
+    """Solve the ground state once (or read it from the ``solved`` memo of
+    ``model.ground_state``); reuse it and the lazily diagonalized even chain
+    across schedule events, sweeps and ensembles."""
+    return PreparedModel(p, ground_state(p, solved))
 
 
 def two_period_schedule(T1: float, ratio: float, N: int) -> np.ndarray:

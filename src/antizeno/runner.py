@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
-from .config import ExperimentConfig
+from .config import FIG2_COLUMN, ExperimentConfig
 from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
 from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
@@ -65,11 +65,11 @@ def _model_params(config: ExperimentConfig, g_over_omega: float, n_max: int) -> 
     return ModelParams(config.omega, config.omega0, g_over_omega * config.omega, n_max)
 
 
-def _resolve_cutoff(config: ExperimentConfig) -> int:
+def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
     """Fixed cutoff from the config, or the converged cutoff over the g grid."""
     if config.n_max is not None:
         return config.n_max
-    return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP)) for g in config.g_values)
+    return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP), solved) for g in config.g_values)
 
 
 def _paired_ensembles(
@@ -105,12 +105,6 @@ def _commensurate_no_jitter(config: ExperimentConfig) -> bool:
     return config.jitter_width == 0.0 and abs(config.ratio - round(config.ratio)) < 1e-12
 
 
-def _only(values, what: str, experiment: str):
-    if len(values) != 1:
-        raise ValueError(f"{experiment} uses exactly one {what}, got {len(values)}")
-    return values[0]
-
-
 def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
     """Run the experiment; return (metadata, tables keyed by name).
 
@@ -118,18 +112,19 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     Single-table experiments use the key "data"; fig4 uses "a", "b", "c".
     """
     config.validate()
-    n_max = _resolve_cutoff(config)
+    solved: dict = {}  # the ground states of this build: no model is solved twice
+    n_max = _resolve_cutoff(config, solved)
     models: dict[float, PreparedModel] = {}
 
     def prepare(g: float) -> PreparedModel:
         """The prepared model at coupling g/omega, made once per build."""
         if g not in models:
-            models[g] = prepare_model(_model_params(config, g, n_max))
+            models[g] = prepare_model(_model_params(config, g, n_max), solved)
         return models[g]
 
     largest_g = max(config.g_values)
     if largest_g > 0:
-        assert_cutoff_converged(prepare(largest_g))
+        assert_cutoff_converged(prepare(largest_g), solved)
 
     metadata = {
         "tool": f"antizeno {__version__}",
@@ -175,8 +170,6 @@ def _table(schema: str, *blocks: dict) -> dict[str, list]:
 
 def _build_fig1(config: ExperimentConfig, prepare) -> dict:
     g = np.asarray(config.g_values, dtype=float)
-    if g.size < 3:
-        raise ValueError("fig1 needs at least 3 couplings for the quadratic fit")
     p_e = np.array([prepare(gi).ground.p_e for gi in g])
     fit = fit_quadratic_origin(g, p_e)
     return {"data": _table(
@@ -193,16 +186,14 @@ def _build_fig2(config: ExperimentConfig, prepare) -> dict:
         prep = prepare(g)
         _, initial = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
         values = excitation_trace(prep.params, initial, omega_t / config.omega)
-        table[f"p1e_g_over_omega_{g:.6g}"] = values.tolist()
+        table[FIG2_COLUMN.format(g)] = values.tolist()
     return {"data": table}
 
 
 def _build_fig3(config: ExperimentConfig, prepare) -> dict:
     t1_values = _t1_grid(config) / config.omega
-    m = MeasurementModel(_only(config.epsilon_values, "epsilon", "fig3"))
+    m = MeasurementModel(config.epsilon_values[0])
     g = np.asarray(config.g_values, dtype=float)
-    if g.size < 2:
-        raise ValueError("fig3 needs at least 2 couplings for the exponential fit")
     mean_final = np.array(
         [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
     )
@@ -215,7 +206,7 @@ def _build_fig3(config: ExperimentConfig, prepare) -> dict:
 
 
 def _build_fig4(config: ExperimentConfig, prepare) -> dict:
-    eps = _only(config.epsilon_values, "epsilon", "fig4")
+    eps = config.epsilon_values[0]
     panels = {
         panel: _paired_ensembles(config, s["omega_t1"], s["n"], s["jitter"], s["runs"])
         for panel, s in FIG4_PANELS.items()
@@ -255,8 +246,8 @@ def _build_fig4(config: ExperimentConfig, prepare) -> dict:
 
 
 def _build_fig5(config: ExperimentConfig, prepare) -> dict:
-    prep = prepare(_only(config.g_values, "coupling", "fig5"))
-    eps = _only(config.epsilon_values, "epsilon", "fig5")
+    prep = prepare(config.g_values[0])
+    eps = config.epsilon_values[0]
     ensembles = {
         w: _paired_ensembles(config, w, config.n_measurements, config.jitter_width,
                              config.runs)(prep, eps)
@@ -280,8 +271,7 @@ def _build_fig5(config: ExperimentConfig, prepare) -> dict:
 
 def _build_survival(config: ExperimentConfig, prepare) -> dict:
     ensemble = _paired_ensembles(
-        config, _only(config.omega_t1_values, "omega_t1", config.experiment),
-        config.n_measurements, config.jitter_width, config.runs,
+        config, config.omega_t1_values[0], config.n_measurements, config.jitter_width, config.runs
     )
     blocks = []
     for g in config.g_values:
@@ -301,7 +291,6 @@ def _build_survival(config: ExperimentConfig, prepare) -> dict:
 
 def _build_fig6(config: ExperimentConfig, prepare) -> dict:
     """The survival table at one coupling, without its g and chi_n columns."""
-    _only(config.g_values, "coupling", "fig6")
     survival = _build_survival(config, prepare)["data"]
     return {"data": {
         name: cells for name, cells in survival.items()
@@ -375,7 +364,6 @@ def run(config: ExperimentConfig) -> RunResult:
     produce exactly one); JSON output is always a single file. Returns the
     in-memory tables and the written paths.
     """
-    config.validate()
     if config.out is None:
         raise ValueError("no output path configured (set out/--out)")
     metadata, tables = build_tables(config)

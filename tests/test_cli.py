@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,8 +7,10 @@ import stat
 import numpy as np
 import pytest
 
-from antizeno.cli import main
-from antizeno.config import ExperimentConfig, preset
+import antizeno
+from antizeno import cli, numkit
+from antizeno.cli import build_parser, main
+from antizeno.config import INPUT_RULES, ExperimentConfig, preset
 from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
 
@@ -300,6 +303,127 @@ class TestCliRuns:
         chi_cells = [line.split(",")[-1] for line in lines[1:]]
         assert chi_cells[:4] == ["nan"] * 4
         assert "nan" not in chi_cells[4:]
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts ``numkit.hermitian_eig`` calls through every module that binds it."""
+    calls = []
+    real = numkit.hermitian_eig
+
+    def counting(h):
+        calls.append(h.dim)
+        return real(h)
+
+    for module in vars(antizeno).values():
+        if getattr(module, "hermitian_eig", None) is real:
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+    return calls
+
+
+# One CLI input per rule of config.INPUT_RULES that breaks only that rule.
+BROKEN_RULES = {
+    ("fig1", "g_values"): ["--preset", "fig1", "--g", "0.5,1"],
+    ("fig2", "g_values"): ["--preset", "fig2", "--g", "0.1234561,0.1234562"],
+    ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
+    ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
+    ("fig4", "epsilon_values"): ["--preset", "fig4", "--epsilon", "0,0.1"],
+    ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
+    ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
+    ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
+    ("fig6", "g_values"): ["--preset", "fig6", "--g", "0.5,1"],
+    ("fig6", "omega_t1_values"): ["--preset", "fig6", "--omega-t1", "3,6"],
+    ("survival", "omega_t1_values"): ["--omega-t1", "3,6"],
+}
+
+
+def test_every_input_rule_has_a_broken_case():
+    rules = {(experiment, field) for experiment, rs in INPUT_RULES.items() for field, _, _ in rs}
+    assert rules == set(BROKEN_RULES)
+
+
+@pytest.mark.parametrize("rule", sorted(BROKEN_RULES), ids="-".join)
+def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls, rule):
+    experiment, field = rule
+    assert main(BROKEN_RULES[rule] + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error [antizeno.config]: {field}: {experiment} needs" in err
+    assert eig_calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eig_calls_sees_a_valid_run(tmp_path, eig_calls):
+    assert main(small_survival_args(tmp_path)) == 0
+    assert eig_calls
+
+
+class TestFlags:
+    """Every flag but --preset, --config and --version sets one config field,
+    over the config file's value, and an absent flag leaves the file alone."""
+
+    FILE = {
+        "experiment": "survival", "omega": 1.5, "omega0": 0.8, "g_values": [0.4],
+        "epsilon_values": [0.1], "n_max": 30, "omega_t1_values": [6.0], "ratio": 1.3,
+        "n_measurements": 3, "jitter_width": 0.2, "runs": 2, "seed": 5, "out": "file.csv",
+        "format": "csv",
+    }
+    # (flag, text given, field value expected)
+    CASES = [
+        ("--omega", "2.5", 2.5),
+        ("--omega0", "0.5", 0.5),
+        ("--g", "0.2,0.3", (0.2, 0.3)),
+        ("--epsilon", "0.3", (0.3,)),
+        ("--n-max", "auto", None),
+        ("--n-max", "33", 33),
+        ("--omega-t1", "4,5", (4.0, 5.0)),
+        ("--ratio", "1.7", 1.7),
+        ("--n-measurements", "7", 7),
+        ("--jitter", "0.4", 0.4),
+        ("--runs", "9", 9),
+        ("--seed", "11", 11),
+        ("--out", "flag.csv", "flag.csv"),
+        ("--format", "json", "json"),
+    ]
+
+    @pytest.fixture
+    def assembled(self, tmp_path, monkeypatch):
+        """Runs main on ``args`` after --config FILE; returns the config it would run."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.FILE))
+        configs = []
+
+        def fake_run(config):
+            configs.append(config)
+            return runner_module.RunResult(config, {}, {}, [])
+
+        monkeypatch.setattr(cli, "run", fake_run)
+
+        def assemble(*args):
+            assert main(["--config", str(path), *args]) == 0
+            return configs.pop()
+
+        return assemble
+
+    def test_every_option_is_a_config_field(self):
+        actions = [
+            action for action in build_parser()._actions
+            if action.dest not in ("help", "version", "preset", "config")
+        ]
+        assert {a.dest for a in actions} <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {a.option_strings[-1] for a in actions} == {flag for flag, _, _ in self.CASES}
+
+    def test_absent_flags_leave_the_file_alone(self, assembled):
+        assert assembled() == ExperimentConfig.from_dict(self.FILE)
+
+    @pytest.mark.parametrize("flag,text,expected", CASES)
+    def test_given_flag_overrides_the_file(self, assembled, flag, text, expected):
+        file_config = ExperimentConfig.from_dict(self.FILE)
+        config = assembled(flag, text)
+        changed = {
+            f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+            if getattr(config, f.name) != getattr(file_config, f.name)
+        }
+        assert list(changed.values()) == [expected]
 
 
 class TestMultiTableOutput:

@@ -50,6 +50,21 @@ def test_readme_states_the_cutoff_rules():
         assert phrase in section, phrase
 
 
+def test_readme_states_the_input_rules():
+    # the Configuration table is config.INPUT_RULES, row for row
+    from antizeno.config import INPUT_RULES
+
+    rows = {}
+    for line in _readme_section("Configuration").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            rows[cells[0].strip("`")] = cells[1]
+    assert rows == {
+        experiment: "; ".join(f"`{field}`: {what}" for field, what, _ in rules)
+        for experiment, rules in INPUT_RULES.items()
+    }
+
+
 def test_top_level_api_is_what_the_readme_documents():
     # the "Library use" imports plus the names the README lists after it
     tree = ast.parse(_library_use_block())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,21 @@ class TestFig2Builder:
         # g = 1: excitation starts at zero and oscillates upward
         assert table["p1e_g_over_omega_1"][0] == pytest.approx(0.0, abs=1e-12)
         assert max(table["p1e_g_over_omega_1"]) > 0.05
+
+
+    def test_preset_column_names(self):
+        cfg = preset("fig2").with_overrides(time_max=0.1, time_step=0.05)
+        _, tables = build_tables(cfg)
+        assert tuple(tables["data"]) == (
+            "omega_t", "p1e_g_over_omega_0.333333", "p1e_g_over_omega_0.666667",
+            "p1e_g_over_omega_1",
+        )
+
+    def test_couplings_that_share_a_column_name_rejected(self):
+        # both would be named p1e_g_over_omega_0.123456, and one column lost
+        cfg = ExperimentConfig(experiment="fig2", g_values=(0.1234561, 0.1234562), n_max=20)
+        with pytest.raises(ValueError, match="^g_values: fig2 needs couplings distinct to 6"):
+            build_tables(cfg)
 
 
 class TestFig3Builder:
@@ -267,3 +283,27 @@ def test_cutoff_check_reuses_the_prepared_ground_state(monkeypatch, name, solves
     build_tables(preset(name))
     assert len(dims) == solves
     assert dims.count(2 * (40 + 10 + 1)) == 1
+
+
+@pytest.mark.parametrize("name,solves", [("fig1", 210), ("fig3", 34), ("fig4", 30)])
+def test_auto_cutoff_solves_each_model_once(monkeypatch, name, solves):
+    # the cutoff search, the cutoff check and prepare share one memo of solved
+    # models per build: every hermitian_eig call is on a distinct matrix, and
+    # a second build solves them all again
+    import antizeno.dynamics
+    import antizeno.model
+
+    matrices = []
+    real = antizeno.model.hermitian_eig
+
+    def counting(h):
+        matrices.append(h.matrix.tobytes())
+        return real(h)
+
+    for module in (antizeno.model, protocol, antizeno.dynamics):
+        monkeypatch.setattr(module, "hermitian_eig", counting)
+    cfg = replace(preset(name), n_max=None)
+    build_tables(cfg)
+    assert len(matrices) == len(set(matrices)) == solves
+    build_tables(cfg)
+    assert len(matrices) == 2 * solves
