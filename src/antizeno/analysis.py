@@ -1,41 +1,38 @@
 """Least-squares fits for the quadratic and exponential survival laws, and
 the rate-collapse diagnostic across measurement periods.
 
-Exponential fits run as linear least squares in log space: survival values
-in all presets stay far from zero, linearity needs no iterative optimizer,
-and R^2 is then naturally reported in log space. Fits are unweighted.
+Exponential fits run as linear least squares in log space: linearity needs
+no iterative optimizer, and R^2 is then naturally reported in log space.
+Fits are unweighted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = ["FitResult", "CollapseResult", "fit_quadratic_origin", "fit_exponential", "collapse_slopes"]
 
-# Survival values below this are numerically extinct and dropped from
-# exponential fits (log-space blowup); the drop count is reported.
+# Survival values below this (exact underflow zeros included) are extinct:
+# exponential fits drop them (log-space blowup) and report the count.
 EXP_FIT_FLOOR = 1e-12
-
-FIT_MODELS = ("quadratic_origin", "exponential")
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fit model name, coefficients, coefficient of determination and the
-    largest absolute residual (in fit space: log space for exponentials)."""
+    """Fit coefficients, coefficient of determination and the largest
+    absolute residual (in fit space: log space for exponentials)."""
 
-    model: str
     coefficients: Mapping[str, float]
     r_squared: float
     residual_max: float
     n_dropped: int = 0
 
     def __post_init__(self):
-        if self.model not in FIT_MODELS:
-            raise ValueError(f"unknown fit model {self.model!r}")
         for name, value in self.coefficients.items():
             if not np.isfinite(value):
                 raise ValueError(f"non-finite fitted coefficient {name}={value!r}")
@@ -51,7 +48,6 @@ class CollapseResult:
 
     rates: Mapping[float, float]
     rate_ratio: float
-    fits: Mapping[float, FitResult] = field(default_factory=dict)
 
 
 def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
@@ -81,7 +77,6 @@ def fit_quadratic_origin(x, y) -> FitResult:
     lam = float(np.sum(x**2 * y) / x4)
     predicted = lam * x**2
     return FitResult(
-        "quadratic_origin",
         {"lam": lam},
         _r_squared(y, predicted),
         float(np.max(np.abs(y - predicted))),
@@ -91,26 +86,32 @@ def fit_quadratic_origin(x, y) -> FitResult:
 def fit_exponential(x, y) -> FitResult:
     """Least-squares y = exp(intercept - rate * x), fitted linearly on log y.
 
-    Requires strictly positive y; values below ``EXP_FIT_FLOOR`` are dropped
-    (count reported in ``n_dropped``). R^2 and residual_max are computed in
-    log space.
+    One extinction rule: y below ``EXP_FIT_FLOOR``, exact zeros included,
+    is dropped and counted in ``n_dropped``. Negative or non-finite y, or
+    fewer than 2 points given, is a ``ValueError``; fewer than 2 points left
+    above the floor is a ``NumericalError``. R^2 and residual_max are
+    computed in log space.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    if np.any(y <= 0):
-        raise ValueError("exponential fit requires strictly positive y")
+    if x.size < 2:
+        raise ValueError(f"exponential fit needs at least 2 points, got {x.size}")
+    if not np.all(np.isfinite(y) & (y >= 0)):
+        raise ValueError("exponential fit requires finite, non-negative y")
     keep = y >= EXP_FIT_FLOOR
     n_dropped = int(np.sum(~keep))
     x, y = x[keep], y[keep]
     if x.size < 2:
-        raise ValueError("fewer than 2 points remain above the fit floor")
+        raise NumericalError(
+            f"fewer than 2 points remain above the extinction floor {EXP_FIT_FLOOR:g} "
+            f"({n_dropped} dropped)"
+        )
     log_y = np.log(y)
     slope, intercept = np.polyfit(x, log_y, 1)
     predicted = slope * x + intercept
     return FitResult(
-        "exponential",
         {"rate": float(-slope), "intercept": float(intercept)},
         _r_squared(log_y, predicted),
         float(np.max(np.abs(log_y - predicted))),
@@ -129,13 +130,11 @@ def collapse_slopes(traces: Mapping[float, object]) -> CollapseResult:
     if len(traces) < 2:
         raise ValueError("need at least two periods to compare slopes")
     rates: dict[float, float] = {}
-    fits: dict[float, FitResult] = {}
     for t1, trace in traces.items():
         survival = getattr(trace, "cumulative", None)
         if survival is None:
             survival = trace.cumulative_mean
-        fit = fit_exponential(np.asarray(trace.times, dtype=float) / t1, survival)
-        rates[t1] = fit.coefficients["rate"]
-        fits[t1] = fit
+        t_over_t1 = np.asarray(trace.times, dtype=float) / t1
+        rates[t1] = fit_exponential(t_over_t1, survival).coefficients["rate"]
     values = list(rates.values())
-    return CollapseResult(rates, float(max(values) / min(values)), fits)
+    return CollapseResult(rates, float(max(values) / min(values)))

@@ -43,7 +43,7 @@ def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
 # fig2 names one column per coupling with this format.
 FIG2_COLUMN = "p1e_g_over_omega_{:.6g}"
 
-# What each experiment needs of its list fields: (field, what, test). validate
+# What each experiment needs of its fields: (field, what, test). validate
 # enforces every rule, so a bad shape is rejected before any eigensolve.
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v: len(v) >= 3)],
@@ -55,7 +55,8 @@ INPUT_RULES = {
     "fig5": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
              ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
              ("omega_t1_values", "at least two periods for the rate collapse",
-              lambda v: len(v) >= 2)],
+              lambda v: len(v) >= 2),
+             ("n_measurements", "at least 2 events for the per-period fits", lambda v: v >= 2)],
     "fig6": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
              ("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
@@ -66,7 +67,7 @@ INPUT_RULES = {
 class ExperimentConfig:
     """One experiment: model parameters, schedule, detector and output.
 
-    ``INPUT_RULES`` says what each experiment needs of its list fields (fig4
+    ``INPUT_RULES`` says what each experiment needs of its fields (fig4
     fixes its three panel schedules internally; see the runner module).
     """
 

@@ -171,11 +171,10 @@ def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
     draw in [-width/omega, +width/omega] (width is a dimensionless omega*dt);
     returns a read-only array.
 
-    Events are drawn in order; a draw that breaks the strict ordering is
-    redrawn up to 100 times before giving up. Deterministic for a given seed.
-    All draws are taken at once first: they are the stream the in-order
-    rule consumes whenever no redraw is needed, so only a schedule that
-    breaks the ordering replays the rule event by event. Valid input times
+    Events are drawn in order from one PCG64 stream seeded with ``seed``: a
+    draw that does not land after the previous event (or after 0) is
+    redrawn, up to 100 times, before ``NumericalError``. A schedule that
+    never redraws consumes the stream one draw per event. Valid input times
     and a finite window keep the output a valid schedule, so only the input
     is checked.
     """
@@ -187,9 +186,7 @@ def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
         raise ValueError(f"jitter width must be >= 0 and width/omega finite, got {width!r}/{omega!r}")
     out = t.view()  # a view, so the caller's array keeps its flags
     if width > 0.0:
-        out = t + np.random.default_rng(int(seed)).uniform(-half_window, half_window, size=t.size)
-        if out[0] <= 0.0 or np.any(out[1:] <= out[:-1]):
-            out = _jitter_in_order(t, half_window, int(seed))
+        out = _jitter_in_order(t, half_window, int(seed))
     out.flags.writeable = False
     return out
 
@@ -202,8 +199,7 @@ def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.nda
         for _ in range(_JITTER_ATTEMPTS):
             candidate = t + rng.uniform(-half_window, half_window)
             if candidate > prev:
-                out[i] = candidate
-                prev = candidate
+                out[i] = prev = candidate
                 break
         else:
             raise NumericalError(

@@ -5,7 +5,8 @@ full-space Hamiltonian entry by entry. This module rebuilds the qubit (x)
 Fock algebra the textbook way, from Kronecker products of qubit and field
 operators, in the qubit-major basis of ``antizeno.operators``: index(s, n)
 = s*(n_max+1) + n, s=0 -> |g>, s=1 -> |e>. It also holds the closed forms
-the tests compare against. Nothing here validates its arguments.
+the tests compare against. Nothing here validates its arguments, except
+that ``jitter_mean_survival`` refuses inputs its exact form does not cover.
 """
 
 import numpy as np
@@ -137,6 +138,50 @@ def trajectory_survival(h, psi, times, epsilon):
         cumulative.append(np.sum(weights * np.sum(np.abs(branches) ** 2, axis=1)))
         previous = t
     return np.array(cumulative)
+
+
+def jitter_mean_survival(p, base, half_window, epsilon):
+    """Exact jitter-averaged cumulative survival after each event of the
+    schedule ``base`` (times in ns) when event k happens at base[k] + d_k,
+    each d_k independent and uniform on [-half_window, half_window], starting
+    from the ground state of the model parameters ``p``.
+
+    Cumulative survival is the trace of a product of linear CP maps, so its
+    mean is a contraction of averaged superoperators. In the eigenbasis of
+    the even parity block of ``kron_hamiltonian(p)`` (w_ab = E_a - E_b), the
+    offset d_k enters the free evolutions on both sides of event k, and
+    averaging it turns the no-click map M = epsilon*1 + (1-epsilon) P_g.P_g
+    into A_{ab,cd} = M_{ab,cd} sinc((w_ab - w_cd) half_window). With R_0 the
+    ground state and D_k the k-th base interval, R_k = A(e^{-i w D_k} R_{k-1})
+    and the mean after event k is tr R_k.
+
+    Exact only where the in-order redraw rule of the jitter never fires
+    (2*half_window below every base interval, half_window below the first
+    event time), so other schedules are refused. A has (n_max+1)^4 entries,
+    so n_max is capped at 40 (22 MB).
+    """
+    base = np.asarray(base, dtype=float)
+    gaps = np.diff(base, prepend=0.0)
+    if 2 * half_window >= np.min(gaps[1:], initial=np.inf) or half_window >= base[0]:
+        raise ValueError("the jitter redraw rule can fire on this schedule; no exact mean")
+    if p.n_max > 40:
+        raise ValueError(f"n_max = {p.n_max} > 40: the averaged superoperator is too large")
+    even = np.diag(parity_operator(p.n_max)).real > 0
+    energies, vectors = np.linalg.eigh(kron_hamiltonian(p).real[np.ix_(even, even)])
+    ground = ~excited(even.size)[even]
+    p_g = vectors.T @ (ground[:, None] * vectors)
+    w = np.subtract.outer(energies, energies).ravel()
+    average = np.sinc(np.subtract.outer(w, w) * (half_window / np.pi))
+    average *= (1.0 - epsilon) * np.kron(p_g, p_g)
+    average[np.diag_indices_from(average)] += epsilon
+    r = np.zeros(w.size, dtype=complex)
+    r[0] = 1.0  # |E_0><E_0|, the lowest even eigenstate
+    means = []
+    for gap in gaps:
+        y = np.exp(-1j * w * gap) * r
+        r = average @ y.real + 1j * (average @ y.imag)
+        means.append(np.trace(r.reshape(energies.size, energies.size)).real)
+    return np.array(means)
 
 
 def click_probability(data, excited_mask, epsilon):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from antizeno.analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
+from antizeno.analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
+from antizeno.errors import NumericalError
 from antizeno.protocol import SurvivalTrace
 
 
@@ -10,12 +11,6 @@ def synthetic_trace(times, cumulative):
     cumulative = np.asarray(cumulative, dtype=float)
     singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
     return SurvivalTrace(times, singles, cumulative, float(singles.mean()))
-
-
-def test_fit_result_rejects_linear_model():
-    # no fit produces a linear model
-    with pytest.raises(ValueError, match="unknown fit model"):
-        FitResult("linear", {"slope": 1.0}, 1.0, 0.0)
 
 
 class TestFitQuadraticOrigin:
@@ -78,21 +73,37 @@ class TestFitExponential:
         assert refit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert refit.coefficients["rate"] == pytest.approx(fit.coefficients["rate"], rel=1e-12)
 
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fit_exponential([0.0, 1.0], [1.0, 0.0])
+    def test_negative_rejected(self):
+        # a zero is extinct, not invalid; only a negative value is rejected
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, -1e-300])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN is not an extinct value to drop
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, bad])
+
+    def test_too_few_points_given(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            fit_exponential([0.0], [1.0])
 
     def test_floor_dropping_reported(self):
         x = np.linspace(0.0, 3.0, 7)
         y = np.exp(-0.5 * x)
-        y[-2:] = 1e-15  # numerically extinct
+        y[-3:] = [1e-15, 0.0, 0.0]  # numerically extinct, then underflowed
         fit = fit_exponential(x, y)
-        assert fit.n_dropped == 2
+        assert fit.n_dropped == 3
         assert fit.coefficients["rate"] == pytest.approx(0.5, rel=1e-10)
 
     def test_all_below_floor_rejected(self):
-        with pytest.raises(ValueError, match="fit floor"):
+        # valid input whose survival is extinct is a numerical failure
+        with pytest.raises(NumericalError, match="extinction floor"):
             fit_exponential([0.0, 1.0, 2.0], [1e-15, 1e-16, 1e-17])
+
+    def test_one_point_above_underflow_zeros_rejected(self):
+        with pytest.raises(NumericalError, match=r"extinction floor .*\(2 dropped\)"):
+            fit_exponential([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
 
 
 class TestCollapseSlopes:

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +283,37 @@ class TestCliRuns:
         assert len(series["omega_t"]) == 4
         assert read_config_header(str(out)).format == "json"
 
+    def test_extinct_survival_still_fits(self, tmp_path):
+        # at g/omega = 2.5 the cumulative survival of 1500 events underflows
+        # to exactly 0; the per-period fits drop those events as extinct
+        out = tmp_path / "fig5.json"
+        assert main(["--preset", "fig5", "--g", "2.5", "--n-max", "80", "--n-measurements", "1500",
+                     "--runs", "2", "--format", "json", "--out", str(out)]) == 0
+        series = json.loads(out.read_text())["series"]["data"]
+        assert 0.0 in series["cumulative_mean"]
+        assert all(math.isfinite(rate) and rate > 0 for rate in series["rate_per_t_over_t1"])
+
+    def test_detector_that_never_acts_keeps_survival_at_one(self, tmp_path):
+        out = tmp_path / "fig6.json"
+        assert main(["--preset", "fig6", "--epsilon", "1", "--format", "json", "--out", str(out)]) == 0
+        series = json.loads(out.read_text())["series"]["data"]
+        assert series["single_mean"] == [1.0] * 16
+        assert series["cumulative_mean"] == [1.0] * 16
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the thread count is read when numpy loads, so each run is its own
+        # process; both write the same path, so the headers match too
+        out = tmp_path / "fig6.csv"
+        src = str(Path(antizeno.__file__).resolve().parent.parent)
+        blobs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "antizeno.cli", "--preset", "fig6", "--out", str(out)],
+                           env=env, capture_output=True, timeout=120, check=True)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_survival_chi_diagnostic_column(self, tmp_path):
         # chi_n is undefined at g = 0: nan in CSV, null in JSON
         out = tmp_path / "chi.json"
@@ -331,6 +365,7 @@ BROKEN_RULES = {
     ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
     ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
+    ("fig5", "n_measurements"): ["--preset", "fig5", "--n-measurements", "1"],
     ("fig6", "g_values"): ["--preset", "fig6", "--g", "0.5,1"],
     ("fig6", "omega_t1_values"): ["--preset", "fig6", "--omega-t1", "3,6"],
     ("survival", "omega_t1_values"): ["--omega-t1", "3,6"],

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from antizeno.config import preset
 from antizeno.dynamics import BATCH_RUNS
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel
@@ -15,8 +18,10 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
+from antizeno.runner import FIG4_PANEL_C_GRID, FIG4_PANELS
 from oracle import (
-    embed_even_chain, full_space_singles, trajectory_survival, truncated_survival,
+    embed_even_chain, full_space_singles, jitter_mean_survival, trajectory_survival,
+    truncated_survival,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -485,6 +490,72 @@ class TestSharedDraws:
         from_array = ensemble_survival(prep, base, m, stack)
         assert from_list.runs == from_array.runs == 4
         np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
+
+
+def _panel(name):
+    s = FIG4_PANELS[name]
+    return s["omega_t1"], s["n"], s["jitter"], s["runs"]
+
+
+_FIG4, _FIG6 = preset("fig4"), preset("fig6")
+# (preset, g/omega, omega*T1, events, jitter width, runs, epsilon): the
+# ensembles of fig4 panels a and c and of fig6 at epsilon > 0
+EXACT_CASES = {
+    "fig4a": (_FIG4, max(_FIG4.g_values), *_panel("a"), _FIG4.epsilon_values[0]),
+    **{f"fig4c-g{g}": (_FIG4, g, *_panel("c"), _FIG4.epsilon_values[0]) for g in FIG4_PANEL_C_GRID},
+    **{
+        f"fig6-eps{eps}": (_FIG6, _FIG6.g_values[0], _FIG6.omega_t1_values[0], _FIG6.n_measurements,
+                           _FIG6.jitter_width, _FIG6.runs, eps)
+        for eps in _FIG6.epsilon_values if eps > 0
+    },
+}
+
+
+def ensemble_and_exact(config, g, omega_t1, n, width, runs, eps, oracle_width=None):
+    """Monte Carlo cumulative mean and its standard error at the config's
+    seed, and the exact jitter average at ``oracle_width`` (default: the
+    width the ensemble was drawn with)."""
+    p = ModelParams(config.omega, config.omega0, g * config.omega, config.n_max)
+    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
+    stack = jitter_times(base, width, config.omega, runs, config.seed)
+    ens = ensemble_survival(prepare_model(p), base, MeasurementModel(eps), stack)
+    half_window = (width if oracle_width is None else oracle_width) / config.omega
+    exact = jitter_mean_survival(p, base, half_window, eps)
+    return ens.cumulative_mean, ens.cumulative_std / math.sqrt(runs), exact
+
+
+def beyond_5_se(mean, se, exact):
+    """Events whose Monte Carlo mean is more than 5 standard errors from the
+    exact mean. The 1e-12 covers rounding where the standard error is 0
+    (event 1 is deterministic: the ground state is stationary)."""
+    return np.abs(mean - exact) > 5 * se + 1e-12
+
+
+class TestEnsembleMeanMatchesExactAverage:
+    # the largest |MC - exact|/SE over these cases at seed 1234 is 1.7
+    # (fig4c, g = 1)
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_within_5_standard_errors(self, case):
+        mean, se, exact = ensemble_and_exact(*EXACT_CASES[case])
+        assert not beyond_5_se(mean, se, exact).any()
+
+    def test_twice_the_half_window_is_rejected(self):
+        # the mutation: an exact mean at the wrong window, against 400 runs
+        config, g, omega_t1, n, width, _, eps = EXACT_CASES["fig4a"]
+        mean, se, exact = ensemble_and_exact(config, g, omega_t1, n, width, 400, eps,
+                                             oracle_width=2 * width)
+        assert beyond_5_se(mean, se, exact).any()
+
+    def test_oracle_refuses_schedules_the_redraw_rule_can_touch(self):
+        p = resonant(1.0)
+        omega_t1, n, width, _ = _panel("c")
+        base = two_period_schedule(omega_t1, SQRT2, n)
+        with pytest.raises(ValueError, match="redraw"):
+            jitter_mean_survival(p, base, 2 * width, 0.0)  # 4*width > T1
+        with pytest.raises(ValueError, match="redraw"):
+            jitter_mean_survival(p, np.array([0.5, 10.0]), 0.5, 0.0)  # reaches t = 0
+        with pytest.raises(ValueError, match="n_max"):
+            jitter_mean_survival(resonant(1.0, n_max=41), base, width, 0.0)
 
 
 class TestSweepT1:
