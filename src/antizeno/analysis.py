@@ -119,22 +119,18 @@ def fit_exponential(x, y) -> FitResult:
     )
 
 
-def collapse_slopes(traces: Mapping[float, object]) -> CollapseResult:
-    """Decay rate of each survival trace against t/T1, keyed by T1.
+def collapse_slopes(traces: Mapping[float, tuple]) -> CollapseResult:
+    """Decay rate of each survival curve against t/T1: ``traces`` maps T1
+    to ``(times, survival)``, with times in the units of T1.
 
-    Accepts single-run traces (``cumulative``) or ensemble traces
-    (``cumulative_mean``). Returns the per-key rates and their max/min
-    ratio; similar rates across periods mean the decay per measurement is
-    period-independent.
+    Returns the per-key rates and their max/min ratio; similar rates across
+    periods mean the decay per measurement is period-independent.
     """
     if len(traces) < 2:
         raise ValueError("need at least two periods to compare slopes")
     rates: dict[float, float] = {}
-    for t1, trace in traces.items():
-        survival = getattr(trace, "cumulative", None)
-        if survival is None:
-            survival = trace.cumulative_mean
-        t_over_t1 = np.asarray(trace.times, dtype=float) / t1
+    for t1, (times, survival) in traces.items():
+        t_over_t1 = np.asarray(times, dtype=float) / t1
         rates[t1] = fit_exponential(t_over_t1, survival).coefficients["rate"]
     values = list(rates.values())
     return CollapseResult(rates, float(max(values) / min(values)))

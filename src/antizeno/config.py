@@ -9,7 +9,6 @@ ns (hbar = 1).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
@@ -175,9 +174,6 @@ class ExperimentConfig:
                 d[key] = list(value)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -189,10 +185,6 @@ class ExperimentConfig:
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         cleaned = {k: v for k, v in overrides.items() if v is not None}

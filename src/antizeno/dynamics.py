@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .numkit import SpectralDecomposition, hermitian_eig, propagator
 from . import model as _model
 
-__all__ = ["QuantumState", "evolve", "excitation_trace", "BATCH_RUNS"]
+__all__ = ["QuantumState", "evolve", "excitation_probability", "excitation_trace", "BATCH_RUNS"]
 
 _PURE_NORM_TOL = 1e-10
 _DENSITY_HERM_TOL = 1e-12
@@ -116,9 +117,19 @@ def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
     return QuantumState("density", u @ s.data @ u.conj().swapaxes(-1, -2))
 
 
+def excitation_probability(state: QuantumState) -> np.ndarray:
+    """Qubit excitation probability <P_e> of each run of a batch of pure
+    states."""
+    populations = state.data.real**2 + state.data.imag**2
+    drift = np.max(np.abs(np.sum(populations, axis=-1) - 1.0))
+    if drift > 1e-8:
+        raise NumericalError(f"state norm^2 deviates from 1 by {drift:.3e}")
+    return np.sum(populations[:, _model.even_chain_excited(state.dim - 1)], axis=-1)
+
+
 def excitation_trace(p: "_model.ModelParams", initial: QuantumState, t_grid) -> np.ndarray:
-    """Excitation probability of ``initial``, a one-run batch, evolved to
-    each time of the ascending grid ``t_grid`` (ns).
+    """Excitation probability of ``initial``, a one-run batch of pure
+    states, evolved to each time of the ascending grid ``t_grid`` (ns).
 
     The chain Hamiltonian is diagonalized once. Each grid point is evolved
     independently from ``initial``, so the grid need not start at zero; the
@@ -129,14 +140,14 @@ def excitation_trace(p: "_model.ModelParams", initial: QuantumState, t_grid) -> 
         raise ValueError("t_grid must be a non-empty 1-d sequence")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if initial.runs != 1:
-        raise ValueError(f"excitation_trace needs a one-run batch, got {initial.runs} runs")
+    if initial.kind != "pure" or initial.runs != 1:
+        got = f"{initial.runs} {initial.kind} runs"
+        raise ValueError(f"excitation_trace needs a one-run batch of pure states, got {got}")
     spec = hermitian_eig(_model.even_chain_hamiltonian(p))
-    block = BATCH_RUNS[initial.kind]
+    block = BATCH_RUNS["pure"]
     values = np.empty(t.size)
     for start in range(0, t.size, block):
         times = t[start:start + block]
-        copies = np.broadcast_to(initial.data, (times.size, *initial.data.shape[1:]))
-        batch = QuantumState(initial.kind, copies)
-        values[start:start + times.size] = _model.excitation_probability(evolve(spec, batch, times))
+        batch = QuantumState("pure", np.broadcast_to(initial.data, (times.size, initial.dim)))
+        values[start:start + times.size] = excitation_probability(evolve(spec, batch, times))
     return values

@@ -25,16 +25,11 @@ Units: frequencies in GHz, times in ns, hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError
 from .numkit import MAX_DIM, HermitianOperator, hermitian_eig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import QuantumState
-    from .protocol import PreparedModel
 
 __all__ = [
     "DEGENERACY_GAP",
@@ -49,7 +44,6 @@ __all__ = [
     "even_chain_hamiltonian",
     "even_chain_excited",
     "ground_state",
-    "excitation_probability",
     "converge_cutoff",
     "assert_cutoff_converged",
 ]
@@ -238,21 +232,6 @@ def _solve_even_ground_state(p: ModelParams) -> GroundStateDecomposition | None:
     return GroundStateDecomposition(energy, chain, _block_p_e(state), gap, degenerate=False)
 
 
-def excitation_probability(state: "QuantumState") -> np.ndarray:
-    """Qubit excitation probability <P_e> of each run of a normalized batch."""
-    data = state.data
-    if state.kind == "pure":
-        populations = data.real**2 + data.imag**2
-        what = "state norm^2"
-    else:
-        populations = np.diagonal(data, axis1=-2, axis2=-1).real
-        what = "density matrix trace"
-    drift = np.max(np.abs(np.sum(populations, axis=-1) - 1.0))
-    if drift > 1e-8:
-        raise NumericalError(f"{what} deviates from 1 by {drift:.3e}")
-    return np.sum(populations[..., even_chain_excited(state.dim - 1)], axis=-1)
-
-
 def _moved(a: GroundStateDecomposition, b: GroundStateDecomposition) -> tuple[float, float]:
     """How far the ground energy and p_e move between two cutoffs."""
     return abs(b.energy - a.energy), abs(b.p_e - a.p_e)
@@ -286,13 +265,15 @@ def converge_cutoff(p: ModelParams, solved: dict | None = None) -> int:
     )
 
 
-def assert_cutoff_converged(prepared: "PreparedModel", solved: dict | None = None) -> None:
-    """Check that growing the cutoff of a prepared model by CUTOFF_STEP
-    moves its ground energy and p_e by < CUTOFF_TOL; only the larger cutoff
-    is solved."""
-    p = prepared.params
+def assert_cutoff_converged(p: ModelParams, solved: dict | None = None) -> None:
+    """Check that growing the cutoff of a model by CUTOFF_STEP moves its
+    ground energy and p_e by < CUTOFF_TOL. Both ground states are read from
+    the ``solved`` memo when it holds them, so a prepared model is not
+    solved again."""
+    # ground_state runs only to name an odd-sector ground state
+    base = _even_ground_state(p, solved) or ground_state(p, solved)
     larger = ground_state(replace(p, n_max=p.n_max + CUTOFF_STEP), solved)
-    d_energy, d_p_e = _moved(prepared.ground, larger)
+    d_energy, d_p_e = _moved(base, larger)
     if max(d_energy, d_p_e) >= CUTOFF_TOL:
         raise NumericalError(
             f"Fock cutoff n_max={p.n_max} not converged to {CUTOFF_TOL:g}: "

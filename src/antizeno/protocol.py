@@ -18,7 +18,8 @@ batched evolve and one batched measurement over all runs of a block
 operations per event instead of a Python loop per run.
 
 A schedule is a 1-d array of event times; a stack of runs is a ``(runs, N)``
-array, one schedule per row, validated once. ``jitter_times`` draws the
+array, one schedule per row, validated once. ``run_survival`` takes only a
+stack (one schedule runs as ``times[None]``). ``jitter_times`` draws the
 stack of a jitter ensemble; the k-th row depends only on the base schedule,
 the width, omega and the base seed, so one draw serves every coupling and
 detector inefficiency that pairs its runs. ``sweep_T1`` builds its stack of
@@ -66,15 +67,19 @@ __all__ = [
 
 _JITTER_ATTEMPTS = 100
 
+_SHAPES = {
+    1: "one schedule, a non-empty (N,) array",
+    2: "a non-empty (runs, N) schedule stack (run one schedule as times[None])",
+}
 
-def _time_stack(times) -> np.ndarray:
-    """Validate one schedule (N,) or a stack (runs, N) of event times in ns,
-    one schedule per row: finite, starting after 0, strictly increasing."""
+
+def _time_stack(times, ndim: int) -> np.ndarray:
+    """Validate one schedule (N,) of event times in ns (``ndim`` 1) or a
+    stack (runs, N) of them, one per row (``ndim`` 2): finite, starting
+    after 0, strictly increasing."""
     t = np.asarray(times, dtype=float)
-    if t.ndim not in (1, 2) or t.size == 0:
-        raise ValueError(
-            f"a schedule stack must be a non-empty (N,) or (runs, N) array, got shape {t.shape}"
-        )
+    if t.ndim != ndim or t.size == 0:
+        raise ValueError(f"expected {_SHAPES[ndim]}, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("schedule times must be finite")
     if np.any(t[..., 0] <= 0) or np.any(np.diff(t, axis=-1) <= 0):
@@ -84,21 +89,17 @@ def _time_stack(times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurvivalTrace:
-    """Per-event no-click probabilities and their cumulative product.
-
-    For a stack of schedules every field gains a leading run axis
-    (``mean_single`` becomes one value per run).
-    """
+    """Per-event no-click probabilities and their cumulative product, one
+    row per run of a (runs, N) schedule stack."""
 
     times: np.ndarray
     single: np.ndarray
     cumulative: np.ndarray
-    mean_single: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class EnsembleTrace:
-    """Per-event mean/std of single and cumulative survival over ``runs``
+    """Per-event mean/std of single and cumulative survival over a stack of
     jittered schedules. ``times`` are the nominal (unjittered) event times."""
 
     times: np.ndarray
@@ -106,7 +107,6 @@ class EnsembleTrace:
     single_std: np.ndarray
     cumulative_mean: np.ndarray
     cumulative_std: np.ndarray
-    runs: int
 
     @property
     def mean_single(self) -> float:
@@ -178,9 +178,7 @@ def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
     and a finite window keep the output a valid schedule, so only the input
     is checked.
     """
-    t = _time_stack(times)
-    if t.ndim != 1:
-        raise ValueError(f"jitter_schedule takes one schedule (N,), got shape {t.shape}")
+    t = _time_stack(times, 1)
     half_window = width / omega if omega > 0 else np.nan
     if not (width >= 0 and np.isfinite(half_window)):
         raise ValueError(f"jitter width must be >= 0 and width/omega finite, got {width!r}/{omega!r}")
@@ -235,33 +233,30 @@ def child_seeds(base_seed: int, runs: int) -> np.ndarray:
 
 
 def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTrace:
-    """Survival trace of one schedule (1-d event times), or of each row of a
-    (runs, N) stack (as ``jitter_times`` returns), starting from the ground
-    state. The times are validated once as a whole.
+    """Survival trace of each row of a (runs, N) stack of event times (as
+    ``jitter_times`` returns), starting from the ground state; one schedule
+    runs as ``times[None]``. The times are validated once as a whole.
 
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
     no-click probability. With epsilon = 0 the conditional state stays pure
     and the cheap pure-state path is used; otherwise the state is promoted
-    to a density matrix. A stack is run in blocks of runs, each event one
-    batched step for the whole block; its trace has a leading run axis.
+    to a density matrix. The stack is run in blocks of runs, each event one
+    batched step for the whole block.
     """
     if prep.ground.degenerate:
         raise ValueError(
             f"ground manifold is degenerate (gap {prep.ground.gap:.3e} < DEGENERACY_GAP = "
             f"{DEGENERACY_GAP:g}); the survival protocol requires a unique ground state"
         )
-    times = _time_stack(times)
-    stack = np.atleast_2d(times)
-    singles = np.empty(stack.shape)
+    times = _time_stack(times, 2)
+    singles = np.empty(times.shape)
     block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
-    for start in range(0, len(stack), block):
+    for start in range(0, len(times), block):
         rows = slice(start, start + block)
-        singles[rows] = _survival_block(prep, stack[rows], m)
+        singles[rows] = _survival_block(prep, times[rows], m)
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
-    if times.ndim == 1:
-        return SurvivalTrace(times, singles[0], cumulative[0], float(singles[0].mean()))
-    return SurvivalTrace(times, singles, cumulative, singles.mean(axis=-1))
+    return SurvivalTrace(times, singles, cumulative)
 
 
 def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel) -> np.ndarray:
@@ -287,9 +282,9 @@ def ensemble_survival(prep: PreparedModel, base, m: MeasurementModel, jittered) 
     coupling, so ensembles that share one stack are paired. All runs go
     through one batched ``run_survival``.
     """
-    base = _time_stack(base)
+    base = _time_stack(base, 1)
     jittered = np.asarray(jittered, dtype=float)
-    if base.ndim != 1 or jittered.ndim != 2 or jittered.shape[1:] != base.shape:
+    if jittered.ndim != 2 or jittered.shape[1:] != base.shape:
         raise ValueError(
             f"jittered times must be a (runs, N) stack of the schedule {base.shape}, "
             f"got shape {jittered.shape}"
@@ -301,7 +296,6 @@ def ensemble_survival(prep: PreparedModel, base, m: MeasurementModel, jittered) 
         single_std=trace.single.std(axis=0),
         cumulative_mean=trace.cumulative.mean(axis=0),
         cumulative_std=trace.cumulative.std(axis=0),
-        runs=len(jittered),
     )
 
 

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,8 +92,6 @@ def _t1_grid(config: ExperimentConfig) -> np.ndarray:
     """omega*T1 values spanning 2*pi*[t1_window] (uniform or seeded random)."""
     lo, hi = config.t1_window
     if config.t1_sampling == "uniform":
-        if config.t1_count == 1:
-            return np.array([2 * math.pi * lo])
         return 2 * math.pi * np.linspace(lo, hi, config.t1_count)
     rng = np.random.default_rng(config.seed)
     return 2 * math.pi * np.sort(rng.uniform(lo, hi, config.t1_count))
@@ -124,7 +122,7 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
 
     largest_g = max(config.g_values)
     if largest_g > 0:
-        assert_cutoff_converged(prepare(largest_g), solved)
+        assert_cutoff_converged(prepare(largest_g).params, solved)
 
     metadata = {
         "tool": f"antizeno {__version__}",
@@ -255,7 +253,7 @@ def _build_fig5(config: ExperimentConfig, prepare) -> dict:
     }
     # in omega*t units, t/T1 = omega*t / (omega*T1), so key by omega*T1
     collapse = collapse_slopes(
-        {w: replace(ens, times=config.omega * ens.times) for w, ens in ensembles.items()}
+        {w: (config.omega * ens.times, ens.cumulative_mean) for w, ens in ensembles.items()}
     )
     blocks = [
         _events(config, ens, omega_t1=float(w), t_over_t1=(config.omega * ens.times / w).tolist(),
@@ -389,5 +387,5 @@ def read_config_header(path: str) -> ExperimentConfig:
         return ExperimentConfig.from_dict(payload["metadata"]["config"])
     for line in text.splitlines():
         if line.startswith("# config = "):
-            return ExperimentConfig.from_json(line[len("# config = "):])
+            return ExperimentConfig.from_dict(json.loads(line[len("# config = "):]))
     raise ValueError(f"no config metadata found in {path}")

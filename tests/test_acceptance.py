@@ -60,9 +60,9 @@ def test_criterion_02_rwa_null():
         prep = prepare_model(resonant(g, kind="jc"))
         assert prep.ground.p_e <= 1e-12
         trace = run_survival(
-            prep, two_period_schedule(0.75 * math.pi, SQRT2, 8), MeasurementModel(0.0)
+            prep, two_period_schedule(0.75 * math.pi, SQRT2, 8)[None], MeasurementModel(0.0)
         )
-        dev = float(np.max(np.abs(trace.cumulative - 1.0)))
+        dev = float(np.max(np.abs(trace.cumulative[0] - 1.0)))
         assert dev <= 1e-12
         worst_pe = max(worst_pe, prep.ground.p_e)
         worst_dev = max(worst_dev, dev)
@@ -235,9 +235,9 @@ def test_criterion_10_invariant_suite(tmp_path):
 
     # cumulative-survival monotonicity
     trace = run_survival(
-        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12), MeasurementModel(0.1)
+        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12)[None], MeasurementModel(0.1)
     )
-    assert np.all(np.diff(trace.cumulative) <= 0)
+    assert np.all(np.diff(trace.cumulative[0]) <= 0)
 
     # cutoff convergence between n_max = 40 and 50 at g/omega = 1
     gs40 = ground_state(resonant(1.0, n_max=40))

@@ -3,14 +3,11 @@ import pytest
 
 from antizeno.analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
 from antizeno.errors import NumericalError
-from antizeno.protocol import SurvivalTrace
 
 
 def synthetic_trace(times, cumulative):
-    times = np.asarray(times, dtype=float)
-    cumulative = np.asarray(cumulative, dtype=float)
-    singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
-    return SurvivalTrace(times, singles, cumulative, float(singles.mean()))
+    """A survival curve as ``collapse_slopes`` takes it: (times, cumulative)."""
+    return np.asarray(times, dtype=float), np.asarray(cumulative, dtype=float)
 
 
 class TestFitQuadraticOrigin:
@@ -133,7 +130,10 @@ class TestCollapseSlopes:
 
 
 def test_survival_trace_helper_is_consistent():
-    # the synthetic-trace helper must satisfy the cumulative = product law
+    # the synthetic curve must be a cumulative survival: the product of
+    # per-event no-click probabilities in (0, 1]
     times = np.arange(1.0, 6.0)
-    trace = synthetic_trace(times, np.exp(-0.3 * times))
-    assert np.allclose(np.cumprod(trace.single), trace.cumulative, atol=1e-12)
+    _, cumulative = synthetic_trace(times, np.exp(-0.3 * times))
+    singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
+    assert np.all((singles > 0) & (singles <= 1))
+    assert np.allclose(np.cumprod(singles), cumulative, atol=1e-12)

@@ -49,7 +49,7 @@ class TestConfigRoundTrip:
 
     def test_json_round_trip(self):
         cfg = preset("fig3").with_overrides(seed=99, out="x.csv")
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

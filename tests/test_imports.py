@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import antizeno
 
 
@@ -86,3 +88,38 @@ def test_every_module_export_resolves():
         module = importlib.import_module(f"antizeno.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], f"antizeno.{info.name}.__all__ names {missing}"
+
+
+def _package_imports(name: str) -> set[str]:
+    """The package modules that ``antizeno.<name>`` imports anywhere in its
+    source, imports under ``if TYPE_CHECKING:`` included."""
+    source = (Path(antizeno.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package, which has no subpackages
+                module = f"antizeno.{module}".rstrip(".")
+            names = [f"{module}.{alias.name}" for alias in node.names]
+            targets = names if module == "antizeno" else [module]
+        else:
+            continue
+        found |= {target.split(".")[1] for target in targets if target.startswith("antizeno.")}
+    return found
+
+
+# the lowest layers and everything each may import from the package
+LAYER_IMPORTS = {"model": {"numkit", "errors"}, "numkit": {"errors"}, "analysis": {"errors"}}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_IMPORTS))
+def test_low_layers_import_no_higher_layer(name):
+    assert _package_imports(name) <= LAYER_IMPORTS[name]
+
+
+def test_import_scan_sees_every_import_form():
+    # the guard is only as good as its parser
+    assert _package_imports("runner") >= {"analysis", "config", "dynamics", "protocol", "__version__"}
+    assert _package_imports("dynamics") >= {"model", "numkit"}  # "from . import model"

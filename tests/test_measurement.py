@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from antizeno.dynamics import QuantumState
+from antizeno.dynamics import QuantumState, excitation_probability
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel, measure_no_click
-from antizeno.model import even_chain_excited, excitation_probability
+from antizeno.model import even_chain_excited
 from oracle import click_probability
 
 # States are one-run batches on the even chain: site k is |g,k> for even k
@@ -126,7 +126,7 @@ class TestMapProperties:
 
     def test_affine_in_epsilon_with_correct_endpoints(self):
         state = random_density(8, seed=22)
-        p_e = excitation_probability(state)[0]
+        p_e = click_probability(state.data[0], excited(state), 0.0)
         probs = {
             eps: measure_no_click(state, MeasurementModel(eps))[0][0]
             for eps in (0.0, 0.25, 0.5, 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from antizeno.dynamics import QuantumState
+from antizeno.dynamics import QuantumState, excitation_probability, excitation_trace
 from antizeno.errors import NumericalError
 from antizeno.model import (
     ModelParams,
@@ -9,7 +9,6 @@ from antizeno.model import (
     converge_cutoff,
     even_chain_excited,
     even_chain_hamiltonian,
-    excitation_probability,
     ground_state,
     hamiltonian,
 )
@@ -241,9 +240,11 @@ class TestExcitationProbability:
         state = QuantumState("pure", np.stack([np.eye(4)[0], vec]))
         assert excitation_probability(state) == pytest.approx([0.0, 0.5], abs=1e-14)
 
-    def test_maximally_mixed(self):
+    def test_excitation_trace_rejects_a_density_state(self):
+        # fig2 traces a pure state; excitation_probability has no density branch
         rho = QuantumState("density", np.eye(12)[None] / 12)
-        assert excitation_probability(rho) == pytest.approx([0.5], abs=1e-14)
+        with pytest.raises(ValueError, match="pure states, got 1 density runs"):
+            excitation_trace(resonant(0.5, n_max=11), rho, np.linspace(0.0, 1.0, 3))
 
     def test_norm_violation_raises(self):
         state = QuantumState("pure", np.eye(6)[:1])
@@ -304,11 +305,19 @@ class TestConvergeCutoff:
     def test_check_on_prepared_model(self):
         from antizeno.protocol import prepare_model
 
-        assert_cutoff_converged(prepare_model(resonant(1.0)))
+        assert_cutoff_converged(resonant(1.0))
         with pytest.raises(NumericalError, match="n_max=8 not converged"):
-            assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8)))
+            assert_cutoff_converged(resonant(1.0, n_max=8))
         # the rotating-wave ground state |g,0> is exact at any cutoff
-        assert_cutoff_converged(prepare_model(resonant(1.0, n_max=8, kind="jc")))
+        assert_cutoff_converged(resonant(1.0, n_max=8, kind="jc"))
+        # a prepared model's ground state is read from the shared memo
+        solved = {}
+        p = prepare_model(resonant(1.0), solved).params
+        assert list(solved) == [p]
+        assert_cutoff_converged(p, solved)
+        assert list(solved) == [p, resonant(1.0, n_max=50)]
+        with pytest.raises(NumericalError, match="odd parity sector at n_max=10"):
+            assert_cutoff_converged(resonant(1.1, n_max=10, kind="jc"))
 
 
 class TestEigenstateOverlaps:

@@ -60,7 +60,7 @@ class TestTwoPeriodSchedule:
         prep = prepare_model(resonant(0.5, n_max=10))
         for times in ([1.0, 1.0], [0.0, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                run_survival(prep, np.array(times), MeasurementModel(0.0))
+                run_survival(prep, np.array(times)[None], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="strictly increasing"):
                 jitter_schedule(np.array(times), 0.1, 1.0, seed=1)
 
@@ -69,7 +69,7 @@ class TestTwoPeriodSchedule:
         prep = prepare_model(resonant(0.5, n_max=10))
         for times in ([1.0, bad, 3.0], [bad]):
             with pytest.raises(ValueError, match="finite"):
-                run_survival(prep, times, MeasurementModel(0.0))
+                run_survival(prep, [times], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="finite"):
                 jitter_schedule(times, 0.1, 1.0, seed=1)
 
@@ -204,48 +204,59 @@ def test_child_seeds_deterministic():
 
 
 class TestRunSurvival:
+    def test_one_schedule_is_a_one_row_stack(self):
+        prep = prepare_model(resonant(0.5, n_max=10))
+        sched = two_period_schedule(1.0, SQRT2, 3)
+        shape = r"\(runs, N\) schedule stack \(run one schedule as times\[None\]\), got shape \(3,\)"
+        with pytest.raises(ValueError, match=shape):
+            run_survival(prep, sched, MeasurementModel(0.0))
+        trace = run_survival(prep, sched[None], MeasurementModel(0.0))
+        assert trace.times.shape == trace.single.shape == trace.cumulative.shape == (1, 3)
+
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(
-            prepare_model(resonant(0.0)), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(0.0)
+            prepare_model(resonant(0.0)), two_period_schedule(2.0, SQRT2, 6)[None],
+            MeasurementModel(0.0),
         )
-        assert np.allclose(trace.single, 1.0, atol=1e-12)
-        assert np.allclose(trace.cumulative, 1.0, atol=1e-12)
+        assert np.allclose(trace.single[0], 1.0, atol=1e-12)
+        assert np.allclose(trace.cumulative[0], 1.0, atol=1e-12)
 
     def test_inert_detector(self):
         trace = run_survival(
-            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 6), MeasurementModel(1.0)
+            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 6)[None],
+            MeasurementModel(1.0),
         )
-        assert np.allclose(trace.single, 1.0, atol=1e-12)
-        assert np.allclose(trace.cumulative, 1.0, atol=1e-12)
+        assert np.allclose(trace.single[0], 1.0, atol=1e-12)
+        assert np.allclose(trace.cumulative[0], 1.0, atol=1e-12)
 
     def test_golden_full_simulation(self, golden):
         trace = run_survival(
             prepare_model(resonant(1.0)),
-            two_period_schedule(2 * np.pi, SQRT2, 8),
+            two_period_schedule(2 * np.pi, SQRT2, 8)[None],
             MeasurementModel(0.0),
         )
         ref = golden["survival_g1_wt1_2pi_n8"]
-        assert np.allclose(trace.single, ref["single"], atol=1e-12)
-        assert np.allclose(trace.cumulative, ref["cumulative"], atol=1e-12)
-        assert trace.cumulative[-1] < 0.5
+        assert np.allclose(trace.single[0], ref["single"], atol=1e-12)
+        assert np.allclose(trace.cumulative[0], ref["cumulative"], atol=1e-12)
+        assert trace.cumulative[0, -1] < 0.5
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_first_factor_is_ground_no_click(self, eps):
         prep = prepare_model(resonant(0.8))
-        trace = run_survival(prep, two_period_schedule(3.0, SQRT2, 3), MeasurementModel(eps))
+        trace = run_survival(prep, two_period_schedule(3.0, SQRT2, 3)[None], MeasurementModel(eps))
         expected = eps + (1 - eps) * (1 - prep.ground.p_e)
-        assert trace.single[0] == pytest.approx(expected, abs=1e-12)
+        assert trace.single[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_cumulative_is_product_and_non_increasing(self):
         trace = run_survival(
-            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 10), MeasurementModel(0.1)
+            prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 10)[None],
+            MeasurementModel(0.1),
         )
-        assert np.all(np.diff(trace.cumulative) <= 0)
-        assert np.allclose(trace.cumulative, np.cumprod(trace.single), atol=1e-12)
-        assert trace.mean_single == pytest.approx(np.mean(trace.single), abs=1e-15)
+        assert np.all(np.diff(trace.cumulative[0]) <= 0)
+        assert np.allclose(trace.cumulative[0], np.cumprod(trace.single[0]), atol=1e-12)
 
     def test_deterministic(self):
-        sched = two_period_schedule(2.0, SQRT2, 5)
+        sched = two_period_schedule(2.0, SQRT2, 5)[None]
         a = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
         b = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
         assert np.array_equal(a.single, b.single)
@@ -256,13 +267,13 @@ class TestRunSurvival:
         # density-matrix pipeline over the same schedule
         prep = prepare_model(resonant(1.0))
         sched = two_period_schedule(2 * np.pi, SQRT2, 8)
-        trace = run_survival(prep, sched, MeasurementModel(0.0))
+        trace = run_survival(prep, sched[None], MeasurementModel(0.0))
 
         singles = full_space_singles(
             hamiltonian(prep.params).matrix, embed_even_chain(prep.ground.even_chain), sched, 0.0,
             density=True,
         )
-        assert np.allclose(trace.single, singles, atol=1e-12)
+        assert np.allclose(trace.single[0], singles, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
@@ -313,12 +324,10 @@ class TestRunSurvival:
         m = MeasurementModel(eps)
         batch = run_survival(prep, schedules, m)
         assert batch.single.shape == batch.cumulative.shape == (runs, 12)
-        assert batch.mean_single.shape == (runs,)
         for row, sched in enumerate(schedules):
-            one = run_survival(prep, sched, m)
-            assert np.allclose(batch.single[row], one.single, rtol=0, atol=1e-14)
-            assert np.allclose(batch.cumulative[row], one.cumulative, rtol=0, atol=1e-14)
-            assert batch.mean_single[row] == pytest.approx(one.mean_single, abs=1e-14)
+            one = run_survival(prep, sched[None], m)
+            assert np.allclose(batch.single[row], one.single[0], rtol=0, atol=1e-14)
+            assert np.allclose(batch.cumulative[row], one.cumulative[0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_array_stack_matches_schedule_list(self, eps):
@@ -331,7 +340,7 @@ class TestRunSurvival:
         m = MeasurementModel(eps)
         from_list = run_survival(prep, schedules, m)
         from_array = run_survival(prep, jitter_times(base, 0.2 * np.pi, 1.0, runs, 5), m)
-        for field in ("times", "single", "cumulative", "mean_single"):
+        for field in ("times", "single", "cumulative"):
             assert np.array_equal(getattr(from_array, field), getattr(from_list, field))
 
     def test_array_stack_validation(self):
@@ -367,17 +376,17 @@ class TestRunSurvival:
         with pytest.raises(ValueError, match=r"degenerate \(gap .* < DEGENERACY_GAP = 1e-10\)"):
             run_survival(
                 prepare_model(ModelParams(1.0, 0.0, 0.5, 40)),
-                two_period_schedule(1.0, SQRT2, 2),
+                two_period_schedule(1.0, SQRT2, 2)[None],
                 MeasurementModel(0.0),
             )
 
     def test_degeneracy_threshold_from_both_sides(self):
         # at g = 0 the gap is exactly omega0: just above DEGENERACY_GAP the
         # ground state is unique and the protocol runs, just below it is not
-        schedule = two_period_schedule(1.0, SQRT2, 2)
+        schedule = two_period_schedule(1.0, SQRT2, 2)[None]
         above = prepare_model(ModelParams(1.0, 2e-10, 0.0, 10))
         assert not above.ground.degenerate
-        assert run_survival(above, schedule, MeasurementModel(0.1)).cumulative.tolist() == [1.0, 1.0]
+        assert run_survival(above, schedule, MeasurementModel(0.1)).cumulative.tolist() == [[1.0, 1.0]]
         below = prepare_model(ModelParams(1.0, 5e-11, 0.0, 10))
         with pytest.raises(ValueError, match=r"gap 5\.000e-11 < DEGENERACY_GAP = 1e-10"):
             run_survival(below, schedule, MeasurementModel(0.1))
@@ -388,7 +397,7 @@ class TestRunSurvival:
         prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20, "jc"))
         assert prep.ground.degenerate and prep.ground.gap == 0.0
         with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
-            run_survival(prep, two_period_schedule(1.0, SQRT2, 2), MeasurementModel(0.0))
+            run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], MeasurementModel(0.0))
         assert "omega0" not in str(info.value)
 
 
@@ -425,9 +434,9 @@ class TestEnsembleSurvival:
         base = two_period_schedule(2.0, SQRT2, 5)
         stack = jitter_times(base, 0.0, 1.0, 1, 42)
         ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
-        trace = run_survival(prep, base, MeasurementModel(0.0))
-        assert np.allclose(ens.cumulative_mean, trace.cumulative, atol=1e-15)
-        assert ens.mean_single == pytest.approx(trace.mean_single, abs=1e-15)
+        trace = run_survival(prep, base[None], MeasurementModel(0.0))
+        assert np.allclose(ens.cumulative_mean, trace.cumulative[0], atol=1e-15)
+        assert ens.mean_single == pytest.approx(np.mean(trace.single[0]), abs=1e-15)
 
     def test_deterministic(self):
         prep = prepare_model(resonant(1.0))
@@ -470,7 +479,6 @@ class TestSharedDraws:
                 for field in ("times", "single_mean", "single_std",
                               "cumulative_mean", "cumulative_std"):
                     assert np.array_equal(getattr(paired, field), getattr(alone, field))
-                assert paired.runs == alone.runs == runs
 
     def test_stack_shape_must_match_ensemble(self):
         base = two_period_schedule(2.0, SQRT2, 5)
@@ -488,7 +496,6 @@ class TestSharedDraws:
         # a nested list of times is read as the array it spells
         from_list = ensemble_survival(prep, base.tolist(), m, stack.tolist())
         from_array = ensemble_survival(prep, base, m, stack)
-        assert from_list.runs == from_array.runs == 4
         np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
 
 
@@ -583,8 +590,8 @@ class TestSweepT1:
         prep = prepare_model(resonant(0.9))
         t1 = 2 * np.pi * 0.7
         mean = sweep_T1(prep, 6, [t1], SQRT2, MeasurementModel(0.0))
-        trace = run_survival(prep, two_period_schedule(t1, SQRT2, 6), MeasurementModel(0.0))
-        assert mean == pytest.approx(trace.cumulative[-1], abs=1e-15)
+        trace = run_survival(prep, two_period_schedule(t1, SQRT2, 6)[None], MeasurementModel(0.0))
+        assert mean == pytest.approx(trace.cumulative[0, -1], abs=1e-15)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,14 @@ class TestFig3Builder:
         _, second = build_tables(cfg)
         assert first["data"] == second["data"]
 
+    def test_one_period_is_the_window_start(self):
+        # t1_count = 1 sweeps the single period 2*pi*t1_window[0]
+        cfg = replace(preset("fig3"), t1_count=1, g_values=(0.0, 0.5, 1.0))
+        assert runner_module._t1_grid(cfg).tolist() == [2 * math.pi * cfg.t1_window[0]]
+        survival = build_tables(cfg)[1]["data"]["mean_final_survival"]
+        expected = [0.9999999999999997, 0.36255587651402577, 0.014453759506127118]
+        assert survival == pytest.approx(expected, rel=0, abs=1e-12)
+
     def test_single_coupling_rejected(self):
         cfg = ExperimentConfig(experiment="fig3", g_values=(0.5,), n_max=16)
         with pytest.raises(ValueError, match="at least 2 couplings"):
