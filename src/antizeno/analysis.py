@@ -44,9 +44,10 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Per-period decay rates in t/T1 units and their max/min ratio."""
+    """Per-period exponential fits in t/T1 units (the decay rate is each
+    fit's ``coefficients["rate"]``) and the max/min ratio of those rates."""
 
-    rates: Mapping[float, float]
+    fits: Mapping[float, FitResult]
     rate_ratio: float
 
 
@@ -120,17 +121,18 @@ def fit_exponential(x, y) -> FitResult:
 
 
 def collapse_slopes(traces: Mapping[float, tuple]) -> CollapseResult:
-    """Decay rate of each survival curve against t/T1: ``traces`` maps T1
-    to ``(times, survival)``, with times in the units of T1.
+    """Exponential fit of each survival curve against t/T1: ``traces`` maps
+    T1 to ``(times, survival)``, with times in the units of T1.
 
-    Returns the per-key rates and their max/min ratio; similar rates across
-    periods mean the decay per measurement is period-independent.
+    Returns the per-key fits and the max/min ratio of their decay rates;
+    similar rates across periods mean the decay per measurement is
+    period-independent.
     """
     if len(traces) < 2:
         raise ValueError("need at least two periods to compare slopes")
-    rates: dict[float, float] = {}
-    for t1, (times, survival) in traces.items():
-        t_over_t1 = np.asarray(times, dtype=float) / t1
-        rates[t1] = fit_exponential(t_over_t1, survival).coefficients["rate"]
-    values = list(rates.values())
-    return CollapseResult(rates, float(max(values) / min(values)))
+    fits = {
+        t1: fit_exponential(np.asarray(times, dtype=float) / t1, survival)
+        for t1, (times, survival) in traces.items()
+    }
+    rates = [fit.coefficients["rate"] for fit in fits.values()]
+    return CollapseResult(fits, float(max(rates) / min(rates)))

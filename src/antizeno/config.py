@@ -20,14 +20,13 @@ __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "survival")
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 FORMATS = ("csv", "json")
-T1_SAMPLINGS = ("uniform", "random")
 
 _SQRT2 = math.sqrt(2.0)
 
 
-_INT_FIELDS = ("n_max", "n_measurements", "runs", "t1_count", "seed")
+_INT_FIELDS = ("n_max", "n_measurements", "runs", "seed")
 _REAL_FIELDS = ("omega", "omega0", "ratio", "jitter_width", "time_max", "time_step")
-_TUPLE_FIELDS = ("g_values", "omega_t1_values", "epsilon_values", "t1_window")
+_TUPLE_FIELDS = ("g_values", "omega_t1_values", "epsilon_values")
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -37,6 +36,12 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
     return tuple(stop * i / (n - 1) for i in range(n))
+
+
+def _periods(n: int, lo: float, hi: float) -> tuple[float, ...]:
+    """omega*T1 = 2*pi*linspace(lo, hi, n), bit for bit as numpy computes it."""
+    step = (hi - lo) / (n - 1)
+    return tuple(2 * math.pi * (i * step + lo) for i in range(n - 1)) + (2 * math.pi * hi,)
 
 
 # fig2 names one column per coupling with this format.
@@ -49,7 +54,8 @@ INPUT_RULES = {
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v: len(v) >= 2),
-             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1)],
+             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
+             ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v: v == 0)],
     "fig4": [("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1)],
     "fig5": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
              ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
@@ -84,10 +90,6 @@ class ExperimentConfig:
     runs: int = 20
     # detector
     epsilon_values: tuple[float, ...] = (0.0,)
-    # fig3 period sweep: omega*T1 spans 2*pi*[t1_window], t1_count points
-    t1_count: int = 100
-    t1_window: tuple[float, float] = (0.1, 5.0)
-    t1_sampling: str = "uniform"
     # fig2 time grid (dimensionless omega*t)
     time_max: float = 40.0
     time_step: float = 0.02
@@ -148,14 +150,6 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs!r}")
         if not self.epsilon_values or any(not 0 <= e <= 1 for e in self.epsilon_values):
             raise ValueError("epsilon values must lie in [0, 1]")
-        if self.t1_count < 1:
-            raise ValueError(f"t1_count must be >= 1, got {self.t1_count!r}")
-        if len(self.t1_window) != 2:
-            raise ValueError(f"t1_window must have two entries, got {self.t1_window!r}")
-        if not 0 < self.t1_window[0] < self.t1_window[1]:
-            raise ValueError(f"t1_window must satisfy 0 < lo < hi, got {self.t1_window!r}")
-        if self.t1_sampling not in T1_SAMPLINGS:
-            raise ValueError(f"t1_sampling must be one of {T1_SAMPLINGS}")
         if self.time_max <= 0 or self.time_step <= 0 or self.time_step > self.time_max:
             raise ValueError("time grid requires 0 < time_step <= time_max")
         if self.seed < 0:
@@ -198,8 +192,9 @@ def preset(name: str) -> ExperimentConfig:
           with its quadratic fit.
     fig2  post-measurement excitation dynamics for g/omega in {1/3, 2/3, 1}
           on the grid omega*t in [0, 40] step 0.02.
-    fig3  final survival after 8 measurements averaged over 100 periods
-          omega*T1 in 2*pi*[0.1, 5], vs g/omega (11-point grid).
+    fig3  final survival after 8 unjittered measurements averaged over the
+          100 periods omega*T1 = 2*pi*linspace(0.1, 5, 100), vs g/omega
+          (11-point grid).
     fig4  (a) survival trace at omega*T1 = 2*pi, g/omega = 1, jitter +-0.2*pi,
           20 runs; (b) survival vs event count at omega*T1 = 3*pi/4 for
           g/omega in {1/3, 2/3, 1} with exponential fits; (c) mean
@@ -221,10 +216,8 @@ def preset(name: str) -> ExperimentConfig:
         return replace(
             base,
             g_values=_grid(11),
+            omega_t1_values=_periods(100, 0.1, 5.0),
             n_measurements=8,
-            t1_count=100,
-            t1_window=(0.1, 5.0),
-            t1_sampling="uniform",
             jitter_width=0.0,
         )
     if name == "fig4":

@@ -1,12 +1,14 @@
 """Execute an ExperimentConfig and emit plot-ready CSV or JSON.
 
 Every output file embeds a metadata header with the exact configuration
-(JSON, round-trippable), the random generator name, the seed-mixing rule and
-the Fock cutoff actually used. Outputs contain no timestamps or environment
-state, so a fixed (config, seed) reproduces files byte for byte. Files are
-written atomically (temp file + rename) and only after the whole experiment
-has completed; a multi-file set is renamed into place only once every file
-of it is written, so no partial file or set survives a failure.
+(JSON, round-trippable), the random generator name, the seed-mixing rule,
+the Fock cutoff actually used and, where a table has exponential fits, what
+each fit dropped and its largest residual. Outputs contain no timestamps
+or environment state, so a fixed (config, seed) reproduces files byte for
+byte. Files are written atomically (temp file + rename) and only after the
+whole experiment has completed; a multi-file set is renamed into place only
+once every file of it is written, so no partial file or set survives a
+failure.
 
 Column schemas are fixed per experiment kind and documented in the README.
 The fig4 preset produces three panel tables: in CSV mode they are written to
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
+from .analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
 from .config import FIG2_COLUMN, ExperimentConfig
 from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
@@ -88,15 +90,6 @@ def _paired_ensembles(
     return ensemble
 
 
-def _t1_grid(config: ExperimentConfig) -> np.ndarray:
-    """omega*T1 values spanning 2*pi*[t1_window] (uniform or seeded random)."""
-    lo, hi = config.t1_window
-    if config.t1_sampling == "uniform":
-        return 2 * math.pi * np.linspace(lo, hi, config.t1_count)
-    rng = np.random.default_rng(config.seed)
-    return 2 * math.pi * np.sort(rng.uniform(lo, hi, config.t1_count))
-
-
 def _commensurate_no_jitter(config: ExperimentConfig) -> bool:
     # flagged: a jitter-free schedule whose periods are commensurate can lock
     # onto resonances of the post-measurement dynamics
@@ -108,6 +101,8 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
 
     A table maps each column name, in schema order, to its list of cells.
     Single-table experiments use the key "data"; fig4 uses "a", "b", "c".
+    A builder may add its own metadata keys (``fig4_panels``,
+    ``exponential_fits``).
     """
     config.validate()
     solved: dict = {}  # the ground states of this build: no model is solved twice
@@ -132,13 +127,17 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         "cutoff_stable_to": CUTOFF_TOL,
         "commensurate_no_jitter": _commensurate_no_jitter(config),
     }
-    if config.experiment == "fig4":
-        metadata["fig4_panels"] = FIG4_PANELS
-    return metadata, _BUILDERS[config.experiment](config, prepare)
+    return metadata, _BUILDERS[config.experiment](config, prepare, metadata)
 
 
 # ---------------------------------------------------------------------------
-# table builders: each returns {table name: {column: cells}}
+# table builders: (config, prepare, metadata) -> {table name: {column: cells}}
+
+
+def _fit_health(fit: FitResult, **at) -> dict:
+    """What an exponential fit skipped and how far it missed, at the table
+    coordinates ``at`` it belongs to."""
+    return {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max}
 
 
 def _events(config: ExperimentConfig, ens, **constants) -> dict:
@@ -166,7 +165,7 @@ def _table(schema: str, *blocks: dict) -> dict[str, list]:
     return table
 
 
-def _build_fig1(config: ExperimentConfig, prepare) -> dict:
+def _build_fig1(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     g = np.asarray(config.g_values, dtype=float)
     p_e = np.array([prepare(gi).ground.p_e for gi in g])
     fit = fit_quadratic_origin(g, p_e)
@@ -177,7 +176,7 @@ def _build_fig1(config: ExperimentConfig, prepare) -> dict:
     )}
 
 
-def _build_fig2(config: ExperimentConfig, prepare) -> dict:
+def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     omega_t = np.arange(0.0, config.time_max + config.time_step / 2, config.time_step)
     table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
@@ -188,14 +187,15 @@ def _build_fig2(config: ExperimentConfig, prepare) -> dict:
     return {"data": table}
 
 
-def _build_fig3(config: ExperimentConfig, prepare) -> dict:
-    t1_values = _t1_grid(config) / config.omega
+def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
+    t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
     m = MeasurementModel(config.epsilon_values[0])
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
         [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
     )
     fit = fit_exponential(g**2, mean_final)
+    metadata["exponential_fits"] = {"data": [_fit_health(fit)]}
     return {"data": _table(
         "g_over_omega mean_final_survival gaussian_rate gaussian_r_squared",
         {"g_over_omega": g.tolist(), "mean_final_survival": mean_final.tolist(),
@@ -203,7 +203,7 @@ def _build_fig3(config: ExperimentConfig, prepare) -> dict:
     )}
 
 
-def _build_fig4(config: ExperimentConfig, prepare) -> dict:
+def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     eps = config.epsilon_values[0]
     panels = {
         panel: _paired_ensembles(config, s["omega_t1"], s["n"], s["jitter"], s["runs"])
@@ -220,12 +220,13 @@ def _build_fig4(config: ExperimentConfig, prepare) -> dict:
     )
 
     # panel b: survival vs event count per coupling, with exponential fits
-    blocks_b = []
+    blocks_b, health_b = [], []
     for g in config.g_values:
         ens = ensemble(g, "b")
         fit = fit_exponential(np.arange(1, ens.times.size + 1, dtype=float), ens.cumulative_mean)
         blocks_b.append(_events(config, ens, g_over_omega=float(g),
                                 fit_rate=fit.coefficients["rate"], fit_r_squared=fit.r_squared))
+        health_b.append(_fit_health(fit, g_over_omega=float(g)))
     table_b = _table(
         "g_over_omega event omega_t cumulative_mean cumulative_std fit_rate fit_r_squared",
         *blocks_b,
@@ -240,10 +241,12 @@ def _build_fig4(config: ExperimentConfig, prepare) -> dict:
         {"g_over_omega": grid.tolist(), "mean_single_survival": pbar.tolist(),
          "chi_bar_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
     )
+    metadata["fig4_panels"] = FIG4_PANELS
+    metadata["exponential_fits"] = {"b": health_b}
     return {"a": table_a, "b": table_b, "c": table_c}
 
 
-def _build_fig5(config: ExperimentConfig, prepare) -> dict:
+def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     prep = prepare(config.g_values[0])
     eps = config.epsilon_values[0]
     ensembles = {
@@ -257,9 +260,13 @@ def _build_fig5(config: ExperimentConfig, prepare) -> dict:
     )
     blocks = [
         _events(config, ens, omega_t1=float(w), t_over_t1=(config.omega * ens.times / w).tolist(),
-                rate_per_t_over_t1=collapse.rates[w], rate_ratio_max_min=collapse.rate_ratio)
+                rate_per_t_over_t1=collapse.fits[w].coefficients["rate"],
+                rate_ratio_max_min=collapse.rate_ratio)
         for w, ens in ensembles.items()
     ]
+    metadata["exponential_fits"] = {
+        "data": [_fit_health(fit, omega_t1=float(w)) for w, fit in collapse.fits.items()]
+    }
     return {"data": _table(
         "omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
         "rate_per_t_over_t1 rate_ratio_max_min",
@@ -267,7 +274,7 @@ def _build_fig5(config: ExperimentConfig, prepare) -> dict:
     )}
 
 
-def _build_survival(config: ExperimentConfig, prepare) -> dict:
+def _build_survival(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     ensemble = _paired_ensembles(
         config, config.omega_t1_values[0], config.n_measurements, config.jitter_width, config.runs
     )
@@ -287,9 +294,9 @@ def _build_survival(config: ExperimentConfig, prepare) -> dict:
     )}
 
 
-def _build_fig6(config: ExperimentConfig, prepare) -> dict:
+def _build_fig6(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     """The survival table at one coupling, without its g and chi_n columns."""
-    survival = _build_survival(config, prepare)["data"]
+    survival = _build_survival(config, prepare, metadata)["data"]
     return {"data": {
         name: cells for name, cells in survival.items()
         if name not in ("g_over_omega", "chi_n")

@@ -60,6 +60,31 @@ def kron_hamiltonian(p):
     return p.omega * number + 0.5 * p.omega0 * qubit_operator("sigma_z", p.n_max) + p.g * coupling
 
 
+def parity_chain_sites(n_max, odd=False):
+    """Qubit-major indices of the sites k = 0..n_max of one parity chain.
+    The even chain |g,0>, |e,1>, |g,2>, ... has site k at |g,k> for even k
+    and |e,k> for odd k; the odd chain |e,0>, |g,1>, |e,2>, ... the other
+    way round."""
+    k = np.arange(n_max + 1)
+    return np.where((k % 2 == 0) == odd, n_max + 1 + k, k)
+
+
+def parity_chain_hamiltonian(p, odd=False):
+    """The model of ``p`` on one parity chain (see ``parity_chain_sites``),
+    assembled entry by entry as a real tridiagonal matrix: omega*k +
+    omega0/2 on an excited site, omega*k - omega0/2 on a ground site, and
+    the bond g*sqrt(k+1) between sites k and k+1. "jc" keeps only the
+    exchange bonds |e,k> <-> |g,k+1>, the ones that leave an excited site:
+    odd k on the even chain, even k on the odd chain."""
+    k = np.arange(p.n_max + 1)
+    excited_site = (k % 2 == 0) == odd
+    diagonal = p.omega * k + 0.5 * p.omega0 * np.where(excited_site, 1.0, -1.0)
+    bonds = p.g * np.sqrt(k[1:])
+    if p.kind == "jc":
+        bonds = np.where(excited_site[:-1], bonds, 0.0)
+    return np.diag(diagonal) + np.diag(bonds, 1) + np.diag(bonds, -1)
+
+
 def excited(dim):
     """Qubit-major mask of the excited components: the second half."""
     return np.arange(dim) >= dim // 2

@@ -118,10 +118,25 @@ class TestCollapseSlopes:
             times = t1 * np.arange(1.0, 9.0)
             traces[t1] = synthetic_trace(times, np.exp(-0.2 * times / t1))
         result = collapse_slopes(traces)
-        rates = list(result.rates.values())
-        assert rates[0] == pytest.approx(0.2, rel=1e-12)
-        assert rates[1] == pytest.approx(0.2, rel=1e-12)
+        assert list(result.fits) == [1.0, 2.0]
+        for fit in result.fits.values():
+            assert fit.coefficients["rate"] == pytest.approx(0.2, rel=1e-12)
+            assert fit.n_dropped == 0
+            assert fit.residual_max <= 1e-12
         assert result.rate_ratio == pytest.approx(1.0, abs=1e-12)
+
+    def test_keeps_each_fits_extinct_count(self):
+        # the period whose survival underflows drops those events, and its
+        # fit says how many
+        times = np.arange(1.0, 9.0)
+        extinct = np.exp(-0.2 * times)
+        extinct[-3:] = 0.0
+        result = collapse_slopes({
+            1.0: synthetic_trace(times, np.exp(-0.2 * times)),
+            2.0: synthetic_trace(2.0 * times, extinct),
+        })
+        assert [fit.n_dropped for fit in result.fits.values()] == [0, 3]
+        assert result.fits[2.0].coefficients["rate"] == pytest.approx(0.2, rel=1e-12)
 
     def test_needs_two_keys(self):
         times = np.arange(1.0, 5.0)

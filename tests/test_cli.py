@@ -23,10 +23,11 @@ class TestPresets:
         assert preset("fig6").epsilon_values == (0.0, 0.1, 0.2)
 
     def test_fig3_period_count(self):
+        # 2*pi*linspace(0.1, 5, 100), bit for bit, built without numpy
         cfg = preset("fig3")
-        assert cfg.t1_count == 100
-        assert cfg.t1_window == (0.1, 5.0)
+        assert cfg.omega_t1_values == tuple((2 * math.pi * np.linspace(0.1, 5.0, 100)).tolist())
         assert cfg.n_measurements == 8
+        assert cfg.jitter_width == 0.0
 
     def test_fig1_grid_spans_unit_interval(self):
         grid = preset("fig1").g_values
@@ -87,7 +88,7 @@ class TestNonFiniteFields:
             ("g_values", (0.5, math.inf)),
             ("omega_t1_values", (math.nan,)),
             ("epsilon_values", (0.1, -math.inf)),
-            ("t1_window", (0.1, math.inf)),
+            ("omega_t1_values", (6.0, math.inf)),
             ("n_max", math.inf),
         ],
     )
@@ -115,14 +116,14 @@ class TestFieldTypes:
     @pytest.mark.parametrize("values,field", [
         ({"runs": 2.5}, "runs"),
         ({"n_measurements": 3.5}, "n_measurements"),
-        ({"t1_count": 2.5, "experiment": "fig3"}, "t1_count"),
+        ({"omega_t1_values": 6.0, "experiment": "fig3"}, "omega_t1_values"),
         ({"runs": True}, "runs"),
         ({"n_max": False}, "n_max"),
         ({"g_values": "abc"}, "g_values"),
         ({"g_values": 5}, "g_values"),
         ({"epsilon_values": [0.0, True]}, "epsilon_values"),
         ({"omega": "1"}, "omega"),
-        ({"t1_window": [0.1, "5"]}, "t1_window"),
+        ({"omega_t1_values": [0.1, "5"]}, "omega_t1_values"),
         ({"jitter_width": None}, "jitter_width"),
         ({"seed": -1}, "seed"),
         ({"out": 5}, "out"),
@@ -139,6 +140,15 @@ class TestFieldTypes:
         assert main(["--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_removed_period_window_key_is_unknown(self, tmp_path, capsys):
+        # fig3 takes its periods from omega_t1_values; the old window keys are gone
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "fig3", "t1_count": 5,
+                                        "out": str(tmp_path / "x.csv")}))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "unknown config keys: ['t1_count']" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_numpy_scalars_are_accepted(self):
         ExperimentConfig(runs=np.int64(3), omega=np.float64(1.0), g_values=(np.float64(0.5),)).validate()
@@ -293,6 +303,44 @@ class TestCliRuns:
         assert 0.0 in series["cumulative_mean"]
         assert all(math.isfinite(rate) and rate > 0 for rate in series["rate_per_t_over_t1"])
 
+    def test_fit_diagnostics_name_the_extinct_events(self, tmp_path):
+        # the same case: every period's fit reports the events it dropped and
+        # its largest log-space residual, in CSV and JSON alike
+        args = ["--preset", "fig5", "--g", "2.5", "--n-max", "80", "--n-measurements", "1500",
+                "--runs", "2"]
+        out = tmp_path / "fig5.json"
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        fits = payload["metadata"]["exponential_fits"]
+        assert list(fits) == ["data"]
+        assert [f["omega_t1"] for f in fits["data"]] == [math.pi, 2 * math.pi, 3 * math.pi]
+        cumulative = np.reshape(payload["series"]["data"]["cumulative_mean"], (3, 1500))
+        for fit, survival in zip(fits["data"], cumulative):
+            assert fit["n_dropped"] > 0
+            assert fit["n_dropped"] == np.sum(survival < 1e-12)
+            assert math.isfinite(fit["residual_max"]) and fit["residual_max"] > 0
+
+        csv_out = tmp_path / "fig5.csv"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        line = next(l for l in csv_out.read_text().splitlines()
+                    if l.startswith("# exponential_fits = "))
+        assert json.loads(line[len("# exponential_fits = "):]) == fits
+
+    def test_fig3_sweeps_the_given_periods(self, tmp_path):
+        # fig3 reads omega_t1_values like every other survival experiment,
+        # and its header records the sweep that ran
+        tables = {}
+        for name, extra in (("preset", []), ("given", ["--omega-t1", "2,4"])):
+            out = tmp_path / f"{name}.json"
+            assert main(["--preset", "fig3", "--format", "json", "--out", str(out), *extra]) == 0
+            payload = json.loads(out.read_text())
+            tables[name] = payload["series"]["data"]["mean_final_survival"]
+            assert read_config_header(str(out)).omega_t1_values == (
+                (2.0, 4.0) if extra else preset("fig3").omega_t1_values
+            )
+        assert tables["preset"][0] == tables["given"][0] == pytest.approx(1.0, abs=1e-12)
+        assert all(a != b for a, b in zip(tables["preset"][1:], tables["given"][1:]))
+
     def test_detector_that_never_acts_keeps_survival_at_one(self, tmp_path):
         out = tmp_path / "fig6.json"
         assert main(["--preset", "fig6", "--epsilon", "1", "--format", "json", "--out", str(out)]) == 0
@@ -361,6 +409,7 @@ BROKEN_RULES = {
     ("fig2", "g_values"): ["--preset", "fig2", "--g", "0.1234561,0.1234562"],
     ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
     ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
+    ("fig3", "jitter_width"): ["--preset", "fig3", "--jitter", "0.5"],
     ("fig4", "epsilon_values"): ["--preset", "fig4", "--epsilon", "0,0.1"],
     ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
@@ -464,7 +513,7 @@ class TestFlags:
 class TestMultiTableOutput:
     @pytest.fixture
     def fake_two_panel(self, monkeypatch):
-        def builder(config, prepare):
+        def builder(config, prepare, metadata):
             return {"a": {"x": [1], "y": [2.0]}, "b": {"x": [3], "y": [4.0]}}
 
         monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)
@@ -494,7 +543,7 @@ class TestOutputSet:
 
     @pytest.fixture
     def three_panel(self, monkeypatch, tmp_path):
-        def builder(config, prepare):
+        def builder(config, prepare, metadata):
             return {name: {"x": [1], "y": [2.0]} for name in "abc"}
 
         monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)

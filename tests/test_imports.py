@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +67,15 @@ def test_readme_states_the_input_rules():
         experiment: "; ".join(f"`{field}`: {what}" for field, what, _ in rules)
         for experiment, rules in INPUT_RULES.items()
     }
+
+
+def test_readme_lists_every_config_field():
+    # the Configuration key list is the ExperimentConfig fields, in order
+    from antizeno.config import ExperimentConfig
+
+    section = " ".join(_readme_section("Configuration").split())
+    keys = section.split("`ExperimentConfig` fields (", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_top_level_api_is_what_the_readme_documents():

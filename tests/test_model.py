@@ -4,6 +4,7 @@ import pytest
 from antizeno.dynamics import QuantumState, excitation_probability, excitation_trace
 from antizeno.errors import NumericalError
 from antizeno.model import (
+    DEGENERACY_GAP,
     ModelParams,
     assert_cutoff_converged,
     converge_cutoff,
@@ -18,6 +19,8 @@ from oracle import (
     eigenstate_overlaps,
     embed_even_chain,
     kron_hamiltonian,
+    parity_chain_hamiltonian,
+    parity_chain_sites,
     parity_operator,
     perturbative_c1,
 )
@@ -150,6 +153,71 @@ class TestEvenChain:
         assert spec.eigenvalues[0] == pytest.approx(gs.energy, abs=1e-12)
         vec = spec.eigenvectors[:, 0] * np.sign(spec.eigenvectors[0, 0])
         assert np.max(np.abs(vec - gs.even_chain)) <= 1e-12
+
+
+class TestParityChains:
+    """The two parity chains hold the whole truncated model, so the ground
+    state is the lower of the two chains' lowest eigenpairs."""
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("kind", ["rabi", "jc"])
+    @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
+    def test_chain_is_its_block_of_the_kron_hamiltonian(self, odd, kind, g):
+        p = ModelParams(1.0, 0.7, g, 9, kind)
+        full = kron_hamiltonian(p)
+        sites = parity_chain_sites(9, odd)
+        others = np.setdiff1d(np.arange(20), sites)
+        chain = parity_chain_hamiltonian(p, odd)
+        assert np.max(np.abs(chain - full[np.ix_(sites, sites)])) <= 1e-14
+        assert np.all(full[np.ix_(sites, others)] == 0)
+        parity = parity_operator(9).diagonal().real[sites]
+        assert np.all(parity == (-1.0 if odd else 1.0))
+
+    def test_odd_chain_sites_and_bonds(self):
+        p = ModelParams(1.0, 0.7, 0.5, 3, "jc")
+        assert parity_chain_sites(3, odd=True).tolist() == [4, 1, 6, 3]  # |e,0>, |g,1>, |e,2>, |g,3>
+        chain = parity_chain_hamiltonian(p, odd=True)
+        # jc keeps |e,0> <-> |g,1> and |e,2> <-> |g,3>, the bonds leaving even k
+        assert np.diag(chain, 1).tolist() == [0.5, 0.0, 0.5 * np.sqrt(3)]
+        assert np.diag(chain).tolist() == [0.35, 1 - 0.35, 2.35, 3 - 0.35]
+
+    # Which chain holds the ground state on the coupling grid: E the even
+    # chain, O the odd chain (jc past its level crossing), D degenerate
+    # (every level at omega0 = 0 in rabi; the jc crossing at g = omega).
+    COUPLINGS = np.linspace(0.0, 2.0, 21)
+    GROUND_CHAIN = {
+        ("rabi", 1.0): "E" * 21,
+        ("rabi", 0.5): "E" * 21,
+        ("rabi", 0.0): "D" * 21,
+        ("jc", 1.0): "E" * 10 + "D" + "O" * 10,
+        ("jc", 0.5): "E" * 8 + "O" * 13,
+        ("jc", 0.0): "D" + "O" * 20,
+    }
+
+    @pytest.mark.parametrize("kind,omega0", sorted(GROUND_CHAIN))
+    def test_ground_state_is_the_lower_chain(self, kind, omega0):
+        found = ""
+        for g in self.COUPLINGS:
+            p = ModelParams(1.0, omega0, float(g), 60, kind)
+            even_values, even_vectors = np.linalg.eigh(parity_chain_hamiltonian(p))
+            odd_values = np.linalg.eigvalsh(parity_chain_hamiltonian(p, odd=True))
+            lowest_two = np.sort(np.concatenate([even_values[:2], odd_values[:2]]))[:2]
+            if lowest_two[1] - lowest_two[0] < DEGENERACY_GAP:
+                found += "D"
+                assert ground_state(p).degenerate
+            elif odd_values[0] < even_values[0]:
+                found += "O"
+                with pytest.raises(NumericalError, match="odd parity sector"):
+                    ground_state(p)
+            else:
+                found += "E"
+                gs = ground_state(p)
+                assert not gs.degenerate
+                assert abs(gs.energy - even_values[0]) <= 1e-12
+                assert abs(gs.p_e - np.sum(even_vectors[1::2, 0] ** 2)) <= 1e-12
+                expected_gap = min(even_values[1], odd_values[0]) - even_values[0]
+                assert abs(gs.gap - expected_gap) <= 1e-9
+        assert found == self.GROUND_CHAIN[kind, omega0]
 
 
 class TestGroundState:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from antizeno.config import preset
-from antizeno.dynamics import BATCH_RUNS
+from antizeno import protocol
+from antizeno.dynamics import BATCH_RUNS, QuantumState
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
@@ -399,6 +400,64 @@ class TestRunSurvival:
         with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
             run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], MeasurementModel(0.0))
         assert "omega0" not in str(info.value)
+
+
+def _unchecked(kind, data):
+    """A QuantumState that skips its construction checks, as a corrupted
+    state would reach the next step of a run."""
+    state = object.__new__(QuantumState)
+    object.__setattr__(state, "kind", kind)
+    object.__setattr__(state, "data", data)
+    return state
+
+
+def _shift_last_site(data):
+    """Move 1e-3 of population from the first to the last chain site: the
+    trace and Hermiticity hold, but the nearly empty last site goes negative."""
+    out = data.copy()
+    out[:, 0, 0] += 1e-3
+    out[:, -1, -1] -= 1e-3
+    return out
+
+
+def _non_hermitian(data):
+    out = data.copy()
+    out[:, 0, 1] += 1e-6
+    return out
+
+
+# (epsilon, corruption of the post-measurement data, the check's message)
+CORRUPTIONS = {
+    "pure norm": (0.0, lambda d: 1.01 * d, "pure state norm deviates from 1"),
+    "density trace": (0.1, lambda d: 1.01 * d, "density matrix trace deviates from 1"),
+    "hermiticity": (0.1, _non_hermitian, "density matrix not Hermitian"),
+    "positivity": (0.1, _shift_last_site, "density matrix not positive"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CORRUPTIONS))
+def test_state_corrupted_mid_run_is_caught(monkeypatch, check):
+    # corrupt the conditional state of the second event: the run must stop
+    # with the broken invariant's message before it measures again
+    epsilon, corrupt, message = CORRUPTIONS[check]
+    prep = prepare_model(resonant(0.5, n_max=20))
+    times = np.tile(two_period_schedule(2 * np.pi, SQRT2, 4), (2, 1))
+    m = MeasurementModel(epsilon)
+    run_survival(prep, times, m)  # the clean run passes every check
+    real = protocol.measure_no_click
+    events = []
+
+    def corrupting(state, model):
+        prob, post = real(state, model)
+        events.append(post.kind)
+        if len(events) == 2:
+            post = _unchecked(post.kind, corrupt(np.array(post.data)))
+        return prob, post
+
+    monkeypatch.setattr(protocol, "measure_no_click", corrupting)
+    with pytest.raises(ValueError, match=message):
+        run_survival(prep, times, m)
+    assert events == ["pure" if epsilon == 0.0 else "density"] * 2
 
 
 def test_prepare_model_defers_full_space_spectrum(monkeypatch):

@@ -57,9 +57,9 @@ class TestFig3Builder:
     def test_schema_and_fit_columns(self):
         cfg = ExperimentConfig(
             experiment="fig3", g_values=(0.0, 0.5, 1.0), n_max=20,
-            n_measurements=4, t1_count=5, jitter_width=0.0,
+            n_measurements=4, omega_t1_values=(1.0, 2.0, 3.0, 4.0, 5.0), jitter_width=0.0,
         )
-        _, tables = build_tables(cfg)
+        metadata, tables = build_tables(cfg)
         table = tables["data"]
         assert tuple(table) == (
             "g_over_omega", "mean_final_survival", "gaussian_rate", "gaussian_r_squared"
@@ -67,23 +67,30 @@ class TestFig3Builder:
         survival = table["mean_final_survival"]
         assert survival[0] == pytest.approx(1.0, abs=1e-12)
         assert survival[0] > survival[1] > survival[2]
+        [health] = metadata["exponential_fits"]["data"]
+        assert health["n_dropped"] == 0 and health["residual_max"] > 0
 
-    def test_random_t1_sampling_is_seeded(self):
-        cfg = ExperimentConfig(
-            experiment="fig3", g_values=(0.5, 1.0), n_max=16,
-            n_measurements=3, t1_count=4, t1_sampling="random", seed=5,
-        )
-        _, first = build_tables(cfg)
-        _, second = build_tables(cfg)
-        assert first["data"] == second["data"]
-
-    def test_one_period_is_the_window_start(self):
-        # t1_count = 1 sweeps the single period 2*pi*t1_window[0]
-        cfg = replace(preset("fig3"), t1_count=1, g_values=(0.0, 0.5, 1.0))
-        assert runner_module._t1_grid(cfg).tolist() == [2 * math.pi * cfg.t1_window[0]]
+    def test_one_period_sweeps_that_period(self):
+        # the first period of the preset grid alone; the values were pinned
+        # when this sweep was still set as a one-point period window
+        cfg = replace(preset("fig3"), omega_t1_values=(2 * math.pi * 0.1,), g_values=(0.0, 0.5, 1.0))
         survival = build_tables(cfg)[1]["data"]["mean_final_survival"]
         expected = [0.9999999999999997, 0.36255587651402577, 0.014453759506127118]
         assert survival == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_sweeps_the_periods_it_is_given(self, monkeypatch):
+        # the builder hands omega_t1_values / omega to sweep_T1, in order
+        swept = []
+        real = runner_module.sweep_T1
+
+        def recording(prep, N, T1_values, ratio, m):
+            swept.append(list(T1_values))
+            return real(prep, N, T1_values, ratio, m)
+
+        monkeypatch.setattr(runner_module, "sweep_T1", recording)
+        cfg = replace(preset("fig3"), omega=2.0, omega_t1_values=(3.0, 1.0), g_values=(0.0, 0.5))
+        build_tables(cfg)
+        assert swept == [[1.5, 0.5], [1.5, 0.5]]
 
     def test_single_coupling_rejected(self):
         cfg = ExperimentConfig(experiment="fig3", g_values=(0.5,), n_max=16)
@@ -131,6 +138,9 @@ class TestFig4Builder:
         # panel b: one block of rows per coupling with a shared fit
         assert tuple(tables["b"])[:3] == ("g_over_omega", "event", "omega_t")
         assert n_rows(tables["b"]) == 2 * 4
+        # each panel-b fit reports its dropped events and residual
+        assert [f["g_over_omega"] for f in metadata["exponential_fits"]["b"]] == [0.5, 1.0]
+        assert all(f["n_dropped"] == 0 for f in metadata["exponential_fits"]["b"])
         # panel c: one row per grid point
         assert tuple(tables["c"]) == (
             "g_over_omega", "mean_single_survival", "chi_bar_fit", "r_squared"
@@ -148,13 +158,16 @@ class TestFig5Builder:
             omega_t1_values=(math.pi, 2 * math.pi), n_measurements=6,
             jitter_width=0.2 * math.pi, runs=2,
         )
-        _, tables = build_tables(cfg)
+        metadata, tables = build_tables(cfg)
         table = tables["data"]
         assert tuple(table) == (
             "omega_t1", "event", "omega_t", "t_over_t1", "cumulative_mean",
             "cumulative_std", "rate_per_t_over_t1", "rate_ratio_max_min",
         )
         assert n_rows(table) == 2 * 6
+        health = metadata["exponential_fits"]["data"]
+        assert [f["omega_t1"] for f in health] == [math.pi, 2 * math.pi]
+        assert all(f["n_dropped"] == 0 and f["residual_max"] >= 0 for f in health)
         ratios = set(table["rate_ratio_max_min"])
         assert len(ratios) == 1  # global ratio repeated on every row
         t_over_t1 = table["t_over_t1"][:6]
