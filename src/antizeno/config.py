@@ -67,13 +67,29 @@ INPUT_RULES = {
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
 }
 
+# The fields every experiment reads, and those each one reads on top.
+# validate rejects any other field that differs from its ExperimentConfig()
+# default, so a header never records an input that did not act. seed is
+# accepted everywhere: a seed that draws nothing cannot mislead.
+ALWAYS_READ = ("experiment", "omega", "omega0", "g_values", "n_max", "out", "format")
+READ_SETS = {
+    "fig1": (),
+    "fig2": ("time_max", "time_step"),
+    "fig3": ("omega_t1_values", "ratio", "n_measurements", "epsilon_values", "jitter_width"),
+    "fig4": ("ratio", "epsilon_values", "seed"),
+    **dict.fromkeys(("fig5", "fig6", "survival"), (
+        "omega_t1_values", "ratio", "n_measurements", "jitter_width", "runs", "epsilon_values", "seed",
+    )),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: model parameters, schedule, detector and output.
 
-    ``INPUT_RULES`` says what each experiment needs of its fields (fig4
-    fixes its three panel schedules internally; see the runner module).
+    ``READ_SETS`` says which fields each experiment reads and
+    ``INPUT_RULES`` what it needs of them (fig4 fixes its three panel
+    schedules internally; see the runner module).
     """
 
     experiment: str = "survival"
@@ -119,6 +135,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
         if not (self.out is None or (isinstance(self.out, str) and self.out)):
             raise ValueError(f"out must be a non-empty path string or null, got {self.out!r}")
+        accepted = (*ALWAYS_READ, *READ_SETS[self.experiment], "seed")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in accepted and value != f.default:
+                raise ValueError(f"{f.name}: {self.experiment} does not read it; leave it at "
+                                 f"its default {f.default!r}, got {value!r}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega!r}")
         if self.omega0 < 0:

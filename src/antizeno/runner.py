@@ -2,8 +2,8 @@
 
 Every output file embeds a metadata header with the exact configuration
 (JSON, round-trippable), the random generator name, the seed-mixing rule,
-the Fock cutoff actually used and, where a table has exponential fits, what
-each fit dropped and its largest residual. Outputs contain no timestamps
+the Fock cutoff actually used and, where a table has fits, what each fit
+dropped and its largest residual. Outputs contain no timestamps
 or environment state, so a fixed (config, seed) reproduces files byte for
 byte. Files are written atomically (temp file + rename) and only after the
 whole experiment has completed; a multi-file set is renamed into place only
@@ -74,13 +74,22 @@ def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
     return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP), solved) for g in config.g_values)
 
 
+def _flag_commensurate(metadata: dict, ratio: float, width: float) -> None:
+    """Record under ``commensurate_no_jitter`` whether any two-period
+    schedule of the build runs jitter-free with commensurate periods: such
+    a schedule can lock onto resonances of the post-measurement dynamics."""
+    flagged = width == 0.0 and abs(ratio - round(ratio)) < 1e-12
+    metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
+
+
 def _paired_ensembles(
-    config: ExperimentConfig, omega_t1: float, n: int, width: float, runs: int
+    config: ExperimentConfig, metadata: dict, omega_t1: float, n: int, width: float, runs: int
 ):
     """Draw the jitter ensemble of a two-period schedule once per build and
     return ``ensemble(prep, eps)``, which runs those draws for one coupling
     and epsilon. Every call reuses the same draws, which is what pairs run k
     across a table."""
+    _flag_commensurate(metadata, config.ratio, width)
     base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
     times = jitter_times(base, width, config.omega, runs, config.seed)
 
@@ -90,19 +99,13 @@ def _paired_ensembles(
     return ensemble
 
 
-def _commensurate_no_jitter(config: ExperimentConfig) -> bool:
-    # flagged: a jitter-free schedule whose periods are commensurate can lock
-    # onto resonances of the post-measurement dynamics
-    return config.jitter_width == 0.0 and abs(config.ratio - round(config.ratio)) < 1e-12
-
-
 def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
     """Run the experiment; return (metadata, tables keyed by name).
 
     A table maps each column name, in schema order, to its list of cells.
     Single-table experiments use the key "data"; fig4 uses "a", "b", "c".
-    A builder may add its own metadata keys (``fig4_panels``,
-    ``exponential_fits``).
+    A builder may add its own metadata keys (``commensurate_no_jitter``,
+    ``fig4_panels``, ``exponential_fits``, ``quadratic_fits``).
     """
     config.validate()
     solved: dict = {}  # the ground states of this build: no model is solved twice
@@ -125,7 +128,6 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         "generator": GENERATOR_NOTE,
         "cutoff_used": n_max,
         "cutoff_stable_to": CUTOFF_TOL,
-        "commensurate_no_jitter": _commensurate_no_jitter(config),
     }
     return metadata, _BUILDERS[config.experiment](config, prepare, metadata)
 
@@ -135,8 +137,8 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
 
 
 def _fit_health(fit: FitResult, **at) -> dict:
-    """What an exponential fit skipped and how far it missed, at the table
-    coordinates ``at`` it belongs to."""
+    """What a fit skipped and how far it missed, at the table coordinates
+    ``at`` it belongs to."""
     return {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max}
 
 
@@ -169,6 +171,7 @@ def _build_fig1(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     g = np.asarray(config.g_values, dtype=float)
     p_e = np.array([prepare(gi).ground.p_e for gi in g])
     fit = fit_quadratic_origin(g, p_e)
+    metadata["quadratic_fits"] = {"data": [_fit_health(fit)]}
     return {"data": _table(
         "g_over_omega p_e lambda_fit r_squared",
         {"g_over_omega": g.tolist(), "p_e": p_e.tolist(),
@@ -190,6 +193,7 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
     m = MeasurementModel(config.epsilon_values[0])
+    _flag_commensurate(metadata, config.ratio, 0.0)
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
         [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
@@ -206,7 +210,7 @@ def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     eps = config.epsilon_values[0]
     panels = {
-        panel: _paired_ensembles(config, s["omega_t1"], s["n"], s["jitter"], s["runs"])
+        panel: _paired_ensembles(config, metadata, s["omega_t1"], s["n"], s["jitter"], s["runs"])
         for panel, s in FIG4_PANELS.items()
     }
 
@@ -243,6 +247,7 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     )
     metadata["fig4_panels"] = FIG4_PANELS
     metadata["exponential_fits"] = {"b": health_b}
+    metadata["quadratic_fits"] = {"c": [_fit_health(fit)]}
     return {"a": table_a, "b": table_b, "c": table_c}
 
 
@@ -250,7 +255,7 @@ def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     prep = prepare(config.g_values[0])
     eps = config.epsilon_values[0]
     ensembles = {
-        w: _paired_ensembles(config, w, config.n_measurements, config.jitter_width,
+        w: _paired_ensembles(config, metadata, w, config.n_measurements, config.jitter_width,
                              config.runs)(prep, eps)
         for w in config.omega_t1_values
     }
@@ -276,7 +281,8 @@ def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 def _build_survival(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     ensemble = _paired_ensembles(
-        config, config.omega_t1_values[0], config.n_measurements, config.jitter_width, config.runs
+        config, metadata, config.omega_t1_values[0], config.n_measurements, config.jitter_width,
+        config.runs,
     )
     blocks = []
     for g in config.g_values:

@@ -5,8 +5,10 @@ full-space Hamiltonian entry by entry. This module rebuilds the qubit (x)
 Fock algebra the textbook way, from Kronecker products of qubit and field
 operators, in the qubit-major basis of ``antizeno.operators``: index(s, n)
 = s*(n_max+1) + n, s=0 -> |g>, s=1 -> |e>. It also holds the closed forms
-the tests compare against. Nothing here validates its arguments, except
-that ``jitter_mean_survival`` refuses inputs its exact form does not cover.
+the tests compare against, and Braak's G-functions, whose zeros give the
+Rabi spectrum with no Fock cutoff at all. Nothing here validates its
+arguments, except that ``jitter_mean_survival`` refuses inputs its exact
+form does not cover and ``braak_g`` a series it has not summed.
 """
 
 import numpy as np
@@ -209,6 +211,13 @@ def jitter_mean_survival(p, base, half_window, epsilon):
     return np.array(means)
 
 
+def beyond_5_se(mean, se, exact):
+    """Events whose Monte Carlo mean is more than 5 standard errors from the
+    exact mean. The 1e-12 covers rounding where the standard error is 0
+    (event 1 is deterministic: the ground state is stationary)."""
+    return np.abs(mean - exact) > 5 * se + 1e-12
+
+
 def click_probability(data, excited_mask, epsilon):
     """(1 - epsilon) <P_e> of a state vector or density matrix."""
     data = np.asarray(data)
@@ -237,3 +246,79 @@ def perturbative_c1(p):
 def eigenstate_overlaps(psi, eigenvectors, k):
     """Overlap probabilities |<E_i|psi>|^2 with the k lowest eigenstates."""
     return np.abs(eigenvectors[:, :k].conj().T @ psi) ** 2
+
+
+def braak_g(x, g, delta, terms=120):
+    """Braak's G-functions (G_-, G_+) of the Rabi model with omega = 1,
+    H = a^dagger a + delta sigma_z + g sigma_x (a + a^dagger), at x = E + g^2,
+    elementwise over arrays x, g and delta that broadcast (Braak, PRL 107,
+    100401 (2011)).
+
+    The regular spectrum is the zeros of G_- (the ground state's parity
+    sector) and of G_+ (the other one), with no Fock cutoff:
+    G_-+(x) = sum_n K_n(x) [1 -+ delta/(x - n)] g^n, where K_0 = 1,
+    K_1 = f_0(x), n K_n = f_{n-1}(x) K_{n-1} - K_{n-2} and
+    f_n(x) = 2g + (n - x + delta^2/(x - n))/(2g). Both have simple poles at
+    x = 0, 1, 2, ..., so x must avoid the integers. The terms fall off
+    geometrically once n exceeds about 4g^2; ``terms`` must reach that
+    tail, and a series whose last term is not below 1e-17 of its largest
+    raises.
+    """
+    x = np.asarray(x, dtype=float)
+    k_prev, k = np.zeros_like(x), np.ones_like(x)
+    minus, plus, largest = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for n in range(terms):
+        pole = delta / (x - n)
+        term = k * g**n
+        largest = np.maximum(largest, np.abs(term))
+        minus += term * (1 + pole)
+        plus += term * (1 - pole)
+        f = 2 * g + (n - x + delta * pole) / (2 * g)
+        k_prev, k = k, (f * k - k_prev) / (n + 1)
+    if np.any(np.abs(term) > 1e-17 * largest):
+        raise ValueError(f"G-function series not converged after {terms} terms")
+    return minus, plus
+
+
+def braak_roots(g, delta, top=1, bisections=50):
+    """The zeros of G_- and of G_+ (``braak_g``) on [-delta, top), for each
+    coupling g[j] with its delta[j] in (0, 1): a list with one pair of
+    sorted arrays (zeros of G_-, zeros of G_+) per coupling.
+
+    E >= -g^2 - delta bounds the spectrum from below, so no zero lies under
+    x = -delta. Each stretch between poles is scanned on a grid that closes
+    in on the poles geometrically, to 1e-12 of a unit, but never touches
+    one, so a sign change on the grid brackets a zero. Bisection then
+    refines every bracket of every coupling at once.
+    """
+    g = np.asarray(g, dtype=float)[:, None, None]
+    delta = np.asarray(delta, dtype=float)[:, None, None]
+    near = np.geomspace(1e-12, 1e-2, 40)
+    t = np.concatenate([near, np.linspace(1e-2, 1 - 1e-2, 400)[1:-1], 1 - near[::-1]])
+    poles = np.broadcast_to(np.arange(top)[:, None], (g.size, top, 1))
+    starts = np.concatenate([-delta, poles], axis=1)
+    widths = np.concatenate([delta, np.ones((g.size, top, 1))], axis=1)
+    grid = starts + widths * t  # (coupling, stretch, point)
+    brackets = []  # (coupling, 0 for G_- or 1 for G_+, low end, high end)
+    for which, values in enumerate(braak_g(grid, g, delta)):
+        j, stretch, i = np.nonzero(np.sign(values[..., :-1]) != np.sign(values[..., 1:]))
+        brackets.append((j, np.full(j.size, which), grid[j, stretch, i], grid[j, stretch, i + 1]))
+    j, which, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
+    couplings = g.size
+    g_j, delta_j = g.ravel()[j], delta.ravel()[j]
+
+    def value(x):
+        minus, plus = braak_g(x, g_j, delta_j)
+        return np.where(which == 0, minus, plus)
+
+    f_lo = value(lo)
+    for _ in range(bisections):
+        mid = 0.5 * (lo + hi)
+        f_mid = value(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo, hi = np.where(left, mid, lo), np.where(left, f_mid, f_lo), np.where(left, hi, mid)
+    root = 0.5 * (lo + hi)
+    return [
+        (np.sort(root[(j == k) & (which == 0)]), np.sort(root[(j == k) & (which == 1)]))
+        for k in range(couplings)
+    ]

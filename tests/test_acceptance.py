@@ -2,7 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Thresholds are fixed
 here; randomized protocols use frozen seeds so every number is reproducible
-bit for bit.
+bit for bit. Criteria 4, 7 and 8 also have a seed-free twin, which applies
+the same thresholds to the exact jitter-averaged survival
+(``oracle.jitter_mean_survival``) instead of a Monte Carlo mean, so a twin
+that fails is a regression, not a bad seed.
 """
 
 import math
@@ -23,7 +26,7 @@ from antizeno.protocol import (
     two_period_schedule,
 )
 from antizeno.runner import FIG4_PANELS
-from oracle import truncated_survival
+from oracle import jitter_mean_survival, truncated_survival
 
 SQRT2 = math.sqrt(2.0)
 SEED = 1234
@@ -105,6 +108,21 @@ def test_criterion_04_exponential_survival_law():
     )
 
 
+def test_criterion_04_seed_free_twin():
+    panel = FIG4_PANELS["b"]
+    base = two_period_schedule(panel["omega_t1"], SQRT2, panel["n"])
+    events = np.arange(1, panel["n"] + 1, dtype=float)
+    fits = {
+        g: fit_exponential(events, jitter_mean_survival(resonant(g), base, panel["jitter"], 0.0))
+        for g in (1 / 3, 2 / 3, 1.0)
+    }
+    assert all(fit.r_squared >= 0.95 for fit in fits.values())
+    rates = [fits[g].coefficients["rate"] for g in (1 / 3, 2 / 3, 1.0)]
+    assert rates[0] < rates[1] < rates[2]
+    report(4, "exact mean: log survival linear in N (R^2>=0.95) with rates "
+           + " < ".join(f"{rate:.4f}" for rate in rates))
+
+
 def test_criterion_05_mean_single_shot_quadratic():
     panel = FIG4_PANELS["c"]
     grid = np.linspace(0.0, 1.0, 11)
@@ -160,6 +178,18 @@ def test_criterion_07_rate_collapse_across_periods():
     report(7, f"decay rates in t/T1 units collapse: max/min ratio {ratio:.3f} (<=1.4)")
 
 
+def test_criterion_07_seed_free_twin():
+    p = resonant(1.0)
+    rates = []
+    for omega_t1 in (math.pi, 2 * math.pi, 3 * math.pi):
+        base = two_period_schedule(omega_t1, SQRT2, 16)
+        exact = jitter_mean_survival(p, base, 0.2 * math.pi, 0.0)
+        rates.append(fit_exponential(base / omega_t1, exact).coefficients["rate"])
+    ratio = max(rates) / min(rates)
+    assert ratio <= 1.4
+    report(7, f"exact mean: decay rates in t/T1 units collapse: max/min ratio {ratio:.3f} (<=1.4)")
+
+
 def test_criterion_08_weak_measurement_robustness():
     prep = prepare_model(resonant(1.0))
     base = two_period_schedule(2 * math.pi, SQRT2, 16)
@@ -181,6 +211,25 @@ def test_criterion_08_weak_measurement_robustness():
     report(
         8,
         f"imperfect detector: curves monotone, ordered within one std, "
+        f"log-linear R^2={fit.r_squared:.4f} at eps=0.2 (>=0.9)",
+    )
+
+
+def test_criterion_08_seed_free_twin():
+    p = resonant(1.0)
+    base = two_period_schedule(2 * math.pi, SQRT2, 16)
+    exact = {eps: jitter_mean_survival(p, base, 0.2 * math.pi, eps) for eps in (0.0, 0.1, 0.2)}
+    for mean in exact.values():
+        assert np.all(np.diff(mean) <= 1e-15)
+
+    fit = fit_exponential(np.arange(1, 17, dtype=float), exact[0.2])
+    assert fit.r_squared >= 0.9
+
+    # the exact means have no spread, so the order holds with no tolerance
+    assert np.all(exact[0.1] >= exact[0.0]) and np.all(exact[0.2] >= exact[0.1])
+    report(
+        8,
+        f"exact mean, imperfect detector: curves monotone, ordered, "
         f"log-linear R^2={fit.r_squared:.4f} at eps=0.2 (>=0.9)",
     )
 

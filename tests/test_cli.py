@@ -326,6 +326,31 @@ class TestCliRuns:
                     if l.startswith("# exponential_fits = "))
         assert json.loads(line[len("# exponential_fits = "):]) == fits
 
+    @pytest.mark.parametrize("args,table,x,y,lam", [
+        (["--preset", "fig1", "--g", "0,0.2,0.4,0.6", "--n-max", "20"], "data",
+         "g_over_omega", lambda t: np.array(t["p_e"]), "lambda_fit"),
+        (["--preset", "fig4"], "c",
+         "g_over_omega", lambda t: 1.0 - np.array(t["mean_single_survival"]), "chi_bar_fit"),
+    ])
+    def test_quadratic_fits_report_their_residual(self, tmp_path, args, table, x, y, lam):
+        # residual_max is max |y - lam x^2| over the emitted table, in CSV
+        # and JSON alike
+        out = tmp_path / "run.json"
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        fits = payload["metadata"]["quadratic_fits"]
+        cells = payload["series"][table]
+        [fit] = fits[table]
+        residual = np.max(np.abs(y(cells) - cells[lam][0] * np.array(cells[x]) ** 2))
+        assert fit == {"n_dropped": 0, "residual_max": pytest.approx(residual, rel=1e-12)}
+
+        csv_out = tmp_path / "run.csv"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        csv_file = csv_out if table == "data" else tmp_path / f"run_{table}.csv"
+        line = next(l for l in csv_file.read_text().splitlines()
+                    if l.startswith("# quadratic_fits = "))
+        assert json.loads(line[len("# quadratic_fits = "):]) == fits
+
     def test_fig3_sweeps_the_given_periods(self, tmp_path):
         # fig3 reads omega_t1_values like every other survival experiment,
         # and its header records the sweep that ran

@@ -69,6 +69,23 @@ def test_readme_states_the_input_rules():
     }
 
 
+def test_readme_states_the_read_sets():
+    # the "experiment | also reads" table is config.READ_SETS, row for row
+    from antizeno.config import ALWAYS_READ, READ_SETS
+
+    section = _readme_section("Configuration")
+    table = section.split("| experiment | also reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        experiment, reads = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        rows[experiment] = tuple(re.findall(r"`(\w+)`", reads)) if reads != "none" else ()
+    assert rows == READ_SETS
+    prose = " ".join(section.split())
+    always = ", ".join(f"`{name}`" for name in ALWAYS_READ[:-1]) + f" and `{ALWAYS_READ[-1]}`"
+    assert f"Every experiment reads {always}" in prose
+    assert "`--seed` is accepted everywhere" in prose
+
+
 def test_readme_lists_every_config_field():
     # the Configuration key list is the ExperimentConfig fields, in order
     from antizeno.config import ExperimentConfig

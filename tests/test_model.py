@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from antizeno.model import (
 from antizeno.numkit import MAX_DIM, hermitian_eig
 from oracle import (
     basis_state,
+    braak_roots,
     eigenstate_overlaps,
     embed_even_chain,
     kron_hamiltonian,
@@ -386,6 +389,29 @@ class TestConvergeCutoff:
         assert list(solved) == [p, resonant(1.0, n_max=50)]
         with pytest.raises(NumericalError, match="odd parity sector at n_max=10"):
             assert_cutoff_converged(resonant(1.1, n_max=10, kind="jc"))
+
+
+class TestBraakGFunction:
+    """The ground energy against the zeros of Braak's G-functions, which
+    hold no Fock cutoff (Braak, PRL 107, 100401 (2011)): with Delta =
+    omega0/2 and x = E + g^2, the ground state is the lowest zero of G_-."""
+
+    CASES = [(omega0, g) for omega0 in (1.0, 0.5) for g in (0.5, 1.0, 2.0, 3.0)]
+
+    def test_ground_energy_is_the_lowest_zero(self):
+        roots = braak_roots([g for _, g in self.CASES], [omega0 / 2 for omega0, _ in self.CASES])
+        for (omega0, g), (minus, plus) in zip(self.CASES, roots):
+            params = ModelParams(1.0, omega0, g, 10)
+            x = ground_state(replace(params, n_max=converge_cutoff(params))).energy + g**2
+            assert abs(minus[0] - x) <= 1e-11, (omega0, g)
+            # no zero of either G, so no state of either parity, lies below it
+            assert np.concatenate([minus, plus]).min() >= x - 1e-11, (omega0, g)
+
+    def test_sees_an_unconverged_cutoff(self):
+        # the pin can fail: at g/omega = 3, n_max = 30 is off by about 1e-7
+        [(minus, _)] = braak_roots([3.0], [0.5])
+        energy = ground_state(resonant(3.0, n_max=30)).energy
+        assert abs(minus[0] - (energy + 9.0)) > 1e-8
 
 
 class TestEigenstateOverlaps:

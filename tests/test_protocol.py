@@ -21,7 +21,7 @@ from antizeno.protocol import (
 )
 from antizeno.runner import FIG4_PANEL_C_GRID, FIG4_PANELS
 from oracle import (
-    embed_even_chain, full_space_singles, jitter_mean_survival, trajectory_survival,
+    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, trajectory_survival,
     truncated_survival,
 )
 
@@ -588,13 +588,6 @@ def ensemble_and_exact(config, g, omega_t1, n, width, runs, eps, oracle_width=No
     half_window = (width if oracle_width is None else oracle_width) / config.omega
     exact = jitter_mean_survival(p, base, half_window, eps)
     return ens.cumulative_mean, ens.cumulative_std / math.sqrt(runs), exact
-
-
-def beyond_5_se(mean, se, exact):
-    """Events whose Monte Carlo mean is more than 5 standard errors from the
-    exact mean. The 1e-12 covers rounding where the standard error is 0
-    (event 1 is deterministic: the ground state is stationary)."""
-    return np.abs(mean - exact) > 5 * se + 1e-12
 
 
 class TestEnsembleMeanMatchesExactAverage:
