@@ -14,6 +14,7 @@ import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from .model import CHECKED_N_MAX_CAP, CUTOFF_STEP
+from .protocol import jitter_keeps_order, two_period_schedule
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
 
@@ -47,24 +48,35 @@ def _periods(n: int, lo: float, hi: float) -> tuple[float, ...]:
 # fig2 names one column per coupling with this format.
 FIG2_COLUMN = "p1e_g_over_omega_{:.6g}"
 
-# What each experiment needs of its fields: (field, what, test). validate
-# enforces every rule, so a bad shape is rejected before any eigensolve.
+# What each experiment needs of its fields: (field, what, test), where
+# test(value, config) may read the rest of the config. validate enforces
+# every rule, so a bad shape is rejected before any eigensolve. The jitter
+# rule judges the schedules and window exactly as the runner draws them.
+_KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width/omega below "
+                "the first event time and half of every interval)",
+                lambda width, c: all(
+                    jitter_keeps_order(two_period_schedule(w / c.omega, c.ratio, c.n_measurements),
+                                       width / c.omega)
+                    for w in c.omega_t1_values))
 INPUT_RULES = {
-    "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v: len(v) >= 3)],
+    "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
-              lambda v: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
-    "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v: len(v) >= 2),
-             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
-             ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v: v == 0)],
-    "fig4": [("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1)],
-    "fig5": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
-             ("epsilon_values", "exactly one epsilon", lambda v: len(v) == 1),
+              lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
+    "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
+             ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
+             ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0)],
+    "fig4": [("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1)],
+    "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
+             ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("omega_t1_values", "at least two periods for the rate collapse",
-              lambda v: len(v) >= 2),
-             ("n_measurements", "at least 2 events for the per-period fits", lambda v: v >= 2)],
-    "fig6": [("g_values", "exactly one coupling", lambda v: len(v) == 1),
-             ("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
-    "survival": [("omega_t1_values", "exactly one omega_t1", lambda v: len(v) == 1)],
+              lambda v, c: len(v) >= 2),
+             ("n_measurements", "at least 2 events for the per-period fits", lambda v, c: v >= 2),
+             _KEEPS_ORDER],
+    "fig6": [("g_values", "exactly one coupling", lambda v, c: len(v) == 1),
+             ("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
+             _KEEPS_ORDER],
+    "survival": [("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
+                 _KEEPS_ORDER],
 }
 
 # The fields every experiment reads, and those each one reads on top.
@@ -180,7 +192,7 @@ class ExperimentConfig:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
         for name, what, holds in INPUT_RULES[self.experiment]:
             values = getattr(self, name)
-            if not holds(values):
+            if not holds(values, self):
                 raise ValueError(f"{name}: {self.experiment} needs {what}, got {values!r}")
 
     def to_dict(self) -> dict:

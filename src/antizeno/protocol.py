@@ -40,7 +40,6 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import BATCH_RUNS, QuantumState, evolve
-from .errors import NumericalError
 from .measurement import MeasurementModel, measure_no_click
 from .model import (
     DEGENERACY_GAP,
@@ -57,6 +56,7 @@ __all__ = [
     "PreparedModel",
     "prepare_model",
     "two_period_schedule",
+    "jitter_keeps_order",
     "jitter_schedule",
     "jitter_times",
     "child_seeds",
@@ -64,8 +64,6 @@ __all__ = [
     "ensemble_survival",
     "sweep_T1",
 ]
-
-_JITTER_ATTEMPTS = 100
 
 _SHAPES = {
     1: "one schedule, a non-empty (N,) array",
@@ -166,44 +164,33 @@ def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
     return np.cumsum(increments, axis=1)
 
 
+def jitter_keeps_order(times, half_window: float) -> bool:
+    """Whether shifts of up to ``half_window`` either way keep a schedule
+    (1-d times) valid, so that no draw can reorder its events or move the
+    first one to 0: half_window below the first event time and twice it
+    below every interval. ``jitter_schedule`` refuses every other window."""
+    t = np.asarray(times, dtype=float)
+    return bool(half_window < t[0] and 2 * half_window < np.min(np.diff(t), initial=np.inf))
+
+
 def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
     """Shift each event of a schedule (1-d times) by an independent uniform
-    draw in [-width/omega, +width/omega] (width is a dimensionless omega*dt);
+    draw in [-width/omega, +width/omega) (width is a dimensionless omega*dt);
     returns a read-only array.
 
-    Events are drawn in order from one PCG64 stream seeded with ``seed``: a
-    draw that does not land after the previous event (or after 0) is
-    redrawn, up to 100 times, before ``NumericalError``. A schedule that
-    never redraws consumes the stream one draw per event. Valid input times
-    and a finite window keep the output a valid schedule, so only the input
-    is checked.
+    The N shifts are one ``uniform(size=N)`` draw from a PCG64 stream seeded
+    with ``seed``. A window that could reorder events raises ``ValueError``
+    (see ``jitter_keeps_order``), so the output is a valid schedule.
     """
     t = _time_stack(times, 1)
     half_window = width / omega if omega > 0 else np.nan
-    if not (width >= 0 and np.isfinite(half_window)):
-        raise ValueError(f"jitter width must be >= 0 and width/omega finite, got {width!r}/{omega!r}")
+    if not (width >= 0 and jitter_keeps_order(t, half_window)):
+        raise ValueError(f"jitter width {width!r} at omega {omega!r}: width/omega must be >= 0 and "
+                         f"below the first event time and half of every interval (no reordering)")
     out = t.view()  # a view, so the caller's array keeps its flags
     if width > 0.0:
-        out = _jitter_in_order(t, half_window, int(seed))
+        out = t + np.random.default_rng(int(seed)).uniform(-half_window, half_window, size=t.size)
     out.flags.writeable = False
-    return out
-
-
-def _jitter_in_order(times: np.ndarray, half_window: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    out = np.empty_like(times)
-    prev = 0.0
-    for i, t in enumerate(times):
-        for _ in range(_JITTER_ATTEMPTS):
-            candidate = t + rng.uniform(-half_window, half_window)
-            if candidate > prev:
-                out[i] = prev = candidate
-                break
-        else:
-            raise NumericalError(
-                f"jitter ordering could not be restored at event {i} "
-                f"after {_JITTER_ATTEMPTS} redraws (width too large for the schedule)"
-            )
     return out
 
 
@@ -211,7 +198,7 @@ def jitter_times(base, width: float, omega: float, runs: int, base_seed: int) ->
     """Jittered event times of a whole ensemble as a read-only (runs, N)
     array: row k is ``jitter_schedule(base, width, omega, seed_k)`` with
     ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps its own
-    PCG64 stream and redraw rule.
+    PCG64 stream.
 
     Draw once and hand the stack to every ensemble that pairs its runs
     (``ensemble_survival``): couplings and detector inefficiencies do not

@@ -182,9 +182,10 @@ def jitter_mean_survival(p, base, half_window, epsilon):
     ground state and D_k the k-th base interval, R_k = A(e^{-i w D_k} R_{k-1})
     and the mean after event k is tr R_k.
 
-    Exact only where the in-order redraw rule of the jitter never fires
-    (2*half_window below every base interval, half_window below the first
-    event time), so other schedules are refused. A has (n_max+1)^4 entries,
+    Exact only where no draw can reorder the events (2*half_window below
+    every base interval, half_window below the first event time): elsewhere
+    keeping the events in order would need redraws, which condition the
+    offsets, so such schedules are refused. A has (n_max+1)^4 entries,
     so n_max is capped at 40 (22 MB).
     """
     base = np.asarray(base, dtype=float)

@@ -14,6 +14,7 @@ import antizeno
 from antizeno import cli, numkit
 from antizeno.cli import build_parser, main
 from antizeno.config import INPUT_RULES, ExperimentConfig, preset
+from antizeno.protocol import two_period_schedule
 from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
 
@@ -49,7 +50,7 @@ class TestConfigRoundTrip:
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_json_round_trip(self):
-        cfg = preset("fig3").with_overrides(seed=99, out="x.csv")
+        cfg = dataclasses.replace(preset("fig3"), seed=99, out="x.csv")
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_keys_rejected(self):
@@ -231,7 +232,7 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "n_max must be <= 501" in err and "cutoff check" in err
         assert list(tmp_path.iterdir()) == []
-        preset("fig1").with_overrides(n_max=501).validate()
+        dataclasses.replace(preset("fig1"), n_max=501).validate()
         # without a coupling there is no cutoff check
         ExperimentConfig(g_values=(0.0,), n_max=511).validate()
 
@@ -440,9 +441,12 @@ BROKEN_RULES = {
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
     ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
     ("fig5", "n_measurements"): ["--preset", "fig5", "--n-measurements", "1"],
+    ("fig5", "jitter_width"): ["--preset", "fig5", "--jitter", "2"],
     ("fig6", "g_values"): ["--preset", "fig6", "--g", "0.5,1"],
     ("fig6", "omega_t1_values"): ["--preset", "fig6", "--omega-t1", "3,6"],
+    ("fig6", "jitter_width"): ["--preset", "fig6", "--omega-t1", "1", "--jitter", "0.6"],
     ("survival", "omega_t1_values"): ["--omega-t1", "3,6"],
+    ("survival", "jitter_width"): ["--omega-t1", "1", "--jitter", "0.6"],
 }
 
 
@@ -458,6 +462,40 @@ def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls,
     err = capsys.readouterr().err
     assert f"validation error [antizeno.config]: {field}: {experiment} needs" in err
     assert eig_calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("start", [["--preset", "fig5"], ["--preset", "fig6"], []],
+                         ids=["fig5", "fig6", "survival"])
+def test_a_window_that_can_reorder_events_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, start
+):
+    # events 1 and 1 + sqrt(2) apart: a +-0.6 window can swap the first two
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before validation")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    periods = "1,2" if start == ["--preset", "fig5"] else "1"
+    args = start + ["--omega-t1", periods, "--jitter", "0.6", "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "validation error [antizeno.config]: jitter_width:" in err
+    assert "cannot reorder events" in err and "got 0.6" in err
+    assert list(tmp_path.iterdir()) == []
+    # the edge is half the shortest interval of the T1 = 1 schedule as drawn
+    # (about 0.5); one ulp below it passes
+    cfg = cli._assemble_config(build_parser().parse_args(start + ["--omega-t1", periods]))
+    edge = np.min(np.diff(two_period_schedule(1.0, cfg.ratio, cfg.n_measurements))) / 2
+    dataclasses.replace(cfg, jitter_width=float(np.nextafter(edge, 0.0))).validate()
+    with pytest.raises(ValueError, match=f"^jitter_width: .* got {float(edge)!r}$"):
+        dataclasses.replace(cfg, jitter_width=float(edge)).validate()
+
+
+def test_fig5_refuses_a_zero_coupling(tmp_path, capsys):
+    # at g/omega = 0 the survival never leaves 1, and the rate ratio is one
+    # of roundoff
+    assert main(["--preset", "fig5", "--g", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "g_values: fig5 needs exactly one coupling, above 0, got (0.0,)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

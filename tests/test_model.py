@@ -119,6 +119,23 @@ class TestJaynesCummings:
             assert np.min(np.abs(spec.eigenvalues - target)) < 1e-12
 
 
+    @pytest.mark.parametrize("n_max", [7, 8, 40])
+    @pytest.mark.parametrize("omega0", [1.0, 0.5, 0.0])
+    def test_even_chain_is_its_closed_form_manifolds(self, n_max, omega0):
+        # |g,0> alone, each pair |e,n>, |g,n+1> (odd n) a 2x2 block with
+        # energies (n + 1/2) omega +- sqrt(((omega0 - omega)/2)^2 + g^2 (n+1)),
+        # and |e,n_max> alone when n_max is odd
+        for g in (0.0, 0.3, 1.0, 2.5):
+            n = np.arange(1, n_max, 2)
+            split = np.sqrt(((omega0 - 1.0) / 2) ** 2 + g**2 * (n + 1))
+            closed = [-omega0 / 2, *(n + 0.5 - split), *(n + 0.5 + split)]
+            if n_max % 2:
+                closed.append(n_max + omega0 / 2)
+            p = ModelParams(1.0, omega0, g, n_max, "jc")
+            chain = np.linalg.eigvalsh(even_chain_hamiltonian(p).matrix)
+            assert np.max(np.abs(chain - np.sort(closed))) <= 1e-12, g
+
+
 class TestEvenChain:
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
@@ -406,6 +423,18 @@ class TestBraakGFunction:
             assert abs(minus[0] - x) <= 1e-11, (omega0, g)
             # no zero of either G, so no state of either parity, lies below it
             assert np.concatenate([minus, plus]).min() >= x - 1e-11, (omega0, g)
+
+    def test_p_e_is_the_energy_slope(self):
+        # Hellmann-Feynman: H holds +Delta sigma_z, so dE/dDelta = <sigma_z>
+        # = 2 p_e - 1. The central difference's O(step^2) error is ~1e-11.
+        step = 1e-5
+        g = [g for _, g in self.CASES for _ in (0, 1)]
+        delta = [omega0 / 2 + side for omega0, _ in self.CASES for side in (step, -step)]
+        lowest = [minus[0] for minus, _ in braak_roots(g, delta)]
+        for (omega0, g), up, down in zip(self.CASES, lowest[0::2], lowest[1::2]):
+            params = ModelParams(1.0, omega0, g, 10)
+            p_e = ground_state(replace(params, n_max=converge_cutoff(params))).p_e
+            assert abs(p_e - (1 + (up - down) / (2 * step)) / 2) <= 1e-9, (omega0, g)
 
     def test_sees_an_unconverged_cutoff(self):
         # the pin can fail: at g/omega = 3, n_max = 30 is off by about 1e-7

@@ -104,9 +104,13 @@ class TestJitterSchedule:
         assert abs(np.mean(shifts)) <= 0.01 * width
 
     def test_preserves_ordering(self):
+        # at the widest accepted window: one ulp under half an interval
         base = two_period_schedule(0.5, 1.0, 20)
+        widest = np.nextafter(0.25, 0.0)
+        with pytest.raises(ValueError, match="jitter width 0.25 at omega 1.0: width/omega must"):
+            jitter_schedule(base, 0.25, 1.0, seed=0)
         for seed in range(25):
-            jittered = jitter_schedule(base, 0.4, 1.0, seed=seed)
+            jittered = jitter_schedule(base, widest, 1.0, seed=seed)
             assert np.all(np.diff(jittered) > 0)
             assert jittered[0] > 0
             assert not jittered.flags.writeable
@@ -149,22 +153,71 @@ class TestJitterMatchesSequentialRule:
             jittered = jitter_schedule(base, width, omega, int(seed))
             assert np.array_equal(jittered, sequential_jitter(base, width, omega, int(seed)))
 
-    def test_bit_for_bit_with_redraws(self):
-        # events 0.5 apart with a +-0.4 window: many schedules break the
-        # ordering on the first draw and need the in-order redraw rule
+    def test_refuses_windows_that_can_reorder_events(self):
+        # events 0.5 apart with a +-0.4 window: without the refusal, many
+        # draws would break the ordering
         base = two_period_schedule(0.5, 1.0, 20)
-        redrawn = 0
-        for seed in range(200):
-            draws = base + np.random.default_rng(seed).uniform(-0.4, 0.4, size=20)
-            redrawn += bool(np.any(np.diff(draws) <= 0))
-            jittered = jitter_schedule(base, 0.4, 1.0, seed)
-            assert np.array_equal(jittered, sequential_jitter(base, 0.4, 1.0, seed))
-        assert redrawn >= 20
+        reordered = sum(
+            bool(np.any(np.diff(base + np.random.default_rng(seed).uniform(-0.4, 0.4, 20)) <= 0))
+            for seed in range(200)
+        )
+        assert reordered >= 20
+        with pytest.raises(ValueError, match="jitter width 0.4 at omega 1.0: width/omega must"):
+            jitter_schedule(base, 0.4, 1.0, seed=0)
 
-    def test_unrestorable_ordering_raises(self):
+    def test_refuses_a_window_wider_than_the_schedule(self):
         base = two_period_schedule(1e-3, 1.0, 50)
-        with pytest.raises(NumericalError, match="ordering"):
+        with pytest.raises(ValueError, match="jitter width 100.0 at omega 1.0: width/omega must"):
             jitter_schedule(base, 100.0, 1.0, seed=1)
+
+
+class TestJitterKeepsOrder:
+    """``jitter_keeps_order`` accepts exactly the (schedule, half-window)
+    pairs whose exact mean ``oracle.jitter_mean_survival`` computes."""
+
+    P = ModelParams(1.0, 1.0, 0.5, 3)
+
+    def agree(self, base, half_window):
+        try:
+            jitter_mean_survival(self.P, base, half_window, 0.0)
+            exact = True
+        except ValueError:
+            exact = False
+        accepted = protocol.jitter_keeps_order(base, half_window)
+        assert accepted == exact, (base.tolist(), half_window)
+        return accepted
+
+    @pytest.mark.parametrize("base", [
+        two_period_schedule(1.0, SQRT2, 5),
+        two_period_schedule(0.75 * np.pi, SQRT2, 3),
+        np.array([0.5, 10.0]),  # the first event time decides
+        np.array([2.0]),  # no interval at all
+        np.array([1.0, 1.0 + 1e-9, 3.0]),
+    ], ids=["sqrt2", "fig4", "first", "single", "tiny"])
+    def test_both_sides_of_each_boundary(self, base):
+        edges = [edge for edge in (base[0], np.min(np.diff(base), initial=np.inf) / 2)
+                 if np.isfinite(edge)]
+        for edge in edges:
+            self.agree(base, np.nextafter(edge, 0.0))
+            assert not self.agree(base, edge)
+            assert not self.agree(base, np.nextafter(edge, np.inf))
+        # one ulp inside the tighter edge, and no jitter at all, are accepted
+        assert self.agree(base, np.nextafter(min(edges), 0.0))
+        assert self.agree(base, 0.0)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(17)
+        outcomes = []
+        for _ in range(300):
+            base = np.cumsum(rng.uniform(0.05, 1.0, size=rng.integers(1, 7)))
+            outcomes.append(self.agree(base, rng.uniform(0.0, 0.6)))
+        assert 50 < sum(outcomes) < 250
+
+    def test_fig4_panels_are_accepted(self):
+        # the tightest is panel c: 2*0.3*pi against omega*T1 = 0.75*pi
+        for s in FIG4_PANELS.values():
+            base = two_period_schedule(s["omega_t1"], SQRT2, s["n"])
+            assert protocol.jitter_keeps_order(base, s["jitter"])
 
 
 class TestJitterTimes:
@@ -172,7 +225,7 @@ class TestJitterTimes:
         "base,width",
         [
             (two_period_schedule(2 * np.pi, SQRT2, 16), 0.2 * np.pi),
-            (two_period_schedule(0.5, 1.0, 20), 0.4),  # forces in-order redraws
+            (two_period_schedule(0.5, 1.0, 20), 0.2),  # events 0.5 apart
             (two_period_schedule(1.0, SQRT2, 4), 0.0),
         ],
     )

@@ -89,7 +89,7 @@ def written(cfg):
 
 
 def breaks_an_input_rule(cfg, name):
-    return any(field == name and not holds(getattr(cfg, field))
+    return any(field == name and not holds(getattr(cfg, field), cfg)
                for field, _, holds in INPUT_RULES[cfg.experiment])
 
 

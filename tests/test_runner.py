@@ -39,7 +39,7 @@ class TestFig2Builder:
 
 
     def test_preset_column_names(self):
-        cfg = preset("fig2").with_overrides(time_max=0.1, time_step=0.05)
+        cfg = replace(preset("fig2"), time_max=0.1, time_step=0.05)
         _, tables = build_tables(cfg)
         assert tuple(tables["data"]) == (
             "omega_t", "p1e_g_over_omega_0.333333", "p1e_g_over_omega_0.666667",
