@@ -19,20 +19,32 @@ from .protocol import jitter_keeps_order, two_period_schedule
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "survival")
-PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 FORMATS = ("csv", "json")
 
 _SQRT2 = math.sqrt(2.0)
 
 
-_INT_FIELDS = ("n_max", "n_measurements", "runs", "seed")
-_REAL_FIELDS = ("omega", "omega0", "ratio", "jitter_width", "time_max", "time_step")
-_TUPLE_FIELDS = ("g_values", "omega_t1_values", "epsilon_values")
-
-
 def _is_number(value, kind=numbers.Real) -> bool:
     """A ``kind`` number that is not a bool (JSON true/false)."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The kind of value each field holds: (kind, test(value)). validate checks
+# every field against its row before any other rule reads the field.
+_REAL = ("a real number", _is_number)
+_INTEGER = ("an integer", lambda v: _is_number(v, numbers.Integral))
+_REALS = ("a list of real numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v)))
+FIELD_TYPES = {
+    "experiment": (f"one of {EXPERIMENTS}", lambda v: v in EXPERIMENTS),
+    "omega": _REAL, "omega0": _REAL, "g_values": _REALS,
+    "n_max": ("an integer or null", lambda v: v is None or _is_number(v, numbers.Integral)),
+    "omega_t1_values": _REALS, "ratio": _REAL, "n_measurements": _INTEGER,
+    "jitter_width": _REAL, "runs": _INTEGER, "epsilon_values": _REALS,
+    "time_max": _REAL, "time_step": _REAL, "seed": _INTEGER,
+    "out": ("a non-empty path string or null",
+            lambda v: v is None or (isinstance(v, str) and v != "")),
+    "format": (f"one of {FORMATS}", lambda v: v in FORMATS),
+}
 
 
 def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
@@ -43,6 +55,20 @@ def _periods(n: int, lo: float, hi: float) -> tuple[float, ...]:
     """omega*T1 = 2*pi*linspace(lo, hi, n), bit for bit as numpy computes it."""
     step = (hi - lo) / (n - 1)
     return tuple(2 * math.pi * (i * step + lo) for i in range(n - 1)) + (2 * math.pi * hi,)
+
+
+# What each figure preset sets on top of the ExperimentConfig() defaults
+# (see preset for what each figure shows).
+PRESETS = {
+    "fig1": {"g_values": _grid(101)},
+    "fig2": {"g_values": (1 / 3, 2 / 3, 1.0)},
+    "fig3": {"g_values": _grid(11), "omega_t1_values": _periods(100, 0.1, 5.0),
+             "n_measurements": 8, "jitter_width": 0.0},
+    "fig4": {"g_values": (1 / 3, 2 / 3, 1.0)},
+    "fig5": {"omega_t1_values": (math.pi, 2 * math.pi, 3 * math.pi)},
+    "fig6": {"epsilon_values": (0.0, 0.1, 0.2)},
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 # fig2 names one column per coupling with this format.
@@ -65,7 +91,9 @@ INPUT_RULES = {
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0)],
-    "fig4": [("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1)],
+    "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
+              lambda v, c: min(v) > 0),
+             ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1)],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("omega_t1_values", "at least two periods for the rate collapse",
@@ -78,6 +106,31 @@ INPUT_RULES = {
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
                  _KEEPS_ORDER],
 }
+
+# What every experiment needs of its fields, as rows of the INPUT_RULES
+# shape. validate checks them in order before INPUT_RULES, so a test may
+# read the field of an earlier row (the n_max cap reads g_values).
+FIELD_RULES = [
+    ("omega", "> 0", lambda v, c: v > 0),
+    ("omega0", ">= 0", lambda v, c: v >= 0),
+    ("g_values", "non-empty and >= 0", lambda v, c: bool(v) and min(v) >= 0),
+    ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
+    ("n_max", f"<= {CHECKED_N_MAX_CAP} when a coupling is > 0 (the cutoff check solves "
+              f"n_max + {CUTOFF_STEP})",
+     lambda v, c: v is None or max(c.g_values) == 0 or v <= CHECKED_N_MAX_CAP),
+    ("omega_t1_values", "non-empty and > 0", lambda v, c: bool(v) and min(v) > 0),
+    *((name, "free of repeated values", lambda v, c: len(set(v)) == len(v))
+      for name in ("g_values", "omega_t1_values", "epsilon_values")),
+    ("ratio", "> 0", lambda v, c: v > 0),
+    ("n_measurements", ">= 1", lambda v, c: v >= 1),
+    ("jitter_width", ">= 0", lambda v, c: v >= 0),
+    ("runs", ">= 1", lambda v, c: v >= 1),
+    ("epsilon_values", "non-empty and in [0, 1]",
+     lambda v, c: bool(v) and all(0 <= e <= 1 for e in v)),
+    ("time_step", "> 0", lambda v, c: v > 0),
+    ("time_max", ">= time_step", lambda v, c: v >= c.time_step),
+    ("seed", ">= 0", lambda v, c: v >= 0),
+]
 
 # The fields every experiment reads, and those each one reads on top.
 # validate rejects any other field that differs from its ExperimentConfig()
@@ -99,9 +152,10 @@ READ_SETS = {
 class ExperimentConfig:
     """One experiment: model parameters, schedule, detector and output.
 
-    ``READ_SETS`` says which fields each experiment reads and
-    ``INPUT_RULES`` what it needs of them (fig4 fixes its three panel
-    schedules internally; see the runner module).
+    ``FIELD_TYPES`` and ``FIELD_RULES`` say what every field must be,
+    ``READ_SETS`` which fields each experiment reads and ``INPUT_RULES``
+    what it needs of them (fig4 fixes its three panel schedules internally;
+    see the runner module).
     """
 
     experiment: str = "survival"
@@ -127,69 +181,24 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         for f in fields(self):
             value = getattr(self, f.name)
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) or (name == "n_max" and value is None)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        for name in _TUPLE_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, tuple) and all(_is_number(v) for v in value)):
-                raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
-        if not (self.out is None or (isinstance(self.out, str) and self.out)):
-            raise ValueError(f"out must be a non-empty path string or null, got {self.out!r}")
+            kind, is_kind = FIELD_TYPES[f.name]
+            if not is_kind(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         accepted = (*ALWAYS_READ, *READ_SETS[self.experiment], "seed")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in accepted and value != f.default:
                 raise ValueError(f"{f.name}: {self.experiment} does not read it; leave it at "
                                  f"its default {f.default!r}, got {value!r}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega!r}")
-        if self.omega0 < 0:
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0!r}")
-        if not self.g_values:
-            raise ValueError("g_values must be non-empty")
-        if any(g < 0 for g in self.g_values):
-            raise ValueError("couplings g/omega must be >= 0")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1 (or null for automatic), got {self.n_max!r}")
-        if self.n_max is not None and max(self.g_values) > 0 and self.n_max > CHECKED_N_MAX_CAP:
-            raise ValueError(
-                f"n_max must be <= {CHECKED_N_MAX_CAP} when a coupling is > 0 (the cutoff "
-                f"check solves n_max + {CUTOFF_STEP}), got {self.n_max!r}"
-            )
-        if not self.omega_t1_values or any(v <= 0 for v in self.omega_t1_values):
-            raise ValueError("omega_t1_values must be non-empty and > 0")
-        for name in ("g_values", "omega_t1_values", "epsilon_values"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values!r}")
-        if self.ratio <= 0:
-            raise ValueError(f"ratio must be > 0, got {self.ratio!r}")
-        if self.n_measurements < 1:
-            raise ValueError(f"n_measurements must be >= 1, got {self.n_measurements!r}")
-        if self.jitter_width < 0:
-            raise ValueError(f"jitter width must be >= 0, got {self.jitter_width!r}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs!r}")
-        if not self.epsilon_values or any(not 0 <= e <= 1 for e in self.epsilon_values):
-            raise ValueError("epsilon values must lie in [0, 1]")
-        if self.time_max <= 0 or self.time_step <= 0 or self.time_step > self.time_max:
-            raise ValueError("time grid requires 0 < time_step <= time_max")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
+        for name, what, holds in FIELD_RULES:
+            value = getattr(self, name)
+            if not holds(value, self):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         for name, what, holds in INPUT_RULES[self.experiment]:
             values = getattr(self, name)
             if not holds(values, self):
@@ -208,11 +217,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in _TUPLE_FIELDS:
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         cleaned = {k: v for k, v in overrides.items() if v is not None}
@@ -241,37 +246,4 @@ def preset(name: str) -> ExperimentConfig:
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    base = ExperimentConfig(experiment=name)
-    if name == "fig1":
-        return replace(base, g_values=_grid(101))
-    if name == "fig2":
-        return replace(base, g_values=(1 / 3, 2 / 3, 1.0), time_max=40.0, time_step=0.02)
-    if name == "fig3":
-        return replace(
-            base,
-            g_values=_grid(11),
-            omega_t1_values=_periods(100, 0.1, 5.0),
-            n_measurements=8,
-            jitter_width=0.0,
-        )
-    if name == "fig4":
-        return replace(base, g_values=(1 / 3, 2 / 3, 1.0))
-    if name == "fig5":
-        return replace(
-            base,
-            g_values=(1.0,),
-            omega_t1_values=(math.pi, 2 * math.pi, 3 * math.pi),
-            n_measurements=16,
-            jitter_width=0.2 * math.pi,
-            runs=20,
-        )
-    # fig6
-    return replace(
-        base,
-        g_values=(1.0,),
-        omega_t1_values=(2 * math.pi,),
-        n_measurements=16,
-        epsilon_values=(0.0, 0.1, 0.2),
-        jitter_width=0.2 * math.pi,
-        runs=20,
-    )
+    return replace(ExperimentConfig(experiment=name), **PRESETS[name])

@@ -13,7 +13,9 @@ import pytest
 import antizeno
 from antizeno import cli, numkit
 from antizeno.cli import build_parser, main
-from antizeno.config import INPUT_RULES, ExperimentConfig, preset
+from antizeno.config import (
+    EXPERIMENTS, FIELD_RULES, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
+)
 from antizeno.protocol import two_period_schedule
 from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
@@ -129,6 +131,8 @@ class TestFieldTypes:
         ({"seed": -1}, "seed"),
         ({"out": 5}, "out"),
         ({"out": ""}, "out"),
+        ({"experiment": ["fig1"]}, "experiment"),
+        ({"format": ["csv"]}, "format"),
     ])
     def test_config_file_exits_2_naming_the_field(self, tmp_path, capsys, values, field):
         cfg_path = tmp_path / "cfg.json"
@@ -209,20 +213,6 @@ class TestCliRuns:
         assert "validation error" in capsys.readouterr().err
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []  # no temp leftovers either
-
-    @pytest.mark.parametrize("args,field", [
-        (["--preset", "fig2", "--g", "0.5,0.5"], "g_values"),
-        (["--preset", "fig5", "--omega-t1", "3.14,3.14"], "omega_t1_values"),
-        (["--preset", "fig1", "--n-max", "512"], "n_max"),
-        (["--g", "0.5", "--epsilon", "0.1,0.1", "--n-measurements", "3", "--runs", "2"],
-         "epsilon_values"),
-    ])
-    def test_rejected_input_exits_2_naming_the_field(self, tmp_path, capsys, args, field):
-        out = tmp_path / "bad.csv"
-        assert main(args + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "validation error" in err and field in err
-        assert list(tmp_path.iterdir()) == []
 
     def test_cutoff_check_bounds_n_max(self, tmp_path, capsys):
         # with a coupling > 0 the cutoff check also solves n_max + 10, and the
@@ -436,6 +426,7 @@ BROKEN_RULES = {
     ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
     ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
     ("fig3", "jitter_width"): ["--preset", "fig3", "--jitter", "0.5"],
+    ("fig4", "g_values"): ["--preset", "fig4", "--g", "0,0.5,1"],
     ("fig4", "epsilon_values"): ["--preset", "fig4", "--epsilon", "0,0.1"],
     ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
@@ -463,6 +454,61 @@ def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls,
     assert f"validation error [antizeno.config]: {field}: {experiment} needs" in err
     assert eig_calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+# One input per row of config.FIELD_RULES, keyed by (field, what), that
+# breaks only that row: CLI arguments, and the keys of a config file for
+# fields that have no flag.
+BROKEN_FIELD_RULES = {
+    ("omega", "> 0"): (["--omega", "0"], {}),
+    ("omega0", ">= 0"): (["--omega0", "-1"], {}),
+    ("g_values", "non-empty and >= 0"): (["--g", "-0.5"], {}),
+    ("n_max", ">= 1 (or null for automatic)"): (["--preset", "fig1", "--n-max", "0"], {}),
+    ("n_max", FIELD_RULES[4][1]): (["--preset", "fig1", "--n-max", "512"], {}),
+    ("omega_t1_values", "non-empty and > 0"): (["--omega-t1", "-1"], {}),
+    ("g_values", "free of repeated values"): (["--preset", "fig2", "--g", "0.5,0.5"], {}),
+    ("omega_t1_values", "free of repeated values"):
+        (["--preset", "fig5", "--omega-t1", "3.14,3.14"], {}),
+    ("epsilon_values", "free of repeated values"):
+        (["--g", "0.5", "--epsilon", "0.1,0.1", "--n-measurements", "3", "--runs", "2"], {}),
+    ("ratio", "> 0"): (["--ratio", "0"], {}),
+    ("n_measurements", ">= 1"): (["--n-measurements", "0"], {}),
+    ("jitter_width", ">= 0"): (["--jitter", "-0.1"], {}),
+    ("runs", ">= 1"): (["--runs", "0"], {}),
+    ("epsilon_values", "non-empty and in [0, 1]"): (["--epsilon", "1.5"], {}),
+    ("time_step", "> 0"): (["--preset", "fig2"], {"time_step": -0.02}),
+    ("time_max", ">= time_step"): (["--preset", "fig2"], {"time_max": 0.01}),
+    ("seed", ">= 0"): (["--seed", "-1"], {}),
+}
+
+
+def test_every_field_rule_has_a_broken_case():
+    assert [(field, what) for field, what, _ in FIELD_RULES] == list(BROKEN_FIELD_RULES)
+
+
+@pytest.mark.parametrize("rule", list(BROKEN_FIELD_RULES),
+                         ids=[f"{field}-{i}" for i, (field, _) in enumerate(BROKEN_FIELD_RULES)])
+def test_broken_field_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls, rule):
+    field, what = rule
+    flags, file_values = BROKEN_FIELD_RULES[rule]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_values))
+    args = flags + ["--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
+    config = cli._assemble_config(build_parser().parse_args(args))
+    broken = [(f, w) for f, w, holds in FIELD_RULES if not holds(getattr(config, f), config)]
+    assert broken == [rule]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"validation error [antizeno.config]: {field} must be {what}, got " in err
+    assert eig_calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_every_table_lists_the_same_experiments():
+    # a key missing from one table would surface as a KeyError from validate
+    # or build_tables
+    assert set(EXPERIMENTS) == set(READ_SETS) == set(INPUT_RULES) == set(runner_module._BUILDERS)
+    assert PRESET_NAMES == tuple(e for e in EXPERIMENTS if e != "survival")
 
 
 @pytest.mark.parametrize("start", [["--preset", "fig5"], ["--preset", "fig6"], []],

@@ -30,6 +30,13 @@ def _readme_section(heading: str) -> str:
     return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
+def _readme_table(heading: str, header: str) -> list[list[str]]:
+    """The cells of each row of the section's table under ``header``."""
+    table = _readme_section(heading).split(f"{header}\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines()]
+
+
 def _library_use_block() -> str:
     return _readme_section("Library use").split("```python\n", 1)[1].split("```", 1)[0]
 
@@ -58,29 +65,31 @@ def test_readme_states_the_input_rules():
     # the Configuration table is config.INPUT_RULES, row for row
     from antizeno.config import INPUT_RULES
 
-    rows = {}
-    for line in _readme_section("Configuration").splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if line.startswith("| `") and len(cells) == 2:
-            rows[cells[0].strip("`")] = cells[1]
+    rows = {experiment.strip("`"): needs
+            for experiment, needs in _readme_table("Configuration", "| experiment | needs |")}
     assert rows == {
         experiment: "; ".join(f"`{field}`: {what}" for field, what, _ in rules)
         for experiment, rules in INPUT_RULES.items()
     }
 
 
+def test_readme_states_the_field_rules():
+    # the "field | must be" table is config.FIELD_RULES, row for row and in order
+    from antizeno.config import FIELD_RULES
+
+    rows = [(field.strip("`"), what)
+            for field, what in _readme_table("Configuration", "| field | must be |")]
+    assert rows == [(field, what) for field, what, _ in FIELD_RULES]
+
+
 def test_readme_states_the_read_sets():
     # the "experiment | also reads" table is config.READ_SETS, row for row
     from antizeno.config import ALWAYS_READ, READ_SETS
 
-    section = _readme_section("Configuration")
-    table = section.split("| experiment | also reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
-    rows = {}
-    for line in table.splitlines():
-        experiment, reads = (cell.strip() for cell in line.strip().strip("|").split("|"))
-        rows[experiment] = tuple(re.findall(r"`(\w+)`", reads)) if reads != "none" else ()
+    rows = {experiment: tuple(re.findall(r"`(\w+)`", reads)) if reads != "none" else ()
+            for experiment, reads in _readme_table("Configuration", "| experiment | also reads |")}
     assert rows == READ_SETS
-    prose = " ".join(section.split())
+    prose = " ".join(_readme_section("Configuration").split())
     always = ", ".join(f"`{name}`" for name in ALWAYS_READ[:-1]) + f" and `{ALWAYS_READ[-1]}`"
     assert f"Every experiment reads {always}" in prose
     assert "`--seed` is accepted everywhere" in prose
