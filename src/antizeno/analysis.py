@@ -104,9 +104,9 @@ def fit_exponential(x, y) -> FitResult:
     keep = y >= EXP_FIT_FLOOR
     n_dropped = int(np.sum(~keep))
     x, y = x[keep], y[keep]
-    if x.size < 2:
+    if x.size < 2 or x.min() == x.max():
         raise NumericalError(
-            f"fewer than 2 points remain above the extinction floor {EXP_FIT_FLOOR:g} "
+            f"fewer than 2 distinct points remain above the extinction floor {EXP_FIT_FLOOR:g} "
             f"({n_dropped} dropped)"
         )
     log_y = np.log(y)
@@ -135,4 +135,6 @@ def collapse_slopes(traces: Mapping[float, tuple]) -> CollapseResult:
         for t1, (times, survival) in traces.items()
     }
     rates = [fit.coefficients["rate"] for fit in fits.values()]
+    if min(rates) <= 0:
+        raise NumericalError(f"no rate ratio: a period's fitted decay rate is {min(rates)!r}")
     return CollapseResult(fits, float(max(rates) / min(rates)))

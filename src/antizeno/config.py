@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields, replace
+
+import numpy as np
 
 from .model import CHECKED_N_MAX_CAP, CUTOFF_STEP
 from .protocol import jitter_keeps_order, two_period_schedule
@@ -74,26 +77,55 @@ PRESET_NAMES = tuple(PRESETS)
 # fig2 names one column per coupling with this format.
 FIG2_COLUMN = "p1e_g_over_omega_{:.6g}"
 
+# fig4 panel schedules (dimensionless omega*T1, events, jitter half-window,
+# ensemble size). Panels (b) and (c) share the period; the short panel-(c)
+# schedule with a wider jitter window and a large ensemble is what keeps the
+# mean single-event survival on its quadratic law (longer schedules pick up
+# excited-state contributions that steepen the law; calibration is frozen
+# here and recorded in the output metadata).
+FIG4_PANELS = {
+    "a": {"omega_t1": 2 * math.pi, "n": 16, "jitter": 0.2 * math.pi, "runs": 20},
+    "b": {"omega_t1": 0.75 * math.pi, "n": 20, "jitter": 0.2 * math.pi, "runs": 20},
+    "c": {"omega_t1": 0.75 * math.pi, "n": 3, "jitter": 0.3 * math.pi, "runs": 200},
+}
+
+
+def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
+    """Whether the two-period schedule of n events at omega*T1 = omega_t1,
+    shifted by up to omega*dt = width either way, stays finite and in order
+    in ns, built as the runner builds it."""
+    try:
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            times = two_period_schedule(omega_t1 / c.omega, c.ratio, n)
+    except ValueError:  # a period of 0 or infinity in ns
+        return False
+    half_window = width / c.omega
+    return math.isfinite(float(times[-1]) + half_window) and jitter_keeps_order(times, half_window)
+
+
 # What each experiment needs of its fields: (field, what, test), where
 # test(value, config) may read the rest of the config. validate enforces
-# every rule, so a bad shape is rejected before any eigensolve. The jitter
-# rule judges the schedules and window exactly as the runner draws them.
+# every rule, so a bad shape is rejected before any eigensolve. The schedule
+# rules judge the schedules and windows exactly as the runner draws them.
 _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width/omega below "
                 "the first event time and half of every interval)",
-                lambda width, c: all(
-                    jitter_keeps_order(two_period_schedule(w / c.omega, c.ratio, c.n_measurements),
-                                       width / c.omega)
-                    for w in c.omega_t1_values))
+                lambda width, c: all(_keeps_order(c, w, c.n_measurements, width)
+                                     for w in c.omega_t1_values))
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
-             ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0)],
+             ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),
+             ("omega_t1_values", "periods whose schedules stay finite and increasing in ns",
+              lambda v, c: all(_keeps_order(c, w, c.n_measurements, 0.0) for w in v))],
     "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
               lambda v, c: min(v) > 0),
-             ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1)],
+             ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
+             ("ratio", "a ratio at which no panel's jitter window can reorder events",
+              lambda r, c: all(_keeps_order(c, s["omega_t1"], s["n"], s["jitter"])
+                               for s in FIG4_PANELS.values()))],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("omega_t1_values", "at least two periods for the rate collapse",
@@ -113,7 +145,8 @@ INPUT_RULES = {
 FIELD_RULES = [
     ("omega", "> 0", lambda v, c: v > 0),
     ("omega0", ">= 0", lambda v, c: v >= 0),
-    ("g_values", "non-empty and >= 0", lambda v, c: bool(v) and min(v) >= 0),
+    ("g_values", "non-empty, >= 0 and finite in GHz (times omega)",
+     lambda v, c: bool(v) and min(v) >= 0 and math.isfinite(float(max(v)) * c.omega)),
     ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
     ("n_max", f"<= {CHECKED_N_MAX_CAP} when a coupling is > 0 (the cutoff check solves "
               f"n_max + {CUTOFF_STEP})",
@@ -154,8 +187,8 @@ class ExperimentConfig:
 
     ``FIELD_TYPES`` and ``FIELD_RULES`` say what every field must be,
     ``READ_SETS`` which fields each experiment reads and ``INPUT_RULES``
-    what it needs of them (fig4 fixes its three panel schedules internally;
-    see the runner module).
+    what it needs of them (fig4 fixes its three panel schedules in
+    ``FIG4_PANELS``).
     """
 
     experiment: str = "survival"
@@ -184,7 +217,7 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             entries = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            if any(_is_number(v) and not abs(v) <= sys.float_info.max for v in entries):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             kind, is_kind = FIELD_TYPES[f.name]
             if not is_kind(value):

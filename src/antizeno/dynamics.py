@@ -49,7 +49,9 @@ class QuantumState:
 
     Invariants are enforced at construction, for every run: unit norm for
     pure states; Hermiticity, unit trace and positivity (min eigenvalue
-    >= -1e-10) for density matrices.
+    >= -1e-10) for density matrices. A broken invariant means the numerics
+    broke down and raises ``NumericalError``; a wrong shape or kind raises
+    ``ValueError``.
     """
 
     kind: str  # "pure" | "density"
@@ -62,21 +64,21 @@ class QuantumState:
                 raise ValueError(f"pure state data must have shape (runs, n), got {data.shape}")
             norm = np.linalg.norm(data, axis=-1)
             if np.max(np.abs(norm - 1.0)) > _PURE_NORM_TOL:
-                raise ValueError(f"pure state norm deviates from 1 by {_worst(np.abs(norm - 1.0))}")
+                raise NumericalError(f"pure state norm deviates from 1 by {_worst(np.abs(norm - 1.0))}")
         elif self.kind == "density":
             if data.ndim != 3 or data.shape[-2] != data.shape[-1]:
                 raise ValueError(f"density data must have shape (runs, n, n), got {data.shape}")
             herm = np.max(np.abs(data - data.conj().swapaxes(-1, -2)), axis=(-2, -1))
             if np.max(herm) > _DENSITY_HERM_TOL:
-                raise ValueError(f"density matrix not Hermitian: max dev {_worst(herm)}")
+                raise NumericalError(f"density matrix not Hermitian: max dev {_worst(herm)}")
             trace = np.trace(data, axis1=-2, axis2=-1).real
             if np.max(np.abs(trace - 1.0)) > _DENSITY_TRACE_TOL:
-                raise ValueError(
+                raise NumericalError(
                     f"density matrix trace deviates from 1 by {_worst(np.abs(trace - 1.0))}"
                 )
             min_eig = np.linalg.eigvalsh(data)[..., 0]
             if np.min(min_eig) < _DENSITY_MIN_EIG:
-                raise ValueError(f"density matrix not positive: min eigenvalue {_worst(-min_eig)}")
+                raise NumericalError(f"density matrix not positive: min eigenvalue {_worst(-min_eig)}")
         else:
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
         data.flags.writeable = False

@@ -106,11 +106,6 @@ class EnsembleTrace:
     cumulative_mean: np.ndarray
     cumulative_std: np.ndarray
 
-    @property
-    def mean_single(self) -> float:
-        """Ensemble average of the per-run mean single-event survival."""
-        return float(np.mean(self.single_mean))
-
 
 @dataclass(frozen=True)
 class PreparedModel:
@@ -154,7 +149,7 @@ def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
     bad = T1[~(np.isfinite(T1) & (T1 > 0))]
     if bad.size:
         raise ValueError(f"T1 must be > 0, got {float(bad[0])!r}")
-    if not (np.isfinite(ratio) and ratio > 0):
+    if not 0 < ratio < np.inf:
         raise ValueError(f"ratio must be > 0, got {ratio!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")

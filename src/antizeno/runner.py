@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
-from .config import FIG2_COLUMN, ExperimentConfig
+from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig
 from .dynamics import excitation_trace
 from .measurement import MeasurementModel, measure_no_click
 from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
@@ -39,17 +39,7 @@ from .protocol import (
 
 __all__ = ["RunResult", "run", "build_tables", "read_config_header", "FIG4_PANELS"]
 
-# fig4 panel schedules (dimensionless omega*T1, events, jitter half-window,
-# ensemble size). Panels (b) and (c) share the period; the short panel-(c)
-# schedule with a wider jitter window and a large ensemble is what keeps the
-# mean single-event survival on its quadratic law (longer schedules pick up
-# excited-state contributions that steepen the law; calibration is frozen
-# here and recorded in the output metadata).
-FIG4_PANELS = {
-    "a": {"omega_t1": 2 * math.pi, "n": 16, "jitter": 0.2 * math.pi, "runs": 20},
-    "b": {"omega_t1": 0.75 * math.pi, "n": 20, "jitter": 0.2 * math.pi, "runs": 20},
-    "c": {"omega_t1": 0.75 * math.pi, "n": 3, "jitter": 0.3 * math.pi, "runs": 200},
-}
+# fig4 panel (c) couplings; FIG4_PANELS holds the panel schedules
 FIG4_PANEL_C_GRID = tuple(i / 10 for i in range(11))
 
 GENERATOR_NOTE = "numpy PCG64; per-run seeds = SeedSequence(seed).generate_state(runs, uint64)"
@@ -64,7 +54,9 @@ class RunResult:
 
 
 def _model_params(config: ExperimentConfig, g_over_omega: float, n_max: int) -> ModelParams:
-    return ModelParams(config.omega, config.omega0, g_over_omega * config.omega, n_max)
+    # a real field may hold a JSON integer beyond int64, which numpy cannot take
+    omega, omega0 = float(config.omega), float(config.omega0)
+    return ModelParams(omega, omega0, float(g_over_omega) * omega, n_max)
 
 
 def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
@@ -72,31 +64,6 @@ def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
     if config.n_max is not None:
         return config.n_max
     return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP), solved) for g in config.g_values)
-
-
-def _flag_commensurate(metadata: dict, ratio: float, width: float) -> None:
-    """Record under ``commensurate_no_jitter`` whether any two-period
-    schedule of the build runs jitter-free with commensurate periods: such
-    a schedule can lock onto resonances of the post-measurement dynamics."""
-    flagged = width == 0.0 and abs(ratio - round(ratio)) < 1e-12
-    metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
-
-
-def _paired_ensembles(
-    config: ExperimentConfig, metadata: dict, omega_t1: float, n: int, width: float, runs: int
-):
-    """Draw the jitter ensemble of a two-period schedule once per build and
-    return ``ensemble(prep, eps)``, which runs those draws for one coupling
-    and epsilon. Every call reuses the same draws, which is what pairs run k
-    across a table."""
-    _flag_commensurate(metadata, config.ratio, width)
-    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
-    times = jitter_times(base, width, config.omega, runs, config.seed)
-
-    def ensemble(prep: PreparedModel, eps: float):
-        return ensemble_survival(prep, base, MeasurementModel(eps), times)
-
-    return ensemble
 
 
 def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
@@ -113,9 +80,15 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     models: dict[float, PreparedModel] = {}
 
     def prepare(g: float) -> PreparedModel:
-        """The prepared model at coupling g/omega, made once per build."""
+        """The prepared model at coupling g/omega, made once per build; the
+        survival protocol (every experiment but fig1 and fig2) refuses a
+        degenerate ground manifold."""
         if g not in models:
             models[g] = prepare_model(_model_params(config, g, n_max), solved)
+            if models[g].ground.degenerate and config.experiment not in ("fig1", "fig2"):
+                raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
+                                 f"coupling it runs; g/omega = {g!r} has a gap of "
+                                 f"{models[g].ground.gap:.3e}, below DEGENERACY_GAP")
         return models[g]
 
     largest_g = max(config.g_values)
@@ -142,19 +115,6 @@ def _fit_health(fit: FitResult, **at) -> dict:
     return {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max}
 
 
-def _events(config: ExperimentConfig, ens, **constants) -> dict:
-    """Per-event columns of one ensemble, plus constant columns."""
-    return {
-        **constants,
-        "event": list(range(1, ens.times.size + 1)),
-        "omega_t": (config.omega * ens.times).tolist(),
-        "single_mean": ens.single_mean.tolist(),
-        "single_std": ens.single_std.tolist(),
-        "cumulative_mean": ens.cumulative_mean.tolist(),
-        "cumulative_std": ens.cumulative_std.tolist(),
-    }
-
-
 def _table(schema: str, *blocks: dict) -> dict[str, list]:
     """Stack column blocks into one table with the columns of ``schema``
     (space separated, in order). A scalar cell is repeated down its block."""
@@ -165,6 +125,42 @@ def _table(schema: str, *blocks: dict) -> dict[str, list]:
             value = block[name]
             cells.extend(value if isinstance(value, list) else [value] * rows)
     return table
+
+
+def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *,
+                     omega_t1: float, n: int, jitter: float, runs: int) -> list[dict]:
+    """Draw the jitter stack of one two-period schedule once (``n`` events
+    from period ``omega_t1``, half-window ``jitter``, ``runs`` runs) and run
+    every (g/omega, epsilon) of ``pairs`` on it. Every pair reuses the same
+    draws, which is what pairs run k across a table.
+
+    Returns one survival-table block per pair: ``g_over_omega``,
+    ``epsilon``, the per-event columns of its ensemble and ``chi_n``.
+    Records under ``commensurate_no_jitter`` whether any schedule of the
+    build runs jitter-free with commensurate periods: such a schedule can
+    lock onto resonances of the post-measurement dynamics.
+    """
+    flagged = jitter == 0.0 and abs(config.ratio - round(config.ratio)) < 1e-12
+    metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
+    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
+    times = jitter_times(base, jitter, config.omega, runs, config.seed)
+    blocks = []
+    for g, eps in pairs:
+        ens = ensemble_survival(prepare(g), base, MeasurementModel(eps), times)
+        blocks.append({
+            "g_over_omega": float(g),
+            "epsilon": float(eps),
+            "event": list(range(1, ens.times.size + 1)),
+            "omega_t": (config.omega * ens.times).tolist(),
+            "single_mean": ens.single_mean.tolist(),
+            "single_std": ens.single_std.tolist(),
+            "cumulative_mean": ens.cumulative_mean.tolist(),
+            "cumulative_std": ens.cumulative_std.tolist(),
+            # chi_n = (1 - p_ng) * (omega/g)^2, the per-event quadratic-law
+            # residual; undefined where g**2 is 0 (g = 0, or it underflows)
+            "chi_n": ((1.0 - ens.single_mean) / g**2).tolist() if g**2 > 0 else math.nan,
+        })
+    return blocks
 
 
 def _build_fig1(config: ExperimentConfig, prepare, metadata: dict) -> dict:
@@ -193,7 +189,8 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
     m = MeasurementModel(config.epsilon_values[0])
-    _flag_commensurate(metadata, config.ratio, 0.0)
+    # the sweep runs jitter-free: flag commensurate periods (see _ensemble_blocks)
+    metadata["commensurate_no_jitter"] = abs(config.ratio - round(config.ratio)) < 1e-12
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
         [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
@@ -209,28 +206,24 @@ def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     eps = config.epsilon_values[0]
-    panels = {
-        panel: _paired_ensembles(config, metadata, s["omega_t1"], s["n"], s["jitter"], s["runs"])
-        for panel, s in FIG4_PANELS.items()
-    }
 
-    def ensemble(g: float, panel: str):
-        return panels[panel](prepare(g), eps)
+    def panel(name: str, couplings) -> list[dict]:
+        return _ensemble_blocks(config, prepare, metadata, [(g, eps) for g in couplings],
+                                **FIG4_PANELS[name])
 
     # panel a shows the strongest coupling of the panel-b set
     table_a = _table(
         "event omega_t single_mean single_std cumulative_mean cumulative_std",
-        _events(config, ensemble(max(config.g_values), "a")),
+        *panel("a", [max(config.g_values)]),
     )
 
     # panel b: survival vs event count per coupling, with exponential fits
     blocks_b, health_b = [], []
-    for g in config.g_values:
-        ens = ensemble(g, "b")
-        fit = fit_exponential(np.arange(1, ens.times.size + 1, dtype=float), ens.cumulative_mean)
-        blocks_b.append(_events(config, ens, g_over_omega=float(g),
-                                fit_rate=fit.coefficients["rate"], fit_r_squared=fit.r_squared))
-        health_b.append(_fit_health(fit, g_over_omega=float(g)))
+    for block in panel("b", config.g_values):
+        fit = fit_exponential(block["event"], block["cumulative_mean"])
+        blocks_b.append({**block, "fit_rate": fit.coefficients["rate"],
+                         "fit_r_squared": fit.r_squared})
+        health_b.append(_fit_health(fit, g_over_omega=block["g_over_omega"]))
     table_b = _table(
         "g_over_omega event omega_t cumulative_mean cumulative_std fit_rate fit_r_squared",
         *blocks_b,
@@ -238,7 +231,7 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
     # panel c: mean single-event survival vs coupling, quadratic law
     grid = np.asarray(FIG4_PANEL_C_GRID, dtype=float)
-    pbar = np.array([ensemble(g, "c").mean_single for g in grid])
+    pbar = np.array([np.mean(block["single_mean"]) for block in panel("c", grid)])
     fit = fit_quadratic_origin(grid, 1.0 - pbar)
     table_c = _table(
         "g_over_omega mean_single_survival chi_bar_fit r_squared",
@@ -252,61 +245,41 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 
 def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    prep = prepare(config.g_values[0])
-    eps = config.epsilon_values[0]
-    ensembles = {
-        w: _paired_ensembles(config, metadata, w, config.n_measurements, config.jitter_width,
-                             config.runs)(prep, eps)
+    pair = [(config.g_values[0], config.epsilon_values[0])]
+    blocks = {
+        w: _ensemble_blocks(config, prepare, metadata, pair, omega_t1=w, n=config.n_measurements,
+                            jitter=config.jitter_width, runs=config.runs)[0]
         for w in config.omega_t1_values
     }
     # in omega*t units, t/T1 = omega*t / (omega*T1), so key by omega*T1
-    collapse = collapse_slopes(
-        {w: (config.omega * ens.times, ens.cumulative_mean) for w, ens in ensembles.items()}
-    )
-    blocks = [
-        _events(config, ens, omega_t1=float(w), t_over_t1=(config.omega * ens.times / w).tolist(),
-                rate_per_t_over_t1=collapse.fits[w].coefficients["rate"],
-                rate_ratio_max_min=collapse.rate_ratio)
-        for w, ens in ensembles.items()
-    ]
+    collapse = collapse_slopes({w: (b["omega_t"], b["cumulative_mean"]) for w, b in blocks.items()})
     metadata["exponential_fits"] = {
         "data": [_fit_health(fit, omega_t1=float(w)) for w, fit in collapse.fits.items()]
     }
     return {"data": _table(
         "omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
         "rate_per_t_over_t1 rate_ratio_max_min",
-        *blocks,
+        *({**b, "omega_t1": float(w), "t_over_t1": (np.asarray(b["omega_t"]) / w).tolist(),
+           "rate_per_t_over_t1": collapse.fits[w].coefficients["rate"],
+           "rate_ratio_max_min": collapse.rate_ratio} for w, b in blocks.items()),
     )}
 
 
-def _build_survival(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    ensemble = _paired_ensembles(
-        config, metadata, config.omega_t1_values[0], config.n_measurements, config.jitter_width,
-        config.runs,
-    )
-    blocks = []
-    for g in config.g_values:
-        for eps in config.epsilon_values:
-            ens = ensemble(prepare(g), eps)
-            # chi_n = (1 - p_ng) * (omega/g)^2, the per-event quadratic-law
-            # residual; undefined at g = 0
-            chi_n = ((1.0 - ens.single_mean) / g**2).tolist() if g > 0 else math.nan
-            blocks.append(_events(config, ens, g_over_omega=float(g), epsilon=float(eps),
-                                  chi_n=chi_n))
-    return {"data": _table(
-        "g_over_omega epsilon event omega_t single_mean single_std "
-        "cumulative_mean cumulative_std chi_n",
-        *blocks,
-    )}
+def _build_survival(config: ExperimentConfig, prepare, metadata: dict,
+                    schema: str = "g_over_omega epsilon event omega_t single_mean single_std "
+                                  "cumulative_mean cumulative_std chi_n") -> dict:
+    """Every (g, epsilon) of the config on one jitter stack, as the columns
+    of ``schema``."""
+    pairs = [(g, eps) for g in config.g_values for eps in config.epsilon_values]
+    blocks = _ensemble_blocks(config, prepare, metadata, pairs, omega_t1=config.omega_t1_values[0],
+                              n=config.n_measurements, jitter=config.jitter_width, runs=config.runs)
+    return {"data": _table(schema, *blocks)}
 
 
 def _build_fig6(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     """The survival table at one coupling, without its g and chi_n columns."""
-    survival = _build_survival(config, prepare, metadata)["data"]
-    return {"data": {
-        name: cells for name, cells in survival.items()
-        if name not in ("g_over_omega", "chi_n")
-    }}
+    return _build_survival(config, prepare, metadata, "epsilon event omega_t single_mean "
+                           "single_std cumulative_mean cumulative_std")
 
 
 _BUILDERS = {
@@ -376,7 +349,7 @@ def run(config: ExperimentConfig) -> RunResult:
     in-memory tables and the written paths.
     """
     if config.out is None:
-        raise ValueError("no output path configured (set out/--out)")
+        raise ValueError("out must be a path to write to (set out/--out), got None")
     metadata, tables = build_tables(config)
     if config.format == "json":
         texts = {config.out: _json_text(metadata, tables)}

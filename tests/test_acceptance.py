@@ -130,9 +130,9 @@ def test_criterion_05_mean_single_shot_quadratic():
     stack = jitter_times(base, panel["jitter"], 1.0, panel["runs"], SEED)
     pbar = np.array(
         [
-            ensemble_survival(
+            np.mean(ensemble_survival(
                 prepare_model(resonant(g)), base, MeasurementModel(0.0), stack
-            ).mean_single
+            ).single_mean)
             for g in grid
         ]
     )
@@ -252,16 +252,16 @@ def test_criterion_09_truncated_chain_oracle():
 
 
 def test_criterion_10_invariant_suite(tmp_path):
-    from antizeno.model import even_chain_excited, hamiltonian
-    from antizeno.numkit import hermitian_eig, propagator
+    from antizeno.model import even_chain_excited
+    from antizeno.numkit import HermitianOperator, hermitian_eig, propagator
     from antizeno.measurement import measure_no_click
     from antizeno.config import ExperimentConfig
     from antizeno.runner import run
-    from oracle import click_probability, parity_operator
+    from oracle import click_probability, kron_hamiltonian, parity_operator
 
     # Hermiticity and unitarity
     p = resonant(1.0)
-    h = hamiltonian(p)
+    h = HermitianOperator(kron_hamiltonian(p))
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
     spec = hermitian_eig(h)
     u = propagator(spec, 1.7)

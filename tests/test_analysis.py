@@ -85,6 +85,11 @@ class TestFitExponential:
         with pytest.raises(ValueError, match="at least 2 points"):
             fit_exponential([0.0], [1.0])
 
+    def test_one_distinct_x_is_a_numerical_failure(self):
+        # couplings whose squares underflow leave fig3 one x value
+        with pytest.raises(NumericalError, match="fewer than 2 distinct points"):
+            fit_exponential([0.0, 0.0, 0.0], [1.0, 0.9, 0.8])
+
     def test_floor_dropping_reported(self):
         x = np.linspace(0.0, 3.0, 7)
         y = np.exp(-0.5 * x)
@@ -137,6 +142,13 @@ class TestCollapseSlopes:
         })
         assert [fit.n_dropped for fit in result.fits.values()] == [0, 3]
         assert result.fits[2.0].coefficients["rate"] == pytest.approx(0.2, rel=1e-12)
+
+    def test_a_flat_period_leaves_no_rate_ratio(self):
+        # a survival that never decays fits the rate -0.0
+        times = np.arange(1.0, 6.0)
+        with pytest.raises(NumericalError, match="no rate ratio: .* rate is -0.0"):
+            collapse_slopes({1.0: synthetic_trace(times, np.ones(5)),
+                             2.0: synthetic_trace(2.0 * times, np.exp(-times))})
 
     def test_needs_two_keys(self):
         times = np.arange(1.0, 5.0)

@@ -247,6 +247,15 @@ class TestCliRuns:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_broken_state_invariant_exits_3(self, tmp_path, capsys):
+        # the input is valid; at omega = 1e-18 GHz the evolution over the
+        # fig2 grid loses the state's norm, a numerical breakdown
+        out = tmp_path / "x.csv"
+        assert main(["--preset", "fig2", "--omega", "1e-18", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure [antizeno.dynamics]: pure state norm deviates from 1" in err
+        assert not out.exists()
+
     def test_unwritable_path_exits_4(self, tmp_path, capsys):
         args = small_survival_args(tmp_path)
         args[args.index("--out") + 1] = str(tmp_path / "missing_dir" / "x.csv")
@@ -426,8 +435,10 @@ BROKEN_RULES = {
     ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
     ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
     ("fig3", "jitter_width"): ["--preset", "fig3", "--jitter", "0.5"],
+    ("fig3", "omega_t1_values"): ["--preset", "fig3", "--omega", "1e-10", "--omega-t1", "1e300"],
     ("fig4", "g_values"): ["--preset", "fig4", "--g", "0,0.5,1"],
     ("fig4", "epsilon_values"): ["--preset", "fig4", "--epsilon", "0,0.1"],
+    ("fig4", "ratio"): ["--preset", "fig4", "--ratio", "0.5"],
     ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
     ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
@@ -462,7 +473,7 @@ def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls,
 BROKEN_FIELD_RULES = {
     ("omega", "> 0"): (["--omega", "0"], {}),
     ("omega0", ">= 0"): (["--omega0", "-1"], {}),
-    ("g_values", "non-empty and >= 0"): (["--g", "-0.5"], {}),
+    ("g_values", "non-empty, >= 0 and finite in GHz (times omega)"): (["--g", "-0.5"], {}),
     ("n_max", ">= 1 (or null for automatic)"): (["--preset", "fig1", "--n-max", "0"], {}),
     ("n_max", FIELD_RULES[4][1]): (["--preset", "fig1", "--n-max", "512"], {}),
     ("omega_t1_values", "non-empty and > 0"): (["--omega-t1", "-1"], {}),

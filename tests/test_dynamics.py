@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from antizeno.dynamics import QuantumState, evolve, excitation_trace
+from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel, measure_no_click
-from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
-from antizeno.numkit import hermitian_eig
+from antizeno.model import ModelParams, even_chain_hamiltonian
+from antizeno.numkit import HermitianOperator, hermitian_eig
 from antizeno.protocol import prepare_model
-from oracle import embed_even_chain, parity_operator, qubit_p_e
+from oracle import embed_even_chain, kron_hamiltonian, parity_operator, qubit_p_e
 
 
 def resonant(g, n_max=40, kind="rabi"):
@@ -28,22 +29,22 @@ def random_density(dim, seed):
 
 class TestQuantumState:
     def test_rejects_bad_norm(self):
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(NumericalError, match="norm"):
             QuantumState("pure", np.ones((1, 4)))
 
     def test_rejects_non_hermitian_density(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(NumericalError, match="Hermitian"):
             QuantumState("density", m[None])
 
     def test_rejects_negative_density(self):
         m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(NumericalError, match="positive"):
             QuantumState("density", m[None])
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(NumericalError, match="trace"):
             QuantumState("density", np.eye(4, dtype=complex)[None])
 
     def test_promoted_pure_state(self):
@@ -82,25 +83,25 @@ class TestBatchedQuantumState:
     def test_rejects_one_bad_norm(self):
         data = self.pure_batch()
         data[3] *= 1.001
-        with pytest.raises(ValueError, match=r"norm.*run 3"):
+        with pytest.raises(NumericalError, match=r"norm.*run 3"):
             QuantumState("pure", data)
 
     def test_rejects_one_non_hermitian(self):
         data = self.density_batch()
         data[2, 0, 1] += 1e-9
-        with pytest.raises(ValueError, match=r"Hermitian.*run 2"):
+        with pytest.raises(NumericalError, match=r"Hermitian.*run 2"):
             QuantumState("density", data)
 
     def test_rejects_one_bad_trace(self):
         data = self.density_batch()
         data[4] *= 1.001
-        with pytest.raises(ValueError, match=r"trace.*run 4"):
+        with pytest.raises(NumericalError, match=r"trace.*run 4"):
             QuantumState("density", data)
 
     def test_rejects_one_negative(self):
         data = self.density_batch()
         data[1] = np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"positive.*run 1"):
+        with pytest.raises(NumericalError, match=r"positive.*run 1"):
             QuantumState("density", data)
 
     def test_promoted_batch_is_per_run_projector(self):
@@ -114,7 +115,7 @@ class TestBatchedQuantumState:
 class TestEvolve:
     def setup_method(self):
         self.p = resonant(0.7, n_max=12)
-        self.spec = hermitian_eig(hamiltonian(self.p))
+        self.spec = hermitian_eig(HermitianOperator(kron_hamiltonian(self.p)))
 
     def test_zero_time_identity(self):
         state = random_state(self.spec.dim, seed=9)
@@ -141,7 +142,7 @@ class TestEvolve:
         assert np.max(np.abs(evolved_rho - expected)) <= 1e-12
 
     def test_conservation_laws_along_trace(self):
-        h = hamiltonian(self.p).matrix
+        h = kron_hamiltonian(self.p)
         even_projector = (np.eye(self.spec.dim) + parity_operator(self.p.n_max)) / 2
         state = random_state(self.spec.dim, seed=12)
         psi = state.data[0]
@@ -214,7 +215,8 @@ class TestExcitationTrace:
         grid = np.linspace(0.0, 30.0, 601)
         on_chain = excitation_trace(p, QuantumState("pure", chain[None]), grid)
         copies = np.broadcast_to(embed_even_chain(chain), (grid.size, 30))
-        full = evolve(hermitian_eig(hamiltonian(p)), QuantumState("pure", copies), grid)
+        full_space = hermitian_eig(HermitianOperator(kron_hamiltonian(p)))
+        full = evolve(full_space, QuantumState("pure", copies), grid)
         assert np.max(np.abs(on_chain - qubit_p_e(full.data))) <= 1e-12
 
     @pytest.mark.parametrize("g_key,g", [("0.333333", 1 / 3), ("0.666667", 2 / 3), ("1", 1.0)])

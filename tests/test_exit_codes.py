@@ -1,0 +1,188 @@
+"""Seeded exit-code fuzzer: extreme config values through ``cli.main``.
+
+For each experiment, configs are drawn from a fixed seed: a small valid
+start (the preset, or the defaults for ``survival``) with one to three
+fields replaced by values at extreme magnitudes (1e-300 to 1e300), zeros,
+negatives, NaN, infinities or wrong JSON types. Every config goes through a
+config file, so every JSON type reaches validation.
+
+Each run must end in a documented exit code (0 success, 2 validation,
+3 numerical failure, 4 I/O) without raising, and every exit 2 must name the
+config field it rejects, as config validation does. Work stays small: at
+most 4 runs, at most 8 events, a fixed ``n_max`` of 12 and fig2 grids of at
+most 10^4 points; values beyond those limits are drawn only where
+validation refuses them.
+"""
+
+import json
+import math
+import random
+import re
+from dataclasses import fields
+
+import pytest
+
+from antizeno.cli import main
+from antizeno.config import ALWAYS_READ, EXPERIMENTS, READ_SETS, ExperimentConfig, preset
+
+SEED = 20261019
+CASES = 100  # per experiment
+N_MAX = 12
+MAX_GRID = 10**4
+
+FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
+# an exit-2 message starts with the field it rejects, as validate words it
+NAMES_A_FIELD = re.compile(
+    r"antizeno: validation error \[[\w.]+\]: (%s)( must be |: )" % "|".join(FIELD_NAMES)
+)
+WRONG_TYPES = ("text", True, None, [], {}, [0.5, "x"], [[0.5]])
+REAL_FIELDS = ("omega", "omega0", "ratio", "jitter_width", "time_max", "time_step")
+LIST_FIELDS = ("g_values", "omega_t1_values", "epsilon_values")
+
+
+def extreme_real(rng: random.Random):
+    """A JSON number: a special value, or a magnitude in [1e-300, 1e300]
+    of either sign, as a float or (for whole magnitudes) an integer."""
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice([0.0, -0.0, 1e-300, 1e300, -1e300, -1.0, math.nan, math.inf, -math.inf])
+    value = rng.choice([1, -1]) * 10 ** rng.uniform(-300, 300)
+    if pick < 0.4 and abs(value) >= 1:
+        return int(value)
+    return value
+
+
+def work_count(rng: random.Random, cap: int):
+    """An event or run count: within the work cap, or one that validation
+    refuses (zero, negative, huge negative, non-integer, wrong type)."""
+    if rng.random() < 0.6:
+        return rng.randint(1, cap)
+    return rng.choice([0, -1, -10**300, 2.5, 1e300, math.nan, "3", True, None, [2]])
+
+
+def draw(rng: random.Random, field: str, tmp_path):
+    """One fuzzed value for ``field``."""
+    if rng.random() < 0.15:
+        return rng.choice(WRONG_TYPES)
+    if field in REAL_FIELDS:
+        return extreme_real(rng)
+    if field in LIST_FIELDS:
+        if rng.random() < 0.1:
+            return []
+        return [extreme_real(rng) for _ in range(rng.randint(1, 3))]
+    if field == "runs":
+        return work_count(rng, 4)
+    if field == "n_measurements":
+        return work_count(rng, 8)
+    if field == "n_max":
+        return rng.choice([0, -3, -10**300, 2.5, math.nan, "12"])
+    if field == "seed":
+        return rng.choice([0, 2**64 - 1, 2**64, 10**300, -1, -10**300, 1e300, 0.5, math.nan])
+    if field == "out":
+        return rng.choice(["", str(tmp_path / "missing" / "x.csv"), str(tmp_path)])
+    if field == "format":
+        return rng.choice(["csv", "json", "xml", "CSV"])
+    return rng.choice(EXPERIMENTS)  # experiment
+
+
+def grid_points(config: dict):
+    """fig2 grid size, or 0 when validation refuses the time fields."""
+    t_max, step = config["time_max"], config["time_step"]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (t_max, step))
+    if numbers and math.isfinite(t_max) and math.isfinite(step) and step > 0 and t_max >= step:
+        return t_max / step
+    return 0
+
+
+def small_start(experiment: str, tmp_path) -> dict:
+    """The preset (the defaults for ``survival``) within the work limits."""
+    start = preset(experiment) if experiment != "survival" else ExperimentConfig()
+    base = {**start.to_dict(), "n_max": N_MAX, "out": str(tmp_path / "x.csv")}
+    for field, cap in (("runs", 4), ("n_measurements", 8)):
+        if field in READ_SETS[experiment]:
+            base[field] = min(base[field], cap)
+    return base
+
+
+def cases(experiment: str, tmp_path):
+    """CASES fuzzed config dicts for ``experiment``, from a fixed seed."""
+    rng = random.Random(f"{SEED}-{experiment}")
+    read = (*ALWAYS_READ, *READ_SETS[experiment], "seed")
+    base = small_start(experiment, tmp_path)
+    drawn = []
+    while len(drawn) < CASES:
+        config = dict(base)
+        # mostly fields the experiment reads; sometimes any field
+        pool = read if rng.random() < 0.9 else FIELD_NAMES
+        for field in rng.sample(pool, rng.randint(1, 3)):
+            config[field] = draw(rng, field, tmp_path)
+        if grid_points(config) <= MAX_GRID:
+            drawn.append(config)
+    return drawn
+
+
+def run_config(config: dict, tmp_path) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(["--config", str(path)])
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_extreme_configs_keep_the_exit_code_contract(tmp_path, capsys, experiment):
+    failures = []
+    for config in cases(experiment, tmp_path):
+        try:
+            code = run_config(config, tmp_path)
+        except BaseException as exc:  # a traceback would reach the user
+            failures.append((config, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            failures.append((config, f"exit {code}: {err}"))
+        elif code == 2 and not NAMES_A_FIELD.match(err):
+            failures.append((config, f"exit 2 names no field: {err}"))
+    assert not failures, "\n".join(f"{json.dumps(c)}\n  -> {why}" for c, why in failures)
+
+
+# What broke the exit-code contract, one case per finding (all found by
+# the fuzzer, at this seed or with more cases, but the schedule overflow):
+# the fields set over the small start, the exit code and what stderr says.
+FOUND = [
+    # the survival protocol needs a unique ground state; below a gap of
+    # DEGENERACY_GAP it exited 2 without naming a field
+    ("fig4", {"omega": 1e-19}, 2, "[antizeno.runner]: g_values: fig4 needs a unique ground state"),
+    ("fig5", {"omega0": 1e-300}, 2,
+     "g_values: fig5 needs a unique ground state at every coupling it runs; g/omega = 1.0 has"),
+    # schedules that collapse (a tiny ratio) or overflow (a huge omega_t1
+    # over a tiny omega) exited 2 from the protocol, or (fig4) named the
+    # internal jitter width
+    ("fig3", {"ratio": 1e-272}, 2, "omega_t1_values: fig3 needs periods whose schedules stay"),
+    ("fig4", {"ratio": 1e-300}, 2, "ratio: fig4 needs a ratio at which no panel's jitter window"),
+    ("fig4", {"ratio": 0.5}, 2, "ratio: fig4 needs a ratio at which no panel's jitter window"),
+    ("survival", {"omega": 1e-215, "omega_t1_values": [1e300]}, 2, "jitter_width: survival needs"),
+    # an overflowing schedule warned from numpy while validation refused it
+    ("survival", {"omega": 1e-10, "ratio": 1e300}, 2, "jitter_width: survival needs"),
+    # a coupling that overflows in GHz exited 2 naming the model's "g"
+    ("fig2", {"omega": 1e300, "g_values": [1e10]}, 2,
+     "g_values must be non-empty, >= 0 and finite in GHz (times omega), got (10000000000.0,)"),
+    # JSON integers beyond int64 crashed numpy (a traceback); beyond the
+    # float range they are not finite
+    ("fig1", {"omega": 10**130}, 3, "numerical failure [antizeno.model]"),
+    ("survival", {"omega0": 10**31}, 2, "g_values: survival needs a unique ground state"),
+    ("fig1", {"omega": 10**400}, 2, "[antizeno.config]: omega must be finite, got 1000"),
+    # couplings whose squares underflow to one value gave numpy's singular
+    # least-squares error as exit 2
+    ("fig3", {"g_values": [1e-300, 3e-277]}, 3,
+     "[antizeno.analysis]: fewer than 2 distinct points remain above the extinction floor"),
+    # chi_n at a coupling whose square underflows is undefined (NaN), not a
+    # division warning
+    ("survival", {"g_values": [4e-177]}, 0, ""),
+]
+
+
+@pytest.mark.parametrize("experiment,fields,code,message", FOUND,
+                         ids=[f"{e}-{'-'.join(f)}" for e, f, _, _ in FOUND])
+def test_what_the_fuzzer_found(tmp_path, capsys, experiment, fields, code, message):
+    config = {**small_start(experiment, tmp_path), **fields}
+    assert run_config(config, tmp_path) == code
+    assert message in capsys.readouterr().err

@@ -141,7 +141,7 @@ class TestEvenChain:
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
     def test_equals_even_sector_of_full_hamiltonian(self, kind, g):
         p = ModelParams(1.0, 0.7, g, 9, kind)
-        full = hamiltonian(p).matrix
+        full = kron_hamiltonian(p)
         # chain site k is |g,k> (index k) for even k, |e,k> (index 10+k) for odd k
         sites = [k if k % 2 == 0 else 10 + k for k in range(10)]
         chain = even_chain_hamiltonian(p).matrix
@@ -154,10 +154,10 @@ class TestEvenChain:
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     def test_chain_spectrum_is_even_sector_spectrum(self, kind):
         p = resonant(0.9, n_max=20, kind=kind)
-        full = hermitian_eig(hamiltonian(p))
+        values, vectors = np.linalg.eigh(kron_hamiltonian(p))
         even = parity_operator(p.n_max).diagonal().real > 0
         sector = np.sort([
-            e for e, v in zip(full.eigenvalues, full.eigenvectors.T)
+            e for e, v in zip(values, vectors.T)
             if np.sum(np.abs(v[even]) ** 2) > 0.5
         ])
         chain = hermitian_eig(even_chain_hamiltonian(p)).eigenvalues
@@ -445,13 +445,13 @@ class TestBraakGFunction:
 
 class TestEigenstateOverlaps:
     def test_self_overlap(self):
-        vecs = hermitian_eig(hamiltonian(resonant(0.6, n_max=12))).eigenvectors
+        vecs = np.linalg.eigh(kron_hamiltonian(resonant(0.6, n_max=12)))[1]
         overlaps = eigenstate_overlaps(vecs[:, 0], vecs, 4)
         assert overlaps[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(overlaps[1:]) < 1e-20
 
     def test_orthogonal_excited_state(self):
-        vecs = hermitian_eig(hamiltonian(resonant(0.6, n_max=12))).eigenvectors
+        vecs = np.linalg.eigh(kron_hamiltonian(resonant(0.6, n_max=12)))[1]
         overlaps = eigenstate_overlaps(vecs[:, 3], vecs, 4)
         assert overlaps[0] < 1e-20
         assert overlaps[3] == pytest.approx(1.0, abs=1e-12)
@@ -462,7 +462,7 @@ class TestEigenstateOverlaps:
 
         prep = prepare_model(resonant(1.0))
         _, projected = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
-        vecs = hermitian_eig(hamiltonian(prep.params)).eigenvectors
+        vecs = np.linalg.eigh(kron_hamiltonian(prep.params))[1]
         overlaps = eigenstate_overlaps(embed_even_chain(projected.data[0]), vecs, 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10
         assert np.allclose(overlaps, golden["projected_ground_overlaps_g1_k6"], atol=1e-12)

@@ -8,7 +8,7 @@ from antizeno import protocol
 from antizeno.dynamics import BATCH_RUNS, QuantumState
 from antizeno.errors import NumericalError
 from antizeno.measurement import MeasurementModel
-from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
+from antizeno.model import ModelParams, even_chain_hamiltonian
 from antizeno.protocol import (
     child_seeds,
     ensemble_survival,
@@ -21,8 +21,8 @@ from antizeno.protocol import (
 )
 from antizeno.runner import FIG4_PANEL_C_GRID, FIG4_PANELS
 from oracle import (
-    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, trajectory_survival,
-    truncated_survival,
+    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, kron_hamiltonian,
+    trajectory_survival, truncated_survival,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -324,7 +324,7 @@ class TestRunSurvival:
         trace = run_survival(prep, sched[None], MeasurementModel(0.0))
 
         singles = full_space_singles(
-            hamiltonian(prep.params).matrix, embed_even_chain(prep.ground.even_chain), sched, 0.0,
+            kron_hamiltonian(prep.params), embed_even_chain(prep.ground.even_chain), sched, 0.0,
             density=True,
         )
         assert np.allclose(trace.single[0], singles, atol=1e-12)
@@ -335,7 +335,7 @@ class TestRunSurvival:
         # oracle: the same jittered schedule run one event at a time on the
         # full 2(n_max+1) space with the dense full-space spectrum
         prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6, kind=kind))
-        h = hamiltonian(prep.params).matrix
+        h = kron_hamiltonian(prep.params)
         schedules = [
             jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
             for seed in (3, 4, 5, 6, 7)
@@ -508,7 +508,7 @@ def test_state_corrupted_mid_run_is_caught(monkeypatch, check):
         return prob, post
 
     monkeypatch.setattr(protocol, "measure_no_click", corrupting)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(NumericalError, match=message):
         run_survival(prep, times, m)
     assert events == ["pure" if epsilon == 0.0 else "density"] * 2
 
@@ -548,7 +548,7 @@ class TestEnsembleSurvival:
         ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
         trace = run_survival(prep, base[None], MeasurementModel(0.0))
         assert np.allclose(ens.cumulative_mean, trace.cumulative[0], atol=1e-15)
-        assert ens.mean_single == pytest.approx(np.mean(trace.single[0]), abs=1e-15)
+        assert np.mean(ens.single_mean) == pytest.approx(np.mean(trace.single[0]), abs=1e-15)
 
     def test_deterministic(self):
         prep = prepare_model(resonant(1.0))

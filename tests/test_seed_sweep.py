@@ -6,7 +6,15 @@ and 8 at 50 seeds with the thresholds of ``test_acceptance.py`` and prints
 each criterion's pass rate as a finding; it asserts no pass rate. What it
 does assert is that every ensemble mean, at every seed and event, lies
 within 5 standard errors of its exact jitter average
-(``oracle.jitter_mean_survival``).
+(``oracle.jitter_mean_survival``), and it prints each case's largest
+z = (|mean - exact| - 1e-12) / SE over all seeds and events, the margin
+that check compares with 5, so that a drift toward the bound shows before
+it fails.
+
+The standard error of an ensemble of ``runs`` runs is sigma / sqrt(runs),
+with sigma per event taken from one independent ensemble of 4000 runs of
+the same case (seed 10**6). The sample std of 20 runs underestimates the
+spread of a skewed per-run survival, so it is not the yardstick.
 
 Deselected by default (marker ``slow``); run with
 ``python -m pytest -m slow -s``.
@@ -28,6 +36,8 @@ pytestmark = pytest.mark.slow
 
 SEEDS = range(50)
 SQRT2 = math.sqrt(2.0)
+REFERENCE_RUNS = 4000
+REFERENCE_SEED = 10**6
 
 
 def resonant(g):
@@ -58,7 +68,7 @@ def criterion_holds(number, ensembles):
         rates = [fit.coefficients["rate"] for fit in fits]
         return all(fit.r_squared >= 0.95 for fit in fits) and rates[0] < rates[1] < rates[2]
     if number == 5:
-        pbar = np.array([ens.mean_single for ens in ensembles.values()])
+        pbar = np.array([np.mean(ens.single_mean) for ens in ensembles.values()])
         return fit_quadratic_origin(np.array(list(ensembles)), 1.0 - pbar).r_squared >= 0.99
     if number == 7:
         rates = [fit_exponential(ens.times / w, ens.cumulative_mean).coefficients["rate"]
@@ -83,7 +93,15 @@ def test_seed_sweep_of_criteria_4_5_7_8():
         for number, cases in ENSEMBLES.items()
         for case, (g, w, n, width, runs, eps) in cases.items()
     }
+    sigma = {}
+    for number, cases in ENSEMBLES.items():
+        for case, (g, w, n, width, runs, eps) in cases.items():
+            base = two_period_schedule(w, SQRT2, n)
+            stack = jitter_times(base, width, 1.0, REFERENCE_RUNS, REFERENCE_SEED)
+            sigma[number, case] = ensemble_survival(
+                models[g], base, MeasurementModel(eps), stack).cumulative_std
     passed = {number: 0 for number in ENSEMBLES}
+    largest_z = dict.fromkeys(exact, 0.0)
     beyond = []
     for seed in SEEDS:
         for number, cases in ENSEMBLES.items():
@@ -93,13 +111,20 @@ def test_seed_sweep_of_criteria_4_5_7_8():
                 stack = jitter_times(base, width, 1.0, runs, seed)
                 ens = ensemble_survival(models[g], base, MeasurementModel(eps), stack)
                 ensembles[case] = ens
-                se = ens.cumulative_std / math.sqrt(runs)
+                se = sigma[number, case] / math.sqrt(runs)
+                # z as beyond_5_se judges it: its 1e-12 covers rounding where
+                # sigma is rounding noise (event 1 is deterministic)
+                miss = np.maximum(np.abs(ens.cumulative_mean - exact[number, case]) - 1e-12, 0.0)
+                z = float(np.max(miss / np.where(se > 0, se, np.inf)))
+                largest_z[number, case] = max(largest_z[number, case], z)
                 events = np.flatnonzero(beyond_5_se(ens.cumulative_mean, se, exact[number, case]))
                 if events.size:
                     beyond.append((seed, number, case, (events + 1).tolist()))
             passed[number] += criterion_holds(number, ensembles)
     for number, count in passed.items():
         print(f"SEED SWEEP criterion {number}: passes at {count} of {len(SEEDS)} seeds")
+    for (number, case), z in largest_z.items():
+        print(f"SEED SWEEP largest z: criterion {number}, case {case:.6g}: {z:.2f}")
     for seed, number, case, events in beyond:
         print(f"SEED SWEEP beyond 5 SE: seed {seed}, criterion {number}, case {case:.6g}, "
               f"events {events}")
