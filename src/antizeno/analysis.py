@@ -8,6 +8,7 @@ Fits are unweighted.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -64,7 +65,8 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
 def fit_quadratic_origin(x, y) -> FitResult:
     """Least-squares y = lam * x**2 (through the origin).
 
-    Closed form lam = sum(x^2 y) / sum(x^4).
+    Closed form lam = sum(x^2 y) / sum(x^4). All-zero x is a ``ValueError``;
+    nonzero x whose fourth powers all underflow is a ``NumericalError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -73,6 +75,8 @@ def fit_quadratic_origin(x, y) -> FitResult:
     if x.size < 3:
         raise ValueError("need at least 3 points")
     x4 = float(np.sum(x**4))
+    if x4 == 0.0 and np.any(x != 0.0):
+        raise NumericalError("every x**4 underflows to 0; quadratic coefficient is undetermined")
     if x4 == 0.0:
         raise ValueError("all x are zero; quadratic coefficient is undetermined")
     lam = float(np.sum(x**2 * y) / x4)
@@ -90,8 +94,8 @@ def fit_exponential(x, y) -> FitResult:
     One extinction rule: y below ``EXP_FIT_FLOOR``, exact zeros included,
     is dropped and counted in ``n_dropped``. Negative or non-finite y, or
     fewer than 2 points given, is a ``ValueError``; fewer than 2 points left
-    above the floor is a ``NumericalError``. R^2 and residual_max are
-    computed in log space.
+    above the floor, or a least-squares solve that overflows or is singular,
+    is a ``NumericalError``. R^2 and residual_max are computed in log space.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -110,8 +114,13 @@ def fit_exponential(x, y) -> FitResult:
             f"({n_dropped} dropped)"
         )
     log_y = np.log(y)
-    slope, intercept = np.polyfit(x, log_y, 1)
-    predicted = slope * x + intercept
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")  # polyfit warns (RankWarning) on a singular system
+        try:
+            slope, intercept = np.polyfit(x, log_y, 1)
+            predicted = slope * x + intercept
+        except (FloatingPointError, Warning) as exc:
+            raise NumericalError(f"exponential fit breaks down in least squares: {exc}") from exc
     return FitResult(
         {"rate": float(-slope), "intercept": float(intercept)},
         _r_squared(log_y, predicted),

@@ -114,7 +114,9 @@ _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_wid
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
-              lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v))],
+              lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v)),
+             ("time_max", "a grid of at most 10^6 steps (time_max / time_step)",
+              lambda v, c: v / c.time_step <= 10**6)],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),

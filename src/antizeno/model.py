@@ -107,14 +107,14 @@ class GroundStateDecomposition:
     fixed so that ``even_chain[0]`` is real and >= 0.
 
     When the ground manifold is numerically degenerate (gap below
-    ``DEGENERACY_GAP``, e.g. at omega0 = 0) the result is flagged:
-    ``even_chain`` is then read off one arbitrary member of the manifold (no
-    phase fix, no parity guarantee) while ``p_e`` is the basis-independent
-    equal-weight average over the degenerate block.
+    ``DEGENERACY_GAP``, e.g. at omega0 = 0) there is no unique ground state
+    and so no chain state: the result is flagged, ``even_chain`` is None and
+    ``p_e`` is the basis-independent equal-weight average over the
+    degenerate block.
     """
 
     energy: float
-    even_chain: np.ndarray
+    even_chain: np.ndarray | None
     p_e: float
     gap: float
     degenerate: bool = False
@@ -199,37 +199,32 @@ def _even_ground_state(p: ModelParams, solved: dict | None) -> GroundStateDecomp
     """``ground_state``, or None when it lies in the odd parity sector; read
     from ``solved`` if it holds ``p``, else solved and stored there."""
     solved = {} if solved is None else solved
-    if p not in solved:
-        solved[p] = _solve_even_ground_state(p)
-    return solved[p]
-
-
-def _solve_even_ground_state(p: ModelParams) -> GroundStateDecomposition | None:
+    if p in solved:
+        return solved[p]
     spec = hermitian_eig(hamiltonian(p))
     vals, vecs = spec.eigenvalues, spec.eigenvectors
-    energy = float(vals[0])
-    gap = float(vals[1] - vals[0])
-    # chain site k is |g,k> for even k and |e,k> for odd k
-    k = np.arange(p.n_max + 1)
-    sites = np.where(k % 2 == 0, k, p.n_max + 1 + k)
-
+    energy, gap = float(vals[0]), float(vals[1] - vals[0])
     if gap < DEGENERACY_GAP:
+        # no unique ground state, so no chain state; p_e averages the manifold
         block = np.flatnonzero(vals - vals[0] < DEGENERACY_GAP)
         p_e = float(np.mean([_block_p_e(vecs[:, i]) for i in block]))
-        return GroundStateDecomposition(energy, vecs[sites, 0], p_e, gap, degenerate=True)
-
+        solved[p] = GroundStateDecomposition(energy, None, p_e, gap, degenerate=True)
+        return solved[p]
     state = vecs[:, 0]
     c0 = state[0]
     if abs(c0) > 0:
         state = state * (c0.conjugate() / abs(c0))
-    chain = state[sites]
-
+    # chain site k is |g,k> for even k and |e,k> for odd k
+    k = np.arange(p.n_max + 1)
+    chain = state[np.where(k % 2 == 0, k, p.n_max + 1 + k)]
     odd_weight = 1.0 - float(np.sum(np.abs(chain) ** 2))
-    if odd_weight > 0.5:
-        return None
-    if abs(odd_weight) > 1e-10:
+    if odd_weight > 0.5:  # the ground state lies in the odd sector
+        solved[p] = None
+    elif abs(odd_weight) > 1e-10:
         raise NumericalError(f"ground state leaks out of the even parity sector by {odd_weight:.3e}")
-    return GroundStateDecomposition(energy, chain, _block_p_e(state), gap, degenerate=False)
+    else:
+        solved[p] = GroundStateDecomposition(energy, chain, _block_p_e(state), gap)
+    return solved[p]
 
 
 def _moved(a: GroundStateDecomposition, b: GroundStateDecomposition) -> tuple[float, float]:
@@ -270,8 +265,7 @@ def assert_cutoff_converged(p: ModelParams, solved: dict | None = None) -> None:
     ground energy and p_e by < CUTOFF_TOL. Both ground states are read from
     the ``solved`` memo when it holds them, so a prepared model is not
     solved again."""
-    # ground_state runs only to name an odd-sector ground state
-    base = _even_ground_state(p, solved) or ground_state(p, solved)
+    base = ground_state(p, solved)
     larger = ground_state(replace(p, n_max=p.n_max + CUTOFF_STEP), solved)
     d_energy, d_p_e = _moved(base, larger)
     if max(d_energy, d_p_e) >= CUTOFF_TOL:

@@ -124,9 +124,15 @@ class PreparedModel:
         return hermitian_eig(even_chain_hamiltonian(self.params))
 
     def chain_ground(self, runs: int) -> QuantumState:
-        """``runs`` copies of the ground state on the even chain, as a batch."""
-        amplitudes = self.ground.even_chain
-        return QuantumState("pure", np.broadcast_to(amplitudes, (runs, amplitudes.size)))
+        """``runs`` copies of the ground state on the even chain, as a batch.
+        A degenerate ground manifold has no such state (``ValueError``)."""
+        gs = self.ground
+        if gs.degenerate:
+            raise ValueError(
+                f"ground manifold is degenerate (gap {gs.gap:.3e} < DEGENERACY_GAP = "
+                f"{DEGENERACY_GAP:g}); the survival protocol requires a unique ground state"
+            )
+        return QuantumState("pure", np.broadcast_to(gs.even_chain, (runs, gs.even_chain.size)))
 
 
 def prepare_model(p: ModelParams, solved: dict | None = None) -> PreparedModel:
@@ -226,11 +232,6 @@ def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTra
     to a density matrix. The stack is run in blocks of runs, each event one
     batched step for the whole block.
     """
-    if prep.ground.degenerate:
-        raise ValueError(
-            f"ground manifold is degenerate (gap {prep.ground.gap:.3e} < DEGENERACY_GAP = "
-            f"{DEGENERACY_GAP:g}); the survival protocol requires a unique ground state"
-        )
     times = _time_stack(times, 2)
     singles = np.empty(times.shape)
     block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]

@@ -80,12 +80,12 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     models: dict[float, PreparedModel] = {}
 
     def prepare(g: float) -> PreparedModel:
-        """The prepared model at coupling g/omega, made once per build; the
-        survival protocol (every experiment but fig1 and fig2) refuses a
+        """The prepared model at coupling g/omega, made once per build; every
+        experiment but fig1 starts from the ground state, so it refuses a
         degenerate ground manifold."""
         if g not in models:
             models[g] = prepare_model(_model_params(config, g, n_max), solved)
-            if models[g].ground.degenerate and config.experiment not in ("fig1", "fig2"):
+            if models[g].ground.degenerate and config.experiment != "fig1":
                 raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
                                  f"coupling it runs; g/omega = {g!r} has a gap of "
                                  f"{models[g].ground.gap:.3e}, below DEGENERACY_GAP")

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import antizeno
-from antizeno import cli, numkit
+from antizeno import cli, numkit, protocol
 from antizeno.cli import build_parser, main
 from antizeno.config import (
     EXPERIMENTS, FIELD_RULES, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
 )
+from antizeno.dynamics import QuantumState
 from antizeno.protocol import two_period_schedule
 from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
@@ -247,11 +248,27 @@ class TestCliRuns:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_broken_state_invariant_exits_3(self, tmp_path, capsys):
-        # the input is valid; at omega = 1e-18 GHz the evolution over the
-        # fig2 grid loses the state's norm, a numerical breakdown
+    def test_broken_state_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the input is valid; the state after event 2 reaches the next step
+        # of the run unchecked and off its norm, as a numerical breakdown
+        # would leave it, and the next step's check stops the run
+        real = protocol.measure_no_click
+        events = []
+
+        def corrupting(state, model):
+            prob, post = real(state, model)
+            events.append(post.kind)
+            if len(events) == 2:
+                broken = object.__new__(QuantumState)
+                object.__setattr__(broken, "kind", post.kind)
+                object.__setattr__(broken, "data", 1.01 * post.data)
+                post = broken
+            return prob, post
+
+        monkeypatch.setattr(protocol, "measure_no_click", corrupting)
         out = tmp_path / "x.csv"
-        assert main(["--preset", "fig2", "--omega", "1e-18", "--out", str(out)]) == 3
+        assert main(small_survival_args(tmp_path, "x.csv")) == 3
+        assert events == ["pure", "pure"]
         err = capsys.readouterr().err
         assert "numerical failure [antizeno.dynamics]: pure state norm deviates from 1" in err
         assert not out.exists()
@@ -432,6 +449,8 @@ def eig_calls(monkeypatch):
 BROKEN_RULES = {
     ("fig1", "g_values"): ["--preset", "fig1", "--g", "0.5,1"],
     ("fig2", "g_values"): ["--preset", "fig2", "--g", "0.1234561,0.1234562"],
+    # time_max has no flag: a config file sets it
+    ("fig2", "time_max"): ["--config", str(Path(__file__).parent / "data" / "fig2_grid_too_large.json")],
     ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
     ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
     ("fig3", "jitter_width"): ["--preset", "fig3", "--jitter", "0.5"],

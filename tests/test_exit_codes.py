@@ -177,6 +177,19 @@ FOUND = [
     # chi_n at a coupling whose square underflows is undefined (NaN), not a
     # division warning
     ("survival", {"g_values": [4e-177]}, 0, ""),
+    # fig2 started from one arbitrary member of a tied ground manifold, a
+    # state off its norm (exit 3) or one LAPACK happened to return (exit 0)
+    ("fig2", {"omega": 1e-18}, 2, "g_values: fig2 needs a unique ground state"),
+    ("fig2", {"omega0": 0}, 2, "g_values: fig2 needs a unique ground state"),
+    # a fig2 grid too large to allocate ended in MemoryError (a traceback)
+    ("fig2", {"time_max": 1e12}, 2, "time_max: fig2 needs a grid of at most 10^6 steps"),
+    # couplings whose fourth powers underflow exited 2 from the fit, naming
+    # no field
+    ("fig1", {"g_values": [1e-300, 2e-300, 3e-300]}, 3,
+     "numerical failure [antizeno.analysis]: every x**4 underflows to 0"),
+    # a least-squares solve that overflows printed numpy's warnings first
+    ("fig5", {"n_measurements": 2, "ratio": 1.5e226}, 3,
+     "numerical failure [antizeno.analysis]: exponential fit breaks down in least squares"),
 ]
 
 
@@ -186,3 +199,24 @@ def test_what_the_fuzzer_found(tmp_path, capsys, experiment, fields, code, messa
     config = {**small_start(experiment, tmp_path), **fields}
     assert run_config(config, tmp_path) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_zero_splitting_has_no_ground_state_to_start_from(tmp_path, capsys, experiment):
+    # omega0 = 0 ties the two parity sectors at every coupling; fig1 reports
+    # the manifold-averaged p_e, every other experiment starts from the
+    # ground state and refuses the tie
+    config = {**small_start(experiment, tmp_path), "omega0": 0}
+    code = run_config(config, tmp_path)
+    err = capsys.readouterr().err
+    if experiment != "fig1":
+        assert code == 2
+        assert f"[antizeno.runner]: g_values: {experiment} needs a unique ground state" in err
+        return
+    assert code == 0, err
+    rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    columns = dict(zip(rows[0], zip(*rows[1:])))
+    above_0 = [float(pe) for g, pe in zip(columns["g_over_omega"], columns["p_e"]) if float(g) > 0]
+    assert len(above_0) == 100
+    assert above_0 == pytest.approx([0.5] * 100, abs=1e-12)

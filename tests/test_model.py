@@ -239,6 +239,16 @@ class TestParityChains:
                 assert abs(gs.gap - expected_gap) <= 1e-9
         assert found == self.GROUND_CHAIN[kind, omega0]
 
+    @pytest.mark.parametrize("kind,omega0", sorted(GROUND_CHAIN))
+    def test_chain_state_exactly_when_unique(self, kind, omega0):
+        # a tied ground manifold has no chain state to start a run from
+        for g in self.COUPLINGS:
+            try:
+                gs = ground_state(ModelParams(1.0, omega0, float(g), 60, kind))
+            except NumericalError:  # the odd chain lies lower
+                continue
+            assert (gs.even_chain is None) == gs.degenerate
+
 
 class TestGroundState:
     def test_bare_vacuum_at_zero_coupling(self):

@@ -454,6 +454,13 @@ class TestRunSurvival:
             run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], MeasurementModel(0.0))
         assert "omega0" not in str(info.value)
 
+    def test_chain_ground_refuses_a_tied_manifold(self):
+        # chain_ground is the one place a run's start state is built
+        prep = prepare_model(ModelParams(1.0, 0.0, 0.5, 20))
+        assert prep.ground.even_chain is None
+        with pytest.raises(ValueError, match=r"degenerate \(gap .* < DEGENERACY_GAP = 1e-10\)"):
+            prep.chain_ground(1)
+
 
 def _unchecked(kind, data):
     """A QuantumState that skips its construction checks, as a corrupted
