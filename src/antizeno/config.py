@@ -103,6 +103,10 @@ def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
     return math.isfinite(float(times[-1]) + half_window) and jitter_keeps_order(times, half_window)
 
 
+# The most grid steps or event times one input may ask for: larger grids and
+# schedule stacks are refused before any array is built.
+MAX_POINTS = 10**6
+
 # What each experiment needs of its fields: (field, what, test), where
 # test(value, config) may read the rest of the config. validate enforces
 # every rule, so a bad shape is rejected before any eigensolve. The schedule
@@ -111,15 +115,19 @@ _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_wid
                 "the first event time and half of every interval)",
                 lambda width, c: all(_keeps_order(c, w, c.n_measurements, width)
                                      for w in c.omega_t1_values))
+_STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)",
+               lambda v, c: v * c.n_measurements <= MAX_POINTS)
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v)),
              ("time_max", "a grid of at most 10^6 steps (time_max / time_step)",
-              lambda v, c: v / c.time_step <= 10**6)],
+              lambda v, c: v / c.time_step <= MAX_POINTS)],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),
+             ("omega_t1_values", "a sweep of at most 10^6 event times (omega_t1_values times "
+              "n_measurements)", lambda v, c: len(v) * c.n_measurements <= MAX_POINTS),
              ("omega_t1_values", "periods whose schedules stay finite and increasing in ns",
               lambda v, c: all(_keeps_order(c, w, c.n_measurements, 0.0) for w in v))],
     "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
@@ -133,12 +141,12 @@ INPUT_RULES = {
              ("omega_t1_values", "at least two periods for the rate collapse",
               lambda v, c: len(v) >= 2),
              ("n_measurements", "at least 2 events for the per-period fits", lambda v, c: v >= 2),
-             _KEEPS_ORDER],
+             _STACK_SIZE, _KEEPS_ORDER],
     "fig6": [("g_values", "exactly one coupling", lambda v, c: len(v) == 1),
              ("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-             _KEEPS_ORDER],
+             _STACK_SIZE, _KEEPS_ORDER],
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-                 _KEEPS_ORDER],
+                 _STACK_SIZE, _KEEPS_ORDER],
 }
 
 # What every experiment needs of its fields, as rows of the INPUT_RULES
@@ -165,6 +173,7 @@ FIELD_RULES = [
     ("time_step", "> 0", lambda v, c: v > 0),
     ("time_max", ">= time_step", lambda v, c: v >= c.time_step),
     ("seed", ">= 0", lambda v, c: v >= 0),
+    ("n_measurements", "at most 10^6", lambda v, c: v <= MAX_POINTS),
 ]
 
 # The fields every experiment reads, and those each one reads on top.

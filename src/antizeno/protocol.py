@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 
 import numpy as np
 
@@ -179,9 +180,9 @@ def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
     draw in [-width/omega, +width/omega) (width is a dimensionless omega*dt);
     returns a read-only array.
 
-    The N shifts are one ``uniform(size=N)`` draw from a PCG64 stream seeded
-    with ``seed``. A window that could reorder events raises ``ValueError``
-    (see ``jitter_keeps_order``), so the output is a valid schedule.
+    The N shifts are one ``uniform(size=N)`` draw from the PCG64 stream of
+    ``seed``, bit for bit as numpy's ``default_rng`` draws it. A window that
+    could reorder events raises ``ValueError`` (``jitter_keeps_order``).
     """
     t = _time_stack(times, 1)
     half_window = width / omega if omega > 0 else np.nan
@@ -190,7 +191,7 @@ def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
                          f"below the first event time and half of every interval (no reordering)")
     out = t.view()  # a view, so the caller's array keeps its flags
     if width > 0.0:
-        out = t + np.random.default_rng(int(seed)).uniform(-half_window, half_window, size=t.size)
+        out = t + np.array(_uniform(int(seed), -half_window, half_window, t.size))
     out.flags.writeable = False
     return out
 
@@ -216,8 +217,67 @@ def jitter_times(base, width: float, omega: float, runs: int, base_seed: int) ->
 
 def child_seeds(base_seed: int, runs: int) -> np.ndarray:
     """Deterministic per-run seeds: SeedSequence(base_seed) expanded to
-    ``runs`` uint64 words. The generator used downstream is numpy PCG64."""
-    return np.random.SeedSequence(int(base_seed)).generate_state(runs, dtype=np.uint64)
+    ``runs`` uint64 words, bit for bit as numpy does; the rows draw PCG64."""
+    seeds = np.empty(runs, dtype=np.uint64)  # refuses a negative or unallocatable count
+    seeds[:] = _seed_state(base_seed, runs)
+    return seeds
+
+
+# numpy's SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905) in Python ints,
+# so that no run loads numpy's random package (5.7 MB of RSS); tests check
+# both streams against numpy bit for bit.
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's hashmix of one uint32; every call steps the constant."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _seed_state(seed: int, n: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(n, uint64)`` as Python ints."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    entropy = [seed & _M32]  # little-endian uint32 words; 0 is one word
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src, dst in permutations(range(4), 2):  # every ordered pair, src-major
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(pool[i % 4]) for i in range(2 * n)]
+    return [low | high << 32 for low, high in zip(words[0::2], words[1::2])]
+
+
+def _uniform(seed: int, low: float, high: float, n: int) -> list[float]:
+    """``default_rng(seed).uniform(low, high, n)``: PCG64 seeded as
+    ``pcg64_set_seed`` does, XSL-RR output, 53-bit doubles."""
+    s0, s1, i0, i1 = _seed_state(seed, 4)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _M128
+    draws = []
+    for _ in range(n):
+        state = (state * _PCG_MULTIPLIER + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws.append(low + (high - low) * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTrace:

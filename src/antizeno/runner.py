@@ -127,6 +127,13 @@ def _table(schema: str, *blocks: dict) -> dict[str, list]:
     return table
 
 
+def _commensurate(ratio: float) -> bool:
+    """Whether periods T1 and ratio*T1 are commensurate (an integer ratio):
+    a jitter-free schedule of them can lock onto resonances of the
+    post-measurement dynamics."""
+    return abs(ratio - round(ratio)) < 1e-12
+
+
 def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *,
                      omega_t1: float, n: int, jitter: float, runs: int) -> list[dict]:
     """Draw the jitter stack of one two-period schedule once (``n`` events
@@ -137,10 +144,9 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
     Returns one survival-table block per pair: ``g_over_omega``,
     ``epsilon``, the per-event columns of its ensemble and ``chi_n``.
     Records under ``commensurate_no_jitter`` whether any schedule of the
-    build runs jitter-free with commensurate periods: such a schedule can
-    lock onto resonances of the post-measurement dynamics.
+    build runs jitter-free with commensurate periods (``_commensurate``).
     """
-    flagged = jitter == 0.0 and abs(config.ratio - round(config.ratio)) < 1e-12
+    flagged = jitter == 0.0 and _commensurate(config.ratio)
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
     base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
     times = jitter_times(base, jitter, config.omega, runs, config.seed)
@@ -189,8 +195,7 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
     m = MeasurementModel(config.epsilon_values[0])
-    # the sweep runs jitter-free: flag commensurate periods (see _ensemble_blocks)
-    metadata["commensurate_no_jitter"] = abs(config.ratio - round(config.ratio)) < 1e-12
+    metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
         [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]

@@ -462,11 +462,14 @@ BROKEN_RULES = {
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
     ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
     ("fig5", "n_measurements"): ["--preset", "fig5", "--n-measurements", "1"],
+    ("fig5", "runs"): ["--preset", "fig5", "--runs", "500001"],
     ("fig5", "jitter_width"): ["--preset", "fig5", "--jitter", "2"],
     ("fig6", "g_values"): ["--preset", "fig6", "--g", "0.5,1"],
     ("fig6", "omega_t1_values"): ["--preset", "fig6", "--omega-t1", "3,6"],
+    ("fig6", "runs"): ["--preset", "fig6", "--runs", "62501"],
     ("fig6", "jitter_width"): ["--preset", "fig6", "--omega-t1", "1", "--jitter", "0.6"],
     ("survival", "omega_t1_values"): ["--omega-t1", "3,6"],
+    ("survival", "runs"): ["--n-measurements", "1000", "--runs", "1001"],
     ("survival", "jitter_width"): ["--omega-t1", "1", "--jitter", "0.6"],
 }
 
@@ -509,6 +512,7 @@ BROKEN_FIELD_RULES = {
     ("time_step", "> 0"): (["--preset", "fig2"], {"time_step": -0.02}),
     ("time_max", ">= time_step"): (["--preset", "fig2"], {"time_max": 0.01}),
     ("seed", ">= 0"): (["--seed", "-1"], {}),
+    ("n_measurements", "at most 10^6"): (["--n-measurements", "1000001"], {}),
 }
 
 

@@ -190,6 +190,19 @@ FOUND = [
     # a least-squares solve that overflows printed numpy's warnings first
     ("fig5", {"n_measurements": 2, "ratio": 1.5e226}, 3,
      "numerical failure [antizeno.analysis]: exponential fit breaks down in least squares"),
+    # schedules too large to allocate ended in numpy's memory error (a
+    # traceback) while validation built them, or in the jitter draw; a count
+    # beyond any array exited 2 from the protocol naming no field, or blamed
+    # jitter_width
+    ("survival", {"n_measurements": 10**11}, 2,
+     "[antizeno.config]: n_measurements must be at most 10^6, got 100000000000"),
+    ("fig3", {"n_measurements": 10**11}, 2, "n_measurements must be at most 10^6"),
+    ("fig3", {"n_measurements": 10**6}, 2,
+     "omega_t1_values: fig3 needs a sweep of at most 10^6 event times"),
+    ("fig5", {"runs": 10**11}, 2, "runs: fig5 needs a jitter stack of at most 10^6 event times"),
+    ("fig6", {"runs": 10**30}, 2, "runs: fig6 needs a jitter stack of at most 10^6 event times"),
+    ("survival", {"n_measurements": 10**30, "jitter_width": 0}, 2,
+     "n_measurements must be at most 10^6"),
 ]
 
 

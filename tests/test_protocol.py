@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -255,6 +256,42 @@ def test_child_seeds_deterministic():
     c = child_seeds(1235, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _stream_seeds(kind: str) -> list[int]:
+    """Seeds for the bit-for-bit stream checks: the word boundaries, seeds
+    of 5 to 8 uint32 words (SeedSequence mixes the words beyond its pool of
+    4 in a loop of their own) or seeds of random bit lengths."""
+    rng = random.Random(f"streams-{kind}")
+    if kind == "word_boundaries":
+        return [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1]
+    if kind == "five_words_or_more":
+        return [rng.getrandbits(32 * k) | 1 << (32 * k - 1) for k in range(5, 9) for _ in range(50)]
+    return [rng.getrandbits(rng.randint(1, 256)) for _ in range(800)]
+
+
+@pytest.mark.parametrize("kind", ["word_boundaries", "five_words_or_more", "random_bit_lengths"])
+def test_draws_match_numpy_bit_for_bit(kind):
+    # the package computes SeedSequence and PCG64 itself; numpy.random is the
+    # reference for the per-run seeds and for every jittered row
+    rng = random.Random(f"lengths-{kind}")
+    for seed in _stream_seeds(kind):
+        runs, n = rng.randint(1, 200), rng.randint(1, 200)
+        expected = np.random.SeedSequence(seed).generate_state(runs, np.uint64)
+        assert np.array_equal(child_seeds(seed, runs), expected), seed
+        base = two_period_schedule(1.0, SQRT2, n)
+        width = rng.uniform(0.01, 0.3)
+        expected = base + np.random.default_rng(seed).uniform(-width, width, n)
+        assert np.array_equal(jitter_schedule(base, width, 1.0, seed).view(np.uint64),
+                              expected.view(np.uint64)), seed
+
+
+def test_negative_seeds_are_refused():
+    # numpy refuses them; a pure-Python split into 32-bit words never ends on one
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        child_seeds(-1, 3)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        jitter_schedule(two_period_schedule(1.0, SQRT2, 4), 0.2, 1.0, seed=-1)
 
 
 class TestRunSurvival:
