@@ -65,8 +65,9 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
 def fit_quadratic_origin(x, y) -> FitResult:
     """Least-squares y = lam * x**2 (through the origin).
 
-    Closed form lam = sum(x^2 y) / sum(x^4). All-zero x is a ``ValueError``;
-    nonzero x whose fourth powers all underflow is a ``NumericalError``.
+    Closed form lam = sum(x^2 y) / sum(x^4). Non-finite or all-zero x, or
+    non-finite y, is a ``ValueError``; nonzero x whose fourth powers all
+    underflow, or a closed form that overflows, is a ``NumericalError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,18 +75,22 @@ def fit_quadratic_origin(x, y) -> FitResult:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points")
-    x4 = float(np.sum(x**4))
-    if x4 == 0.0 and np.any(x != 0.0):
-        raise NumericalError("every x**4 underflows to 0; quadratic coefficient is undetermined")
-    if x4 == 0.0:
-        raise ValueError("all x are zero; quadratic coefficient is undetermined")
-    lam = float(np.sum(x**2 * y) / x4)
-    predicted = lam * x**2
-    return FitResult(
-        {"lam": lam},
-        _r_squared(y, predicted),
-        float(np.max(np.abs(y - predicted))),
-    )
+    if not np.all(np.isfinite(x) & np.isfinite(y)):
+        raise ValueError("quadratic fit requires finite x and y")
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            x4 = float(np.sum(x**4))
+            if x4 == 0.0 and np.any(x != 0.0):
+                raise NumericalError("every x**4 underflows to 0; "
+                                     "quadratic coefficient is undetermined")
+            if x4 == 0.0:
+                raise ValueError("all x are zero; quadratic coefficient is undetermined")
+            lam = float(np.sum(x**2 * y) / x4)
+            predicted = lam * x**2
+            r_squared, residual_max = _r_squared(y, predicted), float(np.max(np.abs(y - predicted)))
+        except FloatingPointError as exc:
+            raise NumericalError(f"quadratic fit breaks down in closed form: {exc}") from exc
+    return FitResult({"lam": lam}, r_squared, residual_max)
 
 
 def fit_exponential(x, y) -> FitResult:

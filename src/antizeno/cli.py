@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jitter", dest="jitter_width", type=float, metavar="W",
                         help="jitter half-window as dimensionless omega*dt")
     parser.add_argument("--runs", type=int, help="jitter ensemble size")
-    parser.add_argument("--seed", type=int, help="base seed (64-bit integer)")
+    parser.add_argument("--seed", type=int, help="base seed (any integer >= 0)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=FORMATS, help="output format")
     return parser

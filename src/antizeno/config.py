@@ -54,18 +54,13 @@ def _grid(n: int, stop: float = 1.0) -> tuple[float, ...]:
     return tuple(stop * i / (n - 1) for i in range(n))
 
 
-def _periods(n: int, lo: float, hi: float) -> tuple[float, ...]:
-    """omega*T1 = 2*pi*linspace(lo, hi, n), bit for bit as numpy computes it."""
-    step = (hi - lo) / (n - 1)
-    return tuple(2 * math.pi * (i * step + lo) for i in range(n - 1)) + (2 * math.pi * hi,)
-
-
 # What each figure preset sets on top of the ExperimentConfig() defaults
 # (see preset for what each figure shows).
 PRESETS = {
     "fig1": {"g_values": _grid(101)},
     "fig2": {"g_values": (1 / 3, 2 / 3, 1.0)},
-    "fig3": {"g_values": _grid(11), "omega_t1_values": _periods(100, 0.1, 5.0),
+    "fig3": {"g_values": _grid(11),
+             "omega_t1_values": tuple((2 * np.pi * np.linspace(0.1, 5.0, 100)).tolist()),
              "n_measurements": 8, "jitter_width": 0.0},
     "fig4": {"g_values": (1 / 3, 2 / 3, 1.0)},
     "fig5": {"omega_t1_values": (math.pi, 2 * math.pi, 3 * math.pi)},
@@ -93,7 +88,7 @@ FIG4_PANELS = {
 def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
     """Whether the two-period schedule of n events at omega*T1 = omega_t1,
     shifted by up to omega*dt = width either way, stays finite and in order
-    in ns, built as the runner builds it."""
+    in ns, with the schedule and half-window built as the runner builds them."""
     try:
         with np.errstate(over="ignore"):  # an overflow is refused below
             times = two_period_schedule(omega_t1 / c.omega, c.ratio, n)

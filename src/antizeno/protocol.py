@@ -17,13 +17,13 @@ batched evolve and one batched measurement over all runs of a block
 (``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
 operations per event instead of a Python loop per run.
 
-A schedule is a 1-d array of event times; a stack of runs is a ``(runs, N)``
-array, one schedule per row, validated once. ``run_survival`` takes only a
-stack (one schedule runs as ``times[None]``). ``jitter_times`` draws the
-stack of a jitter ensemble; the k-th row depends only on the base schedule,
-the width, omega and the base seed, so one draw serves every coupling and
-detector inefficiency that pairs its runs. ``sweep_T1`` builds its stack of
-periods by broadcasting.
+A schedule is a 1-d array of event times in ns; a stack of runs is a
+``(runs, N)`` array, one schedule per row, validated once. ``run_survival``
+and ``ensemble_survival`` take only a stack (one schedule runs as
+``times[None]``). ``jitter_times`` draws the stack of a jitter ensemble; the
+k-th row depends only on the base schedule, the half-window in ns and the
+base seed, so one draw serves every coupling and detector inefficiency that
+pairs its runs. ``sweep_T1`` builds its stack of periods by broadcasting.
 
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
 in all presets) and optional uniform time jitter. Incommensurate periods and
@@ -99,9 +99,8 @@ class SurvivalTrace:
 @dataclass(frozen=True)
 class EnsembleTrace:
     """Per-event mean/std of single and cumulative survival over a stack of
-    jittered schedules. ``times`` are the nominal (unjittered) event times."""
+    jittered schedules."""
 
-    times: np.ndarray
     single_mean: np.ndarray
     single_std: np.ndarray
     cumulative_mean: np.ndarray
@@ -175,30 +174,28 @@ def jitter_keeps_order(times, half_window: float) -> bool:
     return bool(half_window < t[0] and 2 * half_window < np.min(np.diff(t), initial=np.inf))
 
 
-def jitter_schedule(times, width: float, omega: float, seed: int) -> np.ndarray:
-    """Shift each event of a schedule (1-d times) by an independent uniform
-    draw in [-width/omega, +width/omega) (width is a dimensionless omega*dt);
-    returns a read-only array.
+def jitter_schedule(times, half_window: float, seed: int) -> np.ndarray:
+    """Shift each event of a schedule (1-d times in ns) by an independent
+    uniform draw in [-half_window, +half_window); returns a read-only array.
 
     The N shifts are one ``uniform(size=N)`` draw from the PCG64 stream of
     ``seed``, bit for bit as numpy's ``default_rng`` draws it. A window that
     could reorder events raises ``ValueError`` (``jitter_keeps_order``).
     """
     t = _time_stack(times, 1)
-    half_window = width / omega if omega > 0 else np.nan
-    if not (width >= 0 and jitter_keeps_order(t, half_window)):
-        raise ValueError(f"jitter width {width!r} at omega {omega!r}: width/omega must be >= 0 and "
-                         f"below the first event time and half of every interval (no reordering)")
+    if not (half_window >= 0 and jitter_keeps_order(t, half_window)):
+        raise ValueError(f"jitter half-window {half_window!r} ns must be >= 0 and below the first "
+                         f"event time and half of every interval (no reordering)")
     out = t.view()  # a view, so the caller's array keeps its flags
-    if width > 0.0:
+    if half_window > 0.0:
         out = t + np.array(_uniform(int(seed), -half_window, half_window, t.size))
     out.flags.writeable = False
     return out
 
 
-def jitter_times(base, width: float, omega: float, runs: int, base_seed: int) -> np.ndarray:
+def jitter_times(base, half_window: float, runs: int, base_seed: int) -> np.ndarray:
     """Jittered event times of a whole ensemble as a read-only (runs, N)
-    array: row k is ``jitter_schedule(base, width, omega, seed_k)`` with
+    array: row k is ``jitter_schedule(base, half_window, seed_k)`` with
     ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps its own
     PCG64 stream.
 
@@ -210,7 +207,7 @@ def jitter_times(base, width: float, omega: float, runs: int, base_seed: int) ->
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     times = np.empty((runs, np.size(base)))
     for row, seed in zip(times, child_seeds(base_seed, runs)):
-        row[:] = jitter_schedule(base, width, omega, int(seed))
+        row[:] = jitter_schedule(base, half_window, int(seed))
     times.flags.writeable = False
     return times
 
@@ -316,25 +313,16 @@ def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel)
     return singles
 
 
-def ensemble_survival(prep: PreparedModel, base, m: MeasurementModel, jittered) -> EnsembleTrace:
-    """Mean/std of survival over the jittered copies of the schedule
-    ``base``, given as the (runs, N) stack ``jittered`` that
-    ``jitter_times(base, ...)`` draws.
+def ensemble_survival(prep: PreparedModel, times, m: MeasurementModel) -> EnsembleTrace:
+    """Mean/std of survival, per event, over the rows of a (runs, N) stack
+    of jittered schedules (as ``jitter_times`` draws it).
 
     The k-th run uses the same jitter draws regardless of epsilon or
     coupling, so ensembles that share one stack are paired. All runs go
-    through one batched ``run_survival``.
+    through one batched ``run_survival``, which validates the stack.
     """
-    base = _time_stack(base, 1)
-    jittered = np.asarray(jittered, dtype=float)
-    if jittered.ndim != 2 or jittered.shape[1:] != base.shape:
-        raise ValueError(
-            f"jittered times must be a (runs, N) stack of the schedule {base.shape}, "
-            f"got shape {jittered.shape}"
-        )
-    trace = run_survival(prep, jittered, m)
+    trace = run_survival(prep, times, m)
     return EnsembleTrace(
-        times=base,
         single_mean=trace.single.mean(axis=0),
         single_std=trace.single.std(axis=0),
         cumulative_mean=trace.cumulative.mean(axis=0),

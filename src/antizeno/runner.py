@@ -37,7 +37,7 @@ from .protocol import (
     PreparedModel, ensemble_survival, jitter_times, prepare_model, sweep_T1, two_period_schedule,
 )
 
-__all__ = ["RunResult", "run", "build_tables", "read_config_header", "FIG4_PANELS"]
+__all__ = ["RunResult", "run", "build_tables", "read_config_header"]
 
 # fig4 panel (c) couplings; FIG4_PANELS holds the panel schedules
 FIG4_PANEL_C_GRID = tuple(i / 10 for i in range(11))
@@ -137,9 +137,9 @@ def _commensurate(ratio: float) -> bool:
 def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *,
                      omega_t1: float, n: int, jitter: float, runs: int) -> list[dict]:
     """Draw the jitter stack of one two-period schedule once (``n`` events
-    from period ``omega_t1``, half-window ``jitter``, ``runs`` runs) and run
-    every (g/omega, epsilon) of ``pairs`` on it. Every pair reuses the same
-    draws, which is what pairs run k across a table.
+    from period ``omega_t1``, half-window ``jitter``, both omega*t; ``runs``
+    runs) and run every (g/omega, epsilon) of ``pairs`` on it. Every pair
+    reuses the same draws, which is what pairs run k across a table.
 
     Returns one survival-table block per pair: ``g_over_omega``,
     ``epsilon``, the per-event columns of its ensemble and ``chi_n``.
@@ -149,15 +149,15 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
     flagged = jitter == 0.0 and _commensurate(config.ratio)
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
     base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
-    times = jitter_times(base, jitter, config.omega, runs, config.seed)
+    times = jitter_times(base, jitter / config.omega, runs, config.seed)
     blocks = []
     for g, eps in pairs:
-        ens = ensemble_survival(prepare(g), base, MeasurementModel(eps), times)
+        ens = ensemble_survival(prepare(g), times, MeasurementModel(eps))
         blocks.append({
             "g_over_omega": float(g),
             "epsilon": float(eps),
-            "event": list(range(1, ens.times.size + 1)),
-            "omega_t": (config.omega * ens.times).tolist(),
+            "event": list(range(1, n + 1)),
+            "omega_t": (config.omega * base).tolist(),
             "single_mean": ens.single_mean.tolist(),
             "single_std": ens.single_std.tolist(),
             "cumulative_mean": ens.cumulative_mean.tolist(),

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
+from antizeno.config import FIG4_PANELS
 from antizeno.dynamics import QuantumState
 from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, ground_state
@@ -25,7 +26,6 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from antizeno.runner import FIG4_PANELS
 from oracle import jitter_mean_survival, truncated_survival
 
 SQRT2 = math.sqrt(2.0)
@@ -92,9 +92,8 @@ def test_criterion_04_exponential_survival_law():
         base = two_period_schedule(panel["omega_t1"], SQRT2, panel["n"])
         ens = ensemble_survival(
             prepare_model(resonant(g)),
-            base,
+            jitter_times(base, panel["jitter"], max(panel["runs"], 20), SEED),
             MeasurementModel(0.0),
-            jitter_times(base, panel["jitter"], 1.0, max(panel["runs"], 20), SEED),
         )
         events = np.arange(1, panel["n"] + 1, dtype=float)
         fit = fit_exponential(events, ens.cumulative_mean)
@@ -127,12 +126,11 @@ def test_criterion_05_mean_single_shot_quadratic():
     panel = FIG4_PANELS["c"]
     grid = np.linspace(0.0, 1.0, 11)
     base = two_period_schedule(panel["omega_t1"], SQRT2, panel["n"])
-    stack = jitter_times(base, panel["jitter"], 1.0, panel["runs"], SEED)
+    stack = jitter_times(base, panel["jitter"], panel["runs"], SEED)
     pbar = np.array(
         [
-            np.mean(ensemble_survival(
-                prepare_model(resonant(g)), base, MeasurementModel(0.0), stack
-            ).single_mean)
+            np.mean(ensemble_survival(prepare_model(resonant(g)), stack, MeasurementModel(0.0))
+                    .single_mean)
             for g in grid
         ]
     )
@@ -168,9 +166,9 @@ def test_criterion_07_rate_collapse_across_periods():
     for omega_t1 in (math.pi, 2 * math.pi, 3 * math.pi):
         base = two_period_schedule(omega_t1, SQRT2, 16)
         ens = ensemble_survival(
-            prep, base, MeasurementModel(0.0), jitter_times(base, 0.2 * math.pi, 1.0, 20, SEED)
+            prep, jitter_times(base, 0.2 * math.pi, 20, SEED), MeasurementModel(0.0)
         )
-        fit = fit_exponential(ens.times / omega_t1, ens.cumulative_mean)
+        fit = fit_exponential(base / omega_t1, ens.cumulative_mean)
         rates[omega_t1] = fit.coefficients["rate"]
     values = list(rates.values())
     ratio = max(values) / min(values)
@@ -193,9 +191,9 @@ def test_criterion_07_seed_free_twin():
 def test_criterion_08_weak_measurement_robustness():
     prep = prepare_model(resonant(1.0))
     base = two_period_schedule(2 * math.pi, SQRT2, 16)
-    stack = jitter_times(base, 0.2 * math.pi, 1.0, 20, SEED)
+    stack = jitter_times(base, 0.2 * math.pi, 20, SEED)
     ensembles = {
-        eps: ensemble_survival(prep, base, MeasurementModel(eps), stack)
+        eps: ensemble_survival(prep, stack, MeasurementModel(eps))
         for eps in (0.0, 0.1, 0.2)
     }
     for ens in ensembles.values():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ class TestFitQuadraticOrigin:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="3 points"):
             fit_quadratic_origin([1.0, 2.0], [1.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # bad input, not a numerical breakdown, even where 0 * inf turns invalid
+        for x, y in (([0.0, 1.0, bad], [0.0, 1.0, 4.0]), ([0.0, 1.0, 2.0], [bad, 1.0, 4.0])):
+            with pytest.raises(ValueError, match="requires finite x and y"):
+                fit_quadratic_origin(x, y)
+
+    @pytest.mark.parametrize("x,y", [
+        ([1e200, 2e200, 3e200], [1.0, 1.0, 1.0]),  # x**4 overflows
+        ([1e75, 1e75, 1e75], [1e200, 1e200, 1e200]),  # x**4 is finite, x**2 * y is not
+    ], ids=["x4", "x2y"])
+    def test_overflow_is_a_numerical_failure(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test too
+            with pytest.raises(NumericalError, match="closed form: overflow"):
+                fit_quadratic_origin(x, y)
 
 
 class TestFitExponential:
@@ -164,3 +183,9 @@ def test_survival_trace_helper_is_consistent():
     singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
     assert np.all((singles > 0) & (singles <= 1))
     assert np.allclose(np.cumprod(singles), cumulative, atol=1e-12)
+
+
+@pytest.mark.parametrize("fit", [fit_quadratic_origin, fit_exponential])
+def test_fits_refuse_x_and_y_of_different_shapes(fit):
+    with pytest.raises(ValueError, match="equal length"):
+        fit([1.0, 2.0, 3.0], [1.0, 0.5])

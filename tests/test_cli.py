@@ -156,6 +156,22 @@ class TestFieldTypes:
         assert "unknown config keys: ['t1_count']" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('[{"time_max": 1.0}]')
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config file must contain a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_list_flag_of_non_numbers_exits_2(self, tmp_path, capsys):
+        # argparse refuses the flag before any config is assembled
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--g", "1,x", "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        assert "expected comma-separated numbers, got '1,x'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_scalars_are_accepted(self):
         ExperimentConfig(runs=np.int64(3), omega=np.float64(1.0), g_values=(np.float64(0.5),)).validate()
 
@@ -299,6 +315,14 @@ class TestCliRuns:
         assert parsed == ExperimentConfig.from_dict(parsed.to_dict())
         assert parsed.out == str(out)
         assert parsed.seed == 77
+
+    def test_header_without_a_config_line_is_refused(self, tmp_path):
+        out = tmp_path / "rt.csv"
+        assert main(small_survival_args(tmp_path, "rt.csv")) == 0
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        out.write_text("".join(line for line in lines if not line.startswith("# config = ")))
+        with pytest.raises(ValueError, match="no config metadata found in"):
+            read_config_header(str(out))
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"

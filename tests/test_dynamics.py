@@ -59,10 +59,19 @@ class TestQuantumState:
         with pytest.raises(ValueError, match=r"\(runs, n, n\)"):
             QuantumState("density", np.eye(4) / 4)
 
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be 'pure' or 'density', got 'mixed'"):
+            QuantumState("mixed", np.eye(4)[:1])
+
     def test_excitation_trace_requires_increasing_grid(self):
         initial = QuantumState("pure", np.eye(5)[:1])
         with pytest.raises(ValueError, match="increasing"):
             excitation_trace(resonant(0.5, n_max=4), initial, np.array([0.0, 0.0]))
+
+    def test_excitation_trace_requires_a_non_empty_grid(self):
+        initial = QuantumState("pure", np.eye(5)[:1])
+        with pytest.raises(ValueError, match="non-empty"):
+            excitation_trace(resonant(0.5, n_max=4), initial, np.array([]))
 
 
 class TestBatchedQuantumState:
@@ -176,6 +185,11 @@ class TestEvolve:
             evolve(self.spec, random_state(self.spec.dim, seed=1), 1.0)
         with pytest.raises(ValueError, match="finite"):
             evolve(self.spec, batch, np.array([1.0, np.nan, 2.0]))
+
+    def test_state_must_match_spectrum_dim(self):
+        state = random_state(self.spec.dim - 1, seed=2)
+        with pytest.raises(ValueError, match=f"state dim {self.spec.dim - 1} does not match"):
+            evolve(self.spec, state, [1.0])
 
     def test_purity_conserved_for_density(self):
         rho = random_density(self.spec.dim, seed=13)

@@ -166,3 +166,28 @@ def test_import_scan_sees_every_import_form():
     # the guard is only as good as its parser
     assert _package_imports("runner") >= {"analysis", "config", "dynamics", "protocol", "__version__"}
     assert _package_imports("dynamics") >= {"model", "numkit"}  # "from . import model"
+
+
+def _public_functions(name: str):
+    """The public top-level functions of ``antizeno.<name>`` and the public
+    methods of its public classes, as parsed from its source."""
+    source = (Path(antizeno.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            yield from (node for node in top.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+        elif isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            yield top
+
+
+def test_protocol_takes_times_in_ns():
+    # every time and jitter window enters protocol in ns; converting omega*t
+    # to ns is the caller's step, so no public function takes omega
+    functions = list(_public_functions("protocol"))
+    takes_omega = [
+        node.name for node in functions
+        if "omega" in {arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                           *node.args.kwonlyargs)}
+    ]
+    assert takes_omega == []
+    assert {"jitter_schedule", "jitter_times", "chain_ground"} <= {node.name for node in functions}

@@ -389,6 +389,16 @@ class TestConvergeCutoff:
         gs1, gs2 = ground_state(resonant(1.0, n)), ground_state(resonant(1.0, n + 10))
         assert abs(gs2.energy - gs1.energy) < 1e-30 and abs(gs2.p_e - gs1.p_e) < 1e-30
 
+    def test_unconverged_at_the_cap_raises(self, monkeypatch):
+        # no two cutoffs move by less than a tolerance of 0, so the search
+        # runs to the (lowered) cap
+        import antizeno.model
+
+        monkeypatch.setattr(antizeno.model, "CUTOFF_TOL", 0.0)
+        monkeypatch.setattr(antizeno.model, "CUTOFF_CAP", 30)
+        with pytest.raises(NumericalError, match="not converged to tol=0 at the n_max=30 cap"):
+            converge_cutoff(resonant(1.0))
+
     @pytest.mark.parametrize("g,n_max", [(2.0, 30), (2.5, 30), (3.0, 40), (4.0, 50)])
     def test_steps_past_under_resolved_cutoffs(self, g, n_max):
         # deep-strong coupling puts the truncated ground state in the odd

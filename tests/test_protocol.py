@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from antizeno.config import preset
 from antizeno import protocol
 from antizeno.dynamics import BATCH_RUNS, QuantumState
 from antizeno.errors import NumericalError
@@ -20,7 +19,8 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from antizeno.runner import FIG4_PANEL_C_GRID, FIG4_PANELS
+from antizeno.config import FIG4_PANELS, preset
+from antizeno.runner import FIG4_PANEL_C_GRID
 from oracle import (
     beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, kron_hamiltonian,
     trajectory_survival, truncated_survival,
@@ -64,7 +64,7 @@ class TestTwoPeriodSchedule:
             with pytest.raises(ValueError, match="strictly increasing"):
                 run_survival(prep, np.array(times)[None], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="strictly increasing"):
-                jitter_schedule(np.array(times), 0.1, 1.0, seed=1)
+                jitter_schedule(np.array(times), 0.1, seed=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -73,20 +73,20 @@ class TestTwoPeriodSchedule:
             with pytest.raises(ValueError, match="finite"):
                 run_survival(prep, [times], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="finite"):
-                jitter_schedule(times, 0.1, 1.0, seed=1)
+                jitter_schedule(times, 0.1, seed=1)
 
 
 class TestJitterSchedule:
     def test_zero_width_is_identity(self):
         base = two_period_schedule(1.0, SQRT2, 6)
-        jittered = jitter_schedule(base, 0.0, 1.0, seed=99)
+        jittered = jitter_schedule(base, 0.0, seed=99)
         assert np.array_equal(jittered, base)
 
     def test_deterministic_for_seed(self):
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
-        a = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=7)
-        b = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=7)
-        c = jitter_schedule(base, 0.2 * np.pi, 1.0, seed=8)
+        a = jitter_schedule(base, 0.2 * np.pi, seed=7)
+        b = jitter_schedule(base, 0.2 * np.pi, seed=7)
+        c = jitter_schedule(base, 0.2 * np.pi, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -97,7 +97,7 @@ class TestJitterSchedule:
         base = two_period_schedule(2 * np.pi, SQRT2, 4)
         shifts = []
         for seed in range(2500):
-            jittered = jitter_schedule(base, width, 1.0, seed=seed)
+            jittered = jitter_schedule(base, width, seed=seed)
             shifts.extend(jittered - base)
         shifts = np.asarray(shifts)
         assert shifts.size == 10_000
@@ -108,29 +108,29 @@ class TestJitterSchedule:
         # at the widest accepted window: one ulp under half an interval
         base = two_period_schedule(0.5, 1.0, 20)
         widest = np.nextafter(0.25, 0.0)
-        with pytest.raises(ValueError, match="jitter width 0.25 at omega 1.0: width/omega must"):
-            jitter_schedule(base, 0.25, 1.0, seed=0)
+        with pytest.raises(ValueError, match="jitter half-window 0.25 ns must"):
+            jitter_schedule(base, 0.25, seed=0)
         for seed in range(25):
-            jittered = jitter_schedule(base, widest, 1.0, seed=seed)
+            jittered = jitter_schedule(base, widest, seed=seed)
             assert np.all(np.diff(jittered) > 0)
             assert jittered[0] > 0
             assert not jittered.flags.writeable
 
-    def test_jitter_scales_with_omega(self):
+    def test_shifts_stay_inside_the_half_window(self):
         base = two_period_schedule(1.0, SQRT2, 5)
-        wide = jitter_schedule(base, 0.3, 1.0, seed=3)
-        narrow = jitter_schedule(base, 0.3, 10.0, seed=3)
+        wide = jitter_schedule(base, 0.3, seed=3)
+        narrow = jitter_schedule(base, 0.03, seed=3)
         assert np.max(np.abs(narrow - base)) <= 0.03 + 1e-15
         assert np.max(np.abs(wide - base)) <= 0.3 + 1e-15
 
 
-def sequential_jitter(base, width, omega, seed, attempts=100):
+def sequential_jitter(base, half_window, seed, attempts=100):
     """The in-order jitter rule, one scalar draw per attempt."""
     rng = np.random.default_rng(seed)
     out, prev = [], 0.0
     for t in base:
         for _ in range(attempts):
-            candidate = t + rng.uniform(-width / omega, width / omega)
+            candidate = t + rng.uniform(-half_window, half_window)
             if candidate > prev:
                 out.append(candidate)
                 prev = candidate
@@ -150,9 +150,11 @@ class TestJitterMatchesSequentialRule:
         ],
     )
     def test_bit_for_bit(self, base, width, omega):
+        # windows given as omega*dt, converted to ns as the runner does
+        half_window = width / omega
         for seed in child_seeds(2024, 500):
-            jittered = jitter_schedule(base, width, omega, int(seed))
-            assert np.array_equal(jittered, sequential_jitter(base, width, omega, int(seed)))
+            jittered = jitter_schedule(base, half_window, int(seed))
+            assert np.array_equal(jittered, sequential_jitter(base, half_window, int(seed)))
 
     def test_refuses_windows_that_can_reorder_events(self):
         # events 0.5 apart with a +-0.4 window: without the refusal, many
@@ -163,13 +165,13 @@ class TestJitterMatchesSequentialRule:
             for seed in range(200)
         )
         assert reordered >= 20
-        with pytest.raises(ValueError, match="jitter width 0.4 at omega 1.0: width/omega must"):
-            jitter_schedule(base, 0.4, 1.0, seed=0)
+        with pytest.raises(ValueError, match="jitter half-window 0.4 ns must"):
+            jitter_schedule(base, 0.4, seed=0)
 
     def test_refuses_a_window_wider_than_the_schedule(self):
         base = two_period_schedule(1e-3, 1.0, 50)
-        with pytest.raises(ValueError, match="jitter width 100.0 at omega 1.0: width/omega must"):
-            jitter_schedule(base, 100.0, 1.0, seed=1)
+        with pytest.raises(ValueError, match="jitter half-window 100.0 ns must"):
+            jitter_schedule(base, 100.0, seed=1)
 
 
 class TestJitterKeepsOrder:
@@ -231,23 +233,21 @@ class TestJitterTimes:
         ],
     )
     def test_rows_are_per_run_schedules(self, base, width):
-        times = jitter_times(base, width, 1.0, 60, 31)
+        times = jitter_times(base, width, 60, 31)
         assert times.shape == (60, len(base))
         assert not times.flags.writeable
         for row, seed in zip(times, child_seeds(31, 60)):
-            assert np.array_equal(row, jitter_schedule(base, width, 1.0, int(seed)))
+            assert np.array_equal(row, jitter_schedule(base, width, int(seed)))
 
     def test_validation(self):
         base = two_period_schedule(1.0, SQRT2, 4)
         with pytest.raises(ValueError, match="runs"):
-            jitter_times(base, 0.2, 1.0, 0, 1)
-        with pytest.raises(ValueError, match="jitter width"):
-            jitter_times(base, np.inf, 1.0, 3, 1)
-        for omega in (0.0, -1.0, 1e-320):  # width/omega must stay finite
-            with pytest.raises(ValueError, match="jitter width"):
-                jitter_times(base, 0.2, omega, 3, 1)
+            jitter_times(base, 0.2, 0, 1)
+        for half_window in (np.inf, np.nan, -0.1):
+            with pytest.raises(ValueError, match="jitter half-window"):
+                jitter_times(base, half_window, 3, 1)
         with pytest.raises(ValueError, match="one schedule"):
-            jitter_schedule(np.stack([base, base]), 0.2, 1.0, 1)
+            jitter_schedule(np.stack([base, base]), 0.2, 1)
 
 
 def test_child_seeds_deterministic():
@@ -282,7 +282,7 @@ def test_draws_match_numpy_bit_for_bit(kind):
         base = two_period_schedule(1.0, SQRT2, n)
         width = rng.uniform(0.01, 0.3)
         expected = base + np.random.default_rng(seed).uniform(-width, width, n)
-        assert np.array_equal(jitter_schedule(base, width, 1.0, seed).view(np.uint64),
+        assert np.array_equal(jitter_schedule(base, width, seed).view(np.uint64),
                               expected.view(np.uint64)), seed
 
 
@@ -291,7 +291,7 @@ def test_negative_seeds_are_refused():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         child_seeds(-1, 3)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        jitter_schedule(two_period_schedule(1.0, SQRT2, 4), 0.2, 1.0, seed=-1)
+        jitter_schedule(two_period_schedule(1.0, SQRT2, 4), 0.2, seed=-1)
 
 
 class TestRunSurvival:
@@ -374,7 +374,7 @@ class TestRunSurvival:
         prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6, kind=kind))
         h = kron_hamiltonian(prep.params)
         schedules = [
-            jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, 1.0, seed)
+            jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, seed)
             for seed in (3, 4, 5, 6, 7)
         ]
         m = MeasurementModel(eps)
@@ -396,7 +396,7 @@ class TestRunSurvival:
         # weighted by which events the detector acted at; no density code
         prep = prepare_model(params)
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
-        stack = jitter_times(base, jitter, 1.0, 3, 11)
+        stack = jitter_times(base, jitter, 3, 11)
         trace = run_survival(prep, stack, MeasurementModel(eps))
         h = even_chain_hamiltonian(params).matrix
         for row, times in enumerate(stack):
@@ -410,7 +410,7 @@ class TestRunSurvival:
         runs = 2 * BATCH_RUNS["density"] + 1
         base = two_period_schedule(2 * np.pi, SQRT2, 12)
         schedules = [
-            jitter_schedule(base, 0.2 * np.pi, 1.0, int(seed)) for seed in child_seeds(9, runs)
+            jitter_schedule(base, 0.2 * np.pi, int(seed)) for seed in child_seeds(9, runs)
         ]
         m = MeasurementModel(eps)
         batch = run_survival(prep, schedules, m)
@@ -426,11 +426,11 @@ class TestRunSurvival:
         base = two_period_schedule(2 * np.pi, SQRT2, 9)
         runs = BATCH_RUNS["density"] + 3
         schedules = [
-            jitter_schedule(base, 0.2 * np.pi, 1.0, int(seed)) for seed in child_seeds(5, runs)
+            jitter_schedule(base, 0.2 * np.pi, int(seed)) for seed in child_seeds(5, runs)
         ]
         m = MeasurementModel(eps)
         from_list = run_survival(prep, schedules, m)
-        from_array = run_survival(prep, jitter_times(base, 0.2 * np.pi, 1.0, runs, 5), m)
+        from_array = run_survival(prep, jitter_times(base, 0.2 * np.pi, runs, 5), m)
         for field in ("times", "single", "cumulative"):
             assert np.array_equal(getattr(from_array, field), getattr(from_list, field))
 
@@ -580,16 +580,16 @@ class TestEnsembleSurvival:
     def test_zero_jitter_has_zero_std(self):
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
-        stack = jitter_times(base, 0.0, 1.0, 4, 42)
-        ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
+        stack = jitter_times(base, 0.0, 4, 42)
+        ens = ensemble_survival(prep, stack, MeasurementModel(0.0))
         assert np.max(ens.single_std) == 0.0
         assert np.max(ens.cumulative_std) == 0.0
 
     def test_single_run_equals_trace(self):
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
-        stack = jitter_times(base, 0.0, 1.0, 1, 42)
-        ens = ensemble_survival(prep, base, MeasurementModel(0.0), stack)
+        stack = jitter_times(base, 0.0, 1, 42)
+        ens = ensemble_survival(prep, stack, MeasurementModel(0.0))
         trace = run_survival(prep, base[None], MeasurementModel(0.0))
         assert np.allclose(ens.cumulative_mean, trace.cumulative[0], atol=1e-15)
         assert np.mean(ens.single_mean) == pytest.approx(np.mean(trace.single[0]), abs=1e-15)
@@ -598,9 +598,7 @@ class TestEnsembleSurvival:
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 6)
         a, b = (
-            ensemble_survival(
-                prep, base, MeasurementModel(0.1), jitter_times(base, 0.2 * np.pi, 1.0, 5, 7)
-            )
+            ensemble_survival(prep, jitter_times(base, 0.2 * np.pi, 5, 7), MeasurementModel(0.1))
             for _ in range(2)
         )
         assert np.array_equal(a.cumulative_mean, b.cumulative_mean)
@@ -609,9 +607,9 @@ class TestEnsembleSurvival:
     def test_epsilon_ordering_within_one_std(self):
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
-        stack = jitter_times(base, 0.2 * np.pi, 1.0, 10, 1234)
+        stack = jitter_times(base, 0.2 * np.pi, 10, 1234)
         results = {
-            eps: ensemble_survival(prep, base, MeasurementModel(eps), stack)
+            eps: ensemble_survival(prep, stack, MeasurementModel(eps))
             for eps in (0.0, 0.1, 0.2)
         }
         for low, high in ((0.0, 0.1), (0.1, 0.2)):
@@ -625,33 +623,27 @@ class TestSharedDraws:
     def test_shared_stack_equals_independent_ensembles(self):
         base = two_period_schedule(2 * np.pi, SQRT2, 10)
         width, runs, seed = 0.2 * np.pi, 2 * BATCH_RUNS["density"] + 1, 17
-        shared = jitter_times(base, width, 1.0, runs, seed)
+        shared = jitter_times(base, width, runs, seed)
         for g in (0.4, 1.0):
             prep = prepare_model(resonant(g))
             for eps in (0.0, 0.1):
                 m = MeasurementModel(eps)
-                alone = ensemble_survival(prep, base, m, jitter_times(base, width, 1.0, runs, seed))
-                paired = ensemble_survival(prep, base, m, shared)
-                for field in ("times", "single_mean", "single_std",
-                              "cumulative_mean", "cumulative_std"):
+                alone = ensemble_survival(prep, jitter_times(base, width, runs, seed), m)
+                paired = ensemble_survival(prep, shared, m)
+                for field in ("single_mean", "single_std", "cumulative_mean", "cumulative_std"):
                     assert np.array_equal(getattr(paired, field), getattr(alone, field))
 
     def test_stack_shape_must_match_ensemble(self):
         base = two_period_schedule(2.0, SQRT2, 5)
         prep = prepare_model(resonant(0.5))
-        stack = jitter_times(base, 0.2, 1.0, 4, 3)
+        stack = jitter_times(base, 0.2, 4, 3)
         m = MeasurementModel(0.0)
-        for bad_base, bad_stack in [
-            (two_period_schedule(2.0, SQRT2, 6), stack),  # other event count
-            (base, stack[0]),  # one row is not a stack
-            (base, stack[None]),
-            (stack, stack),  # the nominal schedule is one row
-        ]:
+        for bad_stack in (stack[0], stack[None]):  # one row is not a stack
             with pytest.raises(ValueError, match="shape"):
-                ensemble_survival(prep, bad_base, m, bad_stack)
+                ensemble_survival(prep, bad_stack, m)
         # a nested list of times is read as the array it spells
-        from_list = ensemble_survival(prep, base.tolist(), m, stack.tolist())
-        from_array = ensemble_survival(prep, base, m, stack)
+        from_list = ensemble_survival(prep, stack.tolist(), m)
+        from_array = ensemble_survival(prep, stack, m)
         np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
 
 
@@ -680,8 +672,8 @@ def ensemble_and_exact(config, g, omega_t1, n, width, runs, eps, oracle_width=No
     width the ensemble was drawn with)."""
     p = ModelParams(config.omega, config.omega0, g * config.omega, config.n_max)
     base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
-    stack = jitter_times(base, width, config.omega, runs, config.seed)
-    ens = ensemble_survival(prepare_model(p), base, MeasurementModel(eps), stack)
+    stack = jitter_times(base, width / config.omega, runs, config.seed)
+    ens = ensemble_survival(prepare_model(p), stack, MeasurementModel(eps))
     half_window = (width if oracle_width is None else oracle_width) / config.omega
     exact = jitter_mean_survival(p, base, half_window, eps)
     return ens.cumulative_mean, ens.cumulative_std / math.sqrt(runs), exact
