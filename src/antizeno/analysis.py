@@ -97,10 +97,11 @@ def fit_exponential(x, y) -> FitResult:
     """Least-squares y = exp(intercept - rate * x), fitted linearly on log y.
 
     One extinction rule: y below ``EXP_FIT_FLOOR``, exact zeros included,
-    is dropped and counted in ``n_dropped``. Negative or non-finite y, or
-    fewer than 2 points given, is a ``ValueError``; fewer than 2 points left
-    above the floor, or a least-squares solve that overflows or is singular,
-    is a ``NumericalError``. R^2 and residual_max are computed in log space.
+    is dropped and counted in ``n_dropped``. Non-finite x, negative or
+    non-finite y, or fewer than 2 points given, is a ``ValueError``; fewer
+    than 2 points left above the floor, or a least-squares solve that
+    overflows or is singular, is a ``NumericalError``. R^2 and residual_max
+    are computed in log space.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -108,6 +109,8 @@ def fit_exponential(x, y) -> FitResult:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError(f"exponential fit needs at least 2 points, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("exponential fit requires finite x")
     if not np.all(np.isfinite(y) & (y >= 0)):
         raise ValueError("exponential fit requires finite, non-negative y")
     keep = y >= EXP_FIT_FLOOR

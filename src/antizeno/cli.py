@@ -83,7 +83,10 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's refusal (2, usage on stderr), --help or --version (0)
+        return exc.code
     try:
         config = _assemble_config(args)
         result = run(config)

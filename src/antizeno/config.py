@@ -90,9 +90,8 @@ def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
     shifted by up to omega*dt = width either way, stays finite and in order
     in ns, with the schedule and half-window built as the runner builds them."""
     try:
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            times = two_period_schedule(omega_t1 / c.omega, c.ratio, n)
-    except ValueError:  # a period of 0 or infinity in ns
+        times = two_period_schedule(omega_t1 / c.omega, c.ratio, n)
+    except ValueError:  # a period of 0 or infinity in ns, or times past the float range
         return False
     half_window = width / c.omega
     return math.isfinite(float(times[-1]) + half_window) and jitter_keeps_order(times, half_window)

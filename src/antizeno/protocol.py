@@ -18,12 +18,13 @@ batched evolve and one batched measurement over all runs of a block
 operations per event instead of a Python loop per run.
 
 A schedule is a 1-d array of event times in ns; a stack of runs is a
-``(runs, N)`` array, one schedule per row, validated once. ``run_survival``
-and ``ensemble_survival`` take only a stack (one schedule runs as
-``times[None]``). ``jitter_times`` draws the stack of a jitter ensemble; the
-k-th row depends only on the base schedule, the half-window in ns and the
-base seed, so one draw serves every coupling and detector inefficiency that
-pairs its runs. ``sweep_T1`` builds its stack of periods by broadcasting.
+``(runs, N)`` array, one schedule per row, validated once. ``jitter_schedule``,
+``run_survival`` and ``ensemble_survival`` take only a stack (one schedule
+runs as ``times[None]``). ``jitter_times`` draws the stack of a jitter
+ensemble; the k-th row depends only on the base schedule, the half-window in
+ns and the base seed, so one draw serves every coupling and detector
+inefficiency that pairs its runs. ``sweep_T1`` builds its stack of periods by
+broadcasting.
 
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
 in all presets) and optional uniform time jitter. Incommensurate periods and
@@ -66,19 +67,14 @@ __all__ = [
     "sweep_T1",
 ]
 
-_SHAPES = {
-    1: "one schedule, a non-empty (N,) array",
-    2: "a non-empty (runs, N) schedule stack (run one schedule as times[None])",
-}
 
-
-def _time_stack(times, ndim: int) -> np.ndarray:
-    """Validate one schedule (N,) of event times in ns (``ndim`` 1) or a
-    stack (runs, N) of them, one per row (``ndim`` 2): finite, starting
-    after 0, strictly increasing."""
+def _time_stack(times) -> np.ndarray:
+    """Validate a stack (runs, N) of schedules of event times in ns, one per
+    row: finite, starting after 0, strictly increasing."""
     t = np.asarray(times, dtype=float)
-    if t.ndim != ndim or t.size == 0:
-        raise ValueError(f"expected {_SHAPES[ndim]}, got shape {t.shape}")
+    if t.ndim != 2 or t.size == 0:
+        raise ValueError("expected a non-empty (runs, N) schedule stack (run one schedule as "
+                         f"times[None]), got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("schedule times must be finite")
     if np.any(t[..., 0] <= 0) or np.any(np.diff(t, axis=-1) <= 0):
@@ -161,43 +157,54 @@ def _two_period_times(T1: np.ndarray, ratio: float, N: int) -> np.ndarray:
         raise ValueError(f"N must be >= 1, got {N!r}")
     increments = np.empty((T1.size, N))
     increments[:, 0::2] = T1[:, None]
-    increments[:, 1::2] = (ratio * T1)[:, None]
-    return np.cumsum(increments, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        increments[:, 1::2] = (ratio * T1)[:, None]
+        times = np.cumsum(increments, axis=1)
+    if not np.all(np.isfinite(times[:, -1])):
+        raise ValueError(f"event times pass the float range (T1 up to {float(T1.max())!r}, "
+                         f"ratio {ratio!r}, N {N!r})")
+    return times
 
 
 def jitter_keeps_order(times, half_window: float) -> bool:
     """Whether shifts of up to ``half_window`` either way keep a schedule
-    (1-d times) valid, so that no draw can reorder its events or move the
-    first one to 0: half_window below the first event time and twice it
-    below every interval. ``jitter_schedule`` refuses every other window."""
+    (1-d times), or every row of a stack, valid, so that no draw can reorder
+    its events or move the first one to 0: half_window below the first event
+    time and twice it below every interval. ``jitter_schedule`` refuses every
+    other window."""
     t = np.asarray(times, dtype=float)
-    return bool(half_window < t[0] and 2 * half_window < np.min(np.diff(t), initial=np.inf))
+    return bool(np.all(half_window < t[..., 0]) and np.all(2 * half_window < np.diff(t, axis=-1)))
 
 
-def jitter_schedule(times, half_window: float, seed: int) -> np.ndarray:
-    """Shift each event of a schedule (1-d times in ns) by an independent
-    uniform draw in [-half_window, +half_window); returns a read-only array.
+def jitter_schedule(times, half_window: float, seeds) -> np.ndarray:
+    """Shift each event of a (runs, N) stack of schedules (times in ns) by an
+    independent uniform draw in [-half_window, +half_window); returns a
+    read-only array.
 
-    The N shifts are one ``uniform(size=N)`` draw from the PCG64 stream of
-    ``seed``, bit for bit as numpy's ``default_rng`` draws it. A window that
-    could reorder events raises ``ValueError`` (``jitter_keeps_order``).
+    Row k's N shifts are one ``uniform(size=N)`` draw from the PCG64 stream
+    of ``seeds[k]``, bit for bit as numpy's ``default_rng`` draws it. The
+    stack and the window are checked once; a window that could reorder
+    events (``jitter_keeps_order``) or a seed count other than the number of
+    rows raises ``ValueError``.
     """
-    t = _time_stack(times, 1)
+    t = _time_stack(times)
     if not (half_window >= 0 and jitter_keeps_order(t, half_window)):
         raise ValueError(f"jitter half-window {half_window!r} ns must be >= 0 and below the first "
                          f"event time and half of every interval (no reordering)")
+    if np.shape(seeds) != (len(t),):
+        raise ValueError(f"expected one seed per row ({len(t)}), got shape {np.shape(seeds)}")
     out = t.view()  # a view, so the caller's array keeps its flags
     if half_window > 0.0:
-        out = t + np.array(_uniform(int(seed), -half_window, half_window, t.size))
+        out = t + np.array([_uniform(int(s), -half_window, half_window, t.shape[1]) for s in seeds])
     out.flags.writeable = False
     return out
 
 
 def jitter_times(base, half_window: float, runs: int, base_seed: int) -> np.ndarray:
     """Jittered event times of a whole ensemble as a read-only (runs, N)
-    array: row k is ``jitter_schedule(base, half_window, seed_k)`` with
-    ``seed_k = child_seeds(base_seed, runs)[k]``, so every run keeps its own
-    PCG64 stream.
+    array: ``jitter_schedule`` of ``runs`` copies of the schedule ``base``
+    with the seeds ``child_seeds(base_seed, runs)``, so every run keeps its
+    own PCG64 stream.
 
     Draw once and hand the stack to every ensemble that pairs its runs
     (``ensemble_survival``): couplings and detector inefficiencies do not
@@ -205,11 +212,8 @@ def jitter_times(base, half_window: float, runs: int, base_seed: int) -> np.ndar
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    times = np.empty((runs, np.size(base)))
-    for row, seed in zip(times, child_seeds(base_seed, runs)):
-        row[:] = jitter_schedule(base, half_window, int(seed))
-    times.flags.writeable = False
-    return times
+    seeds = child_seeds(base_seed, runs)
+    return jitter_schedule(np.broadcast_to(base, (runs, *np.shape(base))), half_window, seeds)
 
 
 def child_seeds(base_seed: int, runs: int) -> np.ndarray:
@@ -289,7 +293,7 @@ def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTra
     to a density matrix. The stack is run in blocks of runs, each event one
     batched step for the whole block.
     """
-    times = _time_stack(times, 2)
+    times = _time_stack(times)
     singles = np.empty(times.shape)
     block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
     for start in range(0, len(times), block):

@@ -100,6 +100,14 @@ class TestFitExponential:
         with pytest.raises(ValueError, match="finite, non-negative"):
             fit_exponential([0.0, 1.0, 2.0], [1.0, 0.5, bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, capfd, bad):
+        # bad input, refused before least squares (whose SVD would not
+        # converge on NaN, and print LAPACK complaints to stderr)
+        with pytest.raises(ValueError, match="requires finite x"):
+            fit_exponential([0.0, bad, 2.0], [1.0, 0.5, 0.25])
+        assert capfd.readouterr().err == ""
+
     def test_too_few_points_given(self):
         with pytest.raises(ValueError, match="at least 2 points"):
             fit_exponential([0.0], [1.0])

@@ -166,11 +166,26 @@ class TestFieldTypes:
 
     def test_list_flag_of_non_numbers_exits_2(self, tmp_path, capsys):
         # argparse refuses the flag before any config is assembled
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--g", "1,x", "--out", str(tmp_path / "x.csv")])
-        assert exit_info.value.code == 2
+        assert main(["--g", "1,x", "--out", str(tmp_path / "x.csv")]) == 2
         assert "expected comma-separated numbers, got '1,x'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n-max", "abc"], "argument --n-max: invalid _n_max value: 'abc'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ], ids=["n-max", "unknown-flag", "format"])
+    def test_argparse_refusals_return_2(self, tmp_path, capsys, flags, message):
+        # returned like every other refusal, with the usage on stderr
+        assert main([*flags, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: antizeno") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,stream", [("--help", "usage: antizeno"), ("--version", "antizeno ")])
+    def test_help_and_version_return_0(self, capsys, flag, stream):
+        assert main([flag]) == 0
+        assert capsys.readouterr().out.startswith(stream)
 
     def test_numpy_scalars_are_accepted(self):
         ExperimentConfig(runs=np.int64(3), omega=np.float64(1.0), g_values=(np.float64(0.5),)).validate()

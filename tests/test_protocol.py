@@ -56,15 +56,24 @@ class TestTwoPeriodSchedule:
         with pytest.raises(ValueError):
             two_period_schedule(1.0, SQRT2, 0)
 
+    @pytest.mark.parametrize("T1,ratio", [(1e308, 2.0), (1e200, 1e200)], ids=["sum", "period"])
+    def test_times_past_the_float_range_are_refused(self, T1, ratio):
+        # refused without numpy's overflow warning (an error under this suite)
+        with pytest.raises(ValueError, match="event times pass the float range"):
+            two_period_schedule(T1, ratio, 3)
+        prep = prepare_model(resonant(0.5, n_max=10))
+        with pytest.raises(ValueError, match="event times pass the float range"):
+            sweep_T1(prep, 3, [1.0, T1], ratio, MeasurementModel(0.0))
+
     def test_schedule_type_validation(self):
-        # a 1-d schedule is checked where it enters: run_survival and
+        # a schedule stack is checked where it enters: run_survival and
         # jitter_schedule
         prep = prepare_model(resonant(0.5, n_max=10))
         for times in ([1.0, 1.0], [0.0, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 run_survival(prep, np.array(times)[None], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="strictly increasing"):
-                jitter_schedule(np.array(times), 0.1, seed=1)
+                jitter_schedule(np.array(times)[None], 0.1, [1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -73,33 +82,33 @@ class TestTwoPeriodSchedule:
             with pytest.raises(ValueError, match="finite"):
                 run_survival(prep, [times], MeasurementModel(0.0))
             with pytest.raises(ValueError, match="finite"):
-                jitter_schedule(times, 0.1, seed=1)
+                jitter_schedule([times], 0.1, [1])
+
+
+def copies(base, runs):
+    """A (runs, N) stack of one schedule, as ``jitter_times`` jitters it."""
+    return np.broadcast_to(base, (runs, len(base)))
 
 
 class TestJitterSchedule:
     def test_zero_width_is_identity(self):
         base = two_period_schedule(1.0, SQRT2, 6)
-        jittered = jitter_schedule(base, 0.0, seed=99)
-        assert np.array_equal(jittered, base)
+        jittered = jitter_schedule(copies(base, 3), 0.0, [99, 98, 97])
+        assert np.array_equal(jittered, copies(base, 3))
 
     def test_deterministic_for_seed(self):
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
-        a = jitter_schedule(base, 0.2 * np.pi, seed=7)
-        b = jitter_schedule(base, 0.2 * np.pi, seed=7)
-        c = jitter_schedule(base, 0.2 * np.pi, seed=8)
+        a, b, c = jitter_schedule(copies(base, 3), 0.2 * np.pi, [7, 7, 8])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+        assert np.array_equal(jitter_schedule(base[None], 0.2 * np.pi, [7])[0], a)
 
     def test_uniform_distribution_oracle(self):
         # 10^4 draws: shifts stay inside +-width and their empirical mean is
         # within 0.01*width of zero
         width = 0.2 * np.pi
         base = two_period_schedule(2 * np.pi, SQRT2, 4)
-        shifts = []
-        for seed in range(2500):
-            jittered = jitter_schedule(base, width, seed=seed)
-            shifts.extend(jittered - base)
-        shifts = np.asarray(shifts)
+        shifts = jitter_schedule(copies(base, 2500), width, range(2500)) - base
         assert shifts.size == 10_000
         assert np.max(np.abs(shifts)) <= width
         assert abs(np.mean(shifts)) <= 0.01 * width
@@ -109,19 +118,29 @@ class TestJitterSchedule:
         base = two_period_schedule(0.5, 1.0, 20)
         widest = np.nextafter(0.25, 0.0)
         with pytest.raises(ValueError, match="jitter half-window 0.25 ns must"):
-            jitter_schedule(base, 0.25, seed=0)
-        for seed in range(25):
-            jittered = jitter_schedule(base, widest, seed=seed)
-            assert np.all(np.diff(jittered) > 0)
-            assert jittered[0] > 0
-            assert not jittered.flags.writeable
+            jitter_schedule(base[None], 0.25, [0])
+        jittered = jitter_schedule(copies(base, 25), widest, range(25))
+        assert np.all(np.diff(jittered, axis=1) > 0)
+        assert np.all(jittered[:, 0] > 0)
+        assert not jittered.flags.writeable
 
     def test_shifts_stay_inside_the_half_window(self):
         base = two_period_schedule(1.0, SQRT2, 5)
-        wide = jitter_schedule(base, 0.3, seed=3)
-        narrow = jitter_schedule(base, 0.03, seed=3)
+        wide = jitter_schedule(base[None], 0.3, [3])
+        narrow = jitter_schedule(base[None], 0.03, [3])
         assert np.max(np.abs(narrow - base)) <= 0.03 + 1e-15
         assert np.max(np.abs(wide - base)) <= 0.3 + 1e-15
+
+    def test_takes_a_stack_and_one_seed_per_row(self):
+        # no 1-d fallback: one schedule is jittered as times[None]
+        base = two_period_schedule(1.0, SQRT2, 4)
+        shape = (r"\(runs, N\) schedule stack \(run one schedule as times\[None\]\), "
+                 r"got shape \(4,\)")
+        with pytest.raises(ValueError, match=shape):
+            jitter_schedule(base, 0.2, [1])
+        for seeds in ([1, 2], [1, 2, 3, 4], [], 1, [[1, 2, 3]]):
+            with pytest.raises(ValueError, match=r"expected one seed per row \(3\)"):
+                jitter_schedule(copies(base, 3), 0.2, seeds)
 
 
 def sequential_jitter(base, half_window, seed, attempts=100):
@@ -152,8 +171,8 @@ class TestJitterMatchesSequentialRule:
     def test_bit_for_bit(self, base, width, omega):
         # windows given as omega*dt, converted to ns as the runner does
         half_window = width / omega
-        for seed in child_seeds(2024, 500):
-            jittered = jitter_schedule(base, half_window, int(seed))
+        seeds = child_seeds(2024, 500)
+        for jittered, seed in zip(jitter_schedule(copies(base, 500), half_window, seeds), seeds):
             assert np.array_equal(jittered, sequential_jitter(base, half_window, int(seed)))
 
     def test_refuses_windows_that_can_reorder_events(self):
@@ -166,12 +185,12 @@ class TestJitterMatchesSequentialRule:
         )
         assert reordered >= 20
         with pytest.raises(ValueError, match="jitter half-window 0.4 ns must"):
-            jitter_schedule(base, 0.4, seed=0)
+            jitter_schedule(base[None], 0.4, [0])
 
     def test_refuses_a_window_wider_than_the_schedule(self):
         base = two_period_schedule(1e-3, 1.0, 50)
         with pytest.raises(ValueError, match="jitter half-window 100.0 ns must"):
-            jitter_schedule(base, 100.0, seed=1)
+            jitter_schedule(base[None], 100.0, [1])
 
 
 class TestJitterKeepsOrder:
@@ -237,7 +256,19 @@ class TestJitterTimes:
         assert times.shape == (60, len(base))
         assert not times.flags.writeable
         for row, seed in zip(times, child_seeds(31, 60)):
-            assert np.array_equal(row, jitter_schedule(base, width, int(seed)))
+            assert np.array_equal(row, jitter_schedule(base[None], width, [seed])[0])
+
+    def test_checks_the_stack_once(self, monkeypatch):
+        checks = []
+        real = protocol._time_stack
+
+        def counting(*args):
+            checks.append(np.shape(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_time_stack", counting)
+        jitter_times(two_period_schedule(2 * np.pi, SQRT2, 16), 0.2 * np.pi, 20, 1234)
+        assert checks == [(20, 16)]
 
     def test_validation(self):
         base = two_period_schedule(1.0, SQRT2, 4)
@@ -246,8 +277,8 @@ class TestJitterTimes:
         for half_window in (np.inf, np.nan, -0.1):
             with pytest.raises(ValueError, match="jitter half-window"):
                 jitter_times(base, half_window, 3, 1)
-        with pytest.raises(ValueError, match="one schedule"):
-            jitter_schedule(np.stack([base, base]), 0.2, 1)
+        with pytest.raises(ValueError, match=r"schedule stack .* got shape \(3, 2, 4\)"):
+            jitter_times(np.stack([base, base]), 0.2, 3, 1)
 
 
 def test_child_seeds_deterministic():
@@ -282,7 +313,7 @@ def test_draws_match_numpy_bit_for_bit(kind):
         base = two_period_schedule(1.0, SQRT2, n)
         width = rng.uniform(0.01, 0.3)
         expected = base + np.random.default_rng(seed).uniform(-width, width, n)
-        assert np.array_equal(jitter_schedule(base, width, seed).view(np.uint64),
+        assert np.array_equal(jitter_schedule(base[None], width, [seed])[0].view(np.uint64),
                               expected.view(np.uint64)), seed
 
 
@@ -291,7 +322,7 @@ def test_negative_seeds_are_refused():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         child_seeds(-1, 3)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        jitter_schedule(two_period_schedule(1.0, SQRT2, 4), 0.2, seed=-1)
+        jitter_schedule(two_period_schedule(1.0, SQRT2, 4)[None], 0.2, [-1])
 
 
 class TestRunSurvival:
@@ -373,10 +404,9 @@ class TestRunSurvival:
         # full 2(n_max+1) space with the dense full-space spectrum
         prep = prepare_model(resonant(1.0 if kind == "rabi" else 0.6, kind=kind))
         h = kron_hamiltonian(prep.params)
-        schedules = [
-            jitter_schedule(two_period_schedule(2 * np.pi, SQRT2, 10), 0.2 * np.pi, seed)
-            for seed in (3, 4, 5, 6, 7)
-        ]
+        schedules = jitter_schedule(
+            copies(two_period_schedule(2 * np.pi, SQRT2, 10), 5), 0.2 * np.pi, [3, 4, 5, 6, 7]
+        )
         m = MeasurementModel(eps)
         trace = run_survival(prep, schedules, m)
         for row, sched in enumerate(schedules):
@@ -409,9 +439,7 @@ class TestRunSurvival:
         prep = prepare_model(resonant(1.0))
         runs = 2 * BATCH_RUNS["density"] + 1
         base = two_period_schedule(2 * np.pi, SQRT2, 12)
-        schedules = [
-            jitter_schedule(base, 0.2 * np.pi, int(seed)) for seed in child_seeds(9, runs)
-        ]
+        schedules = jitter_schedule(copies(base, runs), 0.2 * np.pi, child_seeds(9, runs))
         m = MeasurementModel(eps)
         batch = run_survival(prep, schedules, m)
         assert batch.single.shape == batch.cumulative.shape == (runs, 12)
@@ -426,7 +454,7 @@ class TestRunSurvival:
         base = two_period_schedule(2 * np.pi, SQRT2, 9)
         runs = BATCH_RUNS["density"] + 3
         schedules = [
-            jitter_schedule(base, 0.2 * np.pi, int(seed)) for seed in child_seeds(5, runs)
+            jitter_schedule(base[None], 0.2 * np.pi, [seed])[0] for seed in child_seeds(5, runs)
         ]
         m = MeasurementModel(eps)
         from_list = run_survival(prep, schedules, m)

@@ -236,12 +236,13 @@ class TestMetadata:
 class TestSharedJitterDraws:
     @pytest.fixture
     def seedings(self, monkeypatch):
-        """Counts per-run jitter seedings (one ``jitter_schedule`` call each)."""
+        """Counts per-run jitter seedings (one seed per row of each
+        ``jitter_schedule`` call)."""
         calls = []
         real = protocol.jitter_schedule
 
         def counting(*args, **kwargs):
-            calls.append(args[-1])
+            calls.extend(args[-1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "jitter_schedule", counting)
