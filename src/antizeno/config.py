@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .model import CHECKED_N_MAX_CAP, CUTOFF_STEP
+from .model import CHECKED_N_MAX_CAP, CUTOFF_CAP, CUTOFF_STEP, _entries_fit, _is_number
 from .protocol import jitter_keeps_order, two_period_schedule
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
@@ -25,11 +25,6 @@ EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "survival")
 FORMATS = ("csv", "json")
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """A ``kind`` number that is not a bool (JSON true/false)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # The kind of value each field holds: (kind, test(value)). validate checks
@@ -97,6 +92,17 @@ def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
     return math.isfinite(float(times[-1]) + half_window) and jitter_keeps_order(times, half_window)
 
 
+def _largest_model_fits(c) -> bool:
+    """Whether model's finite-entry rule holds for the largest model the run
+    solves: its largest coupling, built as the runner builds it, at the
+    largest cutoff it solves (n_max + CUTOFF_STEP for the cutoff check when
+    a coupling is above 0, CUTOFF_CAP under an automatic cutoff)."""
+    largest_g = max(c.g_values)
+    n_max = CUTOFF_CAP if c.n_max is None else c.n_max + (CUTOFF_STEP if largest_g > 0 else 0)
+    omega = float(c.omega)
+    return _entries_fit(omega, float(c.omega0), float(largest_g) * omega, n_max)
+
+
 # The most grid steps or event times one input may ask for: larger grids and
 # schedule stacks are refused before any array is built.
 MAX_POINTS = 10**6
@@ -145,7 +151,8 @@ INPUT_RULES = {
 
 # What every experiment needs of its fields, as rows of the INPUT_RULES
 # shape. validate checks them in order before INPUT_RULES, so a test may
-# read the field of an earlier row (the n_max cap reads g_values).
+# read the field of an earlier row (the n_max cap reads g_values, the last
+# row every field of the model).
 FIELD_RULES = [
     ("omega", "> 0", lambda v, c: v > 0),
     ("omega0", ">= 0", lambda v, c: v >= 0),
@@ -168,6 +175,9 @@ FIELD_RULES = [
     ("time_max", ">= time_step", lambda v, c: v >= c.time_step),
     ("seed", ">= 0", lambda v, c: v >= 0),
     ("n_measurements", "at most 10^6", lambda v, c: v <= MAX_POINTS),
+    ("n_max", f"a cutoff at which every Hamiltonian entry is finite in GHz (the run solves "
+              f"n_max + {CUTOFF_STEP} when a coupling is > 0, or n_max = {CUTOFF_CAP} when "
+              f"automatic)", lambda v, c: _largest_model_fits(c)),
 ]
 
 # The fields every experiment reads, and those each one reads on top.

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import QuantumState
 from .errors import NumericalError
-from .model import even_chain_excited
+from .model import _is_number, even_chain_excited
 
 __all__ = ["MeasurementModel", "measure_no_click"]
 
@@ -42,7 +42,7 @@ class MeasurementModel:
     epsilon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
+        if not (_is_number(self.epsilon) and np.isfinite(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
 
 

@@ -16,20 +16,23 @@ g/omega at resonance; for small coupling the leading chain coefficient has
 the closed form -g/(omega+omega0).
 
 ``ModelParams`` is the whole model, its Hamiltonian kind included, and this
-module owns every Fock-cutoff rule: the n_max caps and the step and
-tolerance that both cutoff checks use.
+module owns every rule on which models can be built: a finite entry in
+every Hamiltonian, the n_max caps, and the step and tolerance that both
+cutoff checks use.
 
 Units: frequencies in GHz, times in ns, hbar = 1.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError
-from .numkit import MAX_DIM, HermitianOperator, hermitian_eig
+from .numkit import HermitianOperator, hermitian_eig
 
 __all__ = [
     "DEGENERACY_GAP",
@@ -53,8 +56,9 @@ DEGENERACY_GAP = 1e-10
 
 HAMILTONIAN_KINDS = ("rabi", "jc")
 
-# Largest Fock cutoff: the full space 2*(n_max+1) must fit numkit's MAX_DIM.
-N_MAX_CAP = MAX_DIM // 2 - 1
+# Largest Fock cutoff: the full space of 2*(n_max+1) states, which the
+# ground-state solve diagonalizes densely, stays at or under 1024.
+N_MAX_CAP = 511
 
 # Both cutoff checks compare a cutoff with this many more photons, and
 # agree when the ground energy and p_e move by less than CUTOFF_TOL.
@@ -66,6 +70,18 @@ CHECKED_N_MAX_CAP = N_MAX_CAP - CUTOFF_STEP
 
 # converge_cutoff gives up at this n_max.
 CUTOFF_CAP = 200
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A ``kind`` number that is not a bool (nor JSON true/false)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _entries_fit(omega: float, omega0: float, g: float, n_max: int) -> bool:
+    """Whether every Hamiltonian entry at cutoff n_max is finite: the
+    largest are omega*n_max + omega0/2 and the bond g*sqrt(n_max). Python
+    floats overflow to inf without a warning."""
+    return math.isfinite(omega * n_max + 0.5 * omega0) and math.isfinite(g * math.sqrt(n_max))
 
 
 @dataclass(frozen=True)
@@ -81,17 +97,20 @@ class ModelParams:
     kind: str = "rabi"
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
+        if not (_is_number(self.omega) and np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be > 0, got {self.omega!r}")
-        if not (np.isfinite(self.omega0) and self.omega0 >= 0):
+        if not (_is_number(self.omega0) and np.isfinite(self.omega0) and self.omega0 >= 0):
             raise ValueError(f"omega0 must be >= 0, got {self.omega0!r}")
-        if not (np.isfinite(self.g) and self.g >= 0):
+        if not (_is_number(self.g) and np.isfinite(self.g) and self.g >= 0):
             raise ValueError(f"g must be >= 0, got {self.g!r}")
         # checked before any matrix is built
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+        if not (_is_number(self.n_max, numbers.Integral) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if self.n_max > N_MAX_CAP:
             raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max!r}")
+        if not _entries_fit(float(self.omega), float(self.omega0), float(self.g), int(self.n_max)):
+            raise ValueError(f"Hamiltonian entries pass the float range (omega={self.omega!r}, "
+                             f"omega0={self.omega0!r}, g={self.g!r}, n_max={self.n_max!r})")
         if self.kind not in HAMILTONIAN_KINDS:
             raise ValueError(
                 f"unknown Hamiltonian kind {self.kind!r}; expected one of {HAMILTONIAN_KINDS}"

@@ -87,7 +87,6 @@ class SurvivalTrace:
     """Per-event no-click probabilities and their cumulative product, one
     row per run of a (runs, N) schedule stack."""
 
-    times: np.ndarray
     single: np.ndarray
     cumulative: np.ndarray
 
@@ -300,7 +299,7 @@ def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTra
         rows = slice(start, start + block)
         singles[rows] = _survival_block(prep, times[rows], m)
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
-    return SurvivalTrace(times, singles, cumulative)
+    return SurvivalTrace(singles, cumulative)
 
 
 def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel) -> np.ndarray:

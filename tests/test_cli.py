@@ -552,6 +552,7 @@ BROKEN_FIELD_RULES = {
     ("time_max", ">= time_step"): (["--preset", "fig2"], {"time_max": 0.01}),
     ("seed", ">= 0"): (["--seed", "-1"], {}),
     ("n_measurements", "at most 10^6"): (["--n-measurements", "1000001"], {}),
+    ("n_max", FIELD_RULES[18][1]): (["--preset", "fig1", "--omega", "1e307", "--n-max", "12"], {}),
 }
 
 

@@ -2,7 +2,8 @@
 
 For each experiment, configs are drawn from a fixed seed: a small valid
 start (the preset, or the defaults for ``survival``) with one to three
-fields replaced by values at extreme magnitudes (1e-300 to 1e300), zeros,
+fields replaced by values at extreme magnitudes (1e-300 up to the top of
+the float range, about 1.6e308), zeros,
 negatives, NaN, infinities or wrong JSON types. Every config goes through a
 config file, so every JSON type reaches validation.
 
@@ -41,12 +42,14 @@ LIST_FIELDS = ("g_values", "omega_t1_values", "epsilon_values")
 
 
 def extreme_real(rng: random.Random):
-    """A JSON number: a special value, or a magnitude in [1e-300, 1e300]
-    of either sign, as a float or (for whole magnitudes) an integer."""
+    """A JSON number: a special value, or a magnitude in [1e-300, 10**308.2]
+    (up to about 1.6e308) of either sign, as a float or (for whole
+    magnitudes) an integer."""
     pick = rng.random()
     if pick < 0.3:
-        return rng.choice([0.0, -0.0, 1e-300, 1e300, -1e300, -1.0, math.nan, math.inf, -math.inf])
-    value = rng.choice([1, -1]) * 10 ** rng.uniform(-300, 300)
+        return rng.choice([0.0, -0.0, 1e-300, 1e300, -1e300, 1e307, 1.7e308, -1.0,
+                           math.nan, math.inf, -math.inf])
+    value = rng.choice([1, -1]) * 10 ** rng.uniform(-300, 308.2)
     if pick < 0.4 and abs(value) >= 1:
         return int(value)
     return value
@@ -165,6 +168,14 @@ FOUND = [
     # a coupling that overflows in GHz exited 2 naming the model's "g"
     ("fig2", {"omega": 1e300, "g_values": [1e10]}, 2,
      "g_values must be non-empty, >= 0 and finite in GHz (times omega), got (10000000000.0,)"),
+    # Hamiltonian entries past the float range printed numpy's overflow
+    # warning (a traceback under -W error) and exited 2 from numkit naming
+    # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n)
+    ("fig1", {"omega": 1e307, "n_max": 12}, 2,
+     "[antizeno.config]: n_max must be a cutoff at which every Hamiltonian entry is finite"),
+    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which every Hamiltonian entry"),
+    ("fig5", {"g_values": [1e308]}, 2,
+     "n_max must be a cutoff at which every Hamiltonian entry is finite in GHz"),
     # JSON integers beyond int64 crashed numpy (a traceback); beyond the
     # float range they are not finite
     ("fig1", {"omega": 10**130}, 3, "numerical failure [antizeno.model]"),

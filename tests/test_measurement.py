@@ -38,6 +38,13 @@ def test_epsilon_validation():
         MeasurementModel(1.1)
 
 
+@pytest.mark.parametrize("epsilon", [True, False, np.bool_(True)])
+def test_epsilon_rejects_booleans(epsilon):
+    # True is not the probability 1, as config refuses JSON true
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        MeasurementModel(epsilon)
+
+
 class TestMeasureNoClick:
     def test_inert_detector(self):
         rho = random_density(8, seed=3)

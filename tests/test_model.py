@@ -7,6 +7,7 @@ from antizeno.dynamics import QuantumState, excitation_probability, excitation_t
 from antizeno.errors import NumericalError
 from antizeno.model import (
     DEGENERACY_GAP,
+    N_MAX_CAP,
     ModelParams,
     assert_cutoff_converged,
     converge_cutoff,
@@ -15,7 +16,7 @@ from antizeno.model import (
     ground_state,
     hamiltonian,
 )
-from antizeno.numkit import MAX_DIM, hermitian_eig
+from antizeno.numkit import hermitian_eig
 from oracle import (
     basis_state,
     braak_roots,
@@ -45,10 +46,39 @@ def test_params_validation():
 
 
 def test_params_reject_cutoff_beyond_dimension_cap():
-    # 2*(n_max+1) <= MAX_DIM = 1024, checked before any matrix is built
-    assert 2 * (ModelParams(1.0, 1.0, 0.5, 511).n_max + 1) == MAX_DIM == 1024
+    # the full space holds 2*(n_max+1) <= 1024 states, checked before any
+    # matrix is built
+    assert 2 * (ModelParams(1.0, 1.0, 0.5, N_MAX_CAP).n_max + 1) == 1024
     with pytest.raises(ValueError, match="n_max must be <= 511"):
         ModelParams(1.0, 1.0, 0.5, 512)
+
+
+@pytest.mark.parametrize("omega,omega0,g,n_max", [
+    (1e307, 1.0, 1.0, 22),          # omega*n_max
+    (1e308, 1.6e308, 0.0, 1),       # omega*n_max + omega0/2
+    (1.0, 1.0, 1e308, 4),           # the bond g*sqrt(n_max)
+])
+def test_params_reject_hamiltonian_entries_past_the_float_range(omega, omega0, g, n_max):
+    with pytest.raises(ValueError, match="Hamiltonian entries pass the float range"):
+        ModelParams(omega, omega0, g, n_max)
+
+
+def test_params_at_the_float_range_build_finite_matrices():
+    # the largest entries still fit, and both builders make them without a
+    # numpy warning (warnings are errors here)
+    for p in (ModelParams(1e307, 1.0, 1.0, 17), ModelParams(1.0, 1.0, 1.7e308 / 2, 4)):
+        for build in (hamiltonian, even_chain_hamiltonian):
+            assert np.all(np.isfinite(build(p).matrix))
+
+
+@pytest.mark.parametrize("args", [
+    (True, 1.0, 0.5, 4), (1.0, False, 0.5, 4), (1.0, 1.0, True, 4), (1.0, 1.0, 0.5, True),
+    (1.0, 1.0, 0.5, np.bool_(True)), ("1", 1.0, 0.5, 4),
+])
+def test_params_reject_booleans_and_other_non_numbers(args):
+    # as config refuses JSON true: True is neither a frequency nor a cutoff
+    with pytest.raises(ValueError, match="must be"):
+        ModelParams(*args)
 
 
 class TestRabiHamiltonian:

@@ -333,7 +333,7 @@ class TestRunSurvival:
         with pytest.raises(ValueError, match=shape):
             run_survival(prep, sched, MeasurementModel(0.0))
         trace = run_survival(prep, sched[None], MeasurementModel(0.0))
-        assert trace.times.shape == trace.single.shape == trace.cumulative.shape == (1, 3)
+        assert trace.single.shape == trace.cumulative.shape == (1, 3)
 
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(
@@ -456,10 +456,12 @@ class TestRunSurvival:
         schedules = [
             jitter_schedule(base[None], 0.2 * np.pi, [seed])[0] for seed in child_seeds(5, runs)
         ]
+        stack = jitter_times(base, 0.2 * np.pi, runs, 5)
+        assert np.array_equal(stack, schedules)
         m = MeasurementModel(eps)
         from_list = run_survival(prep, schedules, m)
-        from_array = run_survival(prep, jitter_times(base, 0.2 * np.pi, runs, 5), m)
-        for field in ("times", "single", "cumulative"):
+        from_array = run_survival(prep, stack, m)
+        for field in ("single", "cumulative"):
             assert np.array_equal(getattr(from_array, field), getattr(from_list, field))
 
     def test_array_stack_validation(self):

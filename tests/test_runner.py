@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from antizeno.config import ExperimentConfig, preset
+from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
+from antizeno.measurement import MeasurementModel
+from antizeno.model import ModelParams
 from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables
@@ -149,6 +152,24 @@ class TestFig4Builder:
         pbar = tables["c"]["mean_single_survival"]
         assert pbar[0] == pytest.approx(1.0, abs=1e-12)
         assert pbar[2] < pbar[1] < pbar[0]
+
+    def test_panel_c_averages_every_event(self):
+        # mean_single_survival is the mean over all events of each panel-c
+        # ensemble, rebuilt here from the panel's own schedule and draws
+        cfg = ExperimentConfig(experiment="fig4", g_values=(0.5, 1.0), n_max=20)
+        _, tables = build_tables(cfg)
+        c = FIG4_PANELS["c"]
+        base = protocol.two_period_schedule(c["omega_t1"] / cfg.omega, cfg.ratio, c["n"])
+        times = protocol.jitter_times(base, c["jitter"] / cfg.omega, c["runs"], cfg.seed)
+        m = MeasurementModel(cfg.epsilon_values[0])
+        expected = [
+            np.mean(protocol.ensemble_survival(
+                protocol.prepare_model(ModelParams(cfg.omega, cfg.omega0, g * cfg.omega, cfg.n_max)),
+                times, m).single_mean)
+            for g in runner_module.FIG4_PANEL_C_GRID
+        ]
+        assert c["n"] == 3
+        assert tables["c"]["mean_single_survival"] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestFig5Builder:
