@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .analysis import fit_exponential
 from .config import ExperimentConfig, preset
 from .errors import NumericalError
-from .measurement import MeasurementModel
 from .model import ModelParams, ground_state
 from .protocol import (
     ensemble_survival, jitter_times, prepare_model, run_survival, two_period_schedule,
@@ -26,7 +25,7 @@ from .runner import run
 
 __all__ = [
     "__version__", "ExperimentConfig", "preset", "run", "NumericalError",
-    "ModelParams", "MeasurementModel", "ground_state", "prepare_model",
+    "ModelParams", "ground_state", "prepare_model",
     "two_period_schedule", "jitter_times", "run_survival", "ensemble_survival",
     "fit_exponential",
 ]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .model import CHECKED_N_MAX_CAP, CUTOFF_CAP, CUTOFF_STEP, _entries_fit, _is_number
+from .model import CHECKED_N_MAX_CAP, CUTOFF_CAP, CUTOFF_STEP, _is_finite, _is_number, _spectrum_fits
 from .protocol import jitter_keeps_order, two_period_schedule
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
@@ -93,14 +92,14 @@ def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
 
 
 def _largest_model_fits(c) -> bool:
-    """Whether model's finite-entry rule holds for the largest model the run
-    solves: its largest coupling, built as the runner builds it, at the
+    """Whether model's finite-spectrum rule holds for the largest model the
+    run solves: its largest coupling, built as the runner builds it, at the
     largest cutoff it solves (n_max + CUTOFF_STEP for the cutoff check when
     a coupling is above 0, CUTOFF_CAP under an automatic cutoff)."""
     largest_g = max(c.g_values)
     n_max = CUTOFF_CAP if c.n_max is None else c.n_max + (CUTOFF_STEP if largest_g > 0 else 0)
     omega = float(c.omega)
-    return _entries_fit(omega, float(c.omega0), float(largest_g) * omega, n_max)
+    return _spectrum_fits(omega, float(c.omega0), float(largest_g) * omega, n_max)
 
 
 # The most grid steps or event times one input may ask for: larger grids and
@@ -175,9 +174,10 @@ FIELD_RULES = [
     ("time_max", ">= time_step", lambda v, c: v >= c.time_step),
     ("seed", ">= 0", lambda v, c: v >= 0),
     ("n_measurements", "at most 10^6", lambda v, c: v <= MAX_POINTS),
-    ("n_max", f"a cutoff at which every Hamiltonian entry is finite in GHz (the run solves "
-              f"n_max + {CUTOFF_STEP} when a coupling is > 0, or n_max = {CUTOFF_CAP} when "
-              f"automatic)", lambda v, c: _largest_model_fits(c)),
+    ("n_max", f"a cutoff at which the Gershgorin bound on the spectrum, 2*(omega*n_max + "
+              f"omega0/2 + 2*g*sqrt(n_max)) at g = max(g_values)*omega, is finite (the run solves "
+              f"n_max + {CUTOFF_STEP} when a coupling is > 0, or n_max = {CUTOFF_CAP} when automatic)",
+     lambda v, c: _largest_model_fits(c)),
 ]
 
 # The fields every experiment reads, and those each one reads on top.
@@ -232,7 +232,7 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             entries = value if isinstance(value, tuple) else (value,)
-            if any(_is_number(v) and not abs(v) <= sys.float_info.max for v in entries):
+            if any(_is_number(v) and not _is_finite(v) for v in entries):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             kind, is_kind = FIELD_TYPES[f.name]
             if not is_kind(value):

@@ -16,9 +16,9 @@ g/omega at resonance; for small coupling the leading chain coefficient has
 the closed form -g/(omega+omega0).
 
 ``ModelParams`` is the whole model, its Hamiltonian kind included, and this
-module owns every rule on which models can be built: a finite entry in
-every Hamiltonian, the n_max caps, and the step and tolerance that both
-cutoff checks use.
+module owns every rule on which models can be built (a finite Gershgorin
+bound on the spectrum, the n_max caps, the step and tolerance of both
+cutoff checks) and the one test of a finite real number.
 
 Units: frequencies in GHz, times in ns, hbar = 1.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,11 +78,16 @@ def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _entries_fit(omega: float, omega0: float, g: float, n_max: int) -> bool:
-    """Whether every Hamiltonian entry at cutoff n_max is finite: the
-    largest are omega*n_max + omega0/2 and the bond g*sqrt(n_max). Python
-    floats overflow to inf without a warning."""
-    return math.isfinite(omega * n_max + 0.5 * omega0) and math.isfinite(g * math.sqrt(n_max))
+def _is_finite(value) -> bool:
+    """A finite real number: exact for ints of any size, and no numpy call."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _spectrum_fits(omega: float, omega0: float, g: float, n_max: int) -> bool:
+    """Whether no entry, eigenvalue or eigenvalue difference at cutoff n_max
+    passes the float range: the Gershgorin bound on the spectrum's spread,
+    2*(omega*n_max + omega0/2 + 2*g*sqrt(n_max)), in Python floats (no warning)."""
+    return math.isfinite(2 * (omega * n_max + 0.5 * omega0 + 2 * g * math.sqrt(n_max)))
 
 
 @dataclass(frozen=True)
@@ -97,19 +103,18 @@ class ModelParams:
     kind: str = "rabi"
 
     def __post_init__(self):
-        if not (_is_number(self.omega) and np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be > 0, got {self.omega!r}")
-        if not (_is_number(self.omega0) and np.isfinite(self.omega0) and self.omega0 >= 0):
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0!r}")
-        if not (_is_number(self.g) and np.isfinite(self.g) and self.g >= 0):
-            raise ValueError(f"g must be >= 0, got {self.g!r}")
+        for name, holds in (("omega", "> 0"), ("omega0", ">= 0"), ("g", ">= 0")):
+            value = getattr(self, name)
+            if not (_is_finite(value) and (value > 0 if name == "omega" else value >= 0)):
+                raise ValueError(f"{name} must be {holds}, got {value!r}")
+            object.__setattr__(self, name, float(value))  # numpy cannot take ints past int64
         # checked before any matrix is built
         if not (_is_number(self.n_max, numbers.Integral) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if self.n_max > N_MAX_CAP:
             raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max!r}")
-        if not _entries_fit(float(self.omega), float(self.omega0), float(self.g), int(self.n_max)):
-            raise ValueError(f"Hamiltonian entries pass the float range (omega={self.omega!r}, "
+        if not _spectrum_fits(self.omega, self.omega0, self.g, int(self.n_max)):
+            raise ValueError(f"Hamiltonian spectrum passes the float range (omega={self.omega!r}, "
                              f"omega0={self.omega0!r}, g={self.g!r}, n_max={self.n_max!r})")
         if self.kind not in HAMILTONIAN_KINDS:
             raise ValueError(
@@ -127,16 +132,14 @@ class GroundStateDecomposition:
 
     When the ground manifold is numerically degenerate (gap below
     ``DEGENERACY_GAP``, e.g. at omega0 = 0) there is no unique ground state
-    and so no chain state: the result is flagged, ``even_chain`` is None and
-    ``p_e`` is the basis-independent equal-weight average over the
-    degenerate block.
+    and so no chain state: ``even_chain`` is None and ``p_e`` is the
+    basis-independent equal-weight average over the degenerate block.
     """
 
     energy: float
     even_chain: np.ndarray | None
     p_e: float
     gap: float
-    degenerate: bool = False
 
 
 def hamiltonian(p: ModelParams) -> HermitianOperator:
@@ -227,7 +230,7 @@ def _even_ground_state(p: ModelParams, solved: dict | None) -> GroundStateDecomp
         # no unique ground state, so no chain state; p_e averages the manifold
         block = np.flatnonzero(vals - vals[0] < DEGENERACY_GAP)
         p_e = float(np.mean([_block_p_e(vecs[:, i]) for i in block]))
-        solved[p] = GroundStateDecomposition(energy, None, p_e, gap, degenerate=True)
+        solved[p] = GroundStateDecomposition(energy, None, p_e, gap)
         return solved[p]
     state = vecs[:, 0]
     c0 = state[0]

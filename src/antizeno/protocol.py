@@ -42,7 +42,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .dynamics import BATCH_RUNS, QuantumState, evolve
-from .measurement import MeasurementModel, measure_no_click
+from .measurement import _epsilon, measure_no_click
 from .model import (
     DEGENERACY_GAP,
     GroundStateDecomposition,
@@ -122,7 +122,7 @@ class PreparedModel:
         """``runs`` copies of the ground state on the even chain, as a batch.
         A degenerate ground manifold has no such state (``ValueError``)."""
         gs = self.ground
-        if gs.degenerate:
+        if gs.even_chain is None:
             raise ValueError(
                 f"ground manifold is degenerate (gap {gs.gap:.3e} < DEGENERACY_GAP = "
                 f"{DEGENERACY_GAP:g}); the survival protocol requires a unique ground state"
@@ -280,10 +280,10 @@ def _uniform(seed: int, low: float, high: float, n: int) -> list[float]:
     return draws
 
 
-def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTrace:
-    """Survival trace of each row of a (runs, N) stack of event times (as
-    ``jitter_times`` returns), starting from the ground state; one schedule
-    runs as ``times[None]``. The times are validated once as a whole.
+def run_survival(prep: PreparedModel, times, epsilon: float) -> SurvivalTrace:
+    """Survival trace at detector inefficiency ``epsilon`` of each row of a
+    (runs, N) stack of event times (as ``jitter_times`` returns), from the
+    ground state; one schedule runs as ``times[None]``. Both are validated once.
 
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
@@ -292,31 +292,31 @@ def run_survival(prep: PreparedModel, times, m: MeasurementModel) -> SurvivalTra
     to a density matrix. The stack is run in blocks of runs, each event one
     batched step for the whole block.
     """
-    times = _time_stack(times)
+    times, epsilon = _time_stack(times), _epsilon(epsilon)
     singles = np.empty(times.shape)
-    block = BATCH_RUNS["density" if m.epsilon > 0.0 else "pure"]
+    block = BATCH_RUNS["density" if epsilon > 0.0 else "pure"]
     for start in range(0, len(times), block):
         rows = slice(start, start + block)
-        singles[rows] = _survival_block(prep, times[rows], m)
+        singles[rows] = _survival_block(prep, times[rows], epsilon)
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
     return SurvivalTrace(singles, cumulative)
 
 
-def _survival_block(prep: PreparedModel, times: np.ndarray, m: MeasurementModel) -> np.ndarray:
+def _survival_block(prep: PreparedModel, times: np.ndarray, epsilon: float) -> np.ndarray:
     """No-click probabilities of one block of runs (rows of ``times``)."""
     state = prep.chain_ground(len(times))
-    if m.epsilon > 0.0:
+    if epsilon > 0.0:
         state = state.promoted()
     singles = np.empty(times.shape)
     previous = np.zeros(len(times))
     for i in range(times.shape[1]):
         state = evolve(prep.chain, state, times[:, i] - previous)
-        singles[:, i], state = measure_no_click(state, m)
+        singles[:, i], state = measure_no_click(state, epsilon)
         previous = times[:, i]
     return singles
 
 
-def ensemble_survival(prep: PreparedModel, times, m: MeasurementModel) -> EnsembleTrace:
+def ensemble_survival(prep: PreparedModel, times, epsilon: float) -> EnsembleTrace:
     """Mean/std of survival, per event, over the rows of a (runs, N) stack
     of jittered schedules (as ``jitter_times`` draws it).
 
@@ -324,7 +324,7 @@ def ensemble_survival(prep: PreparedModel, times, m: MeasurementModel) -> Ensemb
     coupling, so ensembles that share one stack are paired. All runs go
     through one batched ``run_survival``, which validates the stack.
     """
-    trace = run_survival(prep, times, m)
+    trace = run_survival(prep, times, epsilon)
     return EnsembleTrace(
         single_mean=trace.single.mean(axis=0),
         single_std=trace.single.std(axis=0),
@@ -333,12 +333,12 @@ def ensemble_survival(prep: PreparedModel, times, m: MeasurementModel) -> Ensemb
     )
 
 
-def sweep_T1(prep: PreparedModel, N: int, T1_values, ratio: float, m: MeasurementModel) -> float:
+def sweep_T1(prep: PreparedModel, N: int, T1_values, ratio: float, epsilon: float) -> float:
     """Mean over T1 of the final cumulative survival after N measurements;
     all periods run as one (T1, N) stack."""
     values = np.asarray(T1_values, dtype=float)
     if values.size == 0:
         raise ValueError("T1_values must be non-empty")
     times = _two_period_times(values, ratio, N)
-    return float(np.mean(run_survival(prep, times, m).cumulative[:, -1]))
+    return float(np.mean(run_survival(prep, times, epsilon).cumulative[:, -1]))
 

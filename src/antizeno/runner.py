@@ -31,7 +31,7 @@ from . import __version__
 from .analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
 from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig
 from .dynamics import excitation_trace
-from .measurement import MeasurementModel, measure_no_click
+from .measurement import measure_no_click
 from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
     PreparedModel, ensemble_survival, jitter_times, prepare_model, sweep_T1, two_period_schedule,
@@ -54,9 +54,7 @@ class RunResult:
 
 
 def _model_params(config: ExperimentConfig, g_over_omega: float, n_max: int) -> ModelParams:
-    # a real field may hold a JSON integer beyond int64, which numpy cannot take
-    omega, omega0 = float(config.omega), float(config.omega0)
-    return ModelParams(omega, omega0, float(g_over_omega) * omega, n_max)
+    return ModelParams(config.omega, config.omega0, float(g_over_omega) * config.omega, n_max)
 
 
 def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
@@ -85,7 +83,7 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         degenerate ground manifold."""
         if g not in models:
             models[g] = prepare_model(_model_params(config, g, n_max), solved)
-            if models[g].ground.degenerate and config.experiment != "fig1":
+            if models[g].ground.even_chain is None and config.experiment != "fig1":
                 raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
                                  f"coupling it runs; g/omega = {g!r} has a gap of "
                                  f"{models[g].ground.gap:.3e}, below DEGENERACY_GAP")
@@ -152,7 +150,7 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
     times = jitter_times(base, jitter / config.omega, runs, config.seed)
     blocks = []
     for g, eps in pairs:
-        ens = ensemble_survival(prepare(g), times, MeasurementModel(eps))
+        ens = ensemble_survival(prepare(g), times, eps)
         blocks.append({
             "g_over_omega": float(g),
             "epsilon": float(eps),
@@ -186,7 +184,7 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
         prep = prepare(g)
-        _, initial = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
+        _, initial = measure_no_click(prep.chain_ground(1), 0.0)
         values = excitation_trace(prep.params, initial, omega_t / config.omega)
         table[FIG2_COLUMN.format(g)] = values.tolist()
     return {"data": table}
@@ -194,11 +192,11 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
-    m = MeasurementModel(config.epsilon_values[0])
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
-        [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio, m) for gi in g]
+        [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio,
+                  config.epsilon_values[0]) for gi in g]
     )
     fit = fit_exponential(g**2, mean_final)
     metadata["exponential_fits"] = {"data": [_fit_health(fit)]}

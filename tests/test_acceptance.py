@@ -16,7 +16,6 @@ import numpy as np
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import FIG4_PANELS
 from antizeno.dynamics import QuantumState
-from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, ground_state
 from antizeno.protocol import (
     ensemble_survival,
@@ -63,7 +62,7 @@ def test_criterion_02_rwa_null():
         prep = prepare_model(resonant(g, kind="jc"))
         assert prep.ground.p_e <= 1e-12
         trace = run_survival(
-            prep, two_period_schedule(0.75 * math.pi, SQRT2, 8)[None], MeasurementModel(0.0)
+            prep, two_period_schedule(0.75 * math.pi, SQRT2, 8)[None], 0.0
         )
         dev = float(np.max(np.abs(trace.cumulative[0] - 1.0)))
         assert dev <= 1e-12
@@ -79,7 +78,7 @@ def test_criterion_02_rwa_null():
 def test_criterion_03_zero_splitting_closed_form():
     for g in (0.3, 1.0):
         gs = ground_state(ModelParams(1.0, 0.0, g, 40))
-        assert gs.degenerate
+        assert gs.even_chain is None
         assert abs(gs.energy - (-(g**2))) <= 1e-9
         assert abs(gs.p_e - 0.5) <= 1e-9
     report(3, "omega0=0 anchors: energy=-g^2/omega and p_e=1/2 within 1e-9 at g/omega in {0.3, 1}")
@@ -93,7 +92,7 @@ def test_criterion_04_exponential_survival_law():
         ens = ensemble_survival(
             prepare_model(resonant(g)),
             jitter_times(base, panel["jitter"], max(panel["runs"], 20), SEED),
-            MeasurementModel(0.0),
+            0.0,
         )
         events = np.arange(1, panel["n"] + 1, dtype=float)
         fit = fit_exponential(events, ens.cumulative_mean)
@@ -129,7 +128,7 @@ def test_criterion_05_mean_single_shot_quadratic():
     stack = jitter_times(base, panel["jitter"], panel["runs"], SEED)
     pbar = np.array(
         [
-            np.mean(ensemble_survival(prepare_model(resonant(g)), stack, MeasurementModel(0.0))
+            np.mean(ensemble_survival(prepare_model(resonant(g)), stack, 0.0)
                     .single_mean)
             for g in grid
         ]
@@ -148,7 +147,7 @@ def test_criterion_06_gaussian_coupling_law():
     grid = np.linspace(0.0, 1.0, 11)
     mean_final = np.array(
         [
-            sweep_T1(prepare_model(resonant(g)), 8, t1_values, SQRT2, MeasurementModel(0.0))
+            sweep_T1(prepare_model(resonant(g)), 8, t1_values, SQRT2, 0.0)
             for g in grid
         ]
     )
@@ -166,7 +165,7 @@ def test_criterion_07_rate_collapse_across_periods():
     for omega_t1 in (math.pi, 2 * math.pi, 3 * math.pi):
         base = two_period_schedule(omega_t1, SQRT2, 16)
         ens = ensemble_survival(
-            prep, jitter_times(base, 0.2 * math.pi, 20, SEED), MeasurementModel(0.0)
+            prep, jitter_times(base, 0.2 * math.pi, 20, SEED), 0.0
         )
         fit = fit_exponential(base / omega_t1, ens.cumulative_mean)
         rates[omega_t1] = fit.coefficients["rate"]
@@ -193,7 +192,7 @@ def test_criterion_08_weak_measurement_robustness():
     base = two_period_schedule(2 * math.pi, SQRT2, 16)
     stack = jitter_times(base, 0.2 * math.pi, 20, SEED)
     ensembles = {
-        eps: ensemble_survival(prep, stack, MeasurementModel(eps))
+        eps: ensemble_survival(prep, stack, eps)
         for eps in (0.0, 0.1, 0.2)
     }
     for ens in ensembles.values():
@@ -238,7 +237,7 @@ def test_criterion_09_truncated_chain_oracle():
     for g in (0.2, 1 / 3):
         prep = prepare_model(resonant(g))
         truncated = truncated_survival(abs(prep.ground.even_chain[0]), 8)
-        simulated = sweep_T1(prep, 8, t1_values, SQRT2, MeasurementModel(0.0))
+        simulated = sweep_T1(prep, 8, t1_values, SQRT2, 0.0)
         ratio = simulated / truncated
         assert 0.5 <= ratio <= 2.0
         ratios[g] = ratio
@@ -274,15 +273,14 @@ def test_criterion_10_invariant_suite(tmp_path):
     for eps in (0.0, 0.15, 1.0):
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         rho = QuantumState("density", ((a @ a.conj().T) / np.trace(a @ a.conj().T).real)[None])
-        m = MeasurementModel(eps)
         total = click_probability(rho.data[0], even_chain_excited(11), eps) + measure_no_click(
-            rho, m
+            rho, eps
         )[0][0]
         assert abs(total - 1.0) <= 1e-12
 
     # cumulative-survival monotonicity
     trace = run_survival(
-        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12)[None], MeasurementModel(0.1)
+        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12)[None], 0.1
     )
     assert np.all(np.diff(trace.cumulative[0]) <= 0)
 

@@ -125,6 +125,14 @@ class TestFitExponential:
         assert fit.n_dropped == 3
         assert fit.coefficients["rate"] == pytest.approx(0.5, rel=1e-10)
 
+    def test_points_between_the_floor_and_1e_6_are_kept(self):
+        # survival down to 3e-11 is data, not extinction: the floor is 1e-12
+        x = np.arange(8.0)
+        y = 10.0 ** (-1.5 * x)  # the last three lie in (1e-12, 1e-6)
+        fit = fit_exponential(x, y)
+        assert fit.n_dropped == 0
+        assert fit.coefficients["rate"] == pytest.approx(1.5 * np.log(10.0), rel=1e-12)
+
     def test_all_below_floor_rejected(self):
         # valid input whose survival is extinct is a numerical failure
         with pytest.raises(NumericalError, match="extinction floor"):

@@ -431,16 +431,25 @@ class TestCliRuns:
 
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the thread count is read when numpy loads, so each run is its own
-        # process; both write the same path, so the headers match too
-        out = tmp_path / "fig6.csv"
+        # process; both run at once, each in its own directory with the same
+        # relative --out, so the headers match too
         src = str(Path(antizeno.__file__).resolve().parent.parent)
-        blobs = []
+        runs = {}
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            subprocess.run([sys.executable, "-m", "antizeno.cli", "--preset", "fig6", "--out", str(out)],
-                           env=env, capture_output=True, timeout=120, check=True)
-            blobs.append(out.read_bytes())
+            (tmp_path / threads).mkdir()
+            runs[threads] = subprocess.Popen(
+                [sys.executable, "-m", "antizeno.cli", "--preset", "fig6", "--out", "fig6.csv"],
+                cwd=tmp_path / threads, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            for process in runs.values():
+                _, err = process.communicate(timeout=120)
+                assert process.returncode == 0, err
+        finally:
+            for process in runs.values():
+                process.kill()  # a no-op once it has exited
+        blobs = [(tmp_path / threads / "fig6.csv").read_bytes() for threads in runs]
         assert blobs[0] == blobs[1]
 
     def test_survival_chi_diagnostic_column(self, tmp_path):

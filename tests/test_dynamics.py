@@ -3,7 +3,7 @@ import pytest
 
 from antizeno.dynamics import QuantumState, evolve, excitation_trace
 from antizeno.errors import NumericalError
-from antizeno.measurement import MeasurementModel, measure_no_click
+from antizeno.measurement import measure_no_click
 from antizeno.model import ModelParams, even_chain_hamiltonian
 from antizeno.numkit import HermitianOperator, hermitian_eig
 from antizeno.protocol import prepare_model
@@ -240,7 +240,7 @@ class TestExcitationTrace:
         # more qubit excitation); the ratio approaches 1 as coupling grows
         p = resonant(g)
         prep = prepare_model(p)
-        _, initial = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
+        _, initial = measure_no_click(prep.chain_ground(1), 0.0)
         grid = np.arange(0.0, 200.0 + 0.01, 0.02)
         values = excitation_trace(p, initial, grid)
         ratio = float(np.mean(values)) / prep.ground.p_e

@@ -172,10 +172,15 @@ FOUND = [
     # warning (a traceback under -W error) and exited 2 from numkit naming
     # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n)
     ("fig1", {"omega": 1e307, "n_max": 12}, 2,
-     "[antizeno.config]: n_max must be a cutoff at which every Hamiltonian entry is finite"),
-    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which every Hamiltonian entry"),
+     "[antizeno.config]: n_max must be a cutoff at which the Gershgorin bound on the spectrum"),
+    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which the Gershgorin bound"),
     ("fig5", {"g_values": [1e308]}, 2,
-     "n_max must be a cutoff at which every Hamiltonian entry is finite in GHz"),
+     "n_max must be a cutoff at which the Gershgorin bound on the spectrum, 2*(omega*n_max"),
+    # finite entries whose spectrum passes the float range warned from
+    # numpy in the ground-state solve, then exited 3 (a traceback under -W
+    # error)
+    ("fig1", {"omega": 7.7e306, "g_values": [0.5, 1, 4.5], "n_max": 12}, 2,
+     "[antizeno.config]: n_max must be a cutoff at which the Gershgorin bound on the spectrum"),
     # JSON integers beyond int64 crashed numpy (a traceback); beyond the
     # float range they are not finite
     ("fig1", {"omega": 10**130}, 3, "numerical failure [antizeno.model]"),

@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -59,16 +61,46 @@ def test_params_reject_cutoff_beyond_dimension_cap():
     (1.0, 1.0, 1e308, 4),           # the bond g*sqrt(n_max)
 ])
 def test_params_reject_hamiltonian_entries_past_the_float_range(omega, omega0, g, n_max):
-    with pytest.raises(ValueError, match="Hamiltonian entries pass the float range"):
+    with pytest.raises(ValueError, match="Hamiltonian spectrum passes the float range"):
         ModelParams(omega, omega0, g, n_max)
 
 
+# The largest accepted value of one field, the others fixed: the Gershgorin
+# bound 2*(omega*n_max + omega0/2 + 2*g*sqrt(n_max)) is finite there and
+# infinite at the next float (omega0 reaches the largest float itself).
+FLOAT_RANGE_EDGES = {
+    "omega": (lambda x: ModelParams(x, 1.0, 1.0, 17), 5.287332749595046e306),
+    "omega0": (lambda x: ModelParams(1.0, x, 1.0, 4), sys.float_info.max),
+    "g": (lambda x: ModelParams(1.0, 1.0, x, 4, "jc"), 2.2471164185778946e307),
+}
+
+
 def test_params_at_the_float_range_build_finite_matrices():
-    # the largest entries still fit, and both builders make them without a
-    # numpy warning (warnings are errors here)
-    for p in (ModelParams(1e307, 1.0, 1.0, 17), ModelParams(1.0, 1.0, 1.7e308 / 2, 4)):
+    # the largest accepted models build finite matrices with both builders,
+    # and ground_state solves them, all without a numpy warning (warnings
+    # are errors here)
+    for make, edge in FLOAT_RANGE_EDGES.values():
+        if edge < sys.float_info.max:
+            with pytest.raises(ValueError, match="spectrum passes the float range"):
+                make(np.nextafter(edge, np.inf))
+        p = make(edge)
         for build in (hamiltonian, even_chain_hamiltonian):
             assert np.all(np.isfinite(build(p).matrix))
+        gs = ground_state(p)
+        assert math.isfinite(gs.energy) and math.isfinite(gs.gap) and 0 <= gs.p_e <= 1
+
+
+def test_params_take_ints_of_any_size():
+    # exact for Python ints past int64 and past the float range: no numpy
+    # call judges them, and the model keeps floats that numpy can take
+    for args in ((10**400, 1.0, 1.0, 4), (1.0, 10**400, 1.0, 4), (1.0, 1.0, 10**400, 4)):
+        with pytest.raises(ValueError, match="must be"):
+            ModelParams(*args)
+    p = ModelParams(10**20, 1, 0, 4)
+    assert (p.omega, p.omega0, p.g) == (1e20, 1.0, 0.0)
+    assert all(type(v) is float for v in (p.omega, p.omega0, p.g))
+    gs = ground_state(ModelParams(10**20, 1.0, 0.5, 4))
+    assert gs.even_chain is not None and gs.p_e < 1e-30
 
 
 @pytest.mark.parametrize("args", [
@@ -254,7 +286,7 @@ class TestParityChains:
             lowest_two = np.sort(np.concatenate([even_values[:2], odd_values[:2]]))[:2]
             if lowest_two[1] - lowest_two[0] < DEGENERACY_GAP:
                 found += "D"
-                assert ground_state(p).degenerate
+                assert ground_state(p).even_chain is None
             elif odd_values[0] < even_values[0]:
                 found += "O"
                 with pytest.raises(NumericalError, match="odd parity sector"):
@@ -262,7 +294,7 @@ class TestParityChains:
             else:
                 found += "E"
                 gs = ground_state(p)
-                assert not gs.degenerate
+                assert gs.even_chain is not None
                 assert abs(gs.energy - even_values[0]) <= 1e-12
                 assert abs(gs.p_e - np.sum(even_vectors[1::2, 0] ** 2)) <= 1e-12
                 expected_gap = min(even_values[1], odd_values[0]) - even_values[0]
@@ -277,7 +309,7 @@ class TestParityChains:
                 gs = ground_state(ModelParams(1.0, omega0, float(g), 60, kind))
             except NumericalError:  # the odd chain lies lower
                 continue
-            assert (gs.even_chain is None) == gs.degenerate
+            assert (gs.even_chain is None) == (gs.gap < DEGENERACY_GAP)
 
 
 class TestGroundState:
@@ -286,14 +318,14 @@ class TestGroundState:
         assert gs.even_chain[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(gs.even_chain[1:])) < 1e-14
         assert gs.p_e == 0.0
-        assert not gs.degenerate
+        assert gs.even_chain is not None
 
     @pytest.mark.parametrize("g", [0.3, 1.0])
     def test_zero_splitting_closed_form(self, g):
         # omega0 = 0: displaced-oscillator manifold, energy -g^2/omega and
         # manifold-averaged excitation probability exactly 1/2
         gs = ground_state(ModelParams(1.0, 0.0, g, 40))
-        assert gs.degenerate
+        assert gs.even_chain is None
         assert gs.energy == pytest.approx(-(g**2), abs=1e-9)
         assert gs.p_e == pytest.approx(0.5, abs=1e-9)
 
@@ -328,7 +360,7 @@ class TestGroundState:
 
     def test_deep_strong_rabi_ground_state_stays_even(self):
         gs = ground_state(ModelParams(1.0, 1.0, 2.0, 80))
-        assert not gs.degenerate
+        assert gs.even_chain is not None
         assert np.sum(np.abs(gs.even_chain) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_leak_still_raises(self, monkeypatch):
@@ -507,11 +539,11 @@ class TestEigenstateOverlaps:
         assert overlaps[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_projected_ground_golden(self, golden):
-        from antizeno.measurement import MeasurementModel, measure_no_click
+        from antizeno.measurement import measure_no_click
         from antizeno.protocol import prepare_model
 
         prep = prepare_model(resonant(1.0))
-        _, projected = measure_no_click(prep.chain_ground(1), MeasurementModel(0.0))
+        _, projected = measure_no_click(prep.chain_ground(1), 0.0)
         vecs = np.linalg.eigh(kron_hamiltonian(prep.params))[1]
         overlaps = eigenstate_overlaps(embed_even_chain(projected.data[0]), vecs, 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10

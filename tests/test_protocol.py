@@ -7,7 +7,6 @@ import pytest
 from antizeno import protocol
 from antizeno.dynamics import BATCH_RUNS, QuantumState
 from antizeno.errors import NumericalError
-from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams, even_chain_hamiltonian
 from antizeno.protocol import (
     child_seeds,
@@ -63,7 +62,7 @@ class TestTwoPeriodSchedule:
             two_period_schedule(T1, ratio, 3)
         prep = prepare_model(resonant(0.5, n_max=10))
         with pytest.raises(ValueError, match="event times pass the float range"):
-            sweep_T1(prep, 3, [1.0, T1], ratio, MeasurementModel(0.0))
+            sweep_T1(prep, 3, [1.0, T1], ratio, 0.0)
 
     def test_schedule_type_validation(self):
         # a schedule stack is checked where it enters: run_survival and
@@ -71,7 +70,7 @@ class TestTwoPeriodSchedule:
         prep = prepare_model(resonant(0.5, n_max=10))
         for times in ([1.0, 1.0], [0.0, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                run_survival(prep, np.array(times)[None], MeasurementModel(0.0))
+                run_survival(prep, np.array(times)[None], 0.0)
             with pytest.raises(ValueError, match="strictly increasing"):
                 jitter_schedule(np.array(times)[None], 0.1, [1])
 
@@ -80,7 +79,7 @@ class TestTwoPeriodSchedule:
         prep = prepare_model(resonant(0.5, n_max=10))
         for times in ([1.0, bad, 3.0], [bad]):
             with pytest.raises(ValueError, match="finite"):
-                run_survival(prep, [times], MeasurementModel(0.0))
+                run_survival(prep, [times], 0.0)
             with pytest.raises(ValueError, match="finite"):
                 jitter_schedule([times], 0.1, [1])
 
@@ -331,14 +330,14 @@ class TestRunSurvival:
         sched = two_period_schedule(1.0, SQRT2, 3)
         shape = r"\(runs, N\) schedule stack \(run one schedule as times\[None\]\), got shape \(3,\)"
         with pytest.raises(ValueError, match=shape):
-            run_survival(prep, sched, MeasurementModel(0.0))
-        trace = run_survival(prep, sched[None], MeasurementModel(0.0))
+            run_survival(prep, sched, 0.0)
+        trace = run_survival(prep, sched[None], 0.0)
         assert trace.single.shape == trace.cumulative.shape == (1, 3)
 
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(
             prepare_model(resonant(0.0)), two_period_schedule(2.0, SQRT2, 6)[None],
-            MeasurementModel(0.0),
+            0.0,
         )
         assert np.allclose(trace.single[0], 1.0, atol=1e-12)
         assert np.allclose(trace.cumulative[0], 1.0, atol=1e-12)
@@ -346,7 +345,7 @@ class TestRunSurvival:
     def test_inert_detector(self):
         trace = run_survival(
             prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 6)[None],
-            MeasurementModel(1.0),
+            1.0,
         )
         assert np.allclose(trace.single[0], 1.0, atol=1e-12)
         assert np.allclose(trace.cumulative[0], 1.0, atol=1e-12)
@@ -355,7 +354,7 @@ class TestRunSurvival:
         trace = run_survival(
             prepare_model(resonant(1.0)),
             two_period_schedule(2 * np.pi, SQRT2, 8)[None],
-            MeasurementModel(0.0),
+            0.0,
         )
         ref = golden["survival_g1_wt1_2pi_n8"]
         assert np.allclose(trace.single[0], ref["single"], atol=1e-12)
@@ -365,22 +364,22 @@ class TestRunSurvival:
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_first_factor_is_ground_no_click(self, eps):
         prep = prepare_model(resonant(0.8))
-        trace = run_survival(prep, two_period_schedule(3.0, SQRT2, 3)[None], MeasurementModel(eps))
+        trace = run_survival(prep, two_period_schedule(3.0, SQRT2, 3)[None], eps)
         expected = eps + (1 - eps) * (1 - prep.ground.p_e)
         assert trace.single[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_cumulative_is_product_and_non_increasing(self):
         trace = run_survival(
             prepare_model(resonant(1.0)), two_period_schedule(2.0, SQRT2, 10)[None],
-            MeasurementModel(0.1),
+            0.1,
         )
         assert np.all(np.diff(trace.cumulative[0]) <= 0)
         assert np.allclose(trace.cumulative[0], np.cumprod(trace.single[0]), atol=1e-12)
 
     def test_deterministic(self):
         sched = two_period_schedule(2.0, SQRT2, 5)[None]
-        a = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
-        b = run_survival(prepare_model(resonant(0.7)), sched, MeasurementModel(0.1))
+        a = run_survival(prepare_model(resonant(0.7)), sched, 0.1)
+        b = run_survival(prepare_model(resonant(0.7)), sched, 0.1)
         assert np.array_equal(a.single, b.single)
         assert np.array_equal(a.cumulative, b.cumulative)
 
@@ -389,7 +388,7 @@ class TestRunSurvival:
         # density-matrix pipeline over the same schedule
         prep = prepare_model(resonant(1.0))
         sched = two_period_schedule(2 * np.pi, SQRT2, 8)
-        trace = run_survival(prep, sched[None], MeasurementModel(0.0))
+        trace = run_survival(prep, sched[None], 0.0)
 
         singles = full_space_singles(
             kron_hamiltonian(prep.params), embed_even_chain(prep.ground.even_chain), sched, 0.0,
@@ -407,8 +406,7 @@ class TestRunSurvival:
         schedules = jitter_schedule(
             copies(two_period_schedule(2 * np.pi, SQRT2, 10), 5), 0.2 * np.pi, [3, 4, 5, 6, 7]
         )
-        m = MeasurementModel(eps)
-        trace = run_survival(prep, schedules, m)
+        trace = run_survival(prep, schedules, eps)
         for row, sched in enumerate(schedules):
             singles = full_space_singles(h, embed_even_chain(prep.ground.even_chain), sched, eps)
             assert np.allclose(trace.single[row], singles, rtol=0, atol=1e-12)
@@ -427,7 +425,7 @@ class TestRunSurvival:
         prep = prepare_model(params)
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
         stack = jitter_times(base, jitter, 3, 11)
-        trace = run_survival(prep, stack, MeasurementModel(eps))
+        trace = run_survival(prep, stack, eps)
         h = even_chain_hamiltonian(params).matrix
         for row, times in enumerate(stack):
             expected = trajectory_survival(h, prep.ground.even_chain, times, eps)
@@ -440,11 +438,10 @@ class TestRunSurvival:
         runs = 2 * BATCH_RUNS["density"] + 1
         base = two_period_schedule(2 * np.pi, SQRT2, 12)
         schedules = jitter_schedule(copies(base, runs), 0.2 * np.pi, child_seeds(9, runs))
-        m = MeasurementModel(eps)
-        batch = run_survival(prep, schedules, m)
+        batch = run_survival(prep, schedules, eps)
         assert batch.single.shape == batch.cumulative.shape == (runs, 12)
         for row, sched in enumerate(schedules):
-            one = run_survival(prep, sched[None], m)
+            one = run_survival(prep, sched[None], eps)
             assert np.allclose(batch.single[row], one.single[0], rtol=0, atol=1e-14)
             assert np.allclose(batch.cumulative[row], one.cumulative[0], rtol=0, atol=1e-14)
 
@@ -458,18 +455,16 @@ class TestRunSurvival:
         ]
         stack = jitter_times(base, 0.2 * np.pi, runs, 5)
         assert np.array_equal(stack, schedules)
-        m = MeasurementModel(eps)
-        from_list = run_survival(prep, schedules, m)
-        from_array = run_survival(prep, stack, m)
+        from_list = run_survival(prep, schedules, eps)
+        from_array = run_survival(prep, stack, eps)
         for field in ("single", "cumulative"):
             assert np.array_equal(getattr(from_array, field), getattr(from_list, field))
 
     def test_array_stack_validation(self):
         prep = prepare_model(resonant(0.5))
-        m = MeasurementModel(0.0)
         for shape in [(0, 3), (3, 0), (0,), (), (2, 2, 2)]:
             with pytest.raises(ValueError, match="schedule stack"):
-                run_survival(prep, np.ones(shape), m)
+                run_survival(prep, np.ones(shape), 0.0)
         good = np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]])
         for row, col, value, match in [
             (1, 1, np.nan, "finite"),
@@ -481,16 +476,16 @@ class TestRunSurvival:
             bad = good.copy()
             bad[row, col] = value
             with pytest.raises(ValueError, match=match):
-                run_survival(prep, bad, m)
+                run_survival(prep, bad, 0.0)
 
     def test_stack_validation(self):
         prep = prepare_model(resonant(0.5))
         # a list of schedules is read as the array it spells
         with pytest.raises(ValueError, match="non-empty"):
-            run_survival(prep, [], MeasurementModel(0.0))
+            run_survival(prep, [], 0.0)
         uneven = [two_period_schedule(1.0, SQRT2, 3), two_period_schedule(1.0, SQRT2, 4)]
         with pytest.raises(ValueError):
-            run_survival(prep, uneven, MeasurementModel(0.0))
+            run_survival(prep, uneven, 0.0)
 
     def test_degenerate_ground_rejected(self):
         # omega0 = 0: the two parity sectors tie
@@ -498,7 +493,7 @@ class TestRunSurvival:
             run_survival(
                 prepare_model(ModelParams(1.0, 0.0, 0.5, 40)),
                 two_period_schedule(1.0, SQRT2, 2)[None],
-                MeasurementModel(0.0),
+                0.0,
             )
 
     def test_degeneracy_threshold_from_both_sides(self):
@@ -506,19 +501,19 @@ class TestRunSurvival:
         # ground state is unique and the protocol runs, just below it is not
         schedule = two_period_schedule(1.0, SQRT2, 2)[None]
         above = prepare_model(ModelParams(1.0, 2e-10, 0.0, 10))
-        assert not above.ground.degenerate
-        assert run_survival(above, schedule, MeasurementModel(0.1)).cumulative.tolist() == [[1.0, 1.0]]
+        assert above.ground.even_chain is not None
+        assert run_survival(above, schedule, 0.1).cumulative.tolist() == [[1.0, 1.0]]
         below = prepare_model(ModelParams(1.0, 5e-11, 0.0, 10))
         with pytest.raises(ValueError, match=r"gap 5\.000e-11 < DEGENERACY_GAP = 1e-10"):
-            run_survival(below, schedule, MeasurementModel(0.1))
+            run_survival(below, schedule, 0.1)
 
     def test_jc_tie_reports_its_gap(self):
         # the rotating-wave model at resonance ties across sectors at g = omega
         # with omega0 > 0, so the message states the gap rather than a cause
         prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20, "jc"))
-        assert prep.ground.degenerate and prep.ground.gap == 0.0
+        assert prep.ground.even_chain is None and prep.ground.gap == 0.0
         with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
-            run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], MeasurementModel(0.0))
+            run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], 0.0)
         assert "omega0" not in str(info.value)
 
     def test_chain_ground_refuses_a_tied_manifold(self):
@@ -569,13 +564,12 @@ def test_state_corrupted_mid_run_is_caught(monkeypatch, check):
     epsilon, corrupt, message = CORRUPTIONS[check]
     prep = prepare_model(resonant(0.5, n_max=20))
     times = np.tile(two_period_schedule(2 * np.pi, SQRT2, 4), (2, 1))
-    m = MeasurementModel(epsilon)
-    run_survival(prep, times, m)  # the clean run passes every check
+    run_survival(prep, times, epsilon)  # the clean run passes every check
     real = protocol.measure_no_click
     events = []
 
-    def corrupting(state, model):
-        prob, post = real(state, model)
+    def corrupting(state, epsilon):
+        prob, post = real(state, epsilon)
         events.append(post.kind)
         if len(events) == 2:
             post = _unchecked(post.kind, corrupt(np.array(post.data)))
@@ -583,7 +577,7 @@ def test_state_corrupted_mid_run_is_caught(monkeypatch, check):
 
     monkeypatch.setattr(protocol, "measure_no_click", corrupting)
     with pytest.raises(NumericalError, match=message):
-        run_survival(prep, times, m)
+        run_survival(prep, times, epsilon)
     assert events == ["pure" if epsilon == 0.0 else "density"] * 2
 
 
@@ -611,7 +605,7 @@ class TestEnsembleSurvival:
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
         stack = jitter_times(base, 0.0, 4, 42)
-        ens = ensemble_survival(prep, stack, MeasurementModel(0.0))
+        ens = ensemble_survival(prep, stack, 0.0)
         assert np.max(ens.single_std) == 0.0
         assert np.max(ens.cumulative_std) == 0.0
 
@@ -619,16 +613,29 @@ class TestEnsembleSurvival:
         prep = prepare_model(resonant(0.8))
         base = two_period_schedule(2.0, SQRT2, 5)
         stack = jitter_times(base, 0.0, 1, 42)
-        ens = ensemble_survival(prep, stack, MeasurementModel(0.0))
-        trace = run_survival(prep, base[None], MeasurementModel(0.0))
+        ens = ensemble_survival(prep, stack, 0.0)
+        trace = run_survival(prep, base[None], 0.0)
         assert np.allclose(ens.cumulative_mean, trace.cumulative[0], atol=1e-15)
         assert np.mean(ens.single_mean) == pytest.approx(np.mean(trace.single[0]), abs=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_moments_are_over_the_runs_of_one_trace(self, eps):
+        # each column's mean and std over the runs of run_survival's trace,
+        # the cumulative ones from the cumulative survival
+        prep = prepare_model(resonant(1.0))
+        stack = jitter_times(two_period_schedule(2 * np.pi, SQRT2, 8), 0.2 * np.pi, 6, 3)
+        ens = ensemble_survival(prep, stack, eps)
+        trace = run_survival(prep, stack, eps)
+        for moment, rows in (("single", trace.single), ("cumulative", trace.cumulative)):
+            assert np.array_equal(getattr(ens, f"{moment}_mean"), rows.mean(axis=0))
+            assert np.array_equal(getattr(ens, f"{moment}_std"), rows.std(axis=0))
+        assert not np.allclose(ens.cumulative_std, ens.single_std)
 
     def test_deterministic(self):
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 6)
         a, b = (
-            ensemble_survival(prep, jitter_times(base, 0.2 * np.pi, 5, 7), MeasurementModel(0.1))
+            ensemble_survival(prep, jitter_times(base, 0.2 * np.pi, 5, 7), 0.1)
             for _ in range(2)
         )
         assert np.array_equal(a.cumulative_mean, b.cumulative_mean)
@@ -639,7 +646,7 @@ class TestEnsembleSurvival:
         base = two_period_schedule(2 * np.pi, SQRT2, 8)
         stack = jitter_times(base, 0.2 * np.pi, 10, 1234)
         results = {
-            eps: ensemble_survival(prep, stack, MeasurementModel(eps))
+            eps: ensemble_survival(prep, stack, eps)
             for eps in (0.0, 0.1, 0.2)
         }
         for low, high in ((0.0, 0.1), (0.1, 0.2)):
@@ -657,9 +664,8 @@ class TestSharedDraws:
         for g in (0.4, 1.0):
             prep = prepare_model(resonant(g))
             for eps in (0.0, 0.1):
-                m = MeasurementModel(eps)
-                alone = ensemble_survival(prep, jitter_times(base, width, runs, seed), m)
-                paired = ensemble_survival(prep, shared, m)
+                alone = ensemble_survival(prep, jitter_times(base, width, runs, seed), eps)
+                paired = ensemble_survival(prep, shared, eps)
                 for field in ("single_mean", "single_std", "cumulative_mean", "cumulative_std"):
                     assert np.array_equal(getattr(paired, field), getattr(alone, field))
 
@@ -667,13 +673,12 @@ class TestSharedDraws:
         base = two_period_schedule(2.0, SQRT2, 5)
         prep = prepare_model(resonant(0.5))
         stack = jitter_times(base, 0.2, 4, 3)
-        m = MeasurementModel(0.0)
         for bad_stack in (stack[0], stack[None]):  # one row is not a stack
             with pytest.raises(ValueError, match="shape"):
-                ensemble_survival(prep, bad_stack, m)
+                ensemble_survival(prep, bad_stack, 0.0)
         # a nested list of times is read as the array it spells
-        from_list = ensemble_survival(prep, stack.tolist(), m)
-        from_array = ensemble_survival(prep, stack, m)
+        from_list = ensemble_survival(prep, stack.tolist(), 0.0)
+        from_array = ensemble_survival(prep, stack, 0.0)
         np.testing.assert_array_equal(from_list.cumulative_mean, from_array.cumulative_mean)
 
 
@@ -703,7 +708,7 @@ def ensemble_and_exact(config, g, omega_t1, n, width, runs, eps, oracle_width=No
     p = ModelParams(config.omega, config.omega0, g * config.omega, config.n_max)
     base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
     stack = jitter_times(base, width / config.omega, runs, config.seed)
-    ens = ensemble_survival(prepare_model(p), stack, MeasurementModel(eps))
+    ens = ensemble_survival(prepare_model(p), stack, eps)
     half_window = (width if oracle_width is None else oracle_width) / config.omega
     exact = jitter_mean_survival(p, base, half_window, eps)
     return ens.cumulative_mean, ens.cumulative_std / math.sqrt(runs), exact
@@ -740,33 +745,32 @@ class TestSweepT1:
     def test_broadcast_stack_matches_schedules(self):
         prep = prepare_model(resonant(0.7))
         values = 2 * np.pi * np.linspace(0.1, 5.0, 37)
-        m = MeasurementModel(0.0)
         schedules = [two_period_schedule(t1, SQRT2, 7) for t1 in values]
-        expected = float(np.mean(run_survival(prep, schedules, m).cumulative[:, -1]))
-        assert sweep_T1(prep, 7, values, SQRT2, m) == expected
+        expected = float(np.mean(run_survival(prep, schedules, 0.0).cumulative[:, -1]))
+        assert sweep_T1(prep, 7, values, SQRT2, 0.0) == expected
 
     def test_invalid_periods_rejected(self):
         for values in ([1.0, 0.0], [1.0, np.nan], [np.inf]):
             with pytest.raises(ValueError, match="T1"):
-                sweep_T1(prepare_model(resonant(0.5)), 3, values, SQRT2, MeasurementModel(0.0))
+                sweep_T1(prepare_model(resonant(0.5)), 3, values, SQRT2, 0.0)
         with pytest.raises(ValueError, match="ratio"):
-            sweep_T1(prepare_model(resonant(0.5)), 3, [1.0], -1.0, MeasurementModel(0.0))
+            sweep_T1(prepare_model(resonant(0.5)), 3, [1.0], -1.0, 0.0)
 
     def test_uncoupled_sweep_is_unity(self):
         values = 2 * np.pi * np.linspace(0.5, 2.0, 7)
-        mean = sweep_T1(prepare_model(resonant(0.0)), 4, values, SQRT2, MeasurementModel(0.0))
+        mean = sweep_T1(prepare_model(resonant(0.0)), 4, values, SQRT2, 0.0)
         assert mean == pytest.approx(1.0, abs=1e-12)
 
     def test_single_value_equals_final_survival(self):
         prep = prepare_model(resonant(0.9))
         t1 = 2 * np.pi * 0.7
-        mean = sweep_T1(prep, 6, [t1], SQRT2, MeasurementModel(0.0))
-        trace = run_survival(prep, two_period_schedule(t1, SQRT2, 6)[None], MeasurementModel(0.0))
+        mean = sweep_T1(prep, 6, [t1], SQRT2, 0.0)
+        trace = run_survival(prep, two_period_schedule(t1, SQRT2, 6)[None], 0.0)
         assert mean == pytest.approx(trace.cumulative[0, -1], abs=1e-15)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            sweep_T1(prepare_model(resonant(0.5)), 4, [], SQRT2, MeasurementModel(0.0))
+            sweep_T1(prepare_model(resonant(0.5)), 4, [], SQRT2, 0.0)
 
 
 class TestTruncatedSurvival:
@@ -785,5 +789,5 @@ class TestTruncatedSurvival:
         c0 = abs(prep.ground.even_chain[0])
         truncated = truncated_survival(c0, 8)
         t1_values = 2 * np.pi * np.linspace(0.1, 5.0, 100)
-        simulated = sweep_T1(prep, 8, t1_values, SQRT2, MeasurementModel(0.0))
+        simulated = sweep_T1(prep, 8, t1_values, SQRT2, 0.0)
         assert 0.5 <= simulated / truncated <= 2.0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
-from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams
 from antizeno import protocol
 from antizeno import runner as runner_module
@@ -86,9 +85,9 @@ class TestFig3Builder:
         swept = []
         real = runner_module.sweep_T1
 
-        def recording(prep, N, T1_values, ratio, m):
+        def recording(prep, N, T1_values, ratio, epsilon):
             swept.append(list(T1_values))
-            return real(prep, N, T1_values, ratio, m)
+            return real(prep, N, T1_values, ratio, epsilon)
 
         monkeypatch.setattr(runner_module, "sweep_T1", recording)
         cfg = replace(preset("fig3"), omega=2.0, omega_t1_values=(3.0, 1.0), g_values=(0.0, 0.5))
@@ -161,11 +160,10 @@ class TestFig4Builder:
         c = FIG4_PANELS["c"]
         base = protocol.two_period_schedule(c["omega_t1"] / cfg.omega, cfg.ratio, c["n"])
         times = protocol.jitter_times(base, c["jitter"] / cfg.omega, c["runs"], cfg.seed)
-        m = MeasurementModel(cfg.epsilon_values[0])
         expected = [
             np.mean(protocol.ensemble_survival(
                 protocol.prepare_model(ModelParams(cfg.omega, cfg.omega0, g * cfg.omega, cfg.n_max)),
-                times, m).single_mean)
+                times, cfg.epsilon_values[0]).single_mean)
             for g in runner_module.FIG4_PANEL_C_GRID
         ]
         assert c["n"] == 3

@@ -27,7 +27,6 @@ import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import FIG4_PANELS
-from antizeno.measurement import MeasurementModel
 from antizeno.model import ModelParams
 from antizeno.protocol import ensemble_survival, jitter_times, prepare_model, two_period_schedule
 from antizeno.runner import FIG4_PANEL_C_GRID
@@ -101,7 +100,7 @@ def test_seed_sweep_of_criteria_4_5_7_8():
             base = two_period_schedule(w, SQRT2, n)
             stack = jitter_times(base, width, REFERENCE_RUNS, REFERENCE_SEED)
             sigma[number, case] = ensemble_survival(
-                models[g], stack, MeasurementModel(eps)).cumulative_std
+                models[g], stack, eps).cumulative_std
     passed = {number: 0 for number in ENSEMBLES}
     largest_z = dict.fromkeys(exact, 0.0)
     beyond = []
@@ -111,7 +110,7 @@ def test_seed_sweep_of_criteria_4_5_7_8():
             for case, (g, w, n, width, runs, eps) in cases.items():
                 base = two_period_schedule(w, SQRT2, n)
                 stack = jitter_times(base, width, runs, seed)
-                ens = ensemble_survival(models[g], stack, MeasurementModel(eps))
+                ens = ensemble_survival(models[g], stack, eps)
                 ensembles[case] = ens
                 se = sigma[number, case] / math.sqrt(runs)
                 # z as beyond_5_se judges it: its 1e-12 covers rounding where
