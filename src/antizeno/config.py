@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .model import CHECKED_N_MAX_CAP, CUTOFF_CAP, CUTOFF_STEP, _is_finite, _is_number, _spectrum_fits
-from .protocol import jitter_keeps_order, two_period_schedule
+from .model import CUTOFF_CAP, CUTOFF_STEP, N_MAX_CAP, _is_finite, _is_number, _spectrum_fits
+from .protocol import _two_period_times, jitter_keeps_order
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
 
@@ -79,27 +79,27 @@ FIG4_PANELS = {
 }
 
 
-def _keeps_order(c, omega_t1: float, n: int, width: float) -> bool:
-    """Whether the two-period schedule of n events at omega*T1 = omega_t1,
-    shifted by up to omega*dt = width either way, stays finite and in order
-    in ns, with the schedule and half-window built as the runner builds them."""
+def _keeps_order(c, t1, n: int, width: float) -> bool:
+    """Whether the (len(t1), n) stack of two-period schedules at the periods
+    t1 (ns), each event shifted by up to omega*dt = width either way, stays
+    finite and in order, built by the protocol's own _two_period_times."""
     try:
-        times = two_period_schedule(omega_t1 / c.omega, c.ratio, n)
+        times = _two_period_times(np.array(t1, dtype=float), c.ratio, n)
     except ValueError:  # a period of 0 or infinity in ns, or times past the float range
         return False
     half_window = width / c.omega
-    return math.isfinite(float(times[-1]) + half_window) and jitter_keeps_order(times, half_window)
+    return math.isfinite(float(times[:, -1].max()) + half_window) and jitter_keeps_order(times, half_window)
 
 
 def _largest_model_fits(c) -> bool:
-    """Whether model's finite-spectrum rule holds for the largest model the
-    run solves: its largest coupling, built as the runner builds it, at the
-    largest cutoff it solves (n_max + CUTOFF_STEP for the cutoff check when
-    a coupling is above 0, CUTOFF_CAP under an automatic cutoff)."""
+    """Whether model's cap and finite-spectrum rule hold for the largest
+    model the run solves: the largest coupling, built as the runner builds
+    it, at n_max + CUTOFF_STEP (the cutoff check) when a coupling is above
+    0, at n_max when none is, or at CUTOFF_CAP under auto."""
     largest_g = max(c.g_values)
-    n_max = CUTOFF_CAP if c.n_max is None else c.n_max + (CUTOFF_STEP if largest_g > 0 else 0)
+    n = CUTOFF_CAP if c.n_max is None else c.n_max + (CUTOFF_STEP if largest_g > 0 else 0)
     omega = float(c.omega)
-    return _spectrum_fits(omega, float(c.omega0), float(largest_g) * omega, n_max)
+    return n <= N_MAX_CAP and _spectrum_fits(omega, float(c.omega0), float(largest_g) * omega, n)
 
 
 # The most grid steps or event times one input may ask for: larger grids and
@@ -109,10 +109,12 @@ MAX_POINTS = 10**6
 # What each experiment needs of its fields: (field, what, test), where
 # test(value, config) may read the rest of the config. validate enforces
 # every rule, so a bad shape is rejected before any eigensolve. The schedule
-# rules judge the schedules and windows exactly as the runner draws them.
+# rules judge the schedules and windows exactly as the runner draws them:
+# T1 = omega_t1 / omega in Python per ensemble, and as numpy divides floats
+# for fig3's sweep.
 _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width/omega below "
                 "the first event time and half of every interval)",
-                lambda width, c: all(_keeps_order(c, w, c.n_measurements, width)
+                lambda width, c: all(_keeps_order(c, [w / c.omega], c.n_measurements, width)
                                      for w in c.omega_t1_values))
 _STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)",
                lambda v, c: v * c.n_measurements <= MAX_POINTS)
@@ -128,12 +130,12 @@ INPUT_RULES = {
              ("omega_t1_values", "a sweep of at most 10^6 event times (omega_t1_values times "
               "n_measurements)", lambda v, c: len(v) * c.n_measurements <= MAX_POINTS),
              ("omega_t1_values", "periods whose schedules stay finite and increasing in ns",
-              lambda v, c: all(_keeps_order(c, w, c.n_measurements, 0.0) for w in v))],
+              lambda v, c: _keeps_order(c, [float(w) / c.omega for w in v], c.n_measurements, 0.0))],
     "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
               lambda v, c: min(v) > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("ratio", "a ratio at which no panel's jitter window can reorder events",
-              lambda r, c: all(_keeps_order(c, s["omega_t1"], s["n"], s["jitter"])
+              lambda r, c: all(_keeps_order(c, [s["omega_t1"] / c.omega], s["n"], s["jitter"])
                                for s in FIG4_PANELS.values()))],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
@@ -150,17 +152,19 @@ INPUT_RULES = {
 
 # What every experiment needs of its fields, as rows of the INPUT_RULES
 # shape. validate checks them in order before INPUT_RULES, so a test may
-# read the field of an earlier row (the n_max cap reads g_values, the last
-# row every field of the model).
+# read the field of an earlier row (the n_max cap reads every field of the
+# model).
 FIELD_RULES = [
     ("omega", "> 0", lambda v, c: v > 0),
     ("omega0", ">= 0", lambda v, c: v >= 0),
     ("g_values", "non-empty, >= 0 and finite in GHz (times omega)",
      lambda v, c: bool(v) and min(v) >= 0 and math.isfinite(float(max(v)) * c.omega)),
     ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
-    ("n_max", f"<= {CHECKED_N_MAX_CAP} when a coupling is > 0 (the cutoff check solves "
-              f"n_max + {CUTOFF_STEP})",
-     lambda v, c: v is None or max(c.g_values) == 0 or v <= CHECKED_N_MAX_CAP),
+    ("n_max", f"a cutoff at which the largest model the run solves has n <= {N_MAX_CAP} and a "
+              f"finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), "
+              f"at g = max(g_values)*omega and n = n_max + {CUTOFF_STEP} when a coupling is > 0 "
+              f"(the cutoff check), n_max when none is, or {CUTOFF_CAP} when automatic",
+     lambda v, c: _largest_model_fits(c)),
     ("omega_t1_values", "non-empty and > 0", lambda v, c: bool(v) and min(v) > 0),
     *((name, "free of repeated values", lambda v, c: len(set(v)) == len(v))
       for name in ("g_values", "omega_t1_values", "epsilon_values")),
@@ -174,10 +178,6 @@ FIELD_RULES = [
     ("time_max", ">= time_step", lambda v, c: v >= c.time_step),
     ("seed", ">= 0", lambda v, c: v >= 0),
     ("n_measurements", "at most 10^6", lambda v, c: v <= MAX_POINTS),
-    ("n_max", f"a cutoff at which the Gershgorin bound on the spectrum, 2*(omega*n_max + "
-              f"omega0/2 + 2*g*sqrt(n_max)) at g = max(g_values)*omega, is finite (the run solves "
-              f"n_max + {CUTOFF_STEP} when a coupling is > 0, or n_max = {CUTOFF_CAP} when automatic)",
-     lambda v, c: _largest_model_fits(c)),
 ]
 
 # The fields every experiment reads, and those each one reads on top.

@@ -38,7 +38,6 @@ from .numkit import HermitianOperator, hermitian_eig
 __all__ = [
     "DEGENERACY_GAP",
     "N_MAX_CAP",
-    "CHECKED_N_MAX_CAP",
     "CUTOFF_CAP",
     "CUTOFF_STEP",
     "CUTOFF_TOL",
@@ -65,9 +64,6 @@ N_MAX_CAP = 511
 # agree when the ground energy and p_e move by less than CUTOFF_TOL.
 CUTOFF_STEP = 10
 CUTOFF_TOL = 1e-8
-
-# Largest cutoff that leaves room for the check at n_max + CUTOFF_STEP.
-CHECKED_N_MAX_CAP = N_MAX_CAP - CUTOFF_STEP
 
 # converge_cutoff gives up at this n_max.
 CUTOFF_CAP = 200

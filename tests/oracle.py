@@ -244,6 +244,19 @@ def perturbative_c1(p):
     return -p.g / (p.omega + p.omega0)
 
 
+def weak_coupling_losses(times, omega, omega0, g):
+    """Per-event loss 1 - single_n of one run of the schedule ``times`` (ns)
+    from the ground state at epsilon = 0, to second order in g, computed
+    from the times alone. With Delta = omega + omega0, the counter-rotating
+    energy of |e,1> over |g,0>: the first loss is the ground-state p_e,
+    g**2/Delta**2, and after an interval tau_n it is
+    (4 g**2/Delta**2) sin**2(Delta tau_n / 2), since every no-click leaves
+    |g,0> plus O(g**2), from which |e,1> grows as (g/Delta)(1 - e^(-i Delta t))."""
+    delta = omega + omega0
+    intervals = np.diff(np.asarray(times, dtype=float))
+    return (g / delta) ** 2 * np.concatenate([[1.0], 4 * np.sin(delta * intervals / 2) ** 2])
+
+
 def eigenstate_overlaps(psi, eigenvectors, k):
     """Overlap probabilities |<E_i|psi>|^2 with the k lowest eigenstates."""
     return np.abs(eigenvectors[:, :k].conj().T @ psi) ** 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import antizeno
-from antizeno import cli, numkit, protocol
+from antizeno import cli, config as config_module, numkit, protocol
 from antizeno.cli import build_parser, main
 from antizeno.config import (
     EXPERIMENTS, FIELD_RULES, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
@@ -248,11 +248,12 @@ class TestCliRuns:
 
     def test_cutoff_check_bounds_n_max(self, tmp_path, capsys):
         # with a coupling > 0 the cutoff check also solves n_max + 10, and the
-        # full space allows n_max <= 511
+        # full space allows n <= 511
         out = tmp_path / "bad.csv"
         assert main(["--preset", "fig1", "--n-max", "502", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "n_max must be <= 501" in err and "cutoff check" in err
+        assert "n_max must be a cutoff at which the largest model the run solves has n <= 511" in err
+        assert "n = n_max + 10 when a coupling is > 0 (the cutoff check)" in err
         assert list(tmp_path.iterdir()) == []
         dataclasses.replace(preset("fig1"), n_max=501).validate()
         # without a coupling there is no cutoff check
@@ -561,7 +562,6 @@ BROKEN_FIELD_RULES = {
     ("time_max", ">= time_step"): (["--preset", "fig2"], {"time_max": 0.01}),
     ("seed", ">= 0"): (["--seed", "-1"], {}),
     ("n_measurements", "at most 10^6"): (["--n-measurements", "1000001"], {}),
-    ("n_max", FIELD_RULES[18][1]): (["--preset", "fig1", "--omega", "1e307", "--n-max", "12"], {}),
 }
 
 
@@ -618,6 +618,27 @@ def test_a_window_that_can_reorder_events_exits_2_before_any_solve(
     dataclasses.replace(cfg, jitter_width=float(np.nextafter(edge, 0.0))).validate()
     with pytest.raises(ValueError, match=f"^jitter_width: .* got {float(edge)!r}$"):
         dataclasses.replace(cfg, jitter_width=float(edge)).validate()
+
+
+@pytest.mark.parametrize("experiment,periods,stacks", [
+    ("fig3", tuple((2 * np.pi * np.linspace(0.1, 5.0, 10**5)).tolist()), [(10**5, 8)]),
+    ("fig5", (math.pi, 2 * math.pi, 3 * math.pi), [(1, 16)] * 3),
+], ids=["fig3", "fig5"])
+def test_order_rules_build_the_stacks_the_run_builds(monkeypatch, experiment, periods, stacks):
+    # fig3's sweep runs all its periods as one (periods, N) stack, and its
+    # rule judges that stack, built once; fig5 draws one schedule per
+    # period, and its rule builds no more. Every schedule, two_period_schedule
+    # included, is built by _two_period_times.
+    built, real = [], protocol._two_period_times
+
+    def counting(t1, ratio, n):
+        built.append((t1.size, n))
+        return real(t1, ratio, n)
+
+    for module in (protocol, config_module):
+        monkeypatch.setattr(module, "_two_period_times", counting)
+    dataclasses.replace(preset(experiment), omega_t1_values=periods).validate()
+    assert built == stacks
 
 
 def test_fig5_refuses_a_zero_coupling(tmp_path, capsys):

@@ -148,7 +148,8 @@ def test_extreme_configs_keep_the_exit_code_contract(tmp_path, capsys, experimen
 
 
 # What broke the exit-code contract, one case per finding (all found by
-# the fuzzer, at this seed or with more cases, but the schedule overflow):
+# the fuzzer, at this seed or with more cases, but the schedule overflow
+# and the zero-coupling cutoff cap):
 # the fields set over the small start, the exit code and what stderr says.
 FOUND = [
     # the survival protocol needs a unique ground state; below a gap of
@@ -172,15 +173,18 @@ FOUND = [
     # warning (a traceback under -W error) and exited 2 from numkit naming
     # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n)
     ("fig1", {"omega": 1e307, "n_max": 12}, 2,
-     "[antizeno.config]: n_max must be a cutoff at which the Gershgorin bound on the spectrum"),
-    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which the Gershgorin bound"),
+     "[antizeno.config]: n_max must be a cutoff at which the largest model the run solves"),
+    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which the largest model the run"),
     ("fig5", {"g_values": [1e308]}, 2,
-     "n_max must be a cutoff at which the Gershgorin bound on the spectrum, 2*(omega*n_max"),
+     "a finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), at g"),
     # finite entries whose spectrum passes the float range warned from
     # numpy in the ground-state solve, then exited 3 (a traceback under -W
     # error)
     ("fig1", {"omega": 7.7e306, "g_values": [0.5, 1, 4.5], "n_max": 12}, 2,
-     "[antizeno.config]: n_max must be a cutoff at which the Gershgorin bound on the spectrum"),
+     "[antizeno.config]: n_max must be a cutoff at which the largest model the run solves"),
+    # with no coupling above 0 a cutoff past the full space's 511 passed
+    # config and exited 2 from the model
+    ("survival", {"g_values": [0.0], "n_max": 600}, 2, "[antizeno.config]: n_max must be"),
     # JSON integers beyond int64 crashed numpy (a traceback); beyond the
     # float range they are not finite
     ("fig1", {"omega": 10**130}, 3, "numerical failure [antizeno.model]"),

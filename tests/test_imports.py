@@ -61,8 +61,7 @@ def test_readme_states_the_cutoff_rules():
     tol = f"{model.CUTOFF_TOL:.0e}".replace("e-0", "e-")
     for phrase in (
         f"stepping by {model.CUTOFF_STEP}", f"stable to {tol}", f"n_max = {model.CUTOFF_CAP}",
-        f"at most {model.N_MAX_CAP}", f"at most {model.CHECKED_N_MAX_CAP} when",
-        f"`n_max + {model.CUTOFF_STEP}`",
+        f"at most {model.N_MAX_CAP}", f"`n_max + {model.CUTOFF_STEP}`", "Gershgorin bound",
     ):
         assert phrase in section, phrase
 

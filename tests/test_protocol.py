@@ -22,7 +22,7 @@ from antizeno.config import FIG4_PANELS, preset
 from antizeno.runner import FIG4_PANEL_C_GRID
 from oracle import (
     beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, kron_hamiltonian,
-    trajectory_survival, truncated_survival,
+    trajectory_survival, truncated_survival, weak_coupling_losses,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -333,6 +333,21 @@ class TestRunSurvival:
             run_survival(prep, sched, 0.0)
         trace = run_survival(prep, sched[None], 0.0)
         assert trace.single.shape == trace.cumulative.shape == (1, 3)
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 1.7])
+    def test_weak_coupling_losses_per_run(self, omega0):
+        # every 1 - single_n against its second-order closed form, on and off
+        # resonance: within 1.5e-3 relative at g/omega = 1e-3 (6.8e-4 at
+        # worst), and the error is O(g**2) (about 100 times larger at 1e-2)
+        times = two_period_schedule(0.75 * np.pi, SQRT2, 8)
+        errors = []
+        for g in (1e-3, 1e-2):
+            prep = prepare_model(ModelParams(1.0, omega0, g, 10))
+            loss = 1.0 - run_survival(prep, times[None], 0.0).single[0]
+            exact = weak_coupling_losses(times, 1.0, omega0, g)
+            errors.append(np.max(np.abs(loss - exact) / exact))
+        assert errors[0] < 1.5e-3
+        assert 90 < errors[1] / errors[0] < 112
 
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(
