@@ -87,7 +87,7 @@ def _keeps_order(c, t1, n: int, width: float) -> bool:
         times = _two_period_times(np.array(t1, dtype=float), c.ratio, n)
     except ValueError:  # a period of 0 or infinity in ns, or times past the float range
         return False
-    half_window = width / c.omega
+    half_window = float(width) / float(c.omega)
     return math.isfinite(float(times[:, -1].max()) + half_window) and jitter_keeps_order(times, half_window)
 
 
@@ -108,34 +108,34 @@ MAX_POINTS = 10**6
 
 # What each experiment needs of its fields: (field, what, test), where
 # test(value, config) may read the rest of the config. validate enforces
-# every rule, so a bad shape is rejected before any eigensolve. The schedule
-# rules judge the schedules and windows exactly as the runner draws them:
-# T1 = omega_t1 / omega in Python per ensemble, and as numpy divides floats
-# for fig3's sweep.
+# every rule, so a bad shape is rejected before any eigensolve. Rules
+# multiply and divide Python floats and ints, so numpy scalars neither warn
+# nor wrap, and the schedule rules judge the periods and windows exactly as
+# the runner divides them: float(omega_t1) / float(omega).
 _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width/omega below "
                 "the first event time and half of every interval)",
-                lambda width, c: all(_keeps_order(c, [w / c.omega], c.n_measurements, width)
+                lambda width, c: all(_keeps_order(c, [float(w) / float(c.omega)], c.n_measurements, width)
                                      for w in c.omega_t1_values))
 _STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)",
-               lambda v, c: v * c.n_measurements <= MAX_POINTS)
+               lambda v, c: int(v) * int(c.n_measurements) <= MAX_POINTS)
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v)),
              ("time_max", "a grid of at most 10^6 steps (time_max / time_step)",
-              lambda v, c: v / c.time_step <= MAX_POINTS)],
+              lambda v, c: float(v) / float(c.time_step) <= MAX_POINTS)],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),
              ("omega_t1_values", "a sweep of at most 10^6 event times (omega_t1_values times "
-              "n_measurements)", lambda v, c: len(v) * c.n_measurements <= MAX_POINTS),
+              "n_measurements)", lambda v, c: len(v) * int(c.n_measurements) <= MAX_POINTS),
              ("omega_t1_values", "periods whose schedules stay finite and increasing in ns",
-              lambda v, c: _keeps_order(c, [float(w) / c.omega for w in v], c.n_measurements, 0.0))],
+              lambda v, c: _keeps_order(c, [float(w) / float(c.omega) for w in v], c.n_measurements, 0.0))],
     "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
               lambda v, c: min(v) > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("ratio", "a ratio at which no panel's jitter window can reorder events",
-              lambda r, c: all(_keeps_order(c, [s["omega_t1"] / c.omega], s["n"], s["jitter"])
+              lambda r, c: all(_keeps_order(c, [s["omega_t1"] / float(c.omega)], s["n"], s["jitter"])
                                for s in FIG4_PANELS.values()))],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
@@ -158,7 +158,7 @@ FIELD_RULES = [
     ("omega", "> 0", lambda v, c: v > 0),
     ("omega0", ">= 0", lambda v, c: v >= 0),
     ("g_values", "non-empty, >= 0 and finite in GHz (times omega)",
-     lambda v, c: bool(v) and min(v) >= 0 and math.isfinite(float(max(v)) * c.omega)),
+     lambda v, c: bool(v) and min(v) >= 0 and math.isfinite(float(max(v)) * float(c.omega))),
     ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
     ("n_max", f"a cutoff at which the largest model the run solves has n <= {N_MAX_CAP} and a "
               f"finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), "

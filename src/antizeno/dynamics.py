@@ -7,11 +7,11 @@ array operation per step: amplitude vectors of shape (runs, n) or density
 matrices of shape (runs, n, n). Chain site k carries an excited qubit for
 odd k (``model.even_chain_excited``).
 
-Pure states are evolved as V exp(-i E t) V^dagger psi without forming the
-propagator; density matrices get U rho U^dagger with one propagator per run.
-One spectral decomposition per parameter set is reused across all times, so
-each step costs O(dim^2) per pure run and O(dim^3) per density run, and
-each run may have its own time.
+``evolve`` builds each run's exp(-i H t) from the phases exp(-i E t) of one
+spectral decomposition per parameter set, reused across all times. Pure
+states get V exp(-i E t) V^dagger psi without forming it; density matrices
+get U rho U^dagger with U = V exp(-i E t) V^dagger. A step costs O(dim^2)
+per pure run and O(dim^3) per density run; each run may have its own time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numkit import SpectralDecomposition, hermitian_eig, propagator
+from .numkit import SpectralDecomposition, hermitian_eig
 from . import model as _model
 
 __all__ = ["QuantumState", "evolve", "excitation_probability", "excitation_trace", "BATCH_RUNS"]
@@ -110,12 +110,12 @@ def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
         raise ValueError(f"state dim {s.dim} does not match spectrum dim {spec.dim}")
     if t.shape != (s.runs,):
         raise ValueError(f"expected one time per run ({s.runs}), got shape {t.shape}")
+    v = spec.eigenvectors
+    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
     if s.kind == "pure":
         # rows are states: psi -> V (phases * V^dagger psi)
-        v = spec.eigenvectors
-        phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
         return QuantumState("pure", ((s.data @ v.conj()) * phases) @ v.T)
-    u = propagator(spec, t)
+    u = (v * phases[..., None, :]) @ v.conj().T  # one exp(-i H t) per run
     return QuantumState("density", u @ s.data @ u.conj().swapaxes(-1, -2))
 
 

@@ -1,5 +1,5 @@
 """Minimal dense linear algebra: Hermitian (or real symmetric)
-eigendecompositions and spectral propagators.
+eigendecompositions only; ``dynamics`` builds exp(-iHt) from them.
 
 Everything here is plain dense numpy. Composite dimensions in this package
 stay a few hundred at most, so dense LAPACK routines are both the simplest
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["HermitianOperator", "SpectralDecomposition", "hermitian_eig", "propagator"]
+__all__ = ["HermitianOperator", "SpectralDecomposition", "hermitian_eig"]
 
 
 def _freeze(a) -> np.ndarray:
@@ -74,18 +74,3 @@ def hermitian_eig(h: HermitianOperator) -> SpectralDecomposition:
             f"max|H|={np.max(np.abs(h.matrix)):.3e} ({exc})"
         ) from exc
     return SpectralDecomposition(vals, vecs)
-
-
-def propagator(spec: SpectralDecomposition, t) -> np.ndarray:
-    """Unitary ``exp(-i H t)`` assembled from the spectral decomposition of H.
-
-    Time is in ns, eigenvalues in GHz (hbar = 1), so the phases are
-    dimensionless. An array of times gives a stack of propagators, one per
-    time along a leading axis.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("propagation time must be finite")
-    v = spec.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
-    return (v * phases[..., None, :]) @ v.conj().T

@@ -144,10 +144,11 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
     Records under ``commensurate_no_jitter`` whether any schedule of the
     build runs jitter-free with commensurate periods (``_commensurate``).
     """
-    flagged = jitter == 0.0 and _commensurate(config.ratio)
+    half_window = float(jitter) / float(config.omega)  # ns, as config's rules divide it
+    flagged = half_window == 0.0 and _commensurate(config.ratio)
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
-    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
-    times = jitter_times(base, jitter / config.omega, runs, config.seed)
+    base = two_period_schedule(float(omega_t1) / float(config.omega), config.ratio, n)
+    times = jitter_times(base, half_window, runs, config.seed)
     blocks = []
     for g, eps in pairs:
         ens = ensemble_survival(prepare(g), times, eps)
@@ -191,7 +192,7 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    t1_values = np.asarray(config.omega_t1_values, dtype=float) / config.omega
+    t1_values = np.array([float(w) / float(config.omega) for w in config.omega_t1_values])
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(

@@ -250,18 +250,20 @@ def test_criterion_09_truncated_chain_oracle():
 
 def test_criterion_10_invariant_suite(tmp_path):
     from antizeno.model import even_chain_excited
-    from antizeno.numkit import HermitianOperator, hermitian_eig, propagator
+    from antizeno.dynamics import evolve
+    from antizeno.numkit import HermitianOperator, hermitian_eig
     from antizeno.measurement import measure_no_click
     from antizeno.config import ExperimentConfig
     from antizeno.runner import run
     from oracle import click_probability, kron_hamiltonian, parity_operator
 
-    # Hermiticity and unitarity
+    # Hermiticity, and unitarity of evolve's exp(-iHt): the basis batch
+    # evolved for t holds exp(-iHt)^T, row by row
     p = resonant(1.0)
     h = HermitianOperator(kron_hamiltonian(p))
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
     spec = hermitian_eig(h)
-    u = propagator(spec, 1.7)
+    u = evolve(spec, QuantumState("pure", np.eye(spec.dim)), np.full(spec.dim, 1.7)).data.T
     assert np.max(np.abs(u.conj().T @ u - np.eye(spec.dim))) <= 1e-10
 
     # parity conservation

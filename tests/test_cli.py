@@ -190,6 +190,19 @@ class TestFieldTypes:
     def test_numpy_scalars_are_accepted(self):
         ExperimentConfig(runs=np.int64(3), omega=np.float64(1.0), g_values=(np.float64(0.5),)).validate()
 
+    @pytest.mark.parametrize("config,field", [
+        (ExperimentConfig(omega=np.float64(1e-10), omega_t1_values=(1e300,)), "jitter_width"),
+        (ExperimentConfig(omega=np.float64(1e300), g_values=(1e10,)), "g_values"),
+        (dataclasses.replace(preset("fig2"), time_max=np.float64(1e300),
+                             time_step=np.float64(1e-300)), "time_max"),
+        (ExperimentConfig(runs=np.int64(2**62), g_values=(0.3,), n_max=12), "runs"),
+    ])
+    def test_numpy_scalars_past_a_bound_are_refused_without_a_warning(self, config, field):
+        # the rules multiply and divide Python numbers: a quotient or product
+        # past the float range is inf, and an int product does not wrap
+        with pytest.raises(ValueError, match=f"^{field}"):
+            config.validate()
+
 
 def small_survival_args(tmp_path, name="run.csv", fmt=None):
     args = [

@@ -161,6 +161,13 @@ def test_low_layers_import_no_higher_layer(name):
     assert _package_imports(name) <= LAYER_IMPORTS[name]
 
 
+def test_numkit_only_solves():
+    # free evolution belongs to dynamics.evolve; numkit exports the solve
+    from antizeno import numkit
+
+    assert set(numkit.__all__) == {"HermitianOperator", "SpectralDecomposition", "hermitian_eig"}
+
+
 def test_import_scan_sees_every_import_form():
     # the guard is only as good as its parser
     assert _package_imports("runner") >= {"analysis", "config", "dynamics", "protocol", "__version__"}

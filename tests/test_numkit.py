@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from antizeno.dynamics import QuantumState, evolve
 from antizeno.errors import NumericalError
 from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
-from antizeno.numkit import HermitianOperator, hermitian_eig, propagator
+from antizeno.numkit import HermitianOperator, hermitian_eig
 from oracle import field_operator, qubit_operator
 
 
@@ -11,6 +12,22 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator(a + a.conj().T)
+
+
+def density_batch(dim, runs):
+    """``runs`` random density matrices (seeds 0, 1, ...) as one batch."""
+    rhos = []
+    for seed in range(runs):
+        a = random_hermitian(dim, seed).matrix
+        rho = a @ a.conj().T
+        rhos.append(rho / np.trace(rho))
+    return QuantumState("density", np.array(rhos))
+
+
+def unitary(spec, t):
+    """exp(-iHt) as dynamics.evolve applies it: the basis batch evolved for
+    t holds its transpose, row by row."""
+    return evolve(spec, QuantumState("pure", np.eye(spec.dim)), np.full(spec.dim, t)).data.T
 
 
 class TestTensorProduct:
@@ -110,45 +127,68 @@ class TestHermitianEig:
 
 
 class TestPropagator:
+    """exp(-iHt) = V exp(-iEt) V^dagger from a hermitian_eig spectrum, as
+    dynamics.evolve applies it to pure batches (``unitary``) and to density
+    batches (U rho U^dagger, one time per run). A non-finite time is refused
+    by evolve (test_dynamics.py::TestEvolve::test_times_must_match_runs)."""
+
     def test_zero_time_is_identity(self):
         spec = hermitian_eig(random_hermitian(6, seed=2))
-        assert np.max(np.abs(propagator(spec, 0.0) - np.eye(6))) < 1e-12
+        assert np.max(np.abs(unitary(spec, 0.0) - np.eye(6))) < 1e-12
+        rho = density_batch(6, 3)
+        assert np.max(np.abs(evolve(spec, rho, np.zeros(3)).data - rho.data)) < 1e-12
 
     def test_two_level_closed_form(self):
+        # a full qubit period gives -1, a global phase that leaves every
+        # density matrix unchanged, coherences included
         omega0 = 1.7
         spec = hermitian_eig(HermitianOperator(0.5 * omega0 * np.diag([-1.0, 1.0])))
-        u = propagator(spec, 2 * np.pi / omega0)
-        assert np.max(np.abs(u + np.eye(2))) < 1e-12
+        assert np.max(np.abs(unitary(spec, 2 * np.pi / omega0) + np.eye(2))) < 1e-12
+        plus = QuantumState("pure", np.full((1, 2), np.sqrt(0.5))).promoted()
+        evolved = evolve(spec, plus, [2 * np.pi / omega0])
+        assert np.max(np.abs(evolved.data - plus.data)) < 1e-12
 
     def test_unitarity_and_reversibility(self):
         spec = hermitian_eig(random_hermitian(8, seed=13))
-        u = propagator(spec, 0.7)
+        u = unitary(spec, 0.7)
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
-        assert np.max(np.abs(u @ propagator(spec, -0.7) - np.eye(8))) <= 1e-10
+        assert np.max(np.abs(u @ unitary(spec, -0.7) - np.eye(8))) <= 1e-10
+        # the evolved basis projectors sum to U U^dagger, and evolve back
+        projectors = QuantumState("pure", np.eye(8)).promoted()
+        evolved = evolve(spec, projectors, np.full(8, 0.7))
+        assert np.max(np.abs(evolved.data.sum(axis=0) - np.eye(8))) <= 1e-10
+        back = evolve(spec, evolved, np.full(8, -0.7))
+        assert np.max(np.abs(back.data - projectors.data)) <= 1e-10
 
     def test_group_property(self):
         spec = hermitian_eig(random_hermitian(8, seed=21))
-        lhs = propagator(spec, 0.3) @ propagator(spec, 1.1)
-        rhs = propagator(spec, 1.4)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9
+        lhs = unitary(spec, 0.3) @ unitary(spec, 1.1)
+        assert np.max(np.abs(lhs - unitary(spec, 1.4))) <= 1e-9
+        first, second = np.array([1.1, 0.3, -0.5]), np.array([0.3, 1.1, 2.0])
+        rho = density_batch(8, 3)
+        twice = evolve(spec, evolve(spec, rho, first), second)
+        assert np.max(np.abs(twice.data - evolve(spec, rho, first + second).data)) <= 1e-9
 
     def test_against_series_exponential_oracle(self):
         # independent route: scaling-and-squaring Taylor series for exp(-iHt)
         h = random_hermitian(6, seed=17)
-        t = 0.37
-        squarings = 10
-        a = -1j * h.matrix * t / 2**squarings
-        term = np.eye(6, dtype=complex)
-        series = np.eye(6, dtype=complex)
-        for k in range(1, 30):
-            term = term @ a / k
-            series = series + term
-        for _ in range(squarings):
-            series = series @ series
-        u = propagator(hermitian_eig(h), t)
-        assert np.max(np.abs(u - series)) <= 1e-12
 
-    def test_rejects_non_finite_time(self):
-        spec = hermitian_eig(random_hermitian(2, seed=1))
-        with pytest.raises(ValueError, match="finite"):
-            propagator(spec, np.nan)
+        def series(t, squarings=10):
+            a = -1j * h.matrix * t / 2**squarings
+            term = np.eye(6, dtype=complex)
+            total = np.eye(6, dtype=complex)
+            for k in range(1, 30):
+                term = term @ a / k
+                total = total + term
+            for _ in range(squarings):
+                total = total @ total
+            return total
+
+        spec = hermitian_eig(h)
+        assert np.max(np.abs(unitary(spec, 0.37) - series(0.37))) <= 1e-12
+        times = np.array([0.37, -0.21, 0.9])
+        rho = density_batch(6, 3)
+        evolved = evolve(spec, rho, times)
+        for k, t in enumerate(times):
+            expected = series(t) @ rho.data[k] @ series(t).conj().T
+            assert np.max(np.abs(evolved.data[k] - expected)) <= 1e-12

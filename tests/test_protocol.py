@@ -18,8 +18,8 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from antizeno.config import FIG4_PANELS, preset
-from antizeno.runner import FIG4_PANEL_C_GRID
+from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
+from antizeno.runner import FIG4_PANEL_C_GRID, build_tables
 from oracle import (
     beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, kron_hamiltonian,
     trajectory_survival, truncated_survival, weak_coupling_losses,
@@ -348,6 +348,17 @@ class TestRunSurvival:
             errors.append(np.max(np.abs(loss - exact) / exact))
         assert errors[0] < 1.5e-3
         assert 90 < errors[1] / errors[0] < 112
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 1.7])
+    def test_runner_chi_n_follows_the_weak_coupling_law(self, omega0):
+        # the survival table's chi_n = (1 - single_n) / (g/omega)**2 on the
+        # same unjittered schedule, within the same 1.5e-3 relative
+        cfg = ExperimentConfig(omega0=omega0, g_values=(1e-3,), n_max=10, jitter_width=0.0, runs=1,
+                               omega_t1_values=(0.75 * np.pi,), n_measurements=8)
+        _, tables = build_tables(cfg)
+        exact = weak_coupling_losses(two_period_schedule(0.75 * np.pi, SQRT2, 8), 1.0, omega0, 1e-3)
+        chi_n = np.array(tables["data"]["chi_n"])
+        assert np.max(np.abs(chi_n - exact / 1e-3**2) / (exact / 1e-3**2)) < 1.5e-3
 
     def test_bare_vacuum_never_clicks(self):
         trace = run_survival(

@@ -251,6 +251,17 @@ class TestMetadata:
         metadata, _ = build_tables(cfg)
         assert metadata["commensurate_no_jitter"] is False
 
+    def test_flag_reads_the_window_drawn(self):
+        # jitter_width 5e-324 is > 0, but its half-window 5e-324 / omega in
+        # ns rounds to 0, so the runs are drawn jitter-free
+        cfg = ExperimentConfig(
+            experiment="survival", g_values=(0.3,), n_max=12, n_measurements=3, runs=2,
+            jitter_width=5e-324, omega=4.0, ratio=2.0,
+        )
+        metadata, tables = build_tables(cfg)
+        assert tables["data"]["single_std"] == [0.0, 0.0, 0.0]
+        assert metadata["commensurate_no_jitter"] is True
+
 
 class TestSharedJitterDraws:
     @pytest.fixture
