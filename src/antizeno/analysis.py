@@ -1,5 +1,4 @@
-"""Least-squares fits for the quadratic and exponential survival laws, and
-the rate-collapse diagnostic across measurement periods.
+"""Least-squares fits for the quadratic and exponential survival laws.
 
 Exponential fits run as linear least squares in log space: linearity needs
 no iterative optimizer, and R^2 is then naturally reported in log space.
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["FitResult", "CollapseResult", "fit_quadratic_origin", "fit_exponential", "collapse_slopes"]
+__all__ = ["FitResult", "fit_quadratic_origin", "fit_exponential"]
 
 # Survival values below this (exact underflow zeros included) are extinct:
 # exponential fits drop them (log-space blowup) and report the count.
@@ -41,15 +40,6 @@ class FitResult:
             raise ValueError(f"r_squared outside [0, 1]: {self.r_squared!r}")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
         object.__setattr__(self, "r_squared", float(min(max(self.r_squared, 0.0), 1.0)))
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    """Per-period exponential fits in t/T1 units (the decay rate is each
-    fit's ``coefficients["rate"]``) and the max/min ratio of those rates."""
-
-    fits: Mapping[float, FitResult]
-    rate_ratio: float
 
 
 def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
@@ -135,23 +125,3 @@ def fit_exponential(x, y) -> FitResult:
         float(np.max(np.abs(log_y - predicted))),
         n_dropped=n_dropped,
     )
-
-
-def collapse_slopes(traces: Mapping[float, tuple]) -> CollapseResult:
-    """Exponential fit of each survival curve against t/T1: ``traces`` maps
-    T1 to ``(times, survival)``, with times in the units of T1.
-
-    Returns the per-key fits and the max/min ratio of their decay rates;
-    similar rates across periods mean the decay per measurement is
-    period-independent.
-    """
-    if len(traces) < 2:
-        raise ValueError("need at least two periods to compare slopes")
-    fits = {
-        t1: fit_exponential(np.asarray(times, dtype=float) / t1, survival)
-        for t1, (times, survival) in traces.items()
-    }
-    rates = [fit.coefficients["rate"] for fit in fits.values()]
-    if min(rates) <= 0:
-        raise NumericalError(f"no rate ratio: a period's fitted decay rate is {min(rates)!r}")
-    return CollapseResult(fits, float(max(rates) / min(rates)))

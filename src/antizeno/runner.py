@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import FitResult, collapse_slopes, fit_exponential, fit_quadratic_origin
+from .analysis import FitResult, fit_exponential, fit_quadratic_origin
 from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig
 from .dynamics import excitation_trace
+from .errors import NumericalError
 from .measurement import measure_no_click
 from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
 from .protocol import (
@@ -250,22 +251,25 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     pair = [(config.g_values[0], config.epsilon_values[0])]
-    blocks = {
-        w: _ensemble_blocks(config, prepare, metadata, pair, omega_t1=w, n=config.n_measurements,
-                            jitter=config.jitter_width, runs=config.runs)[0]
-        for w in config.omega_t1_values
-    }
-    # in omega*t units, t/T1 = omega*t / (omega*T1), so key by omega*T1
-    collapse = collapse_slopes({w: (b["omega_t"], b["cumulative_mean"]) for w, b in blocks.items()})
-    metadata["exponential_fits"] = {
-        "data": [_fit_health(fit, omega_t1=float(w)) for w, fit in collapse.fits.items()]
-    }
+    blocks, health = [], []
+    for w in config.omega_t1_values:
+        block = _ensemble_blocks(config, prepare, metadata, pair, omega_t1=w, n=config.n_measurements,
+                                 jitter=config.jitter_width, runs=config.runs)[0]
+        # in omega*t units, t/T1 = omega*t / (omega*T1)
+        t_over_t1 = (np.asarray(block["omega_t"]) / w).tolist()
+        fit = fit_exponential(t_over_t1, block["cumulative_mean"])
+        blocks.append({**block, "omega_t1": float(w), "t_over_t1": t_over_t1,
+                       "rate_per_t_over_t1": fit.coefficients["rate"]})
+        health.append(_fit_health(fit, omega_t1=float(w)))
+    # similar rates across periods mean the decay per measurement is period-independent
+    rates = [block["rate_per_t_over_t1"] for block in blocks]
+    if min(rates) <= 0:
+        raise NumericalError(f"no rate ratio: a period's fitted decay rate is {min(rates)!r}")
+    metadata["exponential_fits"] = {"data": health}
     return {"data": _table(
         "omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
         "rate_per_t_over_t1 rate_ratio_max_min",
-        *({**b, "omega_t1": float(w), "t_over_t1": (np.asarray(b["omega_t"]) / w).tolist(),
-           "rate_per_t_over_t1": collapse.fits[w].coefficients["rate"],
-           "rate_ratio_max_min": collapse.rate_ratio} for w, b in blocks.items()),
+        *({**block, "rate_ratio_max_min": max(rates) / min(rates)} for block in blocks),
     )}
 
 

@@ -257,6 +257,20 @@ def weak_coupling_losses(times, omega, omega0, g):
     return (g / delta) ** 2 * np.concatenate([[1.0], 4 * np.sin(delta * intervals / 2) ** 2])
 
 
+def jitter_weak_coupling_losses(base, half_window, omega, omega0, g):
+    """``weak_coupling_losses`` averaged over the jitter: the mean per-event
+    loss 1 - single_n when every event of the schedule ``base`` (ns) moves
+    by an independent uniform draw within +-half_window. The first loss
+    does not depend on when it happens. After that, with
+    4 sin**2(x/2) = 2 (1 - cos x), both ends of interval tau_n jitter, and
+    the mean of cos(Delta (tau_n + d - d')) is
+    cos(Delta tau_n) sinc**2(Delta half_window), with sinc x = sin x / x."""
+    delta = omega + omega0
+    intervals = np.diff(np.asarray(base, dtype=float))
+    damping = np.sinc(delta * half_window / np.pi) ** 2  # numpy's sinc is sin(pi x)/(pi x)
+    return (g / delta) ** 2 * np.concatenate([[1.0], 2 * (1 - np.cos(delta * intervals) * damping)])
+
+
 def eigenstate_overlaps(psi, eigenvectors, k):
     """Overlap probabilities |<E_i|psi>|^2 with the k lowest eigenstates."""
     return np.abs(eigenvectors[:, :k].conj().T @ psi) ** 2

@@ -3,13 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from antizeno.analysis import collapse_slopes, fit_exponential, fit_quadratic_origin
+from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.errors import NumericalError
-
-
-def synthetic_trace(times, cumulative):
-    """A survival curve as ``collapse_slopes`` takes it: (times, cumulative)."""
-    return np.asarray(times, dtype=float), np.asarray(cumulative, dtype=float)
 
 
 class TestFitQuadraticOrigin:
@@ -141,64 +136,6 @@ class TestFitExponential:
     def test_one_point_above_underflow_zeros_rejected(self):
         with pytest.raises(NumericalError, match=r"extinction floor .*\(2 dropped\)"):
             fit_exponential([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
-
-
-class TestCollapseSlopes:
-    def test_identical_traces(self):
-        times = np.linspace(1.0, 8.0, 8)
-        cumulative = np.exp(-0.2 * times)
-        traces = {1.0: synthetic_trace(times, cumulative), 1.0 + 1e-9: synthetic_trace(times, cumulative)}
-        result = collapse_slopes(traces)
-        assert result.rate_ratio == pytest.approx(1.0, rel=1e-6)
-
-    def test_constructed_collapse(self):
-        # e^{-0.2 t/T1} for two different T1 collapses to equal rates
-        traces = {}
-        for t1 in (1.0, 2.0):
-            times = t1 * np.arange(1.0, 9.0)
-            traces[t1] = synthetic_trace(times, np.exp(-0.2 * times / t1))
-        result = collapse_slopes(traces)
-        assert list(result.fits) == [1.0, 2.0]
-        for fit in result.fits.values():
-            assert fit.coefficients["rate"] == pytest.approx(0.2, rel=1e-12)
-            assert fit.n_dropped == 0
-            assert fit.residual_max <= 1e-12
-        assert result.rate_ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_keeps_each_fits_extinct_count(self):
-        # the period whose survival underflows drops those events, and its
-        # fit says how many
-        times = np.arange(1.0, 9.0)
-        extinct = np.exp(-0.2 * times)
-        extinct[-3:] = 0.0
-        result = collapse_slopes({
-            1.0: synthetic_trace(times, np.exp(-0.2 * times)),
-            2.0: synthetic_trace(2.0 * times, extinct),
-        })
-        assert [fit.n_dropped for fit in result.fits.values()] == [0, 3]
-        assert result.fits[2.0].coefficients["rate"] == pytest.approx(0.2, rel=1e-12)
-
-    def test_a_flat_period_leaves_no_rate_ratio(self):
-        # a survival that never decays fits the rate -0.0
-        times = np.arange(1.0, 6.0)
-        with pytest.raises(NumericalError, match="no rate ratio: .* rate is -0.0"):
-            collapse_slopes({1.0: synthetic_trace(times, np.ones(5)),
-                             2.0: synthetic_trace(2.0 * times, np.exp(-times))})
-
-    def test_needs_two_keys(self):
-        times = np.arange(1.0, 5.0)
-        with pytest.raises(ValueError, match="two periods"):
-            collapse_slopes({1.0: synthetic_trace(times, np.exp(-times))})
-
-
-def test_survival_trace_helper_is_consistent():
-    # the synthetic curve must be a cumulative survival: the product of
-    # per-event no-click probabilities in (0, 1]
-    times = np.arange(1.0, 6.0)
-    _, cumulative = synthetic_trace(times, np.exp(-0.3 * times))
-    singles = cumulative / np.concatenate([[1.0], cumulative[:-1]])
-    assert np.all((singles > 0) & (singles <= 1))
-    assert np.allclose(np.cumprod(singles), cumulative, atol=1e-12)
 
 
 @pytest.mark.parametrize("fit", [fit_quadratic_origin, fit_exponential])

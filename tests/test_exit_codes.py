@@ -234,6 +234,17 @@ def test_what_the_fuzzer_found(tmp_path, capsys, experiment, fields, code, messa
     assert message in capsys.readouterr().err
 
 
+def test_a_flat_period_leaves_no_rate_ratio(tmp_path, capsys):
+    # at g/omega = 1e-200 no period's survival decays, so a fitted rate is
+    # -0.0 and fig5 refuses the max/min ratio of its periods' rates
+    out = tmp_path / "x.csv"
+    assert main(["--preset", "fig5", "--g", "1e-200", "--n-max", "12", "--n-measurements", "4",
+                 "--runs", "2", "--out", str(out)]) == 3
+    assert ("antizeno: numerical failure [antizeno.runner]: no rate ratio: "
+            "a period's fitted decay rate is -0.0\n") == capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_zero_splitting_has_no_ground_state_to_start_from(tmp_path, capsys, experiment):
     # omega0 = 0 ties the two parity sectors at every coupling; fig1 reports

@@ -168,6 +168,14 @@ def test_numkit_only_solves():
     assert set(numkit.__all__) == {"HermitianOperator", "SpectralDecomposition", "hermitian_eig"}
 
 
+def test_analysis_only_fits():
+    # each fitted column is a fit of cells written beside it, made by the
+    # builder that writes them; analysis exports the fits alone
+    from antizeno import analysis
+
+    assert set(analysis.__all__) == {"FitResult", "fit_quadratic_origin", "fit_exponential"}
+
+
 def test_import_scan_sees_every_import_form():
     # the guard is only as good as its parser
     assert _package_imports("runner") >= {"analysis", "config", "dynamics", "protocol", "__version__"}

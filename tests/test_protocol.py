@@ -21,8 +21,9 @@ from antizeno.protocol import (
 from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
 from antizeno.runner import FIG4_PANEL_C_GRID, build_tables
 from oracle import (
-    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival, kron_hamiltonian,
-    trajectory_survival, truncated_survival, weak_coupling_losses,
+    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival,
+    jitter_weak_coupling_losses, kron_hamiltonian, trajectory_survival, truncated_survival,
+    weak_coupling_losses,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -348,6 +349,22 @@ class TestRunSurvival:
             errors.append(np.max(np.abs(loss - exact) / exact))
         assert errors[0] < 1.5e-3
         assert 90 < errors[1] / errors[0] < 112
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("n,width", [(8, 0.2 * np.pi), (3, 0.3 * np.pi)],
+                             ids=["8-events", "fig4c"])
+    def test_weak_coupling_losses_jitter_averaged(self, omega0, n, width):
+        # the ensemble mean of every 1 - single_n after the first, over 2000
+        # jittered runs at g/omega = 1e-3, within 5 standard errors of the
+        # closed form averaged over the window (2.9 at worst); drawn from a
+        # half-width or one-sided window, every case misses it by 49 or more
+        runs = 2000
+        base = two_period_schedule(0.75 * np.pi, SQRT2, n)
+        prep = prepare_model(ModelParams(1.0, omega0, 1e-3, 10))
+        ens = ensemble_survival(prep, jitter_times(base, width, runs, 11), 0.0)
+        exact = jitter_weak_coupling_losses(base, width, 1.0, omega0, 1e-3)
+        se = ens.single_std / math.sqrt(runs)
+        assert not beyond_5_se(1.0 - ens.single_mean, se, exact)[1:].any()
 
     @pytest.mark.parametrize("omega0", [0.5, 1.0, 1.7])
     def test_runner_chi_n_follows_the_weak_coupling_law(self, omega0):

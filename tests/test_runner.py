@@ -1,14 +1,17 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
 from antizeno.model import ModelParams
 from antizeno import protocol
 from antizeno import runner as runner_module
-from antizeno.runner import build_tables
+from antizeno.runner import build_tables, run
 
 
 def columns_of(tables, name="data"):
@@ -20,6 +23,29 @@ def n_rows(table):
     lengths = {len(cells) for cells in table.values()}
     assert len(lengths) == 1, lengths
     return lengths.pop()
+
+
+def row_groups(table, key):
+    """(value, rows) for each value of column ``key`` in order of first
+    appearance; rows is the table restricted to the rows holding it."""
+    return [(value, {name: [c for c, k in zip(cells, table[key]) if k == value]
+                     for name, cells in table.items()})
+            for value in dict.fromkeys(table[key])]
+
+
+def read_csv_output(path):
+    """(metadata, table) of one CSV output file, read back from disk: the
+    ``# key = json`` header lines and every cell as a float."""
+    metadata, rows = {}, []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, sep, value = line[2:].partition(" = ")
+            if sep:
+                metadata[key] = json.loads(value)
+        else:
+            rows.append(line.split(","))
+    header, *cells = rows
+    return metadata, {name: [float(c) for c in column] for name, column in zip(header, zip(*cells))}
 
 
 class TestFig2Builder:
@@ -187,10 +213,19 @@ class TestFig5Builder:
         health = metadata["exponential_fits"]["data"]
         assert [f["omega_t1"] for f in health] == [math.pi, 2 * math.pi]
         assert all(f["n_dropped"] == 0 and f["residual_max"] >= 0 for f in health)
-        ratios = set(table["rate_ratio_max_min"])
-        assert len(ratios) == 1  # global ratio repeated on every row
         t_over_t1 = table["t_over_t1"][:6]
         assert all(b > a for a, b in zip(t_over_t1, t_over_t1[1:]))
+        # bit for bit, per period: t_over_t1 is omega_t / omega_t1 and the
+        # rate is the exponential fit of the rows' own t_over_t1 and
+        # cumulative_mean cells; every row holds the one max/min rate ratio
+        rates = []
+        for w, rows in row_groups(table, "omega_t1"):
+            assert rows["t_over_t1"] == [t / w for t in rows["omega_t"]]
+            fit = fit_exponential(rows["t_over_t1"], rows["cumulative_mean"])
+            assert set(rows["rate_per_t_over_t1"]) == {fit.coefficients["rate"]}
+            rates.append(fit.coefficients["rate"])
+        assert min(rates) < max(rates)
+        assert set(table["rate_ratio_max_min"]) == {max(rates) / min(rates)}
 
     def test_single_period_rejected(self):
         # the rate collapse compares the decay rates of at least two periods
@@ -200,6 +235,70 @@ class TestFig5Builder:
         )
         with pytest.raises(ValueError, match="at least two periods"):
             build_tables(cfg)
+
+
+class TestFitsRefitFromTheirFiles:
+    """Every fitted coefficient, r^2 and fit-health entry a preset writes is
+    the fit of the cells written beside it: each CSV table is read back from
+    disk and refitted, and must match bit for bit."""
+
+    @staticmethod
+    def written(tmp_path, name):
+        """The preset's CSV files, read back and keyed by file stem."""
+        paths = run(replace(preset(name), out=str(tmp_path / f"{name}.csv"))).paths
+        return {Path(path).stem: read_csv_output(path) for path in paths}
+
+    @staticmethod
+    def assert_refit(rows, fit, columns, health):
+        """Each of ``columns`` (table column -> coefficient name, or
+        "r_squared") holds the refit's value on every row, and ``health`` is
+        the refit's n_dropped and residual_max."""
+        for column, coefficient in columns.items():
+            value = fit.r_squared if coefficient == "r_squared" else fit.coefficients[coefficient]
+            assert set(rows[column]) == {value}, column
+        assert (health["n_dropped"], health["residual_max"]) == (fit.n_dropped, fit.residual_max)
+
+    def test_fig1(self, tmp_path):
+        metadata, table = self.written(tmp_path, "fig1")["fig1"]
+        fit = fit_quadratic_origin(table["g_over_omega"], table["p_e"])
+        self.assert_refit(table, fit, {"lambda_fit": "lam", "r_squared": "r_squared"},
+                          *metadata["quadratic_fits"]["data"])
+
+    def test_fig3(self, tmp_path):
+        metadata, table = self.written(tmp_path, "fig3")["fig3"]
+        fit = fit_exponential(np.array(table["g_over_omega"]) ** 2, table["mean_final_survival"])
+        self.assert_refit(table, fit, {"gaussian_rate": "rate", "gaussian_r_squared": "r_squared"},
+                          *metadata["exponential_fits"]["data"])
+
+    def test_fig4(self, tmp_path):
+        files = self.written(tmp_path, "fig4")
+        assert set(files) == {"fig4_a", "fig4_b", "fig4_c"}
+        metadata, table = files["fig4_b"]
+        groups = row_groups(table, "g_over_omega")
+        health = metadata["exponential_fits"]["b"]
+        couplings = list(preset("fig4").g_values)
+        assert [g for g, _ in groups] == [h["g_over_omega"] for h in health] == couplings
+        for (_, rows), entry in zip(groups, health):
+            fit = fit_exponential(rows["event"], rows["cumulative_mean"])
+            self.assert_refit(rows, fit, {"fit_rate": "rate", "fit_r_squared": "r_squared"}, entry)
+        metadata, table = files["fig4_c"]
+        loss = 1.0 - np.array(table["mean_single_survival"])
+        fit = fit_quadratic_origin(table["g_over_omega"], loss)
+        self.assert_refit(table, fit, {"chi_bar_fit": "lam", "r_squared": "r_squared"},
+                          *metadata["quadratic_fits"]["c"])
+
+    def test_fig5(self, tmp_path):
+        metadata, table = self.written(tmp_path, "fig5")["fig5"]
+        groups = row_groups(table, "omega_t1")
+        health = metadata["exponential_fits"]["data"]
+        periods = list(preset("fig5").omega_t1_values)
+        assert [w for w, _ in groups] == [h["omega_t1"] for h in health] == periods
+        rates = []
+        for (_, rows), entry in zip(groups, health):
+            fit = fit_exponential(rows["t_over_t1"], rows["cumulative_mean"])
+            self.assert_refit(rows, fit, {"rate_per_t_over_t1": "rate"}, entry)
+            rates.append(fit.coefficients["rate"])
+        assert set(table["rate_ratio_max_min"]) == {max(rates) / min(rates)}
 
 
 class TestFig6Builder:
