@@ -3,8 +3,8 @@ round-trip (de)serialization.
 
 All couplings are given as dimensionless g/omega, periods as dimensionless
 omega*T1 and jitter as dimensionless omega*dt, matching how every output
-table reports times as omega*t. Frequencies are in GHz and internal times in
-ns (hbar = 1).
+table reports times as omega*t (hbar = 1). A run builds each model in units of
+omega with ``model_params``, at the couplings ``couplings`` lists.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .model import CUTOFF_CAP, CUTOFF_STEP, N_MAX_CAP, _is_finite, _is_number, _spectrum_fits
+from .model import CUTOFF_CAP, CUTOFF_STEP, CUTOFF_TOL, N_MAX_CAP, ModelParams, _is_finite, _is_number
 from .protocol import _two_period_times, jitter_keeps_order
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "FORMATS", "preset", "PRESET_NAMES"]
@@ -77,29 +77,39 @@ FIG4_PANELS = {
     "b": {"omega_t1": 0.75 * math.pi, "n": 20, "jitter": 0.2 * math.pi, "runs": 20},
     "c": {"omega_t1": 0.75 * math.pi, "n": 3, "jitter": 0.3 * math.pi, "runs": 200},
 }
+FIG4_PANEL_C_GRID = tuple(i / 10 for i in range(11))  # panel (c) couplings g/omega
 
 
-def _keeps_order(c, t1, n: int, width: float) -> bool:
-    """Whether the (len(t1), n) stack of two-period schedules at the periods
-    t1 (ns), each event shifted by up to omega*dt = width either way, stays
-    finite and in order, built by the protocol's own _two_period_times."""
+def couplings(c) -> tuple[float, ...]:
+    """The couplings g/omega a build of c solves (fig4's panel-c grid too)."""
+    return (*c.g_values, *FIG4_PANEL_C_GRID) if c.experiment == "fig4" else c.g_values
+
+
+def model_params(c, g: float, n_max: int) -> ModelParams:
+    """The model a build of c solves at g/omega and n_max, in units of omega."""
+    return ModelParams(1.0, float(c.omega0) / float(c.omega), float(g), n_max)
+
+
+def largest_model(c) -> ModelParams:
+    """The largest model a build of c solves: its largest coupling at n_max + CUTOFF_STEP
+    (the cutoff check) when above 0, else at n_max; at CUTOFF_CAP under auto."""
+    g = max(couplings(c))
+    return model_params(c, g, CUTOFF_CAP if c.n_max is None else int(c.n_max) + CUTOFF_STEP * (g > 0))
+
+
+def _exists(build, c) -> bool:
+    """Whether the model accepts build(c); omega 0 (an earlier row) divides by 0."""
     try:
-        times = _two_period_times(np.array(t1, dtype=float), c.ratio, n)
-    except ValueError:  # a period of 0 or infinity in ns, or times past the float range
+        return bool(build(c))
+    except (ValueError, ArithmeticError):
         return False
-    half_window = float(width) / float(c.omega)
-    return math.isfinite(float(times[:, -1].max()) + half_window) and jitter_keeps_order(times, half_window)
 
 
-def _largest_model_fits(c) -> bool:
-    """Whether model's cap and finite-spectrum rule hold for the largest
-    model the run solves: the largest coupling, built as the runner builds
-    it, at n_max + CUTOFF_STEP (the cutoff check) when a coupling is above
-    0, at n_max when none is, or at CUTOFF_CAP under auto."""
-    largest_g = max(c.g_values)
-    n = CUTOFF_CAP if c.n_max is None else c.n_max + (CUTOFF_STEP if largest_g > 0 else 0)
-    omega = float(c.omega)
-    return n <= N_MAX_CAP and _spectrum_fits(omega, float(c.omega0), float(largest_g) * omega, n)
+def _schedules(c) -> list[tuple]:
+    """(periods omega*T1, events, half-window omega*dt) of each stack a build draws."""
+    if c.experiment == "fig4":
+        return [((s["omega_t1"],), s["n"], s["jitter"]) for s in FIG4_PANELS.values()]
+    return [(c.omega_t1_values, int(c.n_measurements), float(c.jitter_width))]
 
 
 # The most grid steps or event times one input may ask for: larger grids and
@@ -110,12 +120,20 @@ MAX_POINTS = 10**6
 # test(value, config) may read the rest of the config. validate enforces
 # every rule, so a bad shape is rejected before any eigensolve. Rules
 # multiply and divide Python floats and ints, so numpy scalars neither warn
-# nor wrap, and the schedule rules judge the periods and windows exactly as
-# the runner divides them: float(omega_t1) / float(omega).
-_KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width/omega below "
-                "the first event time and half of every interval)",
-                lambda width, c: all(_keeps_order(c, [float(w) / float(c.omega)], c.n_measurements, width)
-                                     for w in c.omega_t1_values))
+# nor wrap, and the schedule rules judge the stacks the runner draws, in
+# omega*t. The phase rule keeps eps_mach of the largest phase under CUTOFF_TOL;
+# it runs first, so the order rule builds only finite schedules.
+_IN_ORDER = lambda v, c: all(jitter_keeps_order(  # noqa: E731
+    _two_period_times(np.array(t1, dtype=float), c.ratio, n), w) for t1, n, w in _schedules(c))
+_KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width below the first "
+                "event time and half of every interval)", _IN_ORDER)
+_PHASES = ("schedules whose phases the run resolves: (last event time + half-window, in omega*t) times "
+           "the largest model's Gershgorin spread, which grows with omega0/omega and g/omega, below "
+           "CUTOFF_TOL/eps_mach (about 4.5e7)",
+           lambda v, c: max(float(max(t1)) * (n - n // 2 + n // 2 * float(c.ratio)) + w
+                            for t1, n, w in _schedules(c)) * largest_model(c).spread
+           < CUTOFF_TOL / np.finfo(float).eps)
+_RESOLVED = ("omega_t1_values", *_PHASES)
 _STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)",
                lambda v, c: int(v) * int(c.n_measurements) <= MAX_POINTS)
 INPUT_RULES = {
@@ -129,42 +147,39 @@ INPUT_RULES = {
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),
              ("omega_t1_values", "a sweep of at most 10^6 event times (omega_t1_values times "
               "n_measurements)", lambda v, c: len(v) * int(c.n_measurements) <= MAX_POINTS),
-             ("omega_t1_values", "periods whose schedules stay finite and increasing in ns",
-              lambda v, c: _keeps_order(c, [float(w) / float(c.omega) for w in v], c.n_measurements, 0.0))],
+             _RESOLVED, ("omega_t1_values", "periods whose schedules stay increasing", _IN_ORDER)],
     "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
               lambda v, c: min(v) > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
-             ("ratio", "a ratio at which no panel's jitter window can reorder events",
-              lambda r, c: all(_keeps_order(c, [s["omega_t1"] / float(c.omega)], s["n"], s["jitter"])
-                               for s in FIG4_PANELS.values()))],
+             ("ratio", *_PHASES),
+             ("ratio", "a ratio at which no panel's jitter window can reorder events", _IN_ORDER)],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("omega_t1_values", "at least two periods for the rate collapse",
               lambda v, c: len(v) >= 2),
              ("n_measurements", "at least 2 events for the per-period fits", lambda v, c: v >= 2),
-             _STACK_SIZE, _KEEPS_ORDER],
+             _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
     "fig6": [("g_values", "exactly one coupling", lambda v, c: len(v) == 1),
              ("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-             _STACK_SIZE, _KEEPS_ORDER],
+             _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-                 _STACK_SIZE, _KEEPS_ORDER],
+                 _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
 }
 
 # What every experiment needs of its fields, as rows of the INPUT_RULES
 # shape. validate checks them in order before INPUT_RULES, so a test may
-# read the field of an earlier row (the n_max cap reads every field of the
-# model).
+# read the field of an earlier row (the omega0 and n_max rows build models
+# with model_params), and no test raises on a config an earlier row refuses.
 FIELD_RULES = [
     ("omega", "> 0", lambda v, c: v > 0),
-    ("omega0", ">= 0", lambda v, c: v >= 0),
-    ("g_values", "non-empty, >= 0 and finite in GHz (times omega)",
-     lambda v, c: bool(v) and min(v) >= 0 and math.isfinite(float(max(v)) * float(c.omega))),
+    ("omega0", ">= 0 and finite over omega", lambda v, c: _exists(lambda c: model_params(c, 0.0, 1), c)),
+    ("g_values", "non-empty and >= 0", lambda v, c: bool(v) and min(v) >= 0),
     ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
     ("n_max", f"a cutoff at which the largest model the run solves has n <= {N_MAX_CAP} and a "
               f"finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), "
-              f"at g = max(g_values)*omega and n = n_max + {CUTOFF_STEP} when a coupling is > 0 "
-              f"(the cutoff check), n_max when none is, or {CUTOFF_CAP} when automatic",
-     lambda v, c: _largest_model_fits(c)),
+              f"at g = the largest coupling the run solves, in units of omega, and n = n_max + "
+              f"{CUTOFF_STEP} when a coupling is > 0 (the cutoff check), n_max when none is, or "
+              f"{CUTOFF_CAP} when automatic", lambda v, c: _exists(largest_model, c)),
     ("omega_t1_values", "non-empty and > 0", lambda v, c: bool(v) and min(v) > 0),
     *((name, "free of repeated values", lambda v, c: len(set(v)) == len(v))
       for name in ("g_values", "omega_t1_values", "epsilon_values")),
@@ -208,7 +223,7 @@ class ExperimentConfig:
 
     experiment: str = "survival"
     # model
-    omega: float = 1.0          # resonator frequency (GHz)
+    omega: float = 1.0          # resonator frequency (GHz; a run reads omega0/omega)
     omega0: float = 1.0         # qubit splitting (GHz)
     g_values: tuple[float, ...] = (1.0,)   # couplings as g/omega
     n_max: int | None = 40      # Fock cutoff; None = converge automatically

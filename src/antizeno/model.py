@@ -79,13 +79,6 @@ def _is_finite(value) -> bool:
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _spectrum_fits(omega: float, omega0: float, g: float, n_max: int) -> bool:
-    """Whether no entry, eigenvalue or eigenvalue difference at cutoff n_max
-    passes the float range: the Gershgorin bound on the spectrum's spread,
-    2*(omega*n_max + omega0/2 + 2*g*sqrt(n_max)), in Python floats (no warning)."""
-    return math.isfinite(2 * (omega * n_max + 0.5 * omega0 + 2 * g * math.sqrt(n_max)))
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """The whole model: resonator frequency, qubit splitting, coupling
@@ -109,13 +102,19 @@ class ModelParams:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if self.n_max > N_MAX_CAP:
             raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max!r}")
-        if not _spectrum_fits(self.omega, self.omega0, self.g, int(self.n_max)):
+        if not math.isfinite(self.spread):
             raise ValueError(f"Hamiltonian spectrum passes the float range (omega={self.omega!r}, "
                              f"omega0={self.omega0!r}, g={self.g!r}, n_max={self.n_max!r})")
         if self.kind not in HAMILTONIAN_KINDS:
             raise ValueError(
                 f"unknown Hamiltonian kind {self.kind!r}; expected one of {HAMILTONIAN_KINDS}"
             )
+
+    @property
+    def spread(self) -> float:
+        """Gershgorin bound on the spectrum's spread, in Python floats (an overflow is inf)."""
+        n = int(self.n_max)
+        return 2 * (self.omega * n + 0.5 * self.omega0 + 2 * self.g * math.sqrt(n))
 
 
 @dataclass(frozen=True)

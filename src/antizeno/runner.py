@@ -1,14 +1,15 @@
 """Execute an ExperimentConfig and emit plot-ready CSV or JSON.
 
-Every output file embeds a metadata header with the exact configuration
-(JSON, round-trippable), the random generator name, the seed-mixing rule,
-the Fock cutoff actually used and, where a table has fits, what each fit
-dropped and its largest residual. Outputs contain no timestamps
-or environment state, so a fixed (config, seed) reproduces files byte for
-byte. Files are written atomically (temp file + rename) and only after the
-whole experiment has completed; a multi-file set is renamed into place only
-once every file of it is written, so no partial file or set survives a
-failure.
+A build works in units of omega: it solves ``config.model_params`` at
+``config.couplings`` and draws every time in omega*t. Every output file
+embeds a metadata header with the exact configuration (JSON,
+round-trippable), the random generator name, the seed-mixing rule, the Fock
+cutoff actually used and, where a table has fits, what each fit dropped and
+its largest residual. Outputs contain no timestamps or environment state, so
+a fixed (config, seed) reproduces files byte for byte. Files are written
+atomically (temp file + rename) and only after the whole experiment has
+completed; a multi-file set is renamed into place only once every file of it
+is written, so no partial file or set survives a failure.
 
 Column schemas are fixed per experiment kind and documented in the README.
 The fig4 preset produces three panel tables: in CSV mode they are written to
@@ -27,21 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config as config_module
 from .analysis import FitResult, fit_exponential, fit_quadratic_origin
-from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig
+from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig, couplings, model_params
 from .dynamics import excitation_trace
 from .errors import NumericalError
 from .measurement import measure_no_click
-from .model import CUTOFF_STEP, CUTOFF_TOL, ModelParams, assert_cutoff_converged, converge_cutoff
+from .model import CUTOFF_STEP, CUTOFF_TOL, assert_cutoff_converged, converge_cutoff
 from .protocol import (
     PreparedModel, ensemble_survival, jitter_times, prepare_model, sweep_T1, two_period_schedule,
 )
 
 __all__ = ["RunResult", "run", "build_tables", "read_config_header"]
-
-# fig4 panel (c) couplings; FIG4_PANELS holds the panel schedules
-FIG4_PANEL_C_GRID = tuple(i / 10 for i in range(11))
 
 GENERATOR_NOTE = "numpy PCG64; per-run seeds = SeedSequence(seed).generate_state(runs, uint64)"
 
@@ -54,17 +52,6 @@ class RunResult:
     paths: list[str]
 
 
-def _model_params(config: ExperimentConfig, g_over_omega: float, n_max: int) -> ModelParams:
-    return ModelParams(config.omega, config.omega0, float(g_over_omega) * config.omega, n_max)
-
-
-def _resolve_cutoff(config: ExperimentConfig, solved: dict) -> int:
-    """Fixed cutoff from the config, or the converged cutoff over the g grid."""
-    if config.n_max is not None:
-        return config.n_max
-    return max(converge_cutoff(_model_params(config, g, CUTOFF_STEP), solved) for g in config.g_values)
-
-
 def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
     """Run the experiment; return (metadata, tables keyed by name).
 
@@ -75,7 +62,8 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     """
     config.validate()
     solved: dict = {}  # the ground states of this build: no model is solved twice
-    n_max = _resolve_cutoff(config, solved)
+    n_max = config.n_max if config.n_max is not None else max(  # auto: converged at every coupling
+        converge_cutoff(model_params(config, g, CUTOFF_STEP), solved) for g in couplings(config))
     models: dict[float, PreparedModel] = {}
 
     def prepare(g: float) -> PreparedModel:
@@ -83,14 +71,14 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         experiment but fig1 starts from the ground state, so it refuses a
         degenerate ground manifold."""
         if g not in models:
-            models[g] = prepare_model(_model_params(config, g, n_max), solved)
+            models[g] = prepare_model(model_params(config, g, n_max), solved)
             if models[g].ground.even_chain is None and config.experiment != "fig1":
                 raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
                                  f"coupling it runs; g/omega = {g!r} has a gap of "
                                  f"{models[g].ground.gap:.3e}, below DEGENERACY_GAP")
         return models[g]
 
-    largest_g = max(config.g_values)
+    largest_g = max(couplings(config))
     if largest_g > 0:
         assert_cutoff_converged(prepare(largest_g).params, solved)
 
@@ -145,11 +133,10 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
     Records under ``commensurate_no_jitter`` whether any schedule of the
     build runs jitter-free with commensurate periods (``_commensurate``).
     """
-    half_window = float(jitter) / float(config.omega)  # ns, as config's rules divide it
-    flagged = half_window == 0.0 and _commensurate(config.ratio)
+    base = two_period_schedule(float(omega_t1), config.ratio, n)
+    times = jitter_times(base, float(jitter), runs, config.seed)
+    flagged = _commensurate(config.ratio) and bool(np.all(times == base))  # no draw moved an event
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
-    base = two_period_schedule(float(omega_t1) / float(config.omega), config.ratio, n)
-    times = jitter_times(base, half_window, runs, config.seed)
     blocks = []
     for g, eps in pairs:
         ens = ensemble_survival(prepare(g), times, eps)
@@ -157,7 +144,7 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *
             "g_over_omega": float(g),
             "epsilon": float(eps),
             "event": list(range(1, n + 1)),
-            "omega_t": (config.omega * base).tolist(),
+            "omega_t": base.tolist(),
             "single_mean": ens.single_mean.tolist(),
             "single_std": ens.single_std.tolist(),
             "cumulative_mean": ens.cumulative_mean.tolist(),
@@ -187,17 +174,16 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     for g in config.g_values:
         prep = prepare(g)
         _, initial = measure_no_click(prep.chain_ground(1), 0.0)
-        values = excitation_trace(prep.params, initial, omega_t / config.omega)
+        values = excitation_trace(prep.params, initial, omega_t)
         table[FIG2_COLUMN.format(g)] = values.tolist()
     return {"data": table}
 
 
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    t1_values = np.array([float(w) / float(config.omega) for w in config.omega_t1_values])
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     g = np.asarray(config.g_values, dtype=float)
     mean_final = np.array(
-        [sweep_T1(prepare(gi), config.n_measurements, t1_values, config.ratio,
+        [sweep_T1(prepare(gi), config.n_measurements, config.omega_t1_values, config.ratio,
                   config.epsilon_values[0]) for gi in g]
     )
     fit = fit_exponential(g**2, mean_final)
@@ -235,7 +221,7 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     )
 
     # panel c: mean single-event survival vs coupling, quadratic law
-    grid = np.asarray(FIG4_PANEL_C_GRID, dtype=float)
+    grid = np.asarray(config_module.FIG4_PANEL_C_GRID, dtype=float)
     pbar = np.array([np.mean(block["single_mean"]) for block in panel("c", grid)])
     fit = fit_quadratic_origin(grid, 1.0 - pbar)
     table_c = _table(

@@ -19,12 +19,14 @@ import json
 import math
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from antizeno.cli import main
 from antizeno.config import ALWAYS_READ, EXPERIMENTS, READ_SETS, ExperimentConfig, preset
+from antizeno.model import ModelParams, assert_cutoff_converged
+from antizeno.runner import build_tables
 
 SEED = 20261019
 CASES = 100  # per experiment
@@ -148,47 +150,66 @@ def test_extreme_configs_keep_the_exit_code_contract(tmp_path, capsys, experimen
 
 
 # What broke the exit-code contract, one case per finding (all found by
-# the fuzzer, at this seed or with more cases, but the schedule overflow
-# and the zero-coupling cutoff cap):
+# the fuzzer, at this seed or with more cases, but the schedule overflow,
+# the zero-coupling cutoff cap and the three cutoff cases at the end):
 # the fields set over the small start, the exit code and what stderr says.
+# Runs are in units of omega, so an extreme omega acts only through
+# omega0/omega.
 FOUND = [
     # the survival protocol needs a unique ground state; below a gap of
-    # DEGENERACY_GAP it exited 2 without naming a field
-    ("fig4", {"omega": 1e-19}, 2, "[antizeno.runner]: g_values: fig4 needs a unique ground state"),
+    # DEGENERACY_GAP it exited 2 without naming a field. At omega 1e-19
+    # (omega0/omega = 1e19) no phase of a schedule is resolved, which the
+    # phase rule refuses before any solve
+    ("fig4", {"omega": 1e-19}, 2, "[antizeno.config]: ratio: fig4 needs schedules whose phases"),
     ("fig5", {"omega0": 1e-300}, 2,
      "g_values: fig5 needs a unique ground state at every coupling it runs; g/omega = 1.0 has"),
     # schedules that collapse (a tiny ratio) or overflow (a huge omega_t1
     # over a tiny omega) exited 2 from the protocol, or (fig4) named the
-    # internal jitter width
+    # internal jitter width. In omega*t the 1e300 period does not
+    # overflow, and the phase rule refuses it before the solve, which
+    # reports a false parity leak at omega0/omega = 1e215
     ("fig3", {"ratio": 1e-272}, 2, "omega_t1_values: fig3 needs periods whose schedules stay"),
     ("fig4", {"ratio": 1e-300}, 2, "ratio: fig4 needs a ratio at which no panel's jitter window"),
     ("fig4", {"ratio": 0.5}, 2, "ratio: fig4 needs a ratio at which no panel's jitter window"),
-    ("survival", {"omega": 1e-215, "omega_t1_values": [1e300]}, 2, "jitter_width: survival needs"),
-    # an overflowing schedule warned from numpy while validation refused it
-    ("survival", {"omega": 1e-10, "ratio": 1e300}, 2, "jitter_width: survival needs"),
-    # a coupling that overflows in GHz exited 2 naming the model's "g"
+    ("survival", {"omega": 1e-215, "omega_t1_values": [1e300]}, 2,
+     "omega_t1_values: survival needs schedules whose phases the run resolves"),
+    # an overflowing schedule warned from numpy while validation refused it;
+    # in omega*t its phases are past resolution
+    ("survival", {"omega": 1e-10, "ratio": 1e300}, 2,
+     "omega_t1_values: survival needs schedules whose phases the run resolves"),
+    # a coupling that overflowed in GHz exited 2 naming the model's "g"; in
+    # units of omega, g/omega = 1e10 over omega0/omega = 1e-300 ties the two
+    # parity sectors
     ("fig2", {"omega": 1e300, "g_values": [1e10]}, 2,
-     "g_values must be non-empty, >= 0 and finite in GHz (times omega), got (10000000000.0,)"),
+     "[antizeno.runner]: g_values: fig2 needs a unique ground state at every coupling it runs; "
+     "g/omega = 10000000000.0 has a gap of"),
     # Hamiltonian entries past the float range printed numpy's overflow
     # warning (a traceback under -W error) and exited 2 from numkit naming
-    # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n)
-    ("fig1", {"omega": 1e307, "n_max": 12}, 2,
-     "[antizeno.config]: n_max must be a cutoff at which the largest model the run solves"),
-    ("fig6", {"omega": 1.7e308}, 2, "n_max must be a cutoff at which the largest model the run"),
+    # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n).
+    # In units of omega, fig1 at omega0/omega = 1e-307 runs (its tied
+    # manifolds report the averaged p_e), and fig6 there has no unique
+    # ground state
+    ("fig1", {"omega": 1e307, "n_max": 12}, 0, ""),
+    ("fig6", {"omega": 1.7e308}, 2, "[antizeno.runner]: g_values: fig6 needs a unique ground state"),
     ("fig5", {"g_values": [1e308]}, 2,
      "a finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), at g"),
     # finite entries whose spectrum passes the float range warned from
     # numpy in the ground-state solve, then exited 3 (a traceback under -W
-    # error)
-    ("fig1", {"omega": 7.7e306, "g_values": [0.5, 1, 4.5], "n_max": 12}, 2,
-     "[antizeno.config]: n_max must be a cutoff at which the largest model the run solves"),
+    # error); in units of omega its g/omega = 4.5 is truly unconverged at
+    # n_max 12
+    ("fig1", {"omega": 7.7e306, "g_values": [0.5, 1, 4.5], "n_max": 12}, 3,
+     "[antizeno.model]: Fock cutoff n_max=12 not converged to 1e-08: dE=2.681e+00"),
     # with no coupling above 0 a cutoff past the full space's 511 passed
     # config and exited 2 from the model
     ("survival", {"g_values": [0.0], "n_max": 600}, 2, "[antizeno.config]: n_max must be"),
     # JSON integers beyond int64 crashed numpy (a traceback); beyond the
-    # float range they are not finite
-    ("fig1", {"omega": 10**130}, 3, "numerical failure [antizeno.model]"),
-    ("survival", {"omega0": 10**31}, 2, "g_values: survival needs a unique ground state"),
+    # float range they are not finite. In units of omega the first runs,
+    # and the second's omega0/omega leaves no phase of its schedule resolved
+    ("fig1", {"omega": 10**130}, 0, ""),
+    ("survival", {"omega0": 10**31}, 2,
+     "omega_t1_values: survival needs schedules whose phases the run resolves: (last event time "
+     "+ half-window, in omega*t) times the largest model's Gershgorin spread, which grows with "
+     "omega0/omega and g/omega, below CUTOFF_TOL/eps_mach (about 4.5e7), got (6.283185307179586,)"),
     ("fig1", {"omega": 10**400}, 2, "[antizeno.config]: omega must be finite, got 1000"),
     # couplings whose squares underflow to one value gave numpy's singular
     # least-squares error as exit 2
@@ -207,9 +228,10 @@ FOUND = [
     # no field
     ("fig1", {"g_values": [1e-300, 2e-300, 3e-300]}, 3,
      "numerical failure [antizeno.analysis]: every x**4 underflows to 0"),
-    # a least-squares solve that overflows printed numpy's warnings first
-    ("fig5", {"n_measurements": 2, "ratio": 1.5e226}, 3,
-     "numerical failure [antizeno.analysis]: exponential fit breaks down in least squares"),
+    # a least-squares solve that overflows printed numpy's warnings first;
+    # its schedule's phases are past resolution
+    ("fig5", {"n_measurements": 2, "ratio": 1.5e226}, 2,
+     "omega_t1_values: fig5 needs schedules whose phases the run resolves"),
     # schedules too large to allocate ended in numpy's memory error (a
     # traceback) while validation built them, or in the jitter draw; a count
     # beyond any array exited 2 from the protocol naming no field, or blamed
@@ -223,6 +245,14 @@ FOUND = [
     ("fig6", {"runs": 10**30}, 2, "runs: fig6 needs a jitter stack of at most 10^6 event times"),
     ("survival", {"n_measurements": 10**30, "jitter_width": 0}, 2,
      "n_measurements must be at most 10^6"),
+    # fig4 runs panel c up to g/omega = 1, but the cutoff check read only
+    # max(g_values) and let an unconverged cutoff through (exit 0)
+    ("fig4", {"g_values": [0.1, 0.2, 0.3], "n_max": 10}, 3,
+     "[antizeno.model]: Fock cutoff n_max=10 not converged to 1e-08"),
+    # CUTOFF_TOL is absolute, so in GHz the rounding of a 1e10 GHz model
+    # failed the cutoff check (dE=9.537e-07, exit 3)
+    ("survival", {"omega": 1e10, "omega0": 1e10, "g_values": [0.3], "n_max": 40,
+                  "n_measurements": 3, "runs": 2}, 0, ""),
 ]
 
 
@@ -232,6 +262,14 @@ def test_what_the_fuzzer_found(tmp_path, capsys, experiment, fields, code, messa
     config = {**small_start(experiment, tmp_path), **fields}
     assert run_config(config, tmp_path) == code
     assert message in capsys.readouterr().err
+
+
+def test_auto_cutoff_converges_every_coupling_fig4_solves():
+    # the auto cutoff searched g_values alone and picked n_max 10, at which
+    # panel c's g/omega = 1 is not converged
+    config = replace(preset("fig4"), g_values=(0.1, 0.2, 0.3), n_max=None)
+    n_max = build_tables(config)[0]["cutoff_used"]
+    assert_cutoff_converged(ModelParams(1.0, 1.0, 1.0, n_max))
 
 
 def test_a_flat_period_leaves_no_rate_ratio(tmp_path, capsys):

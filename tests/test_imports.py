@@ -195,8 +195,10 @@ def _public_functions(name: str):
 
 
 def test_protocol_takes_times_in_ns():
-    # every time and jitter window enters protocol in ns; converting omega*t
-    # to ns is the caller's step, so no public function takes omega
+    # every time and jitter window enters protocol in the model's time unit
+    # (ns for a model in GHz; omega*t for the runner's models, built in
+    # units of omega); choosing the unit is the caller's step, so no public
+    # function takes omega
     functions = list(_public_functions("protocol"))
     takes_omega = [
         node.name for node in functions

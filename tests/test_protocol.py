@@ -18,8 +18,8 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
-from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
-from antizeno.runner import FIG4_PANEL_C_GRID, build_tables
+from antizeno.config import FIG4_PANEL_C_GRID, FIG4_PANELS, ExperimentConfig, preset
+from antizeno.runner import build_tables
 from oracle import (
     beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival,
     jitter_weak_coupling_losses, kron_hamiltonian, trajectory_survival, truncated_survival,

@@ -96,7 +96,7 @@ def breaks_an_input_rule(cfg, name):
 @pytest.fixture
 def small(monkeypatch, tmp_path):
     monkeypatch.setattr(runner_module, "FIG4_PANELS", TINY_FIG4_PANELS)
-    monkeypatch.setattr(runner_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
+    monkeypatch.setattr(config_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
     return {e: replace(cfg, out=str(tmp_path / "run.csv")) for e, cfg in SMALL.items()}
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
-from antizeno.config import FIG4_PANELS, ExperimentConfig, preset
+from antizeno.config import FIG4_PANELS, PRESET_NAMES, ExperimentConfig, largest_model, preset
 from antizeno.model import ModelParams
+from antizeno import config as config_module
 from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables, run
@@ -107,18 +108,19 @@ class TestFig3Builder:
         assert survival == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_sweeps_the_periods_it_is_given(self, monkeypatch):
-        # the builder hands omega_t1_values / omega to sweep_T1, in order
+        # the builder hands omega_t1_values to sweep_T1 as they are, in
+        # order, with each model in units of omega (omega0/omega = 0.5)
         swept = []
         real = runner_module.sweep_T1
 
         def recording(prep, N, T1_values, ratio, epsilon):
-            swept.append(list(T1_values))
+            swept.append((prep.params.omega, prep.params.omega0, prep.params.g, list(T1_values)))
             return real(prep, N, T1_values, ratio, epsilon)
 
         monkeypatch.setattr(runner_module, "sweep_T1", recording)
         cfg = replace(preset("fig3"), omega=2.0, omega_t1_values=(3.0, 1.0), g_values=(0.0, 0.5))
         build_tables(cfg)
-        assert swept == [[1.5, 0.5], [1.5, 0.5]]
+        assert swept == [(1.0, 0.5, 0.0, [3.0, 1.0]), (1.0, 0.5, 0.5, [3.0, 1.0])]
 
     def test_single_coupling_rejected(self):
         cfg = ExperimentConfig(experiment="fig3", g_values=(0.5,), n_max=16)
@@ -152,7 +154,7 @@ class TestFig4Builder:
                 "c": {"omega_t1": 0.75 * math.pi, "n": 2, "jitter": 0.3 * math.pi, "runs": 3},
             },
         )
-        monkeypatch.setattr(runner_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
+        monkeypatch.setattr(config_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
 
     def test_three_panels(self, tiny_panels):
         cfg = ExperimentConfig(experiment="fig4", g_values=(0.5, 1.0), n_max=20)
@@ -190,7 +192,7 @@ class TestFig4Builder:
             np.mean(protocol.ensemble_survival(
                 protocol.prepare_model(ModelParams(cfg.omega, cfg.omega0, g * cfg.omega, cfg.n_max)),
                 times, cfg.epsilon_values[0]).single_mean)
-            for g in runner_module.FIG4_PANEL_C_GRID
+            for g in config_module.FIG4_PANEL_C_GRID
         ]
         assert c["n"] == 3
         assert tables["c"]["mean_single_survival"] == pytest.approx(expected, rel=0, abs=1e-12)
@@ -351,8 +353,8 @@ class TestMetadata:
         assert metadata["commensurate_no_jitter"] is False
 
     def test_flag_reads_the_window_drawn(self):
-        # jitter_width 5e-324 is > 0, but its half-window 5e-324 / omega in
-        # ns rounds to 0, so the runs are drawn jitter-free
+        # jitter_width 5e-324 is > 0, but every shift it draws rounds away
+        # against event times of order 1, so the runs are drawn jitter-free
         cfg = ExperimentConfig(
             experiment="survival", g_values=(0.3,), n_max=12, n_measurements=3, runs=2,
             jitter_width=5e-324, omega=4.0, ratio=2.0,
@@ -409,7 +411,7 @@ def test_fig4_prepares_each_coupling_once(monkeypatch):
     monkeypatch.setattr(runner_module, "prepare_model", counting)
     cfg = preset("fig4")
     build_tables(cfg)
-    distinct = set(cfg.g_values) | set(runner_module.FIG4_PANEL_C_GRID)
+    distinct = set(cfg.g_values) | set(config_module.FIG4_PANEL_C_GRID)
     assert len(distinct) == 13
     assert len(couplings) == len(set(couplings)) == 13
 
@@ -436,11 +438,12 @@ def test_cutoff_check_reuses_the_prepared_ground_state(monkeypatch, name, solves
     assert dims.count(2 * (40 + 10 + 1)) == 1
 
 
-@pytest.mark.parametrize("name,solves", [("fig1", 210), ("fig3", 34), ("fig4", 30)])
+@pytest.mark.parametrize("name,solves", [("fig1", 210), ("fig3", 34), ("fig4", 40)])
 def test_auto_cutoff_solves_each_model_once(monkeypatch, name, solves):
     # the cutoff search, the cutoff check and prepare share one memo of solved
     # models per build: every hermitian_eig call is on a distinct matrix, and
-    # a second build solves them all again
+    # a second build solves them all again. fig4's search covers panel c's
+    # grid too
     import antizeno.dynamics
     import antizeno.model
 
@@ -458,3 +461,23 @@ def test_auto_cutoff_solves_each_model_once(monkeypatch, name, solves):
     assert len(matrices) == len(set(matrices)) == solves
     build_tables(cfg)
     assert len(matrices) == 2 * solves
+
+
+@pytest.mark.parametrize("config", [
+    *(preset(name) for name in PRESET_NAMES),
+    replace(preset("fig4"), g_values=(0.1, 0.2, 0.3)),
+], ids=[*PRESET_NAMES, "fig4-g-below-1"])
+def test_the_n_max_rule_judges_a_model_the_build_solves(monkeypatch, config):
+    # the model config's n_max rule builds is one the build solves, fig4's
+    # panel-c coupling 1.0 included when every coupling of g_values is
+    # below it
+    memos = []
+    real = runner_module.prepare_model
+
+    def recording(params, solved):
+        memos.append(solved)
+        return real(params, solved)
+
+    monkeypatch.setattr(runner_module, "prepare_model", recording)
+    build_tables(config)
+    assert largest_model(config) in memos[0]

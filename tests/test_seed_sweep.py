@@ -26,10 +26,9 @@ import numpy as np
 import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
-from antizeno.config import FIG4_PANELS
+from antizeno.config import FIG4_PANEL_C_GRID, FIG4_PANELS
 from antizeno.model import ModelParams
 from antizeno.protocol import ensemble_survival, jitter_times, prepare_model, two_period_schedule
-from antizeno.runner import FIG4_PANEL_C_GRID
 from oracle import beyond_5_se, jitter_mean_survival
 
 pytestmark = pytest.mark.slow
