@@ -4,13 +4,15 @@ round-trip (de)serialization.
 All couplings are given as dimensionless g/omega, periods as dimensionless
 omega*T1 and jitter as dimensionless omega*dt, matching how every output
 table reports times as omega*t (hbar = 1). A run builds each model in units of
-omega with ``model_params``, at the couplings ``couplings`` lists.
+omega with ``model_params``, at the couplings ``couplings`` lists, and draws
+the schedule stacks ``plan`` lists; the rules judge those same objects.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -105,11 +107,23 @@ def _exists(build, c) -> bool:
         return False
 
 
-def _schedules(c) -> list[tuple]:
-    """(periods omega*T1, events, half-window omega*dt) of each stack a build draws."""
+# One schedule stack a build draws: its periods omega*T1, events per schedule,
+# half-window omega*dt, runs per period and the (g/omega, epsilon) pairs it runs.
+Stack = namedtuple("Stack", "periods n jitter runs pairs")
+
+
+def plan(c) -> dict:
+    """Every schedule stack a build of c draws, keyed by table block: fig4's panels, fig5's
+    periods, or the one stack of fig3 (an unjittered sweep), fig6 and survival."""
+    n, pairs = int(c.n_measurements), [(g, e) for g in c.g_values for e in c.epsilon_values]
+    w, runs = (0.0, 1) if c.experiment == "fig3" else (float(c.jitter_width), int(c.runs))
     if c.experiment == "fig4":
-        return [((s["omega_t1"],), s["n"], s["jitter"]) for s in FIG4_PANELS.values()]
-    return [(c.omega_t1_values, int(c.n_measurements), float(c.jitter_width))]
+        g = {"a": [max(c.g_values)], "b": c.g_values, "c": FIG4_PANEL_C_GRID}
+        return {k: Stack((p["omega_t1"],), p["n"], p["jitter"], p["runs"],
+                         [(x, c.epsilon_values[0]) for x in g[k]]) for k, p in FIG4_PANELS.items()}
+    if c.experiment == "fig5":
+        return {t1: Stack((t1,), n, w, runs, pairs) for t1 in c.omega_t1_values}
+    return {} if c.experiment in ("fig1", "fig2") else {"data": Stack(c.omega_t1_values, n, w, runs, pairs)}
 
 
 # The most grid steps or event times one input may ask for: larger grids and
@@ -118,52 +132,56 @@ MAX_POINTS = 10**6
 
 # What each experiment needs of its fields: (field, what, test), where
 # test(value, config) may read the rest of the config. validate enforces
-# every rule, so a bad shape is rejected before any eigensolve. Rules
-# multiply and divide Python floats and ints, so numpy scalars neither warn
-# nor wrap, and the schedule rules judge the stacks the runner draws, in
-# omega*t. The phase rule keeps eps_mach of the largest phase under CUTOFF_TOL;
-# it runs first, so the order rule builds only finite schedules.
+# every rule, so a bad shape is rejected before any eigensolve. Rules do
+# Python float and int arithmetic, so numpy scalars neither warn nor wrap.
+# The schedule rules judge the stacks of plan, in omega*t. The phase rules
+# (_resolved(t, c): the phases up to omega*t = t, times eps_mach, under
+# CUTOFF_TOL) run first, so the order rule builds only finite schedules.
+_resolved = lambda t, c: t * largest_model(c).spread < CUTOFF_TOL / np.finfo(float).eps  # noqa: E731
+_last = lambda s, c: float(max(s.periods)) * (s.n - s.n // 2 + s.n // 2 * float(c.ratio))  # noqa: E731
 _IN_ORDER = lambda v, c: all(jitter_keeps_order(  # noqa: E731
-    _two_period_times(np.array(t1, dtype=float), c.ratio, n), w) for t1, n, w in _schedules(c))
+    _two_period_times(np.array(s.periods, float), c.ratio, s.n), s.jitter) for s in plan(c).values())
+_SIZED = lambda v, c: all(len(s.periods) * s.runs * s.n <= MAX_POINTS for s in plan(c).values())  # noqa: E731
 _KEEPS_ORDER = ("jitter_width", "a window that cannot reorder events (jitter_width below the first "
                 "event time and half of every interval)", _IN_ORDER)
-_PHASES = ("schedules whose phases the run resolves: (last event time + half-window, in omega*t) times "
-           "the largest model's Gershgorin spread, which grows with omega0/omega and g/omega, below "
-           "CUTOFF_TOL/eps_mach (about 4.5e7)",
-           lambda v, c: max(float(max(t1)) * (n - n // 2 + n // 2 * float(c.ratio)) + w
-                            for t1, n, w in _schedules(c)) * largest_model(c).spread
-           < CUTOFF_TOL / np.finfo(float).eps)
-_RESOLVED = ("omega_t1_values", *_PHASES)
-_STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)",
-               lambda v, c: int(v) * int(c.n_measurements) <= MAX_POINTS)
+_BOUND = ("times the largest model's Gershgorin spread, which grows with omega0/omega and g/omega, "
+          "below CUTOFF_TOL/eps_mach (about 4.5e7)")
+_PHASES = (f"schedules whose phases the run resolves: (last event time + half-window, in omega*t) {_BOUND}",
+           lambda v, c: all(_resolved(_last(s, c) + s.jitter, c) for s in plan(c).values()))
+_RESOLVED = (("jitter_width", f"a half-window whose phases the run resolves: the half-window (in omega*t) "
+              f"{_BOUND}, on every schedule whose last event time is within that bound", lambda v, c: all(
+                  _resolved(s.jitter, c) or not _resolved(_last(s, c), c) for s in plan(c).values())),
+             ("omega_t1_values", *_PHASES))
+_STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)", _SIZED)
 INPUT_RULES = {
     "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v)),
              ("time_max", "a grid of at most 10^6 steps (time_max / time_step)",
-              lambda v, c: float(v) / float(c.time_step) <= MAX_POINTS)],
+              lambda v, c: float(v) / float(c.time_step) <= MAX_POINTS),
+             ("time_max", f"a grid whose phases the run resolves: time_max (in omega*t) {_BOUND}",
+              lambda v, c: _resolved(float(v), c))],
     "fig3": [("g_values", "at least 2 couplings for the exponential fit", lambda v, c: len(v) >= 2),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("jitter_width", "no jitter (its period sweep runs unjittered)", lambda v, c: v == 0),
              ("omega_t1_values", "a sweep of at most 10^6 event times (omega_t1_values times "
-              "n_measurements)", lambda v, c: len(v) * int(c.n_measurements) <= MAX_POINTS),
-             _RESOLVED, ("omega_t1_values", "periods whose schedules stay increasing", _IN_ORDER)],
-    "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)",
-              lambda v, c: min(v) > 0),
+              "n_measurements)", _SIZED),
+             ("omega_t1_values", *_PHASES),
+             ("omega_t1_values", "periods whose schedules stay increasing", _IN_ORDER)],
+    "fig4": [("g_values", "couplings above 0 (panel b fits a decay at each)", lambda v, c: min(v) > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
              ("ratio", *_PHASES),
              ("ratio", "a ratio at which no panel's jitter window can reorder events", _IN_ORDER)],
     "fig5": [("g_values", "exactly one coupling, above 0", lambda v, c: len(v) == 1 and v[0] > 0),
              ("epsilon_values", "exactly one epsilon", lambda v, c: len(v) == 1),
-             ("omega_t1_values", "at least two periods for the rate collapse",
-              lambda v, c: len(v) >= 2),
+             ("omega_t1_values", "at least two periods for the rate collapse", lambda v, c: len(v) >= 2),
              ("n_measurements", "at least 2 events for the per-period fits", lambda v, c: v >= 2),
-             _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
+             _STACK_SIZE, *_RESOLVED, _KEEPS_ORDER],
     "fig6": [("g_values", "exactly one coupling", lambda v, c: len(v) == 1),
              ("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-             _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
+             _STACK_SIZE, *_RESOLVED, _KEEPS_ORDER],
     "survival": [("omega_t1_values", "exactly one omega_t1", lambda v, c: len(v) == 1),
-                 _STACK_SIZE, _RESOLVED, _KEEPS_ORDER],
+                 _STACK_SIZE, *_RESOLVED, _KEEPS_ORDER],
 }
 
 # What every experiment needs of its fields, as rows of the INPUT_RULES
@@ -217,8 +235,7 @@ class ExperimentConfig:
 
     ``FIELD_TYPES`` and ``FIELD_RULES`` say what every field must be,
     ``READ_SETS`` which fields each experiment reads and ``INPUT_RULES``
-    what it needs of them (fig4 fixes its three panel schedules in
-    ``FIG4_PANELS``).
+    what it needs of them; ``plan`` lists the schedule stacks a build draws.
     """
 
     experiment: str = "survival"
@@ -259,13 +276,11 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name}: {self.experiment} does not read it; leave it at "
                                  f"its default {f.default!r}, got {value!r}")
         for name, what, holds in FIELD_RULES:
-            value = getattr(self, name)
-            if not holds(value, self):
+            if not holds(value := getattr(self, name), self):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
         for name, what, holds in INPUT_RULES[self.experiment]:
-            values = getattr(self, name)
-            if not holds(values, self):
-                raise ValueError(f"{name}: {self.experiment} needs {what}, got {values!r}")
+            if not holds(value := getattr(self, name), self):
+                raise ValueError(f"{name}: {self.experiment} needs {what}, got {value!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -300,8 +315,8 @@ def preset(name: str) -> ExperimentConfig:
     fig4  (a) survival trace at omega*T1 = 2*pi, g/omega = 1, jitter +-0.2*pi,
           20 runs; (b) survival vs event count at omega*T1 = 3*pi/4 for
           g/omega in {1/3, 2/3, 1} with exponential fits; (c) mean
-          single-event survival vs g/omega with its quadratic fit. Panel
-          schedules are fixed by the runner.
+          single-event survival vs g/omega with its quadratic fit
+          (``FIG4_PANELS`` fixes the panel schedules).
     fig5  survival vs t/T1 for omega*T1 in {pi, 2*pi, 3*pi} at g/omega = 1,
           jitter-averaged, with per-period decay rates.
     fig6  survival for detector inefficiency epsilon in {0, 0.1, 0.2} at

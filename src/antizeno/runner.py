@@ -1,7 +1,8 @@
 """Execute an ExperimentConfig and emit plot-ready CSV or JSON.
 
 A build works in units of omega: it solves ``config.model_params`` at
-``config.couplings`` and draws every time in omega*t. Every output file
+``config.couplings`` and draws the schedule stacks ``config.plan`` lists, every
+time in omega*t, and no others. Every output file
 embeds a metadata header with the exact configuration (JSON,
 round-trippable), the random generator name, the seed-mixing rule, the Fock
 cutoff actually used and, where a table has fits, what each fit dropped and
@@ -25,12 +26,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__, config as config_module
 from .analysis import FitResult, fit_exponential, fit_quadratic_origin
-from .config import FIG2_COLUMN, FIG4_PANELS, ExperimentConfig, couplings, model_params
+from .config import FIG2_COLUMN, ExperimentConfig, Stack, couplings, model_params, plan
 from .dynamics import excitation_trace
 from .errors import NumericalError
 from .measurement import measure_no_click
@@ -97,8 +99,7 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
 
 
 def _fit_health(fit: FitResult, **at) -> dict:
-    """What a fit skipped and how far it missed, at the table coordinates
-    ``at`` it belongs to."""
+    """What a fit skipped and how far it missed, at its table coordinates ``at``."""
     return {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max}
 
 
@@ -115,35 +116,33 @@ def _table(schema: str, *blocks: dict) -> dict[str, list]:
 
 
 def _commensurate(ratio: float) -> bool:
-    """Whether periods T1 and ratio*T1 are commensurate (an integer ratio):
-    a jitter-free schedule of them can lock onto resonances of the
-    post-measurement dynamics."""
+    """Whether periods T1 and ratio*T1 are commensurate (an integer ratio): a jitter-free
+    schedule of them can lock onto resonances of the post-measurement dynamics."""
     return abs(ratio - round(ratio)) < 1e-12
 
 
-def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, pairs, *,
-                     omega_t1: float, n: int, jitter: float, runs: int) -> list[dict]:
-    """Draw the jitter stack of one two-period schedule once (``n`` events
-    from period ``omega_t1``, half-window ``jitter``, both omega*t; ``runs``
-    runs) and run every (g/omega, epsilon) of ``pairs`` on it. Every pair
-    reuses the same draws, which is what pairs run k across a table.
+def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: Stack) -> list[dict]:
+    """Draw one jitter stack of the plan once (its one period's schedule in
+    ``stack.runs`` runs) and run every (g/omega, epsilon) of ``stack.pairs``
+    on it. Every pair reuses the same draws, which pairs run k across a table.
 
     Returns one survival-table block per pair: ``g_over_omega``,
     ``epsilon``, the per-event columns of its ensemble and ``chi_n``.
     Records under ``commensurate_no_jitter`` whether any schedule of the
     build runs jitter-free with commensurate periods (``_commensurate``).
     """
-    base = two_period_schedule(float(omega_t1), config.ratio, n)
-    times = jitter_times(base, float(jitter), runs, config.seed)
+    (omega_t1,) = stack.periods
+    base = two_period_schedule(float(omega_t1), config.ratio, stack.n)
+    times = jitter_times(base, float(stack.jitter), stack.runs, config.seed)
     flagged = _commensurate(config.ratio) and bool(np.all(times == base))  # no draw moved an event
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
     blocks = []
-    for g, eps in pairs:
+    for g, eps in stack.pairs:
         ens = ensemble_survival(prepare(g), times, eps)
         blocks.append({
             "g_over_omega": float(g),
             "epsilon": float(eps),
-            "event": list(range(1, n + 1)),
+            "event": list(range(1, stack.n + 1)),
             "omega_t": base.tolist(),
             "single_mean": ens.single_mean.tolist(),
             "single_std": ens.single_std.tolist(),
@@ -181,11 +180,10 @@ def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
-    g = np.asarray(config.g_values, dtype=float)
-    mean_final = np.array(
-        [sweep_T1(prepare(gi), config.n_measurements, config.omega_t1_values, config.ratio,
-                  config.epsilon_values[0]) for gi in g]
-    )
+    (sweep,) = plan(config).values()
+    g = np.array([gi for gi, _ in sweep.pairs], dtype=float)
+    mean_final = np.array([sweep_T1(prepare(gi), sweep.n, sweep.periods, config.ratio, eps)
+                           for gi, eps in sweep.pairs])
     fit = fit_exponential(g**2, mean_final)
     metadata["exponential_fits"] = {"data": [_fit_health(fit)]}
     return {"data": _table(
@@ -196,21 +194,15 @@ def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
 
 
 def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    eps = config.epsilon_values[0]
-
-    def panel(name: str, couplings) -> list[dict]:
-        return _ensemble_blocks(config, prepare, metadata, [(g, eps) for g in couplings],
-                                **FIG4_PANELS[name])
+    panel = {name: _ensemble_blocks(config, prepare, metadata, stack)
+             for name, stack in plan(config).items()}
 
     # panel a shows the strongest coupling of the panel-b set
-    table_a = _table(
-        "event omega_t single_mean single_std cumulative_mean cumulative_std",
-        *panel("a", [max(config.g_values)]),
-    )
+    table_a = _table("event omega_t single_mean single_std cumulative_mean cumulative_std", *panel["a"])
 
     # panel b: survival vs event count per coupling, with exponential fits
     blocks_b, health_b = [], []
-    for block in panel("b", config.g_values):
+    for block in panel["b"]:
         fit = fit_exponential(block["event"], block["cumulative_mean"])
         blocks_b.append({**block, "fit_rate": fit.coefficients["rate"],
                          "fit_r_squared": fit.r_squared})
@@ -221,26 +213,24 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     )
 
     # panel c: mean single-event survival vs coupling, quadratic law
-    grid = np.asarray(config_module.FIG4_PANEL_C_GRID, dtype=float)
-    pbar = np.array([np.mean(block["single_mean"]) for block in panel("c", grid)])
+    grid = np.array([block["g_over_omega"] for block in panel["c"]])
+    pbar = np.array([np.mean(block["single_mean"]) for block in panel["c"]])
     fit = fit_quadratic_origin(grid, 1.0 - pbar)
     table_c = _table(
         "g_over_omega mean_single_survival chi_bar_fit r_squared",
         {"g_over_omega": grid.tolist(), "mean_single_survival": pbar.tolist(),
          "chi_bar_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
     )
-    metadata["fig4_panels"] = FIG4_PANELS
+    metadata["fig4_panels"] = config_module.FIG4_PANELS
     metadata["exponential_fits"] = {"b": health_b}
     metadata["quadratic_fits"] = {"c": [_fit_health(fit)]}
     return {"a": table_a, "b": table_b, "c": table_c}
 
 
 def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    pair = [(config.g_values[0], config.epsilon_values[0])]
     blocks, health = [], []
-    for w in config.omega_t1_values:
-        block = _ensemble_blocks(config, prepare, metadata, pair, omega_t1=w, n=config.n_measurements,
-                                 jitter=config.jitter_width, runs=config.runs)[0]
+    for w, stack in plan(config).items():
+        (block,) = _ensemble_blocks(config, prepare, metadata, stack)
         # in omega*t units, t/T1 = omega*t / (omega*T1)
         t_over_t1 = (np.asarray(block["omega_t"]) / w).tolist()
         fit = fit_exponential(t_over_t1, block["cumulative_mean"])
@@ -264,21 +254,16 @@ def _build_survival(config: ExperimentConfig, prepare, metadata: dict,
                                   "cumulative_mean cumulative_std chi_n") -> dict:
     """Every (g, epsilon) of the config on one jitter stack, as the columns
     of ``schema``."""
-    pairs = [(g, eps) for g in config.g_values for eps in config.epsilon_values]
-    blocks = _ensemble_blocks(config, prepare, metadata, pairs, omega_t1=config.omega_t1_values[0],
-                              n=config.n_measurements, jitter=config.jitter_width, runs=config.runs)
-    return {"data": _table(schema, *blocks)}
-
-
-def _build_fig6(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    """The survival table at one coupling, without its g and chi_n columns."""
-    return _build_survival(config, prepare, metadata, "epsilon event omega_t single_mean "
-                           "single_std cumulative_mean cumulative_std")
+    (stack,) = plan(config).values()
+    return {"data": _table(schema, *_ensemble_blocks(config, prepare, metadata, stack))}
 
 
 _BUILDERS = {
     "fig1": _build_fig1, "fig2": _build_fig2, "fig3": _build_fig3, "fig4": _build_fig4,
-    "fig5": _build_fig5, "fig6": _build_fig6, "survival": _build_survival,
+    "fig5": _build_fig5, "survival": _build_survival,
+    # the survival table at one coupling, without its g and chi_n columns
+    "fig6": partial(_build_survival, schema="epsilon event omega_t single_mean single_std "
+                                            "cumulative_mean cumulative_std"),
 }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import antizeno
-from antizeno import cli, config as config_module, numkit, protocol
+from antizeno import cli, numkit, protocol
 from antizeno.cli import build_parser, main
 from antizeno.config import (
     EXPERIMENTS, FIELD_RULES, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
@@ -510,46 +510,75 @@ def eig_calls(monkeypatch):
     return calls
 
 
-# One CLI input per rule of config.INPUT_RULES that breaks only that rule.
+# One CLI input per row of config.INPUT_RULES that breaks only that row,
+# keyed by (experiment, field), and a tag where the field has more rows.
+DATA = Path(__file__).parent / "data"
 BROKEN_RULES = {
     ("fig1", "g_values"): ["--preset", "fig1", "--g", "0.5,1"],
     ("fig2", "g_values"): ["--preset", "fig2", "--g", "0.1234561,0.1234562"],
     # time_max has no flag: a config file sets it
-    ("fig2", "time_max"): ["--config", str(Path(__file__).parent / "data" / "fig2_grid_too_large.json")],
+    ("fig2", "time_max"): ["--config", str(DATA / "fig2_grid_too_large.json")],
+    ("fig2", "time_max", "phases"): ["--config", str(DATA / "fig2_phases_unresolved.json")],
     ("fig3", "g_values"): ["--preset", "fig3", "--g", "0.5"],
     ("fig3", "epsilon_values"): ["--preset", "fig3", "--epsilon", "0,0.1"],
     ("fig3", "jitter_width"): ["--preset", "fig3", "--jitter", "0.5"],
     ("fig3", "omega_t1_values"): ["--preset", "fig3", "--omega", "1e-10", "--omega-t1", "1e300"],
+    ("fig3", "omega_t1_values", "size"): ["--preset", "fig3", "--n-measurements", "20000"],
+    ("fig3", "omega_t1_values", "order"): ["--preset", "fig3", "--ratio", "1e-272"],
     ("fig4", "g_values"): ["--preset", "fig4", "--g", "0,0.5,1"],
     ("fig4", "epsilon_values"): ["--preset", "fig4", "--epsilon", "0,0.1"],
     ("fig4", "ratio"): ["--preset", "fig4", "--ratio", "0.5"],
+    ("fig4", "ratio", "phases"): ["--preset", "fig4", "--omega", "1e-19"],
     ("fig5", "g_values"): ["--preset", "fig5", "--g", "0.5,1"],
     ("fig5", "epsilon_values"): ["--preset", "fig5", "--epsilon", "0,0.1"],
     ("fig5", "omega_t1_values"): ["--preset", "fig5", "--omega-t1", "3.14"],
+    ("fig5", "omega_t1_values", "phases"): ["--preset", "fig5", "--n-measurements", "2",
+                                            "--ratio", "1.5e226"],
     ("fig5", "n_measurements"): ["--preset", "fig5", "--n-measurements", "1"],
     ("fig5", "runs"): ["--preset", "fig5", "--runs", "500001"],
     ("fig5", "jitter_width"): ["--preset", "fig5", "--jitter", "2"],
+    ("fig5", "jitter_width", "phases"): ["--preset", "fig5", "--jitter", "1e300"],
     ("fig6", "g_values"): ["--preset", "fig6", "--g", "0.5,1"],
     ("fig6", "omega_t1_values"): ["--preset", "fig6", "--omega-t1", "3,6"],
+    ("fig6", "omega_t1_values", "phases"): ["--preset", "fig6", "--omega-t1", "1e300"],
     ("fig6", "runs"): ["--preset", "fig6", "--runs", "62501"],
     ("fig6", "jitter_width"): ["--preset", "fig6", "--omega-t1", "1", "--jitter", "0.6"],
+    ("fig6", "jitter_width", "phases"): ["--preset", "fig6", "--jitter", "1e300"],
     ("survival", "omega_t1_values"): ["--omega-t1", "3,6"],
+    ("survival", "omega_t1_values", "phases"): ["--omega-t1", "1e300"],
     ("survival", "runs"): ["--n-measurements", "1000", "--runs", "1001"],
     ("survival", "jitter_width"): ["--omega-t1", "1", "--jitter", "0.6"],
+    ("survival", "jitter_width", "phases"): ["--jitter", "1e300"],
 }
 
 
+def refused_row(args):
+    """The (experiment, field, what) row of INPUT_RULES that validation
+    refuses the config of ``args`` at."""
+    cfg = cli._assemble_config(build_parser().parse_args(args))
+    with pytest.raises(ValueError) as refused:
+        cfg.validate()
+    return next((cfg.experiment, field, what) for field, what, _ in INPUT_RULES[cfg.experiment]
+                if str(refused.value).startswith(f"{field}: {cfg.experiment} needs {what}, got "))
+
+
 def test_every_input_rule_has_a_broken_case():
-    rules = {(experiment, field) for experiment, rs in INPUT_RULES.items() for field, _, _ in rs}
-    assert rules == set(BROKEN_RULES)
+    # each input is refused at a row of its own key's field, and every row
+    # is refused by exactly one input
+    refused = {key: refused_row(args) for key, args in BROKEN_RULES.items()}
+    assert all(row[:2] == key[:2] for key, row in refused.items())
+    rows = [(e, field, what) for e, rs in INPUT_RULES.items() for field, what, _ in rs]
+    assert sorted(refused.values()) == sorted(rows)
 
 
 @pytest.mark.parametrize("rule", sorted(BROKEN_RULES), ids="-".join)
 def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls, rule):
-    experiment, field = rule
+    experiment, field = rule[:2]
     assert main(BROKEN_RULES[rule] + ["--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert f"validation error [antizeno.config]: {field}: {experiment} needs" in err
+    # the message is the row's own
+    assert f"{field}: {experiment} needs {refused_row(BROKEN_RULES[rule])[2]}, got " in err
     assert eig_calls == []
     assert list(tmp_path.iterdir()) == []
 
@@ -638,28 +667,6 @@ def test_a_window_that_can_reorder_events_exits_2_before_any_solve(
     dataclasses.replace(cfg, jitter_width=float(np.nextafter(edge, 0.0))).validate()
     with pytest.raises(ValueError, match=f"^jitter_width: .* got {float(edge)!r}$"):
         dataclasses.replace(cfg, jitter_width=float(edge)).validate()
-
-
-@pytest.mark.parametrize("experiment,periods,stacks", [
-    ("fig3", tuple((2 * np.pi * np.linspace(0.1, 5.0, 10**5)).tolist()), [(10**5, 8)]),
-    ("fig5", (math.pi, 2 * math.pi, 3 * math.pi), [(3, 16)]),
-], ids=["fig3", "fig5"])
-def test_order_rules_build_the_stacks_the_run_builds(monkeypatch, experiment, periods, stacks):
-    # fig3's sweep runs all its periods as one (periods, N) stack, and its
-    # rule judges that stack, built once; fig5 draws one schedule per
-    # period, and its rule judges all of them as one stack, built once. The
-    # phase rule builds none. Every schedule, two_period_schedule included,
-    # is built by _two_period_times.
-    built, real = [], protocol._two_period_times
-
-    def counting(t1, ratio, n):
-        built.append((t1.size, n))
-        return real(t1, ratio, n)
-
-    for module in (protocol, config_module):
-        monkeypatch.setattr(module, "_two_period_times", counting)
-    dataclasses.replace(preset(experiment), omega_t1_values=periods).validate()
-    assert built == stacks
 
 
 def test_fig5_refuses_a_zero_coupling(tmp_path, capsys):

@@ -178,11 +178,11 @@ FOUND = [
     ("survival", {"omega": 1e-10, "ratio": 1e300}, 2,
      "omega_t1_values: survival needs schedules whose phases the run resolves"),
     # a coupling that overflowed in GHz exited 2 naming the model's "g"; in
-    # units of omega, g/omega = 1e10 over omega0/omega = 1e-300 ties the two
-    # parity sectors
+    # units of omega, g/omega = 1e10 over omega0/omega = 1e-300 tied the two
+    # parity sectors (exit 2 from the runner), and fig2's grid phase rule
+    # now refuses its phases (about 1e13 rad at omega*t = 40) before any solve
     ("fig2", {"omega": 1e300, "g_values": [1e10]}, 2,
-     "[antizeno.runner]: g_values: fig2 needs a unique ground state at every coupling it runs; "
-     "g/omega = 10000000000.0 has a gap of"),
+     "[antizeno.config]: time_max: fig2 needs a grid whose phases the run resolves"),
     # Hamiltonian entries past the float range printed numpy's overflow
     # warning (a traceback under -W error) and exited 2 from numkit naming
     # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n).
@@ -219,8 +219,10 @@ FOUND = [
     # division warning
     ("survival", {"g_values": [4e-177]}, 0, ""),
     # fig2 started from one arbitrary member of a tied ground manifold, a
-    # state off its norm (exit 3) or one LAPACK happened to return (exit 0)
-    ("fig2", {"omega": 1e-18}, 2, "g_values: fig2 needs a unique ground state"),
+    # state off its norm (exit 3) or one LAPACK happened to return (exit 0).
+    # At omega0/omega = 1e18 the tie (exit 2 from the runner) is now
+    # preceded by the grid phase rule, which refuses it before any solve
+    ("fig2", {"omega": 1e-18}, 2, "[antizeno.config]: time_max: fig2 needs a grid whose phases"),
     ("fig2", {"omega0": 0}, 2, "g_values: fig2 needs a unique ground state"),
     # a fig2 grid too large to allocate ended in MemoryError (a traceback)
     ("fig2", {"time_max": 1e12}, 2, "time_max: fig2 needs a grid of at most 10^6 steps"),
@@ -253,6 +255,16 @@ FOUND = [
     # failed the cutoff check (dE=9.537e-07, exit 3)
     ("survival", {"omega": 1e10, "omega0": 1e10, "g_values": [0.3], "n_max": 40,
                   "n_measurements": 3, "runs": 2}, 0, ""),
+    # fig2's grid had no phase rule: omega*t up to 1e9 exited 0, with phases
+    # of about 1e11 rad whose rounding moved p1e (3e-8 between n_max 40 and
+    # 50) past the header's cutoff_stable_to
+    ("fig2", {"g_values": [0.5], "time_max": 1e9, "time_step": 1e3, "n_max": 40}, 2,
+     "[antizeno.config]: time_max: fig2 needs a grid whose phases the run resolves"),
+    # a half-window past resolution was blamed on the periods
+    # (omega_t1_values); the periods alone are resolved, so the window is
+    # at fault
+    ("survival", {"jitter_width": 1e300}, 2,
+     "[antizeno.config]: jitter_width: survival needs a half-window whose phases the run resolves"),
 ]
 
 

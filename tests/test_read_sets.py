@@ -14,9 +14,11 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from antizeno import config as config_module
+from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.cli import main
 from antizeno.config import (
@@ -95,7 +97,7 @@ def breaks_an_input_rule(cfg, name):
 
 @pytest.fixture
 def small(monkeypatch, tmp_path):
-    monkeypatch.setattr(runner_module, "FIG4_PANELS", TINY_FIG4_PANELS)
+    monkeypatch.setattr(config_module, "FIG4_PANELS", TINY_FIG4_PANELS)
     monkeypatch.setattr(config_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
     return {e: replace(cfg, out=str(tmp_path / "run.csv")) for e, cfg in SMALL.items()}
 
@@ -123,6 +125,61 @@ def test_an_undeclared_field_changes_no_table(small, monkeypatch, experiment):
     before = written(base)
     for name in sorted(undeclared):
         assert written(perturbed(base, name)) == before, name
+
+
+def judged_and_drawn(cfg, monkeypatch):
+    """The stacks validate judges, each as (event times, half-window), in
+    the order it builds them, and the distinct stacks a build of cfg then
+    draws: every jitter_times stack before its draw, and every sweep_T1
+    stack (one per coupling, all the same) unjittered."""
+    judged, drawn = [], {}
+    real_judge, real_jitter, real_sweep = (
+        config_module.jitter_keeps_order, runner_module.jitter_times, runner_module.sweep_T1)
+
+    def key(times, half_window):
+        times = np.atleast_2d(np.asarray(times, dtype=float))
+        return times.shape, times.tobytes(), float(half_window)
+
+    def judge(times, half_window):
+        judged.append(key(times, half_window))
+        return real_judge(times, half_window)
+
+    def jitter(base, half_window, runs, seed):
+        drawn[key(base, half_window)] = None
+        return real_jitter(base, half_window, runs, seed)
+
+    def sweep(prep, N, T1_values, ratio, epsilon):
+        drawn[key(protocol._two_period_times(np.asarray(T1_values, float), ratio, N), 0.0)] = None
+        return real_sweep(prep, N, T1_values, ratio, epsilon)
+
+    monkeypatch.setattr(config_module, "jitter_keeps_order", judge)
+    monkeypatch.setattr(runner_module, "jitter_times", jitter)
+    monkeypatch.setattr(runner_module, "sweep_T1", sweep)
+    cfg.validate()
+    judged_by_validate = list(judged)
+    build_tables(cfg)
+    return judged_by_validate, list(drawn)
+
+
+STACK_CASES = [("preset", e) for e in PRESET_NAMES] + [("small", e) for e in EXPERIMENTS]
+
+
+@pytest.mark.parametrize("kind,experiment", STACK_CASES, ids=[f"{k}-{e}" for k, e in STACK_CASES])
+def test_validate_judges_exactly_the_stacks_the_run_draws(request, monkeypatch, kind, experiment):
+    # the order rule judges each stack of config.plan once, the phase rules
+    # build none, and the run draws those stacks and no others: fig3 one
+    # (periods, N) sweep, fig4 its three panels, fig5 one (1, N) stack per
+    # period, fig6 and survival one; fig1 and fig2 none. The small fig4
+    # judges and draws the patched panels.
+    cfg = preset(experiment) if kind == "preset" else request.getfixturevalue("small")[experiment]
+    judged, drawn = judged_and_drawn(cfg, monkeypatch)
+    assert judged == drawn
+    shapes = [shape for shape, _, _ in judged]
+    if kind == "preset":
+        assert shapes == {"fig1": [], "fig2": [], "fig3": [(100, 8)], "fig4": [(1, 16), (1, 20), (1, 3)],
+                          "fig5": [(1, 16)] * 3, "fig6": [(1, 16)]}[experiment]
+    elif experiment == "fig4":
+        assert shapes == [(1, TINY_FIG4_PANELS[name]["n"]) for name in "abc"]
 
 
 REFUSED = [

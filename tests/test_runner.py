@@ -142,18 +142,19 @@ def test_scalar_slots_reject_multiple_values():
         build_tables(cfg)
 
 
+TINY_FIG4_PANELS = {
+    "a": {"omega_t1": 2 * math.pi, "n": 3, "jitter": 0.2 * math.pi, "runs": 2},
+    "b": {"omega_t1": 0.75 * math.pi, "n": 4, "jitter": 0.2 * math.pi, "runs": 2},
+    "c": {"omega_t1": 0.75 * math.pi, "n": 2, "jitter": 0.3 * math.pi, "runs": 3},
+}
+
+
 class TestFig4Builder:
     @pytest.fixture
     def tiny_panels(self, monkeypatch):
-        monkeypatch.setattr(
-            runner_module,
-            "FIG4_PANELS",
-            {
-                "a": {"omega_t1": 2 * math.pi, "n": 3, "jitter": 0.2 * math.pi, "runs": 2},
-                "b": {"omega_t1": 0.75 * math.pi, "n": 4, "jitter": 0.2 * math.pi, "runs": 2},
-                "c": {"omega_t1": 0.75 * math.pi, "n": 2, "jitter": 0.3 * math.pi, "runs": 3},
-            },
-        )
+        # config holds the one copy of the panels: validate judges them and
+        # the run draws them
+        monkeypatch.setattr(config_module, "FIG4_PANELS", TINY_FIG4_PANELS)
         monkeypatch.setattr(config_module, "FIG4_PANEL_C_GRID", (0.0, 0.5, 1.0))
 
     def test_three_panels(self, tiny_panels):
@@ -179,6 +180,28 @@ class TestFig4Builder:
         pbar = tables["c"]["mean_single_survival"]
         assert pbar[0] == pytest.approx(1.0, abs=1e-12)
         assert pbar[2] < pbar[1] < pbar[0]
+
+    def test_draws_the_panels_config_holds(self, tiny_panels, monkeypatch):
+        # every panel table has the patched panel's event count, and each
+        # panel draws its own (runs, n) stack with its own window, once
+        drawn = []
+        real = runner_module.jitter_times
+
+        def recording(base, half_window, runs, seed):
+            drawn.append((len(base), half_window, runs))
+            return real(base, half_window, runs, seed)
+
+        monkeypatch.setattr(runner_module, "jitter_times", recording)
+        cfg = ExperimentConfig(experiment="fig4", g_values=(0.5, 1.0), n_max=20)
+        metadata, tables = build_tables(cfg)
+        a, b, c = (TINY_FIG4_PANELS[name] for name in "abc")
+        assert drawn == [(p["n"], p["jitter"], p["runs"]) for p in (a, b, c)]
+        assert tables["a"]["event"] == list(range(1, a["n"] + 1))
+        assert [value for value, _ in row_groups(tables["b"], "g_over_omega")] == [0.5, 1.0]
+        assert all(rows["event"] == list(range(1, b["n"] + 1))
+                   for _, rows in row_groups(tables["b"], "g_over_omega"))
+        assert tables["c"]["g_over_omega"] == [0.0, 0.5, 1.0]
+        assert metadata["fig4_panels"] == TINY_FIG4_PANELS
 
     def test_panel_c_averages_every_event(self):
         # mean_single_survival is the mean over all events of each panel-c
@@ -396,6 +419,41 @@ class TestSharedJitterDraws:
         )
         build_tables(cfg)
         assert len(seedings) == 5
+
+
+# Per preset, what its plan says a build draws: (jittered stacks, rows x
+# events over every stack). fig3 sweeps 100 periods x 8 events unjittered;
+# fig4 draws 20 x 16, 20 x 20 and 200 x 3, fig5 three 20 x 16 and fig6 one,
+# so a figures pass draws 7 jitter stacks.
+PLANNED_WORK = {"fig1": (0, 0), "fig2": (0, 0), "fig3": (0, 800), "fig4": (3, 1320),
+                "fig5": (3, 960), "fig6": (1, 320)}
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_plan_explains_the_run(monkeypatch, name):
+    # one jitter_times call per jittered stack of the plan, and the event
+    # times drawn (jitter stacks, and each distinct sweep stack once) are
+    # the plan's rows x events
+    drawn, swept = [], set()
+    real_jitter, real_sweep = runner_module.jitter_times, runner_module.sweep_T1
+
+    def jitter(base, half_window, runs, seed):
+        times = real_jitter(base, half_window, runs, seed)
+        drawn.append(times.size)
+        return times
+
+    def sweep(prep, N, T1_values, ratio, epsilon):
+        swept.add((tuple(T1_values), N))
+        return real_sweep(prep, N, T1_values, ratio, epsilon)
+
+    monkeypatch.setattr(runner_module, "jitter_times", jitter)
+    monkeypatch.setattr(runner_module, "sweep_T1", sweep)
+    stacks = config_module.plan(preset(name)).values()
+    jittered = sum(s.jitter > 0 for s in stacks)
+    events = sum(len(s.periods) * s.runs * s.n for s in stacks)
+    assert (jittered, events) == PLANNED_WORK[name]
+    build_tables(preset(name))
+    assert len(drawn) == jittered
+    assert sum(drawn) + sum(len(periods) * n for periods, n in swept) == events
 
 
 def test_fig4_prepares_each_coupling_once(monkeypatch):
