@@ -35,6 +35,7 @@ survival decay stalls or accelerates, so presets always randomize.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -42,6 +43,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .dynamics import BATCH_RUNS, QuantumState, evolve
+from .errors import NumericalError
 from .measurement import _epsilon, measure_no_click
 from .model import (
     DEGENERACY_GAP,
@@ -297,7 +299,12 @@ def run_survival(prep: PreparedModel, times, epsilon: float) -> SurvivalTrace:
     block = BATCH_RUNS["density" if epsilon > 0.0 else "pure"]
     for start in range(0, len(times), block):
         rows = slice(start, start + block)
-        singles[rows] = _survival_block(prep, times[rows], epsilon)
+        try:
+            singles[rows] = _survival_block(prep, times[rows], epsilon)
+        except NumericalError as exc:
+            # a state check names a run of the block: name its row of the stack
+            exc.args = (re.sub(r"\(run (\d+)\)$", lambda m: f"(run {start + int(m[1])})", str(exc)),)
+            raise
     cumulative = np.exp(np.cumsum(np.log(singles), axis=-1))
     return SurvivalTrace(singles, cumulative)
 

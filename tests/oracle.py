@@ -124,21 +124,39 @@ def no_click(data, epsilon):
     return prob, sigma / prob
 
 
-def full_space_singles(h, psi, times, epsilon, density=False):
-    """Per-event no-click probabilities of one schedule, run event by event
-    on the full space from the vector ``psi``: exp(-i h dt) from a dense
-    ``eigh`` of the matrix ``h``, then ``no_click``. ``density`` starts from
-    the projector of ``psi`` even at epsilon = 0."""
-    vals, vecs = np.linalg.eigh(h)
+def series_propagator(h, t, squarings=10, terms=30):
+    """exp(-i h t) from its Taylor series by scaling and squaring: a route
+    to the free evolution that uses no eigendecomposition."""
+    a = -1j * h * t / 2**squarings
+    term = total = np.eye(len(h), dtype=complex)
+    for k in range(1, terms):
+        term = term @ a / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def full_space_run(h, psi, times, epsilon, density=False, series=False):
+    """One schedule run event by event on the full space from the vector
+    ``psi``: exp(-i h dt), from a dense ``eigh`` of the matrix ``h`` (or
+    from ``series_propagator``), then ``no_click``. ``density`` starts from
+    the projector of ``psi`` even at epsilon = 0. Returns the state just
+    before each event and the per-event no-click probabilities."""
+    vals, vecs = (None, None) if series else np.linalg.eigh(h)
     state = np.outer(psi, psi.conj()) if density else psi
-    previous, singles = 0.0, []
+    previous, before, singles = 0.0, [], []
     for t in times:
-        u = (vecs * np.exp(-1j * vals * (t - previous))) @ vecs.conj().T
+        if series:
+            u = series_propagator(h, t - previous)
+        else:
+            u = (vecs * np.exp(-1j * vals * (t - previous))) @ vecs.conj().T
         state = u @ state if state.ndim == 1 else u @ state @ u.conj().T
+        before.append(state)
         prob, state = no_click(state, epsilon)
         singles.append(prob)
         previous = t
-    return np.array(singles)
+    return before, np.array(singles)
 
 
 def trajectory_survival(h, psi, times, epsilon):

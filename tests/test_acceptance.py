@@ -15,7 +15,6 @@ import numpy as np
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import FIG4_PANELS
-from antizeno.dynamics import QuantumState
 from antizeno.model import ModelParams, ground_state
 from antizeno.protocol import (
     ensemble_survival,
@@ -25,14 +24,10 @@ from antizeno.protocol import (
     sweep_T1,
     two_period_schedule,
 )
+from helpers import SQRT2, resonant
 from oracle import jitter_mean_survival, truncated_survival
 
-SQRT2 = math.sqrt(2.0)
 SEED = 1234
-
-
-def resonant(g, n_max=40, kind="rabi"):
-    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max, kind=kind)
 
 
 def report(number, text):
@@ -249,41 +244,38 @@ def test_criterion_09_truncated_chain_oracle():
 
 
 def test_criterion_10_invariant_suite(tmp_path):
-    from antizeno.model import even_chain_excited
-    from antizeno.dynamics import evolve
-    from antizeno.numkit import HermitianOperator, hermitian_eig
-    from antizeno.measurement import measure_no_click
     from antizeno.config import ExperimentConfig
     from antizeno.runner import run
-    from oracle import click_probability, kron_hamiltonian, parity_operator
+    from oracle import (
+        click_probability, embed_even_chain, excited, full_space_run, kron_hamiltonian,
+        parity_operator,
+    )
 
-    # Hermiticity, and unitarity of evolve's exp(-iHt): the basis batch
-    # evolved for t holds exp(-iHt)^T, row by row
+    # Hermiticity and parity conservation of the full-space model
     p = resonant(1.0)
-    h = HermitianOperator(kron_hamiltonian(p))
-    assert np.max(np.abs(h.matrix - h.matrix.conj().T)) <= 1e-12
-    spec = hermitian_eig(h)
-    u = evolve(spec, QuantumState("pure", np.eye(spec.dim)), np.full(spec.dim, 1.7)).data.T
-    assert np.max(np.abs(u.conj().T @ u - np.eye(spec.dim))) <= 1e-10
-
-    # parity conservation
+    h = kron_hamiltonian(p)
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-12
     parity = parity_operator(p.n_max)
-    assert np.max(np.abs(h.matrix @ parity - parity @ h.matrix)) <= 1e-12
+    assert np.max(np.abs(h @ parity - parity @ h)) <= 1e-12
 
-    # CP-map probability conservation on random states
-    rng = np.random.default_rng(SEED)
+    # unitarity of the runs' exp(-iHt): a detector that never acts keeps
+    # survival at 1, and the runs match the oracle's full-space unitary;
+    # CP bookkeeping: each event's no-click probability and the oracle's
+    # click probability of the state it measures sum to 1
+    prep = prepare_model(p)
+    psi = embed_even_chain(prep.ground.even_chain)
+    schedule = two_period_schedule(2 * math.pi, SQRT2, 12)
     for eps in (0.0, 0.15, 1.0):
-        a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = QuantumState("density", ((a @ a.conj().T) / np.trace(a @ a.conj().T).real)[None])
-        total = click_probability(rho.data[0], even_chain_excited(11), eps) + measure_no_click(
-            rho, eps
-        )[0][0]
-        assert abs(total - 1.0) <= 1e-12
+        trace = run_survival(prep, schedule[None], eps)
+        before, singles = full_space_run(h, psi, schedule, eps)
+        assert np.max(np.abs(trace.single[0] - singles)) <= 1e-10
+        for prob, state in zip(trace.single[0], before):
+            assert abs(prob + click_probability(state, excited(psi.size), eps) - 1.0) <= 1e-12
+        if eps == 1.0:
+            assert np.max(np.abs(trace.cumulative[0] - 1.0)) <= 1e-10
 
     # cumulative-survival monotonicity
-    trace = run_survival(
-        prepare_model(p), two_period_schedule(2 * math.pi, SQRT2, 12)[None], 0.1
-    )
+    trace = run_survival(prep, schedule[None], 0.1)
     assert np.all(np.diff(trace.cumulative[0]) <= 0)
 
     # cutoff convergence between n_max = 40 and 50 at g/omega = 1

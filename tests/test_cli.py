@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import antizeno
-from antizeno import cli, numkit, protocol
+from antizeno import cli
 from antizeno.cli import build_parser, main
 from antizeno.config import (
     EXPERIMENTS, FIELD_RULES, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
 )
-from antizeno.dynamics import QuantumState
 from antizeno.protocol import two_period_schedule
 from antizeno.runner import read_config_header, run
 from antizeno import runner as runner_module
@@ -296,27 +295,14 @@ class TestCliRuns:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_broken_state_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_broken_state_invariant_exits_3(self, tmp_path, capsys, break_state):
         # the input is valid; the state after event 2 reaches the next step
         # of the run unchecked and off its norm, as a numerical breakdown
         # would leave it, and the next step's check stops the run
-        real = protocol.measure_no_click
-        events = []
-
-        def corrupting(state, model):
-            prob, post = real(state, model)
-            events.append(post.kind)
-            if len(events) == 2:
-                broken = object.__new__(QuantumState)
-                object.__setattr__(broken, "kind", post.kind)
-                object.__setattr__(broken, "data", 1.01 * post.data)
-                post = broken
-            return prob, post
-
-        monkeypatch.setattr(protocol, "measure_no_click", corrupting)
+        made = break_state(2, lambda data: 1.01 * data)
         out = tmp_path / "x.csv"
         assert main(small_survival_args(tmp_path, "x.csv")) == 3
-        assert events == ["pure", "pure"]
+        assert made == [(1, "pure"), (2, "pure")]
         err = capsys.readouterr().err
         assert "numerical failure [antizeno.dynamics]: pure state norm deviates from 1" in err
         assert not out.exists()
@@ -494,22 +480,6 @@ class TestCliRuns:
         assert "nan" not in chi_cells[4:]
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Counts ``numkit.hermitian_eig`` calls through every module that binds it."""
-    calls = []
-    real = numkit.hermitian_eig
-
-    def counting(h):
-        calls.append(h.dim)
-        return real(h)
-
-    for module in vars(antizeno).values():
-        if getattr(module, "hermitian_eig", None) is real:
-            monkeypatch.setattr(module, "hermitian_eig", counting)
-    return calls
-
-
 # One CLI input per row of config.INPUT_RULES that breaks only that row,
 # keyed by (experiment, field), and a tag where the field has more rows.
 DATA = Path(__file__).parent / "data"
@@ -572,14 +542,14 @@ def test_every_input_rule_has_a_broken_case():
 
 
 @pytest.mark.parametrize("rule", sorted(BROKEN_RULES), ids="-".join)
-def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls, rule):
+def test_broken_input_rule_exits_2_before_any_solve(tmp_path, capsys, eigh_calls, rule):
     experiment, field = rule[:2]
     assert main(BROKEN_RULES[rule] + ["--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert f"validation error [antizeno.config]: {field}: {experiment} needs" in err
     # the message is the row's own
     assert f"{field}: {experiment} needs {refused_row(BROKEN_RULES[rule])[2]}, got " in err
-    assert eig_calls == []
+    assert eigh_calls == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -616,7 +586,7 @@ def test_every_field_rule_has_a_broken_case():
 
 @pytest.mark.parametrize("rule", list(BROKEN_FIELD_RULES),
                          ids=[f"{field}-{i}" for i, (field, _) in enumerate(BROKEN_FIELD_RULES)])
-def test_broken_field_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls, rule):
+def test_broken_field_rule_exits_2_before_any_solve(tmp_path, capsys, eigh_calls, rule):
     field, what = rule
     flags, file_values = BROKEN_FIELD_RULES[rule]
     cfg_path = tmp_path / "cfg.json"
@@ -632,7 +602,7 @@ def test_broken_field_rule_exits_2_before_any_solve(tmp_path, capsys, eig_calls,
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"validation error [antizeno.config]: {field} must be {what}, got " in err
-    assert eig_calls == []
+    assert eigh_calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -646,19 +616,16 @@ def test_every_table_lists_the_same_experiments():
 @pytest.mark.parametrize("start", [["--preset", "fig5"], ["--preset", "fig6"], []],
                          ids=["fig5", "fig6", "survival"])
 def test_a_window_that_can_reorder_events_exits_2_before_any_solve(
-    tmp_path, capsys, monkeypatch, start
+    tmp_path, capsys, eigh_calls, start
 ):
     # events 1 and 1 + sqrt(2) apart: a +-0.6 window can swap the first two
-    def no_solve(*args, **kwargs):
-        raise AssertionError("eigensolve before validation")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_solve)
     periods = "1,2" if start == ["--preset", "fig5"] else "1"
     args = start + ["--omega-t1", periods, "--jitter", "0.6", "--out", str(tmp_path / "x.csv")]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "validation error [antizeno.config]: jitter_width:" in err
     assert "cannot reorder events" in err and "got 0.6" in err
+    assert eigh_calls == []
     assert list(tmp_path.iterdir()) == []
     # the edge is half the shortest interval of the T1 = 1 schedule as drawn
     # (about 0.5); one ulp below it passes
@@ -677,9 +644,9 @@ def test_fig5_refuses_a_zero_coupling(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_eig_calls_sees_a_valid_run(tmp_path, eig_calls):
+def test_eig_calls_sees_a_valid_run(tmp_path, eigh_calls):
     assert main(small_survival_args(tmp_path)) == 0
-    assert eig_calls
+    assert eigh_calls
 
 
 class TestFlags:

@@ -18,22 +18,20 @@ from antizeno.model import (
     ground_state,
     hamiltonian,
 )
-from antizeno.numkit import hermitian_eig
+from antizeno.protocol import prepare_model
+from helpers import SQRT2, resonant
 from oracle import (
     basis_state,
     braak_roots,
     eigenstate_overlaps,
     embed_even_chain,
     kron_hamiltonian,
+    no_click,
     parity_chain_hamiltonian,
     parity_chain_sites,
     parity_operator,
     perturbative_c1,
 )
-
-
-def resonant(g, n_max=40, kind="rabi"):
-    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=n_max, kind=kind)
 
 
 def test_params_validation():
@@ -43,8 +41,9 @@ def test_params_validation():
         ModelParams(1.0, -0.1, 0.5, 40)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, -0.5, 40)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, 1.0, 0.5, 0)
+    for n_max in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            ModelParams(1.0, 1.0, 0.5, n_max)
 
 
 def test_params_reject_cutoff_beyond_dimension_cap():
@@ -76,18 +75,16 @@ FLOAT_RANGE_EDGES = {
 
 
 def test_params_at_the_float_range_build_finite_matrices():
-    # the largest accepted models build finite matrices with both builders,
-    # and ground_state solves them, all without a numpy warning (warnings
-    # are errors here)
+    # the largest accepted models prepare a finite ground state and chain
+    # spectrum, all without a numpy warning (warnings are errors here)
     for make, edge in FLOAT_RANGE_EDGES.values():
         if edge < sys.float_info.max:
             with pytest.raises(ValueError, match="spectrum passes the float range"):
                 make(np.nextafter(edge, np.inf))
-        p = make(edge)
-        for build in (hamiltonian, even_chain_hamiltonian):
-            assert np.all(np.isfinite(build(p).matrix))
-        gs = ground_state(p)
+        prep = prepare_model(make(edge))
+        gs = prep.ground
         assert math.isfinite(gs.energy) and math.isfinite(gs.gap) and 0 <= gs.p_e <= 1
+        assert np.all(np.isfinite(prep.chain.eigenvalues))
 
 
 def test_params_take_ints_of_any_size():
@@ -114,38 +111,48 @@ def test_params_reject_booleans_and_other_non_numbers(args):
 
 
 class TestRabiHamiltonian:
+    """The model's spectrum and parity, on the chain the runs evolve with
+    (``prepare_model(p).chain``) and on the oracle's full space."""
+
     def test_single_ladder_matrix_element(self):
         p = resonant(0.37, n_max=6)
-        h = hamiltonian(p).matrix
         g0 = basis_state(p.n_max, 0, 0)
         e1 = basis_state(p.n_max, 1, 1)
-        assert np.vdot(e1, h @ g0) == pytest.approx(0.37, abs=1e-14)
+        assert np.vdot(e1, kron_hamiltonian(p) @ g0) == pytest.approx(0.37, abs=1e-14)
+        # |g,0> <-> |e,1> is the chain's first bond
+        assert even_chain_hamiltonian(p).matrix[0, 1] == pytest.approx(0.37, abs=1e-14)
 
     def test_uncoupled_spectrum(self):
         p = ModelParams(1.0, 1.0, 0.0, 10)
-        spec = hermitian_eig(hamiltonian(p))
-        expected = np.sort(
-            np.concatenate([np.arange(11) - 0.5, np.arange(11) + 0.5])
-        )
-        assert np.allclose(spec.eigenvalues, expected, atol=1e-13)
+        expected = np.sort(np.concatenate([np.arange(11) - 0.5, np.arange(11) + 0.5]))
+        odd = np.linalg.eigvalsh(parity_chain_hamiltonian(p, odd=True))
+        both_chains = np.sort(np.concatenate([prepare_model(p).chain.eigenvalues, odd]))
+        assert np.allclose(both_chains, expected, atol=1e-13)
+        assert np.allclose(np.linalg.eigvalsh(kron_hamiltonian(p)), expected, atol=1e-13)
 
     def test_parity_commutator(self):
         p = resonant(0.7, n_max=20)
-        h = hamiltonian(p).matrix
+        h = kron_hamiltonian(p)
         op = parity_operator(p.n_max)
         assert np.max(np.abs(h @ op - op @ h)) <= 1e-13
 
     @pytest.mark.parametrize("omega,omega0,g", [(1.0, 1.0, 0.3), (2.0, 0.5, 1.4), (1.0, 0.0, 1.0)])
     def test_parity_conserved_across_parameters(self, omega, omega0, g):
         p = ModelParams(omega, omega0, g, 24)
-        h = hamiltonian(p).matrix
+        h = kron_hamiltonian(p)
         op = parity_operator(p.n_max)
         assert np.max(np.abs(h @ op - op @ h)) <= 1e-12
+        # the chain the runs evolve with holds the whole even sector's spectrum
+        even = parity_chain_sites(p.n_max)
+        sector = np.linalg.eigvalsh(h[np.ix_(even, even)])
+        assert np.max(np.abs(prepare_model(p).chain.eigenvalues - sector)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["rabi", "jc"])
 @pytest.mark.parametrize("n_max", [1, 40])
 def test_direct_assembly_matches_kron_oracle(kind, n_max):
+    # the one test of the full-space ``hamiltonian``: the fold that takes the
+    # ground state from the chain (ROADMAP item 2) deletes both
     p = resonant(0.83, n_max=n_max, kind=kind)
     h = hamiltonian(p).matrix
     oracle = kron_hamiltonian(p)
@@ -168,17 +175,22 @@ class TestJaynesCummings:
 
     def test_counter_rotating_element_removed(self):
         p = resonant(0.37, n_max=6, kind="jc")
-        h = hamiltonian(p).matrix
         g0 = basis_state(p.n_max, 0, 0)
         e1 = basis_state(p.n_max, 1, 1)
-        assert np.vdot(e1, h @ g0) == 0.0
+        assert np.vdot(e1, kron_hamiltonian(p) @ g0) == 0.0
+        assert even_chain_hamiltonian(p).matrix[0, 1] == 0.0
 
     def test_resonant_doublet(self):
-        # one-excitation block at resonance: energies omega/2 +- g
+        # at resonance the one-excitation block |e,0>, |g,1> (odd chain) has
+        # energies omega/2 +- g, and the two-excitation block |e,1>, |g,2>
+        # (the even chain the runs use) 3 omega/2 +- g sqrt(2)
         p = resonant(0.23, n_max=14, kind="jc")
-        spec = hermitian_eig(hamiltonian(p))
-        for target in (0.5 - 0.23, 0.5 + 0.23):
-            assert np.min(np.abs(spec.eigenvalues - target)) < 1e-12
+        full = np.linalg.eigvalsh(kron_hamiltonian(p))
+        odd = np.linalg.eigvalsh(parity_chain_hamiltonian(p, odd=True))
+        for values, centre, split in ((full, 0.5, 0.23), (odd, 0.5, 0.23), (full, 1.5, 0.23 * SQRT2),
+                                      (prepare_model(p).chain.eigenvalues, 1.5, 0.23 * SQRT2)):
+            for target in (centre - split, centre + split):
+                assert np.min(np.abs(values - target)) < 1e-12
 
 
     @pytest.mark.parametrize("n_max", [7, 8, 40])
@@ -222,7 +234,7 @@ class TestEvenChain:
             e for e, v in zip(values, vectors.T)
             if np.sum(np.abs(v[even]) ** 2) > 0.5
         ])
-        chain = hermitian_eig(even_chain_hamiltonian(p)).eigenvalues
+        chain = prepare_model(p).chain.eigenvalues
         assert np.max(np.abs(chain - sector)) <= 1e-12
 
     def test_unknown_kind(self):
@@ -230,11 +242,11 @@ class TestEvenChain:
             resonant(0.5, kind="dicke")
 
     def test_chain_ground_state_matches(self):
-        gs = ground_state(resonant(1.0))
-        spec = hermitian_eig(even_chain_hamiltonian(resonant(1.0)))
-        assert spec.eigenvalues[0] == pytest.approx(gs.energy, abs=1e-12)
+        prep = prepare_model(resonant(1.0))
+        spec = prep.chain
+        assert spec.eigenvalues[0] == pytest.approx(prep.ground.energy, abs=1e-12)
         vec = spec.eigenvectors[:, 0] * np.sign(spec.eigenvectors[0, 0])
-        assert np.max(np.abs(vec - gs.even_chain)) <= 1e-12
+        assert np.max(np.abs(vec - prep.ground.even_chain)) <= 1e-12
 
 
 class TestParityChains:
@@ -364,21 +376,19 @@ class TestGroundState:
         assert np.sum(np.abs(gs.even_chain) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_leak_still_raises(self, monkeypatch):
-        import antizeno.model
-        from antizeno.numkit import SpectralDecomposition
-
-        real = antizeno.model.hermitian_eig
+        # the full-space solve's own check: the fold that takes the ground
+        # state from the chain (ROADMAP item 2) deletes it with that solve
+        real = np.linalg.eigh
 
         def leaky(h):
             # rotate the even ground state by 1e-3 rad into the first
             # excited state, which is odd at g/omega = 0.5
-            spec = real(h)
-            v = spec.eigenvectors.copy()
+            values, v = real(h)
             c, s = np.cos(1e-3), np.sin(1e-3)
             v[:, 0], v[:, 1] = c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]
-            return SpectralDecomposition(spec.eigenvalues, v)
+            return values, v
 
-        monkeypatch.setattr(antizeno.model, "hermitian_eig", leaky)
+        monkeypatch.setattr(np.linalg, "eigh", leaky)
         with pytest.raises(NumericalError, match="leaks out of the even parity sector by 1.0"):
             ground_state(resonant(0.5, n_max=12))
 
@@ -388,8 +398,9 @@ class TestGroundState:
 
 
 class TestExcitationProbability:
-    # states are batches on the even chain: site k is |g,k> for even k and
-    # |e,k> for odd k
+    """excitation_probability of QuantumState batches on the even chain, and
+    what excitation_trace refuses of them. The fold that keeps states as
+    plain arrays (ROADMAP item 3) deletes this class whole."""
 
     def test_deexcited_product_state(self):
         state = QuantumState("pure", np.eye(7)[4:5])  # |g,4>
@@ -405,6 +416,11 @@ class TestExcitationProbability:
         rho = QuantumState("density", np.eye(12)[None] / 12)
         with pytest.raises(ValueError, match="pure states, got 1 density runs"):
             excitation_trace(resonant(0.5, n_max=11), rho, np.linspace(0.0, 1.0, 3))
+
+    def test_excitation_trace_takes_a_one_run_batch(self):
+        batch = QuantumState("pure", np.eye(9)[:2])
+        with pytest.raises(ValueError, match="one-run batch"):
+            excitation_trace(resonant(0.5, n_max=8), batch, np.linspace(0.0, 1.0, 3))
 
     def test_norm_violation_raises(self):
         state = QuantumState("pure", np.eye(6)[:1])
@@ -473,8 +489,6 @@ class TestConvergeCutoff:
             converge_cutoff(resonant(1.1, kind="jc"))
 
     def test_check_on_prepared_model(self):
-        from antizeno.protocol import prepare_model
-
         assert_cutoff_converged(resonant(1.0))
         with pytest.raises(NumericalError, match="n_max=8 not converged"):
             assert_cutoff_converged(resonant(1.0, n_max=8))
@@ -539,13 +553,10 @@ class TestEigenstateOverlaps:
         assert overlaps[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_projected_ground_golden(self, golden):
-        from antizeno.measurement import measure_no_click
-        from antizeno.protocol import prepare_model
-
         prep = prepare_model(resonant(1.0))
-        _, projected = measure_no_click(prep.chain_ground(1), 0.0)
+        _, projected = no_click(embed_even_chain(prep.ground.even_chain), 0.0)
         vecs = np.linalg.eigh(kron_hamiltonian(prep.params))[1]
-        overlaps = eigenstate_overlaps(embed_even_chain(projected.data[0]), vecs, 6)
+        overlaps = eigenstate_overlaps(projected, vecs, 6)
         assert np.sum(overlaps) <= 1.0 + 1e-10
         assert np.allclose(overlaps, golden["projected_ground_overlaps_g1_k6"], atol=1e-12)
 

@@ -1,33 +1,15 @@
 import numpy as np
 import pytest
 
-from antizeno.dynamics import QuantumState, evolve
 from antizeno.errors import NumericalError
 from antizeno.model import ModelParams, even_chain_hamiltonian, hamiltonian
 from antizeno.numkit import HermitianOperator, hermitian_eig
-from oracle import field_operator, qubit_operator
-
-
-def random_hermitian(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(a + a.conj().T)
-
-
-def density_batch(dim, runs):
-    """``runs`` random density matrices (seeds 0, 1, ...) as one batch."""
-    rhos = []
-    for seed in range(runs):
-        a = random_hermitian(dim, seed).matrix
-        rho = a @ a.conj().T
-        rhos.append(rho / np.trace(rho))
-    return QuantumState("density", np.array(rhos))
-
-
-def unitary(spec, t):
-    """exp(-iHt) as dynamics.evolve applies it: the basis batch evolved for
-    t holds its transpose, row by row."""
-    return evolve(spec, QuantumState("pure", np.eye(spec.dim)), np.full(spec.dim, t)).data.T
+from antizeno.protocol import jitter_times, prepare_model, run_survival, two_period_schedule
+from helpers import SQRT2, resonant
+from oracle import (
+    embed_even_chain, field_operator, full_space_run, kron_hamiltonian,
+    no_click, qubit_operator,
+)
 
 
 class TestTensorProduct:
@@ -63,6 +45,9 @@ class TestTensorProduct:
 
 
 class TestHermitianOperator:
+    """numkit's own contract. The fold that deletes numkit (ROADMAP item 6)
+    deletes this class whole."""
+
     def test_accepts_hermitian(self):
         h = HermitianOperator(np.array([[1.0, 1j], [-1j, 2.0]]))
         assert h.dim == 2
@@ -76,6 +61,16 @@ class TestHermitianOperator:
 
 
 class TestHermitianEig:
+    """numkit's own contract. The fold that deletes numkit (ROADMAP item 6)
+    deletes this class whole; the fold that deletes ``hamiltonian`` (item 2)
+    deletes its cases of that builder first."""
+
+    @staticmethod
+    def random_hermitian(dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return HermitianOperator(a + a.conj().T)
+
     def test_pauli_spectrum(self):
         spec = hermitian_eig(HermitianOperator(np.diag([1.0, -1.0])))
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
@@ -85,7 +80,7 @@ class TestHermitianEig:
         assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_reconstruction_oracle_random(self):
-        h = random_hermitian(8, seed=5)
+        h = self.random_hermitian(8, seed=5)
         spec = hermitian_eig(h)
         v, lam = spec.eigenvectors, spec.eigenvalues
         scale = np.max(np.abs(h.matrix))
@@ -96,7 +91,7 @@ class TestHermitianEig:
         assert np.max(np.abs(reconstruction - h.matrix)) <= 1e-9 * scale
 
     def test_permutation_stable(self):
-        h = random_hermitian(12, seed=8)
+        h = self.random_hermitian(12, seed=8)
         first = hermitian_eig(h)
         second = hermitian_eig(h)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
@@ -126,69 +121,69 @@ class TestHermitianEig:
             hermitian_eig(HermitianOperator(np.eye(2)))
 
 
+
+
 class TestPropagator:
-    """exp(-iHt) = V exp(-iEt) V^dagger from a hermitian_eig spectrum, as
-    dynamics.evolve applies it to pure batches (``unitary``) and to density
-    batches (U rho U^dagger, one time per run). A non-finite time is refused
-    by evolve (test_dynamics.py::TestEvolve::test_times_must_match_runs)."""
+    """exp(-iHt) as runs apply it between events, pinned through
+    ``run_survival`` against the oracle's full-space runs, pure (epsilon =
+    0) and density (epsilon > 0). No run can pin reversibility."""
+
+    P = resonant(0.7, n_max=12)
 
     def test_zero_time_is_identity(self):
-        spec = hermitian_eig(random_hermitian(6, seed=2))
-        assert np.max(np.abs(unitary(spec, 0.0) - np.eye(6))) < 1e-12
-        rho = density_batch(6, 3)
-        assert np.max(np.abs(evolve(spec, rho, np.zeros(3)).data - rho.data)) < 1e-12
+        # an interval of 1e-14 evolves nothing: the second event measures the
+        # state the first left, the oracle's map applied twice
+        prep = prepare_model(self.P)
+        psi = embed_even_chain(prep.ground.even_chain)
+        for eps in (0.1, 0.5):
+            single = run_survival(prep, [[1.0, 1.0 + 1e-14]], eps).single[0]
+            prob, post = no_click(psi, eps)
+            assert abs(single[0] - prob) < 1e-12
+            assert abs(single[1] - no_click(post, eps)[0]) < 1e-12
 
     def test_two_level_closed_form(self):
-        # a full qubit period gives -1, a global phase that leaves every
-        # density matrix unchanged, coherences included
-        omega0 = 1.7
-        spec = hermitian_eig(HermitianOperator(0.5 * omega0 * np.diag([-1.0, 1.0])))
-        assert np.max(np.abs(unitary(spec, 2 * np.pi / omega0) + np.eye(2))) < 1e-12
-        plus = QuantumState("pure", np.full((1, 2), np.sqrt(0.5))).promoted()
-        evolved = evolve(spec, plus, [2 * np.pi / omega0])
-        assert np.max(np.abs(evolved.data - plus.data)) < 1e-12
+        # on the two-site chain |g,0>, |e,1> (n_max = 1) the projected state
+        # oscillates at W = sqrt((omega + omega0)^2 + 4 g^2): the second event
+        # loses (2g/W)^2 sin^2(W tau / 2) at epsilon = 0, and after a full
+        # period, a global phase, finds every state as the first left it
+        g = 0.7
+        prep = prepare_model(resonant(g, n_max=1))
+        w = np.sqrt(4.0 + 4 * g**2)
+        for tau in (0.3, 1.1, 2.9):
+            loss = 1.0 - run_survival(prep, [[1.0, 1.0 + tau]], 0.0).single[0, 1]
+            assert abs(loss - (2 * g / w) ** 2 * np.sin(w * tau / 2) ** 2) < 1e-12
+        psi = embed_even_chain(prep.ground.even_chain)
+        for eps in (0.0, 0.3):
+            single = run_survival(prep, [[1.0, 1.0 + 2 * np.pi / w]], eps).single[0]
+            assert abs(single[1] - no_click(no_click(psi, eps)[1], eps)[0]) < 1e-12
 
     def test_unitarity_and_reversibility(self):
-        spec = hermitian_eig(random_hermitian(8, seed=13))
-        u = unitary(spec, 0.7)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
-        assert np.max(np.abs(u @ unitary(spec, -0.7) - np.eye(8))) <= 1e-10
-        # the evolved basis projectors sum to U U^dagger, and evolve back
-        projectors = QuantumState("pure", np.eye(8)).promoted()
-        evolved = evolve(spec, projectors, np.full(8, 0.7))
-        assert np.max(np.abs(evolved.data.sum(axis=0) - np.eye(8))) <= 1e-10
-        back = evolve(spec, evolved, np.full(8, -0.7))
-        assert np.max(np.abs(back.data - projectors.data)) <= 1e-10
+        # exp(-iHt) keeps the trace: a detector that never acts keeps a
+        # density stack at survival 1 over 40 jittered events; and it keeps
+        # the norm: the pure path matches the oracle's unitary run
+        prep = prepare_model(self.P)
+        stack = jitter_times(two_period_schedule(2 * np.pi, SQRT2, 40), 0.2 * np.pi, 3, 21)
+        assert np.max(np.abs(run_survival(prep, stack, 1.0).cumulative - 1.0)) <= 1e-10
+        h, psi = kron_hamiltonian(self.P), embed_even_chain(prep.ground.even_chain)
+        trace = run_survival(prep, stack, 0.0)
+        for row, times in enumerate(stack):
+            assert np.max(np.abs(trace.single[row] - full_space_run(h, psi, times, 0.0)[1])) <= 1e-10
 
     def test_group_property(self):
-        spec = hermitian_eig(random_hermitian(8, seed=21))
-        lhs = unitary(spec, 0.3) @ unitary(spec, 1.1)
-        assert np.max(np.abs(lhs - unitary(spec, 1.4))) <= 1e-9
-        first, second = np.array([1.1, 0.3, -0.5]), np.array([0.3, 1.1, 2.0])
-        rho = density_batch(8, 3)
-        twice = evolve(spec, evolve(spec, rho, first), second)
-        assert np.max(np.abs(twice.data - evolve(spec, rho, first + second).data)) <= 1e-9
+        # U(a) U(b) = U(a + b) with the ground state stationary: delaying a
+        # whole schedule lengthens only its first interval, so no survival moves
+        prep = prepare_model(self.P)
+        stack = jitter_times(two_period_schedule(2 * np.pi, SQRT2, 8), 0.2 * np.pi, 3, 4)
+        for eps in (0.0, 0.1):
+            early, late = (run_survival(prep, stack + delay, eps).single for delay in (0.0, 1.1))
+            assert np.max(np.abs(early - late)) <= 1e-9
 
     def test_against_series_exponential_oracle(self):
-        # independent route: scaling-and-squaring Taylor series for exp(-iHt)
-        h = random_hermitian(6, seed=17)
-
-        def series(t, squarings=10):
-            a = -1j * h.matrix * t / 2**squarings
-            term = np.eye(6, dtype=complex)
-            total = np.eye(6, dtype=complex)
-            for k in range(1, 30):
-                term = term @ a / k
-                total = total + term
-            for _ in range(squarings):
-                total = total @ total
-            return total
-
-        spec = hermitian_eig(h)
-        assert np.max(np.abs(unitary(spec, 0.37) - series(0.37))) <= 1e-12
-        times = np.array([0.37, -0.21, 0.9])
-        rho = density_batch(6, 3)
-        evolved = evolve(spec, rho, times)
-        for k, t in enumerate(times):
-            expected = series(t) @ rho.data[k] @ series(t).conj().T
-            assert np.max(np.abs(evolved.data[k] - expected)) <= 1e-12
+        # the one route that uses no eigendecomposition: exp(-iHt) from a
+        # scaled and squared Taylor series on the full space
+        prep = prepare_model(self.P)
+        h, psi = kron_hamiltonian(self.P), embed_even_chain(prep.ground.even_chain)
+        times = jitter_times(two_period_schedule(1.0, SQRT2, 6), 0.2, 1, 17)[0]
+        for eps in (0.0, 0.1):
+            expected = full_space_run(h, psi, times, eps, series=True)[1]
+            assert np.max(np.abs(run_survival(prep, times[None], eps).single[0] - expected)) <= 1e-12

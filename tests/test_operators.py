@@ -4,16 +4,13 @@ built on it."""
 import numpy as np
 import pytest
 
-from antizeno.model import ModelParams
 from oracle import annihilation, basis_state, field_operator, parity_operator, qubit_operator
 
 
 def test_basis_validation():
-    # the photon truncation is a field of the model, checked there
-    for n_max in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
-            ModelParams(1.0, 1.0, 0.5, n_max)
-    assert basis_state(ModelParams(1.0, 1.0, 0.5, 5).n_max, 0, 0).size == 12
+    # the oracle validates nothing: the photon truncation is a field of the
+    # model, checked there (test_model.py::test_params_validation)
+    assert basis_state(5, 0, 0).size == 12
 
 
 def test_basis_index_is_bijective():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from antizeno import protocol
-from antizeno.dynamics import BATCH_RUNS, QuantumState
 from antizeno.errors import NumericalError
 from antizeno.model import ModelParams, even_chain_hamiltonian
 from antizeno.protocol import (
@@ -20,18 +19,12 @@ from antizeno.protocol import (
 )
 from antizeno.config import FIG4_PANEL_C_GRID, FIG4_PANELS, ExperimentConfig, preset
 from antizeno.runner import build_tables
+from helpers import SQRT2, resonant
 from oracle import (
-    beyond_5_se, embed_even_chain, full_space_singles, jitter_mean_survival,
+    beyond_5_se, embed_even_chain, full_space_run, jitter_mean_survival,
     jitter_weak_coupling_losses, kron_hamiltonian, trajectory_survival, truncated_survival,
     weak_coupling_losses,
 )
-
-SQRT2 = np.sqrt(2.0)
-
-
-def resonant(g, n_max=40, kind="rabi"):
-    return ModelParams(1.0, 1.0, g, n_max, kind)
-
 
 class TestTwoPeriodSchedule:
     def test_alternating_increments(self):
@@ -433,7 +426,7 @@ class TestRunSurvival:
         sched = two_period_schedule(2 * np.pi, SQRT2, 8)
         trace = run_survival(prep, sched[None], 0.0)
 
-        singles = full_space_singles(
+        _, singles = full_space_run(
             kron_hamiltonian(prep.params), embed_even_chain(prep.ground.even_chain), sched, 0.0,
             density=True,
         )
@@ -451,7 +444,7 @@ class TestRunSurvival:
         )
         trace = run_survival(prep, schedules, eps)
         for row, sched in enumerate(schedules):
-            singles = full_space_singles(h, embed_even_chain(prep.ground.even_chain), sched, eps)
+            _, singles = full_space_run(h, embed_even_chain(prep.ground.even_chain), sched, eps)
             assert np.allclose(trace.single[row], singles, rtol=0, atol=1e-12)
             assert np.allclose(
                 trace.cumulative[row], np.cumprod(singles), rtol=0, atol=1e-12
@@ -474,11 +467,12 @@ class TestRunSurvival:
             expected = trajectory_survival(h, prep.ground.even_chain, times, eps)
             assert np.max(np.abs(trace.cumulative[row] - expected)) <= 1e-13
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.4])
     def test_batched_rows_equal_single_runs(self, eps):
-        # more runs than one density block, so block boundaries are crossed
+        # each row is measured on its own: 9 runs cross the blocks in which
+        # density runs are advanced together
         prep = prepare_model(resonant(1.0))
-        runs = 2 * BATCH_RUNS["density"] + 1
+        runs = 9
         base = two_period_schedule(2 * np.pi, SQRT2, 12)
         schedules = jitter_schedule(copies(base, runs), 0.2 * np.pi, child_seeds(9, runs))
         batch = run_survival(prep, schedules, eps)
@@ -492,7 +486,7 @@ class TestRunSurvival:
     def test_array_stack_matches_schedule_list(self, eps):
         prep = prepare_model(resonant(1.0))
         base = two_period_schedule(2 * np.pi, SQRT2, 9)
-        runs = BATCH_RUNS["density"] + 3
+        runs = 7
         schedules = [
             jitter_schedule(base[None], 0.2 * np.pi, [seed])[0] for seed in child_seeds(5, runs)
         ]
@@ -567,15 +561,6 @@ class TestRunSurvival:
             prep.chain_ground(1)
 
 
-def _unchecked(kind, data):
-    """A QuantumState that skips its construction checks, as a corrupted
-    state would reach the next step of a run."""
-    state = object.__new__(QuantumState)
-    object.__setattr__(state, "kind", kind)
-    object.__setattr__(state, "data", data)
-    return state
-
-
 def _shift_last_site(data):
     """Move 1e-3 of population from the first to the last chain site: the
     trace and Hermiticity hold, but the nearly empty last site goes negative."""
@@ -591,56 +576,38 @@ def _non_hermitian(data):
     return out
 
 
-# (epsilon, corruption of the post-measurement data, the check's message)
+# (epsilon, corruption of the post-measurement data, the stack rows it
+# breaks (None: all), the check's message naming the first broken row)
 CORRUPTIONS = {
-    "pure norm": (0.0, lambda d: 1.01 * d, "pure state norm deviates from 1"),
-    "density trace": (0.1, lambda d: 1.01 * d, "density matrix trace deviates from 1"),
-    "hermiticity": (0.1, _non_hermitian, "density matrix not Hermitian"),
-    "positivity": (0.1, _shift_last_site, "density matrix not positive"),
+    "pure norm": (0.0, lambda d: 1.01 * d, None, r"pure state norm deviates from 1 .*\(run 0\)"),
+    "density trace": (0.1, lambda d: 1.01 * d, None, "density matrix trace deviates from 1"),
+    "hermiticity": (0.1, _non_hermitian, None, "density matrix not Hermitian"),
+    "positivity": (0.1, _shift_last_site, None, "density matrix not positive"),
+    "positivity in row 5": (0.1, _shift_last_site, [5], r"not positive: min eigenvalue .*\(run 5\)$"),
 }
 
 
 @pytest.mark.parametrize("check", sorted(CORRUPTIONS))
-def test_state_corrupted_mid_run_is_caught(monkeypatch, check):
+def test_state_corrupted_mid_run_is_caught(break_state, check):
     # corrupt the conditional state of the second event: the run must stop
-    # with the broken invariant's message before it measures again
-    epsilon, corrupt, message = CORRUPTIONS[check]
+    # with the broken invariant's message, naming the broken row of the
+    # stack, before it measures again; 6 runs cross the blocks in which
+    # density runs are advanced together
+    epsilon, corrupt, rows, message = CORRUPTIONS[check]
     prep = prepare_model(resonant(0.5, n_max=20))
-    times = np.tile(two_period_schedule(2 * np.pi, SQRT2, 4), (2, 1))
+    times = np.tile(two_period_schedule(2 * np.pi, SQRT2, 4), (6, 1))
     run_survival(prep, times, epsilon)  # the clean run passes every check
-    real = protocol.measure_no_click
-    events = []
-
-    def corrupting(state, epsilon):
-        prob, post = real(state, epsilon)
-        events.append(post.kind)
-        if len(events) == 2:
-            post = _unchecked(post.kind, corrupt(np.array(post.data)))
-        return prob, post
-
-    monkeypatch.setattr(protocol, "measure_no_click", corrupting)
+    made = break_state(2, corrupt, rows)
     with pytest.raises(NumericalError, match=message):
         run_survival(prep, times, epsilon)
-    assert events == ["pure" if epsilon == 0.0 else "density"] * 2
+    assert made[-1] == (2, "pure" if epsilon == 0.0 else "density")
 
 
-def test_prepare_model_defers_full_space_spectrum(monkeypatch):
-    import antizeno.model
-    import antizeno.protocol
-
-    dims = []
-    real = antizeno.protocol.hermitian_eig
-
-    def counting(h):
-        dims.append(h.dim)
-        return real(h)
-
-    monkeypatch.setattr(antizeno.protocol, "hermitian_eig", counting)
-    monkeypatch.setattr(antizeno.model, "hermitian_eig", counting)
+def test_prepare_model_solves_the_ground_state_then_the_chain_on_first_read(eigh_calls):
     prep = prepare_model(resonant(0.5, n_max=10))
-    assert dims == [22]  # the ground-state solve only
-    assert prep.chain.dim == 11 and prep.chain is prep.chain
-    assert dims == [22, 11]
+    assert [dim for dim, _ in eigh_calls] == [22]  # the ground-state solve only
+    assert prep.chain is prep.chain
+    assert [dim for dim, _ in eigh_calls] == [22, 11]
 
 
 class TestEnsembleSurvival:
@@ -702,7 +669,7 @@ class TestEnsembleSurvival:
 class TestSharedDraws:
     def test_shared_stack_equals_independent_ensembles(self):
         base = two_period_schedule(2 * np.pi, SQRT2, 10)
-        width, runs, seed = 0.2 * np.pi, 2 * BATCH_RUNS["density"] + 1, 17
+        width, runs, seed = 0.2 * np.pi, 9, 17
         shared = jitter_times(base, width, runs, seed)
         for g in (0.4, 1.0):
             prep = prepare_model(resonant(g))

@@ -475,50 +475,27 @@ def test_fig4_prepares_each_coupling_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name,solves", [("fig1", 102), ("fig4", 27)])
-def test_cutoff_check_reuses_the_prepared_ground_state(monkeypatch, name, solves):
+def test_cutoff_check_reuses_the_prepared_ground_state(eigh_calls, name, solves):
     # one ground-state solve per coupling (plus one chain solve per coupling
     # that runs a survival protocol) and one more for the cutoff check, at
     # n_max + 10 only
-    import antizeno.dynamics
-    import antizeno.model
-
-    dims = []
-    real = antizeno.model.hermitian_eig
-
-    def counting(h):
-        dims.append(h.dim)
-        return real(h)
-
-    for module in (antizeno.model, protocol, antizeno.dynamics):
-        monkeypatch.setattr(module, "hermitian_eig", counting)
     build_tables(preset(name))
+    dims = [dim for dim, _ in eigh_calls]
     assert len(dims) == solves
     assert dims.count(2 * (40 + 10 + 1)) == 1
 
 
 @pytest.mark.parametrize("name,solves", [("fig1", 210), ("fig3", 34), ("fig4", 40)])
-def test_auto_cutoff_solves_each_model_once(monkeypatch, name, solves):
+def test_auto_cutoff_solves_each_model_once(eigh_calls, name, solves):
     # the cutoff search, the cutoff check and prepare share one memo of solved
-    # models per build: every hermitian_eig call is on a distinct matrix, and
-    # a second build solves them all again. fig4's search covers panel c's
+    # models per build: every eigensolve is of a distinct matrix, and a
+    # second build solves them all again. fig4's search covers panel c's
     # grid too
-    import antizeno.dynamics
-    import antizeno.model
-
-    matrices = []
-    real = antizeno.model.hermitian_eig
-
-    def counting(h):
-        matrices.append(h.matrix.tobytes())
-        return real(h)
-
-    for module in (antizeno.model, protocol, antizeno.dynamics):
-        monkeypatch.setattr(module, "hermitian_eig", counting)
     cfg = replace(preset(name), n_max=None)
     build_tables(cfg)
-    assert len(matrices) == len(set(matrices)) == solves
+    assert len(eigh_calls) == len({matrix for _, matrix in eigh_calls}) == solves
     build_tables(cfg)
-    assert len(matrices) == 2 * solves
+    assert len(eigh_calls) == 2 * solves
 
 
 @pytest.mark.parametrize("config", [

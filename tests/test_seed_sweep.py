@@ -27,20 +27,15 @@ import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import FIG4_PANEL_C_GRID, FIG4_PANELS
-from antizeno.model import ModelParams
 from antizeno.protocol import ensemble_survival, jitter_times, prepare_model, two_period_schedule
+from helpers import SQRT2, resonant
 from oracle import beyond_5_se, jitter_mean_survival
 
 pytestmark = pytest.mark.slow
 
 SEEDS = range(50)
-SQRT2 = math.sqrt(2.0)
 REFERENCE_RUNS = 4000
 REFERENCE_SEED = 10**6
-
-
-def resonant(g):
-    return ModelParams(omega=1.0, omega0=1.0, g=g, n_max=40)
 
 
 def _panel(name):
