@@ -26,12 +26,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from . import __version__, config as config_module
-from .analysis import FitResult, fit_exponential, fit_quadratic_origin
+from .analysis import fit_exponential, fit_quadratic_origin
 from .config import FIG2_COLUMN, ExperimentConfig, Stack, couplings, model_params, plan
 from .dynamics import excitation_trace
 from .errors import NumericalError
@@ -66,21 +66,20 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     solved: dict = {}  # the ground states of this build: no model is solved twice
     n_max = config.n_max if config.n_max is not None else max(  # auto: converged at every coupling
         converge_cutoff(model_params(config, g, CUTOFF_STEP), solved) for g in couplings(config))
-    models: dict[float, PreparedModel] = {}
 
+    @cache
     def prepare(g: float) -> PreparedModel:
-        """The prepared model at coupling g/omega, made once per build; every
-        experiment but fig1 starts from the ground state, so it refuses a
-        degenerate ground manifold."""
-        if g not in models:
-            models[g] = prepare_model(model_params(config, g, n_max), solved)
-            if models[g].ground.even_chain is None and config.experiment != "fig1":
-                raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
-                                 f"coupling it runs; g/omega = {g!r} has a gap of "
-                                 f"{models[g].ground.gap:.3e}, below DEGENERACY_GAP")
-        return models[g]
+        """The prepared model at coupling g/omega, made once per build (callers
+        pass a float: the cache tells 1 from 1.0); every experiment but fig1
+        starts from the ground state, so it refuses a degenerate ground manifold."""
+        prep = prepare_model(model_params(config, g, n_max), solved)
+        if prep.ground.even_chain is None and config.experiment != "fig1":
+            raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
+                             f"coupling it runs; g/omega = {g!r} has a gap of "
+                             f"{prep.ground.gap:.3e}, below DEGENERACY_GAP")
+        return prep
 
-    largest_g = max(couplings(config))
+    largest_g = float(max(couplings(config)))
     if largest_g > 0:
         assert_cutoff_converged(prepare(largest_g).params, solved)
 
@@ -98,9 +97,14 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
 # table builders: (config, prepare, metadata) -> {table name: {column: cells}}
 
 
-def _fit_health(fit: FitResult, **at) -> dict:
-    """What a fit skipped and how far it missed, at its table coordinates ``at``."""
-    return {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max}
+def _fit(metadata: dict, law: str, x, y, table: str, **at) -> tuple[float, float]:
+    """Fit y = lam * x**2 ("quadratic") or y = exp(intercept - rate * x) ("exponential")
+    to cells of table ``table``; return (lam or rate, r^2). What the fit dropped and its
+    largest residual go under ``metadata["<law>_fits"][table]``, at table coordinates ``at``."""
+    fit = fit_quadratic_origin(x, y) if law == "quadratic" else fit_exponential(x, y)
+    metadata.setdefault(f"{law}_fits", {}).setdefault(table, []).append(
+        {**at, "n_dropped": fit.n_dropped, "residual_max": fit.residual_max})
+    return fit.coefficients["lam" if law == "quadratic" else "rate"], fit.r_squared
 
 
 def _table(schema: str, *blocks: dict) -> dict[str, list]:
@@ -138,7 +142,7 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: S
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
     blocks = []
     for g, eps in stack.pairs:
-        ens = ensemble_survival(prepare(g), times, eps)
+        ens = ensemble_survival(prepare(float(g)), times, eps)
         blocks.append({
             "g_over_omega": float(g),
             "epsilon": float(eps),
@@ -158,20 +162,16 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: S
 def _build_fig1(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     g = np.asarray(config.g_values, dtype=float)
     p_e = np.array([prepare(gi).ground.p_e for gi in g])
-    fit = fit_quadratic_origin(g, p_e)
-    metadata["quadratic_fits"] = {"data": [_fit_health(fit)]}
-    return {"data": _table(
-        "g_over_omega p_e lambda_fit r_squared",
-        {"g_over_omega": g.tolist(), "p_e": p_e.tolist(),
-         "lambda_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
-    )}
+    data = {"g_over_omega": g.tolist(), "p_e": p_e.tolist()}
+    data["lambda_fit"], data["r_squared"] = _fit(metadata, "quadratic", g, p_e, "data")
+    return {"data": _table("g_over_omega p_e lambda_fit r_squared", data)}
 
 
 def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     omega_t = np.arange(0.0, config.time_max + config.time_step / 2, config.time_step)
     table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
-        prep = prepare(g)
+        prep = prepare(float(g))
         _, initial = measure_no_click(prep.chain_ground(1), 0.0)
         values = excitation_trace(prep.params, initial, omega_t)
         table[FIG2_COLUMN.format(g)] = values.tolist()
@@ -182,66 +182,51 @@ def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     (sweep,) = plan(config).values()
     g = np.array([gi for gi, _ in sweep.pairs], dtype=float)
-    mean_final = np.array([sweep_T1(prepare(gi), sweep.n, sweep.periods, config.ratio, eps)
+    mean_final = np.array([sweep_T1(prepare(float(gi)), sweep.n, sweep.periods, config.ratio, eps)
                            for gi, eps in sweep.pairs])
-    fit = fit_exponential(g**2, mean_final)
-    metadata["exponential_fits"] = {"data": [_fit_health(fit)]}
-    return {"data": _table(
-        "g_over_omega mean_final_survival gaussian_rate gaussian_r_squared",
-        {"g_over_omega": g.tolist(), "mean_final_survival": mean_final.tolist(),
-         "gaussian_rate": fit.coefficients["rate"], "gaussian_r_squared": fit.r_squared},
-    )}
+    data = {"g_over_omega": g.tolist(), "mean_final_survival": mean_final.tolist()}
+    data["gaussian_rate"], data["gaussian_r_squared"] = _fit(
+        metadata, "exponential", g**2, mean_final, "data")
+    return {"data": _table("g_over_omega mean_final_survival gaussian_rate gaussian_r_squared", data)}
 
 
 def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     panel = {name: _ensemble_blocks(config, prepare, metadata, stack)
              for name, stack in plan(config).items()}
-
-    # panel a shows the strongest coupling of the panel-b set
-    table_a = _table("event omega_t single_mean single_std cumulative_mean cumulative_std", *panel["a"])
-
     # panel b: survival vs event count per coupling, with exponential fits
-    blocks_b, health_b = [], []
     for block in panel["b"]:
-        fit = fit_exponential(block["event"], block["cumulative_mean"])
-        blocks_b.append({**block, "fit_rate": fit.coefficients["rate"],
-                         "fit_r_squared": fit.r_squared})
-        health_b.append(_fit_health(fit, g_over_omega=block["g_over_omega"]))
-    table_b = _table(
-        "g_over_omega event omega_t cumulative_mean cumulative_std fit_rate fit_r_squared",
-        *blocks_b,
-    )
-
+        block["fit_rate"], block["fit_r_squared"] = _fit(
+            metadata, "exponential", block["event"], block["cumulative_mean"], "b",
+            g_over_omega=block["g_over_omega"])
     # panel c: mean single-event survival vs coupling, quadratic law
-    grid = np.array([block["g_over_omega"] for block in panel["c"]])
+    grid = [block["g_over_omega"] for block in panel["c"]]
     pbar = np.array([np.mean(block["single_mean"]) for block in panel["c"]])
-    fit = fit_quadratic_origin(grid, 1.0 - pbar)
-    table_c = _table(
-        "g_over_omega mean_single_survival chi_bar_fit r_squared",
-        {"g_over_omega": grid.tolist(), "mean_single_survival": pbar.tolist(),
-         "chi_bar_fit": fit.coefficients["lam"], "r_squared": fit.r_squared},
-    )
+    c = {"g_over_omega": grid, "mean_single_survival": pbar.tolist()}
+    c["chi_bar_fit"], c["r_squared"] = _fit(metadata, "quadratic", grid, 1.0 - pbar, "c")
     metadata["fig4_panels"] = config_module.FIG4_PANELS
-    metadata["exponential_fits"] = {"b": health_b}
-    metadata["quadratic_fits"] = {"c": [_fit_health(fit)]}
-    return {"a": table_a, "b": table_b, "c": table_c}
+    return {
+        # panel a shows the strongest coupling of the panel-b set
+        "a": _table("event omega_t single_mean single_std cumulative_mean cumulative_std", *panel["a"]),
+        "b": _table("g_over_omega event omega_t cumulative_mean cumulative_std fit_rate fit_r_squared",
+                    *panel["b"]),
+        "c": _table("g_over_omega mean_single_survival chi_bar_fit r_squared", c),
+    }
 
 
 def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    blocks, health = [], []
+    blocks = []
     for w, stack in plan(config).items():
         (block,) = _ensemble_blocks(config, prepare, metadata, stack)
         # in omega*t units, t/T1 = omega*t / (omega*T1)
         t_over_t1 = (np.asarray(block["omega_t"]) / w).tolist()
-        fit = fit_exponential(t_over_t1, block["cumulative_mean"])
+        rate, _ = _fit(metadata, "exponential", t_over_t1, block["cumulative_mean"], "data",
+                       omega_t1=float(w))
         blocks.append({**block, "omega_t1": float(w), "t_over_t1": t_over_t1,
-                       "rate_per_t_over_t1": fit.coefficients["rate"]})
-        health.append(_fit_health(fit, omega_t1=float(w)))
+                       "rate_per_t_over_t1": rate})
     # similar rates across periods mean the decay per measurement is period-independent
     rates = [block["rate_per_t_over_t1"] for block in blocks]
     if min(rates) <= 0:
         raise NumericalError(f"no rate ratio: a period's fitted decay rate is {min(rates)!r}")
-    metadata["exponential_fits"] = {"data": health}
     return {"data": _table(
         "omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
         "rate_per_t_over_t1 rate_ratio_max_min",

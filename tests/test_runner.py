@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
-from antizeno.config import FIG4_PANELS, PRESET_NAMES, ExperimentConfig, largest_model, preset
-from antizeno.model import ModelParams
+from antizeno.config import (
+    FIG4_PANELS, PRESET_NAMES, ExperimentConfig, largest_model, model_params, preset,
+)
+from antizeno.model import ModelParams, ground_state
 from antizeno import config as config_module
 from antizeno import protocol
 from antizeno import runner as runner_module
@@ -219,6 +221,20 @@ class TestFig4Builder:
         ]
         assert c["n"] == 3
         assert tables["c"]["mean_single_survival"] == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_panel_c_of_one_event_is_the_ground_state_loss(self, monkeypatch):
+        # with one event per run every run's survival is the first-event
+        # identity 1 - p_e (epsilon = 0), whatever its jitter: panel c's
+        # mean loss is the ground state's p_e at each grid coupling
+        panels = {**FIG4_PANELS, "c": {**FIG4_PANELS["c"], "n": 1, "runs": 5}}
+        monkeypatch.setattr(config_module, "FIG4_PANELS", panels)
+        cfg = ExperimentConfig(experiment="fig4", g_values=(0.5, 1.0), n_max=20)
+        metadata, tables = build_tables(cfg)
+        table = tables["c"]
+        assert table["g_over_omega"] == list(config_module.FIG4_PANEL_C_GRID)
+        for g, survival in zip(table["g_over_omega"], table["mean_single_survival"]):
+            p_e = ground_state(model_params(cfg, g, metadata["cutoff_used"])).p_e
+            assert abs((1.0 - survival) - p_e) <= 1e-14, g
 
 
 class TestFig5Builder:
@@ -456,9 +472,34 @@ def test_the_plan_explains_the_run(monkeypatch, name):
     assert sum(drawn) + sum(len(periods) * n for periods, n in swept) == events
 
 
+# The fits a build runs, (quadratic, exponential): fig1's p_e law, fig3's
+# Gaussian decay, fig4's three panel-b decays and panel c's loss law, and
+# fig5's decay per period.
+FITS = {"fig1": (1, 0), "fig2": (0, 0), "fig3": (0, 1), "fig4": (1, 3), "fig5": (0, 3),
+        "fig6": (0, 0), "survival": (0, 0)}
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_every_fit_runs_through_the_runner_names(monkeypatch, name):
+    # a build reads both fit functions from runner's namespace when it fits,
+    # so a wrapper bound there (as bench/tracer.py binds its fit span) sees
+    # every fit
+    calls = []
+    for law in ("fit_quadratic_origin", "fit_exponential"):
+        def counting(x, y, law=law, real=getattr(runner_module, law)):
+            calls.append(law)
+            return real(x, y)
+        monkeypatch.setattr(runner_module, law, counting)
+    config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
+        g_values=(0.5, 1.0), n_max=20, n_measurements=4, runs=3)
+    build_tables(config)
+    assert (calls.count("fit_quadratic_origin"), calls.count("fit_exponential")) == FITS[name]
+
+
 def test_fig4_prepares_each_coupling_once(monkeypatch):
     # panels a, b and c share g/omega = 1, and panel b's couplings are not
-    # all on the panel-c grid: one prepared model per distinct coupling
+    # all on the panel-c grid: one prepared model per distinct coupling, an
+    # integer 1 in g_values and panel c's 1.0 included
     couplings = []
     real = runner_module.prepare_model
 
@@ -467,11 +508,13 @@ def test_fig4_prepares_each_coupling_once(monkeypatch):
         return real(params, *args, **kwargs)
 
     monkeypatch.setattr(runner_module, "prepare_model", counting)
-    cfg = preset("fig4")
-    build_tables(cfg)
-    distinct = set(cfg.g_values) | set(config_module.FIG4_PANEL_C_GRID)
-    assert len(distinct) == 13
-    assert len(couplings) == len(set(couplings)) == 13
+    for g_values in (preset("fig4").g_values, (1 / 3, 2 / 3, 1)):
+        couplings.clear()
+        cfg = replace(preset("fig4"), g_values=g_values)
+        build_tables(cfg)
+        distinct = set(cfg.g_values) | set(config_module.FIG4_PANEL_C_GRID)
+        assert len(distinct) == 13
+        assert len(couplings) == len(set(couplings)) == 13, g_values
 
 
 @pytest.mark.parametrize("name,solves", [("fig1", 102), ("fig4", 27)])
