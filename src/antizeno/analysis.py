@@ -7,7 +7,6 @@ Fits are unweighted.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -112,12 +111,13 @@ def fit_exponential(x, y) -> FitResult:
             f"({n_dropped} dropped)"
         )
     log_y = np.log(y)
-    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
-        warnings.simplefilter("error")  # polyfit warns (RankWarning) on a singular system
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            slope, intercept = np.polyfit(x, log_y, 1)
+            (slope, intercept), _, rank, _, _ = np.polyfit(x, log_y, 1, full=True)
+            if rank < 2:  # a singular system, on which polyfit only warns
+                raise NumericalError(f"exponential fit breaks down in least squares: rank {rank}")
             predicted = slope * x + intercept
-        except (FloatingPointError, Warning) as exc:
+        except FloatingPointError as exc:
             raise NumericalError(f"exponential fit breaks down in least squares: {exc}") from exc
     return FitResult(
         {"rate": float(-slope), "intercept": float(intercept)},

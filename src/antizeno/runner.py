@@ -24,7 +24,6 @@ import errno
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -274,20 +273,17 @@ def _json_text(metadata: dict, tables: dict[str, dict[str, list]]) -> str:
 
 
 def _write_all(texts: dict[str, str]) -> None:
-    """Write a whole output set or none of it: every file goes to a temp
-    file first, and the temps are renamed over their targets only once all
-    of them are written. Files get mode 0o666 & ~umask, as ``open`` would."""
-    umask = os.umask(0)
-    os.umask(umask)
+    """Write a whole output set or none of it: every file goes to a new temp
+    file beside its target (mode 0o666 & ~umask, as ``open`` gives), and the
+    temps are renamed over their targets only once all of them are written."""
     temps: list[tuple[str, str]] = []
     try:
         for path, text in texts.items():
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".antizeno-", suffix=".tmp")
-            temps.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            tmp = os.path.join(directory, f".antizeno-{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as handle:
+                temps.append((tmp, path))
                 handle.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
         for _, path in temps:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)

@@ -128,6 +128,21 @@ class TestFitExponential:
         assert fit.n_dropped == 0
         assert fit.coefficients["rate"] == pytest.approx(1.5 * np.log(10.0), rel=1e-12)
 
+    def test_survival_down_to_1e_11_keeps_every_point(self):
+        # 1e-11 lies above the floor: three points, exactly log-linear
+        fit = fit_exponential([1.0, 2.0, 3.0], [1e-3, 1e-7, 1e-11])
+        assert fit.n_dropped == 0
+        assert fit.coefficients["rate"] == pytest.approx(4 * np.log(10.0), rel=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_singular_system_fails_under_an_ignore_filter(self):
+        # the fit judges the least-squares rank itself: x values one ulp apart
+        # fail even when the caller's warnings filters ignore every warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError, match="breaks down in least squares"):
+                fit_exponential([1.0, 1 + 2.2e-16, 1 + 4.4e-16], [0.5, 0.4, 0.3])
+
     def test_all_below_floor_rejected(self):
         # valid input whose survival is extinct is a numerical failure
         with pytest.raises(NumericalError, match="extinction floor"):

@@ -767,18 +767,18 @@ class TestOutputSet:
         assert list((tmp_path / "fig4_c.csv").iterdir()) == []
 
     def test_write_failure_on_third_file_writes_nothing(self, tmp_path, monkeypatch, three_panel):
-        real = runner_module.tempfile.mkstemp
         temps = []
 
-        def third_unwritable(*args, **kwargs):
-            fd, path = real(*args, **kwargs)
-            temps.append(path)
-            if len(temps) == 3:
-                os.close(fd)
-                fd = os.open(path, os.O_RDONLY)
-            return fd, path
+        def third_unwritable(path, mode="r", **kwargs):
+            handle = open(path, mode, **kwargs)
+            if mode == "x":
+                temps.append(path)
+                if len(temps) == 3:
+                    handle.close()
+                    handle = open(path, "r", **kwargs)
+            return handle
 
-        monkeypatch.setattr(runner_module.tempfile, "mkstemp", third_unwritable)
+        monkeypatch.setattr(runner_module, "open", third_unwritable, raising=False)
         with pytest.raises(OSError):
             run(three_panel)
         assert len(temps) == 3

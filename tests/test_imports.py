@@ -100,6 +100,29 @@ def test_readme_states_the_read_sets():
     assert "`--seed` is accepted everywhere" in prose
 
 
+def test_readme_column_schemas_are_the_written_columns():
+    # each "Fixed column schemas" bullet names one written table: a preset's
+    # (fig4's three panels apart) or a survival run's; fig2's coupling
+    # columns follow the bullet's pattern
+    from antizeno.config import EXPERIMENTS, PRESET_NAMES, ExperimentConfig, preset
+    from antizeno.runner import build_tables
+
+    bullets = _readme_section("Output format").split("Fixed column schemas:\n\n", 1)[1]
+    documented = {name: columns.split(", ") for name, columns in re.findall(
+        r"^- `(\w+)`[^:\n]*: `([^`]+)`", bullets.split("\n\n", 1)[0], re.MULTILINE)}
+    written = {}
+    for name in EXPERIMENTS:
+        config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
+            g_values=(0.5,), n_max=12, n_measurements=3, runs=2)
+        _, tables = build_tables(config)
+        written.update({name if table == "data" else f"{name}_{table}": list(columns)
+                        for table, columns in tables.items()})
+    time, pattern = documented.pop("fig2")
+    assert written.pop("fig2") == [time, *(pattern.removesuffix("...").replace("<g>", f"{g:.6g}")
+                                           for g in preset("fig2").g_values)]
+    assert documented == written
+
+
 def test_readme_lists_every_config_field():
     # the Configuration key list is the ExperimentConfig fields, in order
     from antizeno.config import ExperimentConfig

@@ -584,6 +584,7 @@ CORRUPTIONS = {
     "hermiticity": (0.1, _non_hermitian, None, "density matrix not Hermitian"),
     "positivity": (0.1, _shift_last_site, None, "density matrix not positive"),
     "positivity in row 5": (0.1, _shift_last_site, [5], r"not positive: min eigenvalue .*\(run 5\)$"),
+    "trace in row 5": (0.1, lambda d: 1.01 * d, [5], r"trace deviates from 1 by .*\(run 5\)$"),
 }
 
 

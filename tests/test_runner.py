@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,13 +10,15 @@ import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import (
-    FIG4_PANELS, PRESET_NAMES, ExperimentConfig, largest_model, model_params, preset,
+    EXPERIMENTS, FIG4_PANELS, FORMATS, PRESET_NAMES, ExperimentConfig, largest_model, model_params,
+    preset,
 )
 from antizeno.model import ModelParams, ground_state
 from antizeno import config as config_module
 from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables, run
+from oracle import jitter_mean_survival
 
 
 def columns_of(tables, name="data"):
@@ -204,6 +208,18 @@ class TestFig4Builder:
                    for _, rows in row_groups(tables["b"], "g_over_omega"))
         assert tables["c"]["g_over_omega"] == [0.0, 0.5, 1.0]
         assert metadata["fig4_panels"] == TINY_FIG4_PANELS
+
+    def test_panel_b_rates_follow_the_exact_jitter_mean(self):
+        # each coupling's fit_rate is the decay rate of the cumulative mean:
+        # within 10% (a 20-run mean) of the rate of the exact jitter mean,
+        # fitted here with plain polyfit over events 1..n
+        _, tables = build_tables(preset("fig4"))
+        b = FIG4_PANELS["b"]
+        base = protocol.two_period_schedule(b["omega_t1"], math.sqrt(2.0), b["n"])
+        for g, rows in row_groups(tables["b"], "g_over_omega"):
+            exact = jitter_mean_survival(ModelParams(1.0, 1.0, g, 40), base, b["jitter"], 0.0)
+            slope, _ = np.polyfit(np.arange(1.0, b["n"] + 1), np.log(exact), 1)
+            assert rows["fit_rate"][0] == pytest.approx(-slope, rel=0.1), g
 
     def test_panel_c_averages_every_event(self):
         # mean_single_survival is the mean over all events of each panel-c
@@ -494,6 +510,23 @@ def test_every_fit_runs_through_the_runner_names(monkeypatch, name):
         g_values=(0.5, 1.0), n_max=20, n_measurements=4, runs=3)
     build_tables(config)
     assert (calls.count("fit_quadratic_origin"), calls.count("fit_exponential")) == FITS[name]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_a_run_changes_no_process_wide_state(monkeypatch, tmp_path, name):
+    # the umask and the warnings filters belong to the whole process: a run
+    # that set either, even briefly, would race with a caller's other threads
+    touched = []
+    for module, attr in ((os, "umask"), (warnings, "catch_warnings"), (warnings, "simplefilter")):
+        def spy(*args, attr=attr, real=getattr(module, attr), **kwargs):
+            touched.append(attr)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, spy)
+    config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
+        g_values=(0.5, 1.0), epsilon_values=(0.1,), n_max=20, n_measurements=4, runs=3)
+    for fmt in FORMATS:
+        run(replace(config, out=str(tmp_path / f"{name}.{fmt}"), format=fmt))
+    assert touched == []
 
 
 def test_fig4_prepares_each_coupling_once(monkeypatch):
