@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", choices=PRESET_NAMES,
                         help="start from a built-in figure preset")
     parser.add_argument("--config", help="JSON config file (keys = ExperimentConfig fields)")
-    parser.add_argument("--omega", type=float, help="resonator frequency (GHz)")
+    parser.add_argument("--omega", type=float, help="resonator frequency (GHz; runs read only omega0/omega)")
     parser.add_argument("--omega0", type=float, help="qubit splitting (GHz)")
     parser.add_argument("--g", dest="g_values", type=_float_list, metavar="G[,G...]",
                         help="couplings g/omega (comma-separated)")

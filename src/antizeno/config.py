@@ -89,7 +89,7 @@ def couplings(c) -> tuple[float, ...]:
 
 def model_params(c, g: float, n_max: int) -> ModelParams:
     """The model a build of c solves at g/omega and n_max, in units of omega."""
-    return ModelParams(1.0, float(c.omega0) / float(c.omega), float(g), n_max)
+    return ModelParams(float(c.omega0) / float(c.omega), float(g), n_max)
 
 
 def largest_model(c) -> ModelParams:

@@ -101,7 +101,7 @@ class QuantumState:
 
 
 def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
-    """Propagate each run of a batch for its own time (ns), ``t`` of shape
+    """Propagate each run of a batch for its own time (1/omega), ``t`` of shape
     (runs,), under exp(-i H t)."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -131,7 +131,7 @@ def excitation_probability(state: QuantumState) -> np.ndarray:
 
 def excitation_trace(p: "_model.ModelParams", initial: QuantumState, t_grid) -> np.ndarray:
     """Excitation probability of ``initial``, a one-run batch of pure
-    states, evolved to each time of the ascending grid ``t_grid`` (ns).
+    states, evolved to each time of the ascending grid ``t_grid`` (1/omega).
 
     The chain Hamiltonian is diagonalized once. Each grid point is evolved
     independently from ``initial``, so the grid need not start at zero; the

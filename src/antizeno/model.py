@@ -12,15 +12,16 @@ is its only caller. The full model conserves the parity
 that chain both models are real, symmetric and tridiagonal
 (``even_chain_hamiltonian``), which is where the survival protocol runs. The
 qubit excitation probability in that ground state scales quadratically with
-g/omega at resonance; for small coupling the leading chain coefficient has
-the closed form -g/(omega+omega0).
+g at resonance; for small coupling the leading chain coefficient has the
+closed form -g/(1 + omega0).
 
 ``ModelParams`` is the whole model, its Hamiltonian kind included, and this
 module owns every rule on which models can be built (a finite Gershgorin
 bound on the spectrum, the n_max caps, the step and tolerance of both
 cutoff checks) and the one test of a finite real number.
 
-Units: frequencies in GHz, times in ns, hbar = 1.
+Units: frequencies in units of the resonator frequency omega (g and omega0
+are g/omega and omega0/omega), times in 1/omega, hbar = 1.
 """
 
 from __future__ import annotations
@@ -81,21 +82,20 @@ def _is_finite(value) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The whole model: resonator frequency, qubit splitting, coupling
-    (GHz), Fock cutoff and Hamiltonian kind ("rabi", or its rotating-wave
+    """The whole model: qubit splitting and coupling (in units of omega),
+    Fock cutoff and Hamiltonian kind ("rabi", or its rotating-wave
     counterpart "jc")."""
 
-    omega: float
     omega0: float
     g: float
     n_max: int
     kind: str = "rabi"
 
     def __post_init__(self):
-        for name, holds in (("omega", "> 0"), ("omega0", ">= 0"), ("g", ">= 0")):
+        for name in ("omega0", "g"):
             value = getattr(self, name)
-            if not (_is_finite(value) and (value > 0 if name == "omega" else value >= 0)):
-                raise ValueError(f"{name} must be {holds}, got {value!r}")
+            if not (_is_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))  # numpy cannot take ints past int64
         # checked before any matrix is built
         if not (_is_number(self.n_max, numbers.Integral) and self.n_max >= 1):
@@ -103,8 +103,7 @@ class ModelParams:
         if self.n_max > N_MAX_CAP:
             raise ValueError(f"n_max must be <= {N_MAX_CAP}, got {self.n_max!r}")
         if not math.isfinite(self.spread):
-            raise ValueError(f"Hamiltonian spectrum passes the float range (omega={self.omega!r}, "
-                             f"omega0={self.omega0!r}, g={self.g!r}, n_max={self.n_max!r})")
+            raise ValueError(f"Hamiltonian spectrum passes the float range: {self!r}")
         if self.kind not in HAMILTONIAN_KINDS:
             raise ValueError(
                 f"unknown Hamiltonian kind {self.kind!r}; expected one of {HAMILTONIAN_KINDS}"
@@ -114,7 +113,7 @@ class ModelParams:
     def spread(self) -> float:
         """Gershgorin bound on the spectrum's spread, in Python floats (an overflow is inf)."""
         n = int(self.n_max)
-        return 2 * (self.omega * n + 0.5 * self.omega0 + 2 * self.g * math.sqrt(n))
+        return 2 * (n + 0.5 * self.omega0 + 2 * self.g * math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -141,12 +140,12 @@ def hamiltonian(p: ModelParams) -> HermitianOperator:
     """The model on the full space, a complex matrix in the qubit-major
     basis of ``operators``, assembled entry by entry.
 
-    "rabi" is omega a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
+    "rabi" is a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
     "jc" is its rotating-wave counterpart, with g (sigma^+ a + sigma^- a^dagger)
     as the coupling: it conserves the excitation number and has the
-    separable ground state |g,0> for g < omega at resonance.
+    separable ground state |g,0> for g < 1 at resonance.
 
-    The diagonal is omega*n -+ omega0/2 on |g,n> and |e,n>. Every coupling
+    The diagonal is n -+ omega0/2 on |g,n> and |e,n>. Every coupling
     element is g*sqrt(n): the exchange bonds |g,n> <-> |e,n-1> and, in the
     full model, the counter-rotating bonds |g,n-1> <-> |e,n>.
     """
@@ -154,8 +153,8 @@ def hamiltonian(p: ModelParams) -> HermitianOperator:
     n = np.arange(nf)
     g_site, e_site = n, nf + n
     h = np.zeros((2 * nf, 2 * nf), dtype=complex)
-    h[g_site, g_site] = p.omega * n - 0.5 * p.omega0
-    h[e_site, e_site] = p.omega * n + 0.5 * p.omega0
+    h[g_site, g_site] = n - 0.5 * p.omega0
+    h[e_site, e_site] = n + 0.5 * p.omega0
     bonds = p.g * np.sqrt(n[1:])
     h[g_site[1:], e_site[:-1]] = h[e_site[:-1], g_site[1:]] = bonds
     if p.kind == "rabi":
@@ -169,12 +168,12 @@ def even_chain_hamiltonian(p: ModelParams) -> HermitianOperator:
     Chain site k is |g,k> for even k and |e,k> for odd k, k = 0..n_max, so
     the chain holds the whole even sector of the truncated space. The
     matrix is real, symmetric and tridiagonal: the diagonal is
-    omega*k - omega0/2 on |g,k> and omega*k + omega0/2 on |e,k>, and the
+    k - omega0/2 on |g,k> and k + omega0/2 on |e,k>, and the
     bond between k and k+1 is g*sqrt(k+1). The rotating-wave model ("jc")
     keeps only the (e,k) <-> (g,k+1) bonds, i.e. those leaving odd k.
     """
     k = np.arange(p.n_max + 1)
-    diagonal = p.omega * k + 0.5 * p.omega0 * np.where(even_chain_excited(p.n_max), 1.0, -1.0)
+    diagonal = k + 0.5 * p.omega0 * np.where(even_chain_excited(p.n_max), 1.0, -1.0)
     bonds = p.g * np.sqrt(k[1:])
     if p.kind == "jc":
         bonds[0::2] = 0.0
@@ -195,7 +194,7 @@ def ground_state(p: ModelParams, solved: dict | None = None) -> GroundStateDecom
     """Lowest eigenstate of the model, decomposed along the even parity chain.
 
     Raises ``NumericalError`` when a nondegenerate ground state lies in the
-    odd parity sector (the rotating-wave model past g = omega at resonance,
+    odd parity sector (the rotating-wave model past g = 1 at resonance,
     or a cutoff too small for deep-strong Rabi coupling) or leaks out of the
     even one. The caller is responsible for using a converged cutoff (see
     ``converge_cutoff``).
@@ -258,7 +257,7 @@ def converge_cutoff(p: ModelParams, solved: dict | None = None) -> int:
     state in the odd sector at a trial cutoff is a truncation artifact: that
     cutoff counts as not converged. Raises ``NumericalError`` if the cap
     (n_max = 200) is reached without convergence, naming the odd sector if
-    it is still the lowest there (the rotating-wave model past g = omega).
+    it is still the lowest there (the rotating-wave model past g = 1).
     """
     previous = None
     for n_max in range(CUTOFF_STEP, CUTOFF_CAP + 1, CUTOFF_STEP):

@@ -17,13 +17,13 @@ batched evolve and one batched measurement over all runs of a block
 (``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
 operations per event instead of a Python loop per run.
 
-A schedule is a 1-d array of event times in ns; a stack of runs is a
+A schedule is a 1-d array of event times in 1/omega; a stack of runs is a
 ``(runs, N)`` array, one schedule per row, validated once. ``jitter_schedule``,
 ``run_survival`` and ``ensemble_survival`` take only a stack (one schedule
 runs as ``times[None]``). ``jitter_times`` draws the stack of a jitter
-ensemble; the k-th row depends only on the base schedule, the half-window in
-ns and the base seed, so one draw serves every coupling and detector
-inefficiency that pairs its runs. ``sweep_T1`` builds its stack of periods by
+ensemble; the k-th row depends only on the base schedule, the half-window and
+the base seed, so one draw serves every coupling and detector inefficiency
+that pairs its runs. ``sweep_T1`` builds its stack of periods by
 broadcasting.
 
 Schedules use two alternating periods T1 and T2 = ratio*T1 (ratio = sqrt(2)
@@ -71,8 +71,8 @@ __all__ = [
 
 
 def _time_stack(times) -> np.ndarray:
-    """Validate a stack (runs, N) of schedules of event times in ns, one per
-    row: finite, starting after 0, strictly increasing."""
+    """Validate a stack (runs, N) of schedules of event times in 1/omega, one
+    per row: finite, starting after 0, strictly increasing."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError("expected a non-empty (runs, N) schedule stack (run one schedule as "
@@ -178,8 +178,8 @@ def jitter_keeps_order(times, half_window: float) -> bool:
 
 
 def jitter_schedule(times, half_window: float, seeds) -> np.ndarray:
-    """Shift each event of a (runs, N) stack of schedules (times in ns) by an
-    independent uniform draw in [-half_window, +half_window); returns a
+    """Shift each event of a (runs, N) stack of schedules (times in 1/omega)
+    by an independent uniform draw in [-half_window, +half_window); returns a
     read-only array.
 
     Row k's N shifts are one ``uniform(size=N)`` draw from the PCG64 stream
@@ -190,7 +190,7 @@ def jitter_schedule(times, half_window: float, seeds) -> np.ndarray:
     """
     t = _time_stack(times)
     if not (half_window >= 0 and jitter_keeps_order(t, half_window)):
-        raise ValueError(f"jitter half-window {half_window!r} ns must be >= 0 and below the first "
+        raise ValueError(f"jitter half-window {half_window!r} must be >= 0 and below the first "
                          f"event time and half of every interval (no reordering)")
     if np.shape(seeds) != (len(t),):
         raise ValueError(f"expected one seed per row ({len(t)}), got shape {np.shape(seeds)}")

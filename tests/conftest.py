@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from antizeno import protocol
+from antizeno.config import PRESET_NAMES, ExperimentConfig, preset
+from helpers import record_eigh, spied_run
 
 
 @pytest.fixture(scope="session")
@@ -20,15 +23,27 @@ def golden():
 def eigh_calls(monkeypatch):
     """Every ``np.linalg.eigh`` call while the test runs, as (dimension,
     bytes of the matrix): the suite's one eigensolve counter."""
-    calls = []
-    real = np.linalg.eigh
+    return record_eigh(monkeypatch)
 
-    def recording(a, *args, **kwargs):
-        calls.append((np.shape(a)[-1], np.asarray(a).tobytes()))
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    return calls
+# The configs the session builds once: every preset, and a small survival
+# run (two couplings, a detector that misses, a few short jittered runs).
+SHARED_CONFIGS = {
+    **{name: preset(name) for name in PRESET_NAMES},
+    "survival": ExperimentConfig(g_values=(0.5, 1.0), epsilon_values=(0.1,), n_max=20,
+                                 n_measurements=4, runs=3),
+}
+
+
+@pytest.fixture(scope="session")
+def built(tmp_path_factory):
+    """``built(name)``: the ``SpiedRun`` of ``SHARED_CONFIGS[name]``, made
+    once per session (before any test patches the package) and handed out
+    as a deep copy, so no test can change what another reads. A test that
+    patches the kernel or the presets makes its own build instead."""
+    runs = {name: spied_run(config, tmp_path_factory.mktemp(name))
+            for name, config in SHARED_CONFIGS.items()}
+    return lambda name: copy.deepcopy(runs[name])
 
 
 @pytest.fixture

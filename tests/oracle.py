@@ -6,9 +6,11 @@ Fock algebra the textbook way, from Kronecker products of qubit and field
 operators, in the qubit-major basis of ``antizeno.operators``: index(s, n)
 = s*(n_max+1) + n, s=0 -> |g>, s=1 -> |e>. It also holds the closed forms
 the tests compare against, and Braak's G-functions, whose zeros give the
-Rabi spectrum with no Fock cutoff at all. Nothing here validates its
-arguments, except that ``jitter_mean_survival`` refuses inputs its exact
-form does not cover and ``braak_g`` a series it has not summed.
+Rabi spectrum with no Fock cutoff at all. Like the package, it works in
+units of the resonator frequency omega: frequencies in omega, times in
+1/omega. Nothing here validates its arguments, except that
+``jitter_mean_survival`` refuses inputs its exact form does not cover and
+``braak_g`` a series it has not summed.
 """
 
 import numpy as np
@@ -59,7 +61,7 @@ def kron_hamiltonian(p):
     else:
         exchange = np.kron(np.array([[0, 0], [1, 0]]), a)  # |e><g| a
         coupling = exchange + exchange.conj().T
-    return p.omega * number + 0.5 * p.omega0 * qubit_operator("sigma_z", p.n_max) + p.g * coupling
+    return number + 0.5 * p.omega0 * qubit_operator("sigma_z", p.n_max) + p.g * coupling
 
 
 def parity_chain_sites(n_max, odd=False):
@@ -73,14 +75,14 @@ def parity_chain_sites(n_max, odd=False):
 
 def parity_chain_hamiltonian(p, odd=False):
     """The model of ``p`` on one parity chain (see ``parity_chain_sites``),
-    assembled entry by entry as a real tridiagonal matrix: omega*k +
-    omega0/2 on an excited site, omega*k - omega0/2 on a ground site, and
+    assembled entry by entry as a real tridiagonal matrix: k + omega0/2 on
+    an excited site, k - omega0/2 on a ground site, and
     the bond g*sqrt(k+1) between sites k and k+1. "jc" keeps only the
     exchange bonds |e,k> <-> |g,k+1>, the ones that leave an excited site:
     odd k on the even chain, even k on the odd chain."""
     k = np.arange(p.n_max + 1)
     excited_site = (k % 2 == 0) == odd
-    diagonal = p.omega * k + 0.5 * p.omega0 * np.where(excited_site, 1.0, -1.0)
+    diagonal = k + 0.5 * p.omega0 * np.where(excited_site, 1.0, -1.0)
     bonds = p.g * np.sqrt(k[1:])
     if p.kind == "jc":
         bonds = np.where(excited_site[:-1], bonds, 0.0)
@@ -187,7 +189,7 @@ def trajectory_survival(h, psi, times, epsilon):
 
 def jitter_mean_survival(p, base, half_window, epsilon):
     """Exact jitter-averaged cumulative survival after each event of the
-    schedule ``base`` (times in ns) when event k happens at base[k] + d_k,
+    schedule ``base`` (times in 1/omega) when event k happens at base[k] + d_k,
     each d_k independent and uniform on [-half_window, half_window], starting
     from the ground state of the model parameters ``p``.
 
@@ -254,36 +256,36 @@ def truncated_survival(c0, N):
 
 
 def perturbative_c1(p):
-    """Leading-order chain coefficient -g/(omega+omega0), valid for g << omega.
+    """Leading-order chain coefficient -g/(1 + omega0), valid for g << 1.
 
     Squared, this gives the small-coupling excitation probability; at
-    resonance the quadratic-law prefactor is omega^2/(omega+omega0)^2 = 1/4.
+    resonance the quadratic-law prefactor is 1/(1 + omega0)^2 = 1/4.
     """
-    return -p.g / (p.omega + p.omega0)
+    return -p.g / (1 + p.omega0)
 
 
-def weak_coupling_losses(times, omega, omega0, g):
-    """Per-event loss 1 - single_n of one run of the schedule ``times`` (ns)
-    from the ground state at epsilon = 0, to second order in g, computed
-    from the times alone. With Delta = omega + omega0, the counter-rotating
-    energy of |e,1> over |g,0>: the first loss is the ground-state p_e,
-    g**2/Delta**2, and after an interval tau_n it is
+def weak_coupling_losses(times, omega0, g):
+    """Per-event loss 1 - single_n of one run of the schedule ``times``
+    (1/omega) from the ground state at epsilon = 0, to second order in g,
+    computed from the times alone. With Delta = 1 + omega0, the
+    counter-rotating energy of |e,1> over |g,0>: the first loss is the
+    ground-state p_e, g**2/Delta**2, and after an interval tau_n it is
     (4 g**2/Delta**2) sin**2(Delta tau_n / 2), since every no-click leaves
     |g,0> plus O(g**2), from which |e,1> grows as (g/Delta)(1 - e^(-i Delta t))."""
-    delta = omega + omega0
+    delta = 1 + omega0
     intervals = np.diff(np.asarray(times, dtype=float))
     return (g / delta) ** 2 * np.concatenate([[1.0], 4 * np.sin(delta * intervals / 2) ** 2])
 
 
-def jitter_weak_coupling_losses(base, half_window, omega, omega0, g):
+def jitter_weak_coupling_losses(base, half_window, omega0, g):
     """``weak_coupling_losses`` averaged over the jitter: the mean per-event
-    loss 1 - single_n when every event of the schedule ``base`` (ns) moves
+    loss 1 - single_n when every event of the schedule ``base`` moves
     by an independent uniform draw within +-half_window. The first loss
     does not depend on when it happens. After that, with
     4 sin**2(x/2) = 2 (1 - cos x), both ends of interval tau_n jitter, and
     the mean of cos(Delta (tau_n + d - d')) is
     cos(Delta tau_n) sinc**2(Delta half_window), with sinc x = sin x / x."""
-    delta = omega + omega0
+    delta = 1 + omega0
     intervals = np.diff(np.asarray(base, dtype=float))
     damping = np.sinc(delta * half_window / np.pi) ** 2  # numpy's sinc is sin(pi x)/(pi x)
     return (g / delta) ** 2 * np.concatenate([[1.0], 2 * (1 - np.cos(delta * intervals) * damping)])

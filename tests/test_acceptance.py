@@ -72,7 +72,7 @@ def test_criterion_02_rwa_null():
 
 def test_criterion_03_zero_splitting_closed_form():
     for g in (0.3, 1.0):
-        gs = ground_state(ModelParams(1.0, 0.0, g, 40))
+        gs = ground_state(ModelParams(0.0, g, 40))
         assert gs.even_chain is None
         assert abs(gs.energy - (-(g**2))) <= 1e-9
         assert abs(gs.p_e - 0.5) <= 1e-9

@@ -281,7 +281,7 @@ def test_auto_cutoff_converges_every_coupling_fig4_solves():
     # panel c's g/omega = 1 is not converged
     config = replace(preset("fig4"), g_values=(0.1, 0.2, 0.3), n_max=None)
     n_max = build_tables(config)[0]["cutoff_used"]
-    assert_cutoff_converged(ModelParams(1.0, 1.0, 1.0, n_max))
+    assert_cutoff_converged(ModelParams(1.0, 1.0, n_max))
 
 
 def test_a_flat_period_leaves_no_rate_ratio(tmp_path, capsys):

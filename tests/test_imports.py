@@ -100,21 +100,18 @@ def test_readme_states_the_read_sets():
     assert "`--seed` is accepted everywhere" in prose
 
 
-def test_readme_column_schemas_are_the_written_columns():
+def test_readme_column_schemas_are_the_written_columns(built):
     # each "Fixed column schemas" bullet names one written table: a preset's
     # (fig4's three panels apart) or a survival run's; fig2's coupling
     # columns follow the bullet's pattern
-    from antizeno.config import EXPERIMENTS, PRESET_NAMES, ExperimentConfig, preset
-    from antizeno.runner import build_tables
+    from antizeno.config import EXPERIMENTS, preset
 
     bullets = _readme_section("Output format").split("Fixed column schemas:\n\n", 1)[1]
     documented = {name: columns.split(", ") for name, columns in re.findall(
         r"^- `(\w+)`[^:\n]*: `([^`]+)`", bullets.split("\n\n", 1)[0], re.MULTILINE)}
     written = {}
     for name in EXPERIMENTS:
-        config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
-            g_values=(0.5,), n_max=12, n_measurements=3, runs=2)
-        _, tables = build_tables(config)
+        tables = built(name).tables
         written.update({name if table == "data" else f"{name}_{table}": list(columns)
                         for table, columns in tables.items()})
     time, pattern = documented.pop("fig2")
@@ -217,11 +214,14 @@ def _public_functions(name: str):
             yield top
 
 
-def test_protocol_takes_times_in_ns():
-    # every time and jitter window enters protocol in the model's time unit
-    # (ns for a model in GHz; omega*t for the runner's models, built in
-    # units of omega); choosing the unit is the caller's step, so no public
-    # function takes omega
+def test_protocol_takes_times_in_units_of_omega():
+    # the library works in units of omega: the model holds no frequency
+    # scale, every time and jitter window enters protocol in 1/omega, and
+    # no public function takes omega; neither the source of model, protocol
+    # and dynamics nor the README's library text names another unit
+    from antizeno.model import ModelParams
+
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["omega0", "g", "n_max", "kind"]
     functions = list(_public_functions("protocol"))
     takes_omega = [
         node.name for node in functions
@@ -229,4 +229,8 @@ def test_protocol_takes_times_in_ns():
                                            *node.args.kwonlyargs)}
     ]
     assert takes_omega == []
+    other_units = re.compile(r"\b(GHz|ns)\b")
+    for name in ("model", "protocol", "dynamics"):
+        assert not other_units.search((Path(antizeno.__file__).parent / f"{name}.py").read_text()), name
+    assert not other_units.search(_readme_section("Library use"))
     assert {"jitter_schedule", "jitter_times", "chain_ground"} <= {node.name for node in functions}

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from antizeno.config import ExperimentConfig, largest_model
 from antizeno.dynamics import QuantumState, excitation_probability, excitation_trace
 from antizeno.errors import NumericalError
 from antizeno.model import (
@@ -35,42 +36,37 @@ from oracle import (
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(0.0, 1.0, 0.5, 40)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, -0.1, 0.5, 40)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, 1.0, -0.5, 40)
+    for args, field in (((-0.1, 0.5, 40), "omega0"), ((1.0, -0.5, 40), "g")):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            ModelParams(*args)
     for n_max in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
-            ModelParams(1.0, 1.0, 0.5, n_max)
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 1"):
+            ModelParams(1.0, 0.5, n_max)
 
 
 def test_params_reject_cutoff_beyond_dimension_cap():
     # the full space holds 2*(n_max+1) <= 1024 states, checked before any
     # matrix is built
-    assert 2 * (ModelParams(1.0, 1.0, 0.5, N_MAX_CAP).n_max + 1) == 1024
-    with pytest.raises(ValueError, match="n_max must be <= 511"):
-        ModelParams(1.0, 1.0, 0.5, 512)
+    assert 2 * (ModelParams(1.0, 0.5, N_MAX_CAP).n_max + 1) == 1024
+    with pytest.raises(ValueError, match="^n_max must be <= 511"):
+        ModelParams(1.0, 0.5, 512)
 
 
-@pytest.mark.parametrize("omega,omega0,g,n_max", [
-    (1e307, 1.0, 1.0, 22),          # omega*n_max
-    (1e308, 1.6e308, 0.0, 1),       # omega*n_max + omega0/2
-    (1.0, 1.0, 1e308, 4),           # the bond g*sqrt(n_max)
+@pytest.mark.parametrize("omega0,g,n_max", [
+    (1.6e308, 1e307, 4),            # omega0/2 + the bond term 2*g*sqrt(n_max)
+    (1.0, 1e308, 4),                # the bond g*sqrt(n_max)
 ])
-def test_params_reject_hamiltonian_entries_past_the_float_range(omega, omega0, g, n_max):
+def test_params_reject_hamiltonian_entries_past_the_float_range(omega0, g, n_max):
     with pytest.raises(ValueError, match="Hamiltonian spectrum passes the float range"):
-        ModelParams(omega, omega0, g, n_max)
+        ModelParams(omega0, g, n_max)
 
 
 # The largest accepted value of one field, the others fixed: the Gershgorin
-# bound 2*(omega*n_max + omega0/2 + 2*g*sqrt(n_max)) is finite there and
-# infinite at the next float (omega0 reaches the largest float itself).
+# bound 2*(n_max + omega0/2 + 2*g*sqrt(n_max)) is finite there and infinite
+# at the next float (omega0 reaches the largest float itself).
 FLOAT_RANGE_EDGES = {
-    "omega": (lambda x: ModelParams(x, 1.0, 1.0, 17), 5.287332749595046e306),
-    "omega0": (lambda x: ModelParams(1.0, x, 1.0, 4), sys.float_info.max),
-    "g": (lambda x: ModelParams(1.0, 1.0, x, 4, "jc"), 2.2471164185778946e307),
+    "omega0": (lambda x: ModelParams(x, 1.0, 4), sys.float_info.max),
+    "g": (lambda x: ModelParams(1.0, x, 4, "jc"), 2.2471164185778946e307),
 }
 
 
@@ -90,23 +86,47 @@ def test_params_at_the_float_range_build_finite_matrices():
 def test_params_take_ints_of_any_size():
     # exact for Python ints past int64 and past the float range: no numpy
     # call judges them, and the model keeps floats that numpy can take
-    for args in ((10**400, 1.0, 1.0, 4), (1.0, 10**400, 1.0, 4), (1.0, 1.0, 10**400, 4)):
-        with pytest.raises(ValueError, match="must be"):
+    for args, field in (((10**400, 1.0, 4), "omega0"), ((1.0, 10**400, 4), "g")):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
             ModelParams(*args)
-    p = ModelParams(10**20, 1, 0, 4)
-    assert (p.omega, p.omega0, p.g) == (1e20, 1.0, 0.0)
-    assert all(type(v) is float for v in (p.omega, p.omega0, p.g))
-    gs = ground_state(ModelParams(10**20, 1.0, 0.5, 4))
+    p = ModelParams(10**20, 0, 4)
+    assert (p.omega0, p.g) == (1e20, 0.0)
+    assert all(type(v) is float for v in (p.omega0, p.g))
+    gs = ground_state(ModelParams(1, 0, 4))
     assert gs.even_chain is not None and gs.p_e < 1e-30
 
 
-@pytest.mark.parametrize("args", [
-    (True, 1.0, 0.5, 4), (1.0, False, 0.5, 4), (1.0, 1.0, True, 4), (1.0, 1.0, 0.5, True),
-    (1.0, 1.0, 0.5, np.bool_(True)), ("1", 1.0, 0.5, 4),
-])
-def test_params_reject_booleans_and_other_non_numbers(args):
+def test_a_model_below_the_resolution_of_its_photon_energy_solves_as_degenerate():
+    # omega = 5.287e306 with omega0 = g = 1, in units of omega: a splitting
+    # and coupling far below the rounding of the photon energy 1. The solve
+    # reports a degenerate manifold: no chain state, gap omega0 and energy
+    # -omega0/2. Scale-aware ground-state decisions would refuse the model.
+    w = 1 / 5.287332749595046e306
+    gs = ground_state(ModelParams(w, w, 17))
+    assert gs.gap == w == 1.8913127797311216e-307
+    assert gs.even_chain is None
+    assert gs.p_e == 0.5
+    assert gs.energy == -w / 2
+
+
+def test_the_phase_rules_read_the_photon_term_of_the_spread():
+    # fig2 at g/omega = 0.5 solves its largest model at n = 40 + 10, whose
+    # spread 2*(n + omega0/2 + 2*g*sqrt(n)) is 115.14, 100 of it the photon
+    # term 2*n. A grid to omega*t = 5e5 reaches 5.8e7 rad of phase, past the
+    # 4.5e7 the run resolves; without the photon term (15.14) it would pass.
+    c = ExperimentConfig(experiment="fig2", g_values=(0.5,), time_max=5e5, time_step=1.0)
+    assert largest_model(c).spread == 2 * (50 + 0.5 + math.sqrt(50))
+    with pytest.raises(ValueError, match="^time_max: fig2 needs a grid whose phases the run resolves"):
+        c.validate()
+
+
+@pytest.mark.parametrize("args,field", [
+    ((True, 0.5, 4), "omega0"), ((1.0, False, 4), "g"), (("1", 0.5, 4), "omega0"),
+    ((1.0, 0.5, True), "n_max"), ((1.0, 0.5, np.bool_(True)), "n_max"), ((1.0, "0.5", 4), "g"),
+], ids=[f"args{i}" for i in range(6)])
+def test_params_reject_booleans_and_other_non_numbers(args, field):
     # as config refuses JSON true: True is neither a frequency nor a cutoff
-    with pytest.raises(ValueError, match="must be"):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
         ModelParams(*args)
 
 
@@ -123,7 +143,7 @@ class TestRabiHamiltonian:
         assert even_chain_hamiltonian(p).matrix[0, 1] == pytest.approx(0.37, abs=1e-14)
 
     def test_uncoupled_spectrum(self):
-        p = ModelParams(1.0, 1.0, 0.0, 10)
+        p = ModelParams(1.0, 0.0, 10)
         expected = np.sort(np.concatenate([np.arange(11) - 0.5, np.arange(11) + 0.5]))
         odd = np.linalg.eigvalsh(parity_chain_hamiltonian(p, odd=True))
         both_chains = np.sort(np.concatenate([prepare_model(p).chain.eigenvalues, odd]))
@@ -138,7 +158,7 @@ class TestRabiHamiltonian:
 
     @pytest.mark.parametrize("omega,omega0,g", [(1.0, 1.0, 0.3), (2.0, 0.5, 1.4), (1.0, 0.0, 1.0)])
     def test_parity_conserved_across_parameters(self, omega, omega0, g):
-        p = ModelParams(omega, omega0, g, 24)
+        p = ModelParams(omega0 / omega, g / omega, 24)  # in units of omega, as a run builds it
         h = kron_hamiltonian(p)
         op = parity_operator(p.n_max)
         assert np.max(np.abs(h @ op - op @ h)) <= 1e-12
@@ -205,7 +225,7 @@ class TestJaynesCummings:
             closed = [-omega0 / 2, *(n + 0.5 - split), *(n + 0.5 + split)]
             if n_max % 2:
                 closed.append(n_max + omega0 / 2)
-            p = ModelParams(1.0, omega0, g, n_max, "jc")
+            p = ModelParams(omega0, g, n_max, "jc")
             chain = np.linalg.eigvalsh(even_chain_hamiltonian(p).matrix)
             assert np.max(np.abs(chain - np.sort(closed))) <= 1e-12, g
 
@@ -214,7 +234,7 @@ class TestEvenChain:
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
     def test_equals_even_sector_of_full_hamiltonian(self, kind, g):
-        p = ModelParams(1.0, 0.7, g, 9, kind)
+        p = ModelParams(0.7, g, 9, kind)
         full = kron_hamiltonian(p)
         # chain site k is |g,k> (index k) for even k, |e,k> (index 10+k) for odd k
         sites = [k if k % 2 == 0 else 10 + k for k in range(10)]
@@ -257,7 +277,7 @@ class TestParityChains:
     @pytest.mark.parametrize("kind", ["rabi", "jc"])
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3])
     def test_chain_is_its_block_of_the_kron_hamiltonian(self, odd, kind, g):
-        p = ModelParams(1.0, 0.7, g, 9, kind)
+        p = ModelParams(0.7, g, 9, kind)
         full = kron_hamiltonian(p)
         sites = parity_chain_sites(9, odd)
         others = np.setdiff1d(np.arange(20), sites)
@@ -268,7 +288,7 @@ class TestParityChains:
         assert np.all(parity == (-1.0 if odd else 1.0))
 
     def test_odd_chain_sites_and_bonds(self):
-        p = ModelParams(1.0, 0.7, 0.5, 3, "jc")
+        p = ModelParams(0.7, 0.5, 3, "jc")
         assert parity_chain_sites(3, odd=True).tolist() == [4, 1, 6, 3]  # |e,0>, |g,1>, |e,2>, |g,3>
         chain = parity_chain_hamiltonian(p, odd=True)
         # jc keeps |e,0> <-> |g,1> and |e,2> <-> |g,3>, the bonds leaving even k
@@ -292,7 +312,7 @@ class TestParityChains:
     def test_ground_state_is_the_lower_chain(self, kind, omega0):
         found = ""
         for g in self.COUPLINGS:
-            p = ModelParams(1.0, omega0, float(g), 60, kind)
+            p = ModelParams(omega0, float(g), 60, kind)
             even_values, even_vectors = np.linalg.eigh(parity_chain_hamiltonian(p))
             odd_values = np.linalg.eigvalsh(parity_chain_hamiltonian(p, odd=True))
             lowest_two = np.sort(np.concatenate([even_values[:2], odd_values[:2]]))[:2]
@@ -318,7 +338,7 @@ class TestParityChains:
         # a tied ground manifold has no chain state to start a run from
         for g in self.COUPLINGS:
             try:
-                gs = ground_state(ModelParams(1.0, omega0, float(g), 60, kind))
+                gs = ground_state(ModelParams(omega0, float(g), 60, kind))
             except NumericalError:  # the odd chain lies lower
                 continue
             assert (gs.even_chain is None) == (gs.gap < DEGENERACY_GAP)
@@ -336,7 +356,7 @@ class TestGroundState:
     def test_zero_splitting_closed_form(self, g):
         # omega0 = 0: displaced-oscillator manifold, energy -g^2/omega and
         # manifold-averaged excitation probability exactly 1/2
-        gs = ground_state(ModelParams(1.0, 0.0, g, 40))
+        gs = ground_state(ModelParams(0.0, g, 40))
         assert gs.even_chain is None
         assert gs.energy == pytest.approx(-(g**2), abs=1e-9)
         assert gs.p_e == pytest.approx(0.5, abs=1e-9)
@@ -362,7 +382,7 @@ class TestGroundState:
         # past g = omega at resonance the rotating-wave ground state is the
         # lower one-excitation doublet state, which has odd parity
         with pytest.raises(NumericalError, match="lies in the odd parity sector"):
-            ground_state(ModelParams(1.0, 1.0, g, 20, "jc"))
+            ground_state(ModelParams(1.0, g, 20, "jc"))
 
     def test_odd_sector_error_names_the_cutoff(self):
         # at g/omega = 2.5 the Rabi ground state is even, but n_max = 10
@@ -371,7 +391,7 @@ class TestGroundState:
             ground_state(resonant(2.5, n_max=10))
 
     def test_deep_strong_rabi_ground_state_stays_even(self):
-        gs = ground_state(ModelParams(1.0, 1.0, 2.0, 80))
+        gs = ground_state(ModelParams(1.0, 2.0, 80))
         assert gs.even_chain is not None
         assert np.sum(np.abs(gs.even_chain) ** 2) == pytest.approx(1.0, abs=1e-10)
 
@@ -514,7 +534,7 @@ class TestBraakGFunction:
     def test_ground_energy_is_the_lowest_zero(self):
         roots = braak_roots([g for _, g in self.CASES], [omega0 / 2 for omega0, _ in self.CASES])
         for (omega0, g), (minus, plus) in zip(self.CASES, roots):
-            params = ModelParams(1.0, omega0, g, 10)
+            params = ModelParams(omega0, g, 10)
             x = ground_state(replace(params, n_max=converge_cutoff(params))).energy + g**2
             assert abs(minus[0] - x) <= 1e-11, (omega0, g)
             # no zero of either G, so no state of either parity, lies below it
@@ -528,7 +548,7 @@ class TestBraakGFunction:
         delta = [omega0 / 2 + side for omega0, _ in self.CASES for side in (step, -step)]
         lowest = [minus[0] for minus, _ in braak_roots(g, delta)]
         for (omega0, g), up, down in zip(self.CASES, lowest[0::2], lowest[1::2]):
-            params = ModelParams(1.0, omega0, g, 10)
+            params = ModelParams(omega0, g, 10)
             p_e = ground_state(replace(params, n_max=converge_cutoff(params))).p_e
             assert abs(p_e - (1 + (up - down) / (2 * step)) / 2) <= 1e-9, (omega0, g)
 

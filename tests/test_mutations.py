@@ -11,7 +11,7 @@ directory (``pythonpath = ["src"]`` would otherwise load the unmutated
 package) and runs Tier-1 there, this module aside, with ``-x`` and
 ``OPENBLAS_NUM_THREADS=1``, one subprocess at a time. The run must exit 1:
 an exit of 0 means the edit survived, and any other exit is an internal or
-usage error. It takes about 4 minutes; run it with
+usage error. It takes about 5 minutes; run it with
 ``PYTHONPATH=src python -m pytest -m slow tests/test_mutations.py``.
 """
 

@@ -104,7 +104,7 @@ class TestHermitianEig:
         # what eigh guarantees on the matrices this package solves: the
         # complex full space and the real even chain, into deep strong
         # coupling; hermitian_eig does not re-check it at run time
-        h = build(ModelParams(1.0, 1.0, g, 80, kind))
+        h = build(ModelParams(1.0, g, 80, kind))
         spec = hermitian_eig(h)
         vals, vecs = spec.eigenvalues, spec.eigenvectors
         assert vecs.shape == (h.dim, h.dim) == (vals.size, vals.size)

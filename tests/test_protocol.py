@@ -110,7 +110,7 @@ class TestJitterSchedule:
         # at the widest accepted window: one ulp under half an interval
         base = two_period_schedule(0.5, 1.0, 20)
         widest = np.nextafter(0.25, 0.0)
-        with pytest.raises(ValueError, match="jitter half-window 0.25 ns must"):
+        with pytest.raises(ValueError, match="jitter half-window 0.25 must"):
             jitter_schedule(base[None], 0.25, [0])
         jittered = jitter_schedule(copies(base, 25), widest, range(25))
         assert np.all(np.diff(jittered, axis=1) > 0)
@@ -162,7 +162,7 @@ class TestJitterMatchesSequentialRule:
         ],
     )
     def test_bit_for_bit(self, base, width, omega):
-        # windows given as omega*dt, converted to ns as the runner does
+        # half-windows width/omega, down to 0.03 on the third schedule
         half_window = width / omega
         seeds = child_seeds(2024, 500)
         for jittered, seed in zip(jitter_schedule(copies(base, 500), half_window, seeds), seeds):
@@ -177,12 +177,12 @@ class TestJitterMatchesSequentialRule:
             for seed in range(200)
         )
         assert reordered >= 20
-        with pytest.raises(ValueError, match="jitter half-window 0.4 ns must"):
+        with pytest.raises(ValueError, match="jitter half-window 0.4 must"):
             jitter_schedule(base[None], 0.4, [0])
 
     def test_refuses_a_window_wider_than_the_schedule(self):
         base = two_period_schedule(1e-3, 1.0, 50)
-        with pytest.raises(ValueError, match="jitter half-window 100.0 ns must"):
+        with pytest.raises(ValueError, match="jitter half-window 100.0 must"):
             jitter_schedule(base[None], 100.0, [1])
 
 
@@ -190,7 +190,7 @@ class TestJitterKeepsOrder:
     """``jitter_keeps_order`` accepts exactly the (schedule, half-window)
     pairs whose exact mean ``oracle.jitter_mean_survival`` computes."""
 
-    P = ModelParams(1.0, 1.0, 0.5, 3)
+    P = ModelParams(1.0, 0.5, 3)
 
     def agree(self, base, half_window):
         try:
@@ -336,9 +336,9 @@ class TestRunSurvival:
         times = two_period_schedule(0.75 * np.pi, SQRT2, 8)
         errors = []
         for g in (1e-3, 1e-2):
-            prep = prepare_model(ModelParams(1.0, omega0, g, 10))
+            prep = prepare_model(ModelParams(omega0, g, 10))
             loss = 1.0 - run_survival(prep, times[None], 0.0).single[0]
-            exact = weak_coupling_losses(times, 1.0, omega0, g)
+            exact = weak_coupling_losses(times, omega0, g)
             errors.append(np.max(np.abs(loss - exact) / exact))
         assert errors[0] < 1.5e-3
         assert 90 < errors[1] / errors[0] < 112
@@ -353,9 +353,9 @@ class TestRunSurvival:
         # half-width or one-sided window, every case misses it by 49 or more
         runs = 2000
         base = two_period_schedule(0.75 * np.pi, SQRT2, n)
-        prep = prepare_model(ModelParams(1.0, omega0, 1e-3, 10))
+        prep = prepare_model(ModelParams(omega0, 1e-3, 10))
         ens = ensemble_survival(prep, jitter_times(base, width, runs, 11), 0.0)
-        exact = jitter_weak_coupling_losses(base, width, 1.0, omega0, 1e-3)
+        exact = jitter_weak_coupling_losses(base, width, omega0, 1e-3)
         se = ens.single_std / math.sqrt(runs)
         assert not beyond_5_se(1.0 - ens.single_mean, se, exact)[1:].any()
 
@@ -366,7 +366,7 @@ class TestRunSurvival:
         cfg = ExperimentConfig(omega0=omega0, g_values=(1e-3,), n_max=10, jitter_width=0.0, runs=1,
                                omega_t1_values=(0.75 * np.pi,), n_measurements=8)
         _, tables = build_tables(cfg)
-        exact = weak_coupling_losses(two_period_schedule(0.75 * np.pi, SQRT2, 8), 1.0, omega0, 1e-3)
+        exact = weak_coupling_losses(two_period_schedule(0.75 * np.pi, SQRT2, 8), omega0, 1e-3)
         chi_n = np.array(tables["data"]["chi_n"])
         assert np.max(np.abs(chi_n - exact / 1e-3**2) / (exact / 1e-3**2)) < 1.5e-3
 
@@ -528,7 +528,7 @@ class TestRunSurvival:
         # omega0 = 0: the two parity sectors tie
         with pytest.raises(ValueError, match=r"degenerate \(gap .* < DEGENERACY_GAP = 1e-10\)"):
             run_survival(
-                prepare_model(ModelParams(1.0, 0.0, 0.5, 40)),
+                prepare_model(ModelParams(0.0, 0.5, 40)),
                 two_period_schedule(1.0, SQRT2, 2)[None],
                 0.0,
             )
@@ -537,17 +537,17 @@ class TestRunSurvival:
         # at g = 0 the gap is exactly omega0: just above DEGENERACY_GAP the
         # ground state is unique and the protocol runs, just below it is not
         schedule = two_period_schedule(1.0, SQRT2, 2)[None]
-        above = prepare_model(ModelParams(1.0, 2e-10, 0.0, 10))
+        above = prepare_model(ModelParams(2e-10, 0.0, 10))
         assert above.ground.even_chain is not None
         assert run_survival(above, schedule, 0.1).cumulative.tolist() == [[1.0, 1.0]]
-        below = prepare_model(ModelParams(1.0, 5e-11, 0.0, 10))
+        below = prepare_model(ModelParams(5e-11, 0.0, 10))
         with pytest.raises(ValueError, match=r"gap 5\.000e-11 < DEGENERACY_GAP = 1e-10"):
             run_survival(below, schedule, 0.1)
 
     def test_jc_tie_reports_its_gap(self):
         # the rotating-wave model at resonance ties across sectors at g = omega
         # with omega0 > 0, so the message states the gap rather than a cause
-        prep = prepare_model(ModelParams(1.0, 1.0, 1.0, 20, "jc"))
+        prep = prepare_model(ModelParams(1.0, 1.0, 20, "jc"))
         assert prep.ground.even_chain is None and prep.ground.gap == 0.0
         with pytest.raises(ValueError, match=r"gap 0\.000e\+00 < DEGENERACY_GAP") as info:
             run_survival(prep, two_period_schedule(1.0, SQRT2, 2)[None], 0.0)
@@ -555,7 +555,7 @@ class TestRunSurvival:
 
     def test_chain_ground_refuses_a_tied_manifold(self):
         # chain_ground is the one place a run's start state is built
-        prep = prepare_model(ModelParams(1.0, 0.0, 0.5, 20))
+        prep = prepare_model(ModelParams(0.0, 0.5, 20))
         assert prep.ground.even_chain is None
         with pytest.raises(ValueError, match=r"degenerate \(gap .* < DEGENERACY_GAP = 1e-10\)"):
             prep.chain_ground(1)
@@ -716,11 +716,11 @@ def ensemble_and_exact(config, g, omega_t1, n, width, runs, eps, oracle_width=No
     """Monte Carlo cumulative mean and its standard error at the config's
     seed, and the exact jitter average at ``oracle_width`` (default: the
     width the ensemble was drawn with)."""
-    p = ModelParams(config.omega, config.omega0, g * config.omega, config.n_max)
-    base = two_period_schedule(omega_t1 / config.omega, config.ratio, n)
-    stack = jitter_times(base, width / config.omega, runs, config.seed)
+    p = ModelParams(config.omega0 / config.omega, g, config.n_max)  # in units of omega
+    base = two_period_schedule(omega_t1, config.ratio, n)
+    stack = jitter_times(base, width, runs, config.seed)
     ens = ensemble_survival(prepare_model(p), stack, eps)
-    half_window = (width if oracle_width is None else oracle_width) / config.omega
+    half_window = width if oracle_width is None else oracle_width
     exact = jitter_mean_survival(p, base, half_window, eps)
     return ens.cumulative_mean, ens.cumulative_std / math.sqrt(runs), exact
 

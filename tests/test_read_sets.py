@@ -19,12 +19,12 @@ import pytest
 
 from antizeno import config as config_module
 from antizeno import protocol
-from antizeno import runner as runner_module
 from antizeno.cli import main
 from antizeno.config import (
     ALWAYS_READ, EXPERIMENTS, INPUT_RULES, PRESET_NAMES, READ_SETS, ExperimentConfig, preset,
 )
 from antizeno.runner import build_tables, run
+from helpers import spied_run
 
 FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
@@ -127,53 +127,58 @@ def test_an_undeclared_field_changes_no_table(small, monkeypatch, experiment):
         assert written(perturbed(base, name)) == before, name
 
 
-def judged_and_drawn(cfg, monkeypatch):
-    """The stacks validate judges, each as (event times, half-window), in
-    the order it builds them, and the distinct stacks a build of cfg then
-    draws: every jitter_times stack before its draw, and every sweep_T1
-    stack (one per coupling, all the same) unjittered."""
-    judged, drawn = [], {}
-    real_judge, real_jitter, real_sweep = (
-        config_module.jitter_keeps_order, runner_module.jitter_times, runner_module.sweep_T1)
+def stack_key(times, half_window):
+    times = np.atleast_2d(np.asarray(times, dtype=float))
+    return times.shape, times.tobytes(), float(half_window)
 
-    def key(times, half_window):
-        times = np.atleast_2d(np.asarray(times, dtype=float))
-        return times.shape, times.tobytes(), float(half_window)
+
+def judged_stacks(cfg, monkeypatch):
+    """The stacks validate judges, each as (event times, half-window), in
+    the order it builds them."""
+    judged, real_judge = [], config_module.jitter_keeps_order
 
     def judge(times, half_window):
-        judged.append(key(times, half_window))
+        judged.append(stack_key(times, half_window))
         return real_judge(times, half_window)
 
-    def jitter(base, half_window, runs, seed):
-        drawn[key(base, half_window)] = None
-        return real_jitter(base, half_window, runs, seed)
-
-    def sweep(prep, N, T1_values, ratio, epsilon):
-        drawn[key(protocol._two_period_times(np.asarray(T1_values, float), ratio, N), 0.0)] = None
-        return real_sweep(prep, N, T1_values, ratio, epsilon)
-
     monkeypatch.setattr(config_module, "jitter_keeps_order", judge)
-    monkeypatch.setattr(runner_module, "jitter_times", jitter)
-    monkeypatch.setattr(runner_module, "sweep_T1", sweep)
     cfg.validate()
-    judged_by_validate = list(judged)
-    build_tables(cfg)
-    return judged_by_validate, list(drawn)
+    return judged
+
+
+def drawn_stacks(draws):
+    """The distinct stacks of a build's ``draws`` (see ``helpers.SpiedRun``):
+    every jitter_times stack before its draw, and every sweep_T1 stack (one
+    per coupling, all the same) unjittered."""
+    keys = {}
+    for kind, *args in draws:
+        if kind == "jitter":
+            base, half_window, _ = args
+            keys[stack_key(base, half_window)] = None
+        else:
+            periods, n, ratio = args
+            keys[stack_key(protocol._two_period_times(np.asarray(periods, float), ratio, n), 0.0)] = None
+    return list(keys)
 
 
 STACK_CASES = [("preset", e) for e in PRESET_NAMES] + [("small", e) for e in EXPERIMENTS]
 
 
 @pytest.mark.parametrize("kind,experiment", STACK_CASES, ids=[f"{k}-{e}" for k, e in STACK_CASES])
-def test_validate_judges_exactly_the_stacks_the_run_draws(request, monkeypatch, kind, experiment):
+def test_validate_judges_exactly_the_stacks_the_run_draws(request, monkeypatch, tmp_path, built,
+                                                          kind, experiment):
     # the order rule judges each stack of config.plan once, the phase rules
     # build none, and the run draws those stacks and no others: fig3 one
     # (periods, N) sweep, fig4 its three panels, fig5 one (1, N) stack per
     # period, fig6 and survival one; fig1 and fig2 none. The small fig4
     # judges and draws the patched panels.
-    cfg = preset(experiment) if kind == "preset" else request.getfixturevalue("small")[experiment]
-    judged, drawn = judged_and_drawn(cfg, monkeypatch)
-    assert judged == drawn
+    if kind == "preset":
+        cfg, draws = preset(experiment), built(experiment).draws
+    else:
+        cfg = request.getfixturevalue("small")[experiment]
+        draws = spied_run(cfg, tmp_path).draws
+    judged = judged_stacks(cfg, monkeypatch)
+    assert judged == drawn_stacks(draws)
     shapes = [shape for shape, _, _ in judged]
     if kind == "preset":
         assert shapes == {"fig1": [], "fig2": [], "fig3": [(100, 8)], "fig4": [(1, 16), (1, 20), (1, 3)],

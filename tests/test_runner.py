@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +15,8 @@ from antizeno.model import ModelParams, ground_state
 from antizeno import config as config_module
 from antizeno import protocol
 from antizeno import runner as runner_module
-from antizeno.runner import build_tables, run
+from antizeno.runner import build_tables
+from helpers import spied_run
 from oracle import jitter_mean_survival
 
 
@@ -120,13 +119,13 @@ class TestFig3Builder:
         real = runner_module.sweep_T1
 
         def recording(prep, N, T1_values, ratio, epsilon):
-            swept.append((prep.params.omega, prep.params.omega0, prep.params.g, list(T1_values)))
+            swept.append((prep.params.omega0, prep.params.g, list(T1_values)))
             return real(prep, N, T1_values, ratio, epsilon)
 
         monkeypatch.setattr(runner_module, "sweep_T1", recording)
         cfg = replace(preset("fig3"), omega=2.0, omega_t1_values=(3.0, 1.0), g_values=(0.0, 0.5))
         build_tables(cfg)
-        assert swept == [(1.0, 0.5, 0.0, [3.0, 1.0]), (1.0, 0.5, 0.5, [3.0, 1.0])]
+        assert swept == [(0.5, 0.0, [3.0, 1.0]), (0.5, 0.5, [3.0, 1.0])]
 
     def test_single_coupling_rejected(self):
         cfg = ExperimentConfig(experiment="fig3", g_values=(0.5,), n_max=16)
@@ -209,15 +208,15 @@ class TestFig4Builder:
         assert tables["c"]["g_over_omega"] == [0.0, 0.5, 1.0]
         assert metadata["fig4_panels"] == TINY_FIG4_PANELS
 
-    def test_panel_b_rates_follow_the_exact_jitter_mean(self):
+    def test_panel_b_rates_follow_the_exact_jitter_mean(self, built):
         # each coupling's fit_rate is the decay rate of the cumulative mean:
         # within 10% (a 20-run mean) of the rate of the exact jitter mean,
         # fitted here with plain polyfit over events 1..n
-        _, tables = build_tables(preset("fig4"))
+        tables = built("fig4").tables
         b = FIG4_PANELS["b"]
         base = protocol.two_period_schedule(b["omega_t1"], math.sqrt(2.0), b["n"])
         for g, rows in row_groups(tables["b"], "g_over_omega"):
-            exact = jitter_mean_survival(ModelParams(1.0, 1.0, g, 40), base, b["jitter"], 0.0)
+            exact = jitter_mean_survival(ModelParams(1.0, g, 40), base, b["jitter"], 0.0)
             slope, _ = np.polyfit(np.arange(1.0, b["n"] + 1), np.log(exact), 1)
             assert rows["fit_rate"][0] == pytest.approx(-slope, rel=0.1), g
 
@@ -227,11 +226,11 @@ class TestFig4Builder:
         cfg = ExperimentConfig(experiment="fig4", g_values=(0.5, 1.0), n_max=20)
         _, tables = build_tables(cfg)
         c = FIG4_PANELS["c"]
-        base = protocol.two_period_schedule(c["omega_t1"] / cfg.omega, cfg.ratio, c["n"])
-        times = protocol.jitter_times(base, c["jitter"] / cfg.omega, c["runs"], cfg.seed)
+        base = protocol.two_period_schedule(c["omega_t1"], cfg.ratio, c["n"])
+        times = protocol.jitter_times(base, c["jitter"], c["runs"], cfg.seed)
         expected = [
             np.mean(protocol.ensemble_survival(
-                protocol.prepare_model(ModelParams(cfg.omega, cfg.omega0, g * cfg.omega, cfg.n_max)),
+                protocol.prepare_model(ModelParams(cfg.omega0 / cfg.omega, g, cfg.n_max)),
                 times, cfg.epsilon_values[0]).single_mean)
             for g in config_module.FIG4_PANEL_C_GRID
         ]
@@ -299,11 +298,11 @@ class TestFitsRefitFromTheirFiles:
     the fit of the cells written beside it: each CSV table is read back from
     disk and refitted, and must match bit for bit."""
 
-    @staticmethod
-    def written(tmp_path, name):
-        """The preset's CSV files, read back and keyed by file stem."""
-        paths = run(replace(preset(name), out=str(tmp_path / f"{name}.csv"))).paths
-        return {Path(path).stem: read_csv_output(path) for path in paths}
+    @pytest.fixture
+    def written(self, built):
+        """``written(name)``: the preset's CSV files, read back and keyed by
+        file stem."""
+        return lambda name: {Path(path).stem: read_csv_output(path) for path in built(name).paths}
 
     @staticmethod
     def assert_refit(rows, fit, columns, health):
@@ -315,20 +314,20 @@ class TestFitsRefitFromTheirFiles:
             assert set(rows[column]) == {value}, column
         assert (health["n_dropped"], health["residual_max"]) == (fit.n_dropped, fit.residual_max)
 
-    def test_fig1(self, tmp_path):
-        metadata, table = self.written(tmp_path, "fig1")["fig1"]
+    def test_fig1(self, written):
+        metadata, table = written("fig1")["fig1"]
         fit = fit_quadratic_origin(table["g_over_omega"], table["p_e"])
         self.assert_refit(table, fit, {"lambda_fit": "lam", "r_squared": "r_squared"},
                           *metadata["quadratic_fits"]["data"])
 
-    def test_fig3(self, tmp_path):
-        metadata, table = self.written(tmp_path, "fig3")["fig3"]
+    def test_fig3(self, written):
+        metadata, table = written("fig3")["fig3"]
         fit = fit_exponential(np.array(table["g_over_omega"]) ** 2, table["mean_final_survival"])
         self.assert_refit(table, fit, {"gaussian_rate": "rate", "gaussian_r_squared": "r_squared"},
                           *metadata["exponential_fits"]["data"])
 
-    def test_fig4(self, tmp_path):
-        files = self.written(tmp_path, "fig4")
+    def test_fig4(self, written):
+        files = written("fig4")
         assert set(files) == {"fig4_a", "fig4_b", "fig4_c"}
         metadata, table = files["fig4_b"]
         groups = row_groups(table, "g_over_omega")
@@ -344,8 +343,8 @@ class TestFitsRefitFromTheirFiles:
         self.assert_refit(table, fit, {"chi_bar_fit": "lam", "r_squared": "r_squared"},
                           *metadata["quadratic_fits"]["c"])
 
-    def test_fig5(self, tmp_path):
-        metadata, table = self.written(tmp_path, "fig5")["fig5"]
+    def test_fig5(self, written):
+        metadata, table = written("fig5")["fig5"]
         groups = row_groups(table, "omega_t1")
         health = metadata["exponential_fits"]["data"]
         periods = list(preset("fig5").omega_t1_values)
@@ -420,37 +419,22 @@ class TestMetadata:
 
 
 class TestSharedJitterDraws:
-    @pytest.fixture
-    def seedings(self, monkeypatch):
-        """Counts per-run jitter seedings (one seed per row of each
-        ``jitter_schedule`` call)."""
-        calls = []
-        real = protocol.jitter_schedule
+    """Per-run jitter seedings: one seed per row of each
+    ``jitter_schedule`` call."""
 
-        def counting(*args, **kwargs):
-            calls.extend(args[-1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(protocol, "jitter_schedule", counting)
-        return calls
-
-    def test_fig4_draws_each_panel_once_per_build(self, seedings):
+    def test_fig4_draws_each_panel_once_per_build(self, built, tmp_path):
         # 20 (panel a) + 20 (panel b, shared by 3 couplings) + 200 (panel c,
         # shared by 11 couplings); a second build draws again, with no cache
-        cfg = preset("fig4")
-        _, first = build_tables(cfg)
-        assert len(seedings) == 240
-        _, second = build_tables(cfg)
-        assert len(seedings) == 480
-        assert first == second
+        first, second = built("fig4"), spied_run(preset("fig4"), tmp_path)
+        assert first.seedings == second.seedings == 240
+        assert first.tables == second.tables
 
-    def test_survival_shares_draws_across_couplings_and_epsilons(self, seedings):
+    def test_survival_shares_draws_across_couplings_and_epsilons(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="survival", g_values=(0.5, 1.0), epsilon_values=(0.0, 0.1),
             n_max=20, n_measurements=4, runs=5,
         )
-        build_tables(cfg)
-        assert len(seedings) == 5
+        assert spied_run(cfg, tmp_path).seedings == 5
 
 
 # Per preset, what its plan says a build draws: (jittered stacks, rows x
@@ -461,29 +445,17 @@ PLANNED_WORK = {"fig1": (0, 0), "fig2": (0, 0), "fig3": (0, 800), "fig4": (3, 13
                 "fig5": (3, 960), "fig6": (1, 320)}
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_the_plan_explains_the_run(monkeypatch, name):
+def test_the_plan_explains_the_run(built, name):
     # one jitter_times call per jittered stack of the plan, and the event
     # times drawn (jitter stacks, and each distinct sweep stack once) are
     # the plan's rows x events
-    drawn, swept = [], set()
-    real_jitter, real_sweep = runner_module.jitter_times, runner_module.sweep_T1
-
-    def jitter(base, half_window, runs, seed):
-        times = real_jitter(base, half_window, runs, seed)
-        drawn.append(times.size)
-        return times
-
-    def sweep(prep, N, T1_values, ratio, epsilon):
-        swept.add((tuple(T1_values), N))
-        return real_sweep(prep, N, T1_values, ratio, epsilon)
-
-    monkeypatch.setattr(runner_module, "jitter_times", jitter)
-    monkeypatch.setattr(runner_module, "sweep_T1", sweep)
     stacks = config_module.plan(preset(name)).values()
     jittered = sum(s.jitter > 0 for s in stacks)
     events = sum(len(s.periods) * s.runs * s.n for s in stacks)
     assert (jittered, events) == PLANNED_WORK[name]
-    build_tables(preset(name))
+    draws = built(name).draws
+    drawn = [runs * base.size for kind, base, _, runs in draws if kind == "jitter"]
+    swept = {(periods, n) for kind, periods, n, _ in draws if kind == "sweep"}
     assert len(drawn) == jittered
     assert sum(drawn) + sum(len(periods) * n for periods, n in swept) == events
 
@@ -496,67 +468,42 @@ FITS = {"fig1": (1, 0), "fig2": (0, 0), "fig3": (0, 1), "fig4": (1, 3), "fig5": 
 
 
 @pytest.mark.parametrize("name", FITS)
-def test_every_fit_runs_through_the_runner_names(monkeypatch, name):
+def test_every_fit_runs_through_the_runner_names(built, name):
     # a build reads both fit functions from runner's namespace when it fits,
     # so a wrapper bound there (as bench/tracer.py binds its fit span) sees
     # every fit
-    calls = []
-    for law in ("fit_quadratic_origin", "fit_exponential"):
-        def counting(x, y, law=law, real=getattr(runner_module, law)):
-            calls.append(law)
-            return real(x, y)
-        monkeypatch.setattr(runner_module, law, counting)
-    config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
-        g_values=(0.5, 1.0), n_max=20, n_measurements=4, runs=3)
-    build_tables(config)
+    calls = built(name).fits
     assert (calls.count("fit_quadratic_origin"), calls.count("fit_exponential")) == FITS[name]
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_a_run_changes_no_process_wide_state(monkeypatch, tmp_path, name):
+def test_a_run_changes_no_process_wide_state(built, name):
     # the umask and the warnings filters belong to the whole process: a run
-    # that set either, even briefly, would race with a caller's other threads
-    touched = []
-    for module, attr in ((os, "umask"), (warnings, "catch_warnings"), (warnings, "simplefilter")):
-        def spy(*args, attr=attr, real=getattr(module, attr), **kwargs):
-            touched.append(attr)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, attr, spy)
-    config = preset(name) if name in PRESET_NAMES else ExperimentConfig(
-        g_values=(0.5, 1.0), epsilon_values=(0.1,), n_max=20, n_measurements=4, runs=3)
-    for fmt in FORMATS:
-        run(replace(config, out=str(tmp_path / f"{name}.{fmt}"), format=fmt))
-    assert touched == []
+    # that set either, even briefly, would race with a caller's other threads.
+    # The spies watched the build and the writer of both formats
+    spied = built(name)
+    assert {Path(path).suffix for path in (*spied.paths, spied.json_path)} == {f".{f}" for f in FORMATS}
+    assert spied.touched == []
 
 
-def test_fig4_prepares_each_coupling_once(monkeypatch):
+def test_fig4_prepares_each_coupling_once(built, tmp_path):
     # panels a, b and c share g/omega = 1, and panel b's couplings are not
     # all on the panel-c grid: one prepared model per distinct coupling, an
     # integer 1 in g_values and panel c's 1.0 included
-    couplings = []
-    real = runner_module.prepare_model
-
-    def counting(params, *args, **kwargs):
-        couplings.append(params.g)
-        return real(params, *args, **kwargs)
-
-    monkeypatch.setattr(runner_module, "prepare_model", counting)
-    for g_values in (preset("fig4").g_values, (1 / 3, 2 / 3, 1)):
-        couplings.clear()
-        cfg = replace(preset("fig4"), g_values=g_values)
-        build_tables(cfg)
-        distinct = set(cfg.g_values) | set(config_module.FIG4_PANEL_C_GRID)
+    integer_one = replace(preset("fig4"), g_values=(1 / 3, 2 / 3, 1))
+    for g_values, prepared in ((preset("fig4").g_values, built("fig4").prepared),
+                               (integer_one.g_values, spied_run(integer_one, tmp_path).prepared)):
+        distinct = set(g_values) | set(config_module.FIG4_PANEL_C_GRID)
         assert len(distinct) == 13
-        assert len(couplings) == len(set(couplings)) == 13, g_values
+        assert len(prepared) == len(set(prepared)) == 13, g_values
 
 
 @pytest.mark.parametrize("name,solves", [("fig1", 102), ("fig4", 27)])
-def test_cutoff_check_reuses_the_prepared_ground_state(eigh_calls, name, solves):
+def test_cutoff_check_reuses_the_prepared_ground_state(built, name, solves):
     # one ground-state solve per coupling (plus one chain solve per coupling
     # that runs a survival protocol) and one more for the cutoff check, at
     # n_max + 10 only
-    build_tables(preset(name))
-    dims = [dim for dim, _ in eigh_calls]
+    dims = built(name).eigh_dims
     assert len(dims) == solves
     assert dims.count(2 * (40 + 10 + 1)) == 1
 
@@ -574,21 +521,15 @@ def test_auto_cutoff_solves_each_model_once(eigh_calls, name, solves):
     assert len(eigh_calls) == 2 * solves
 
 
-@pytest.mark.parametrize("config", [
-    *(preset(name) for name in PRESET_NAMES),
-    replace(preset("fig4"), g_values=(0.1, 0.2, 0.3)),
-], ids=[*PRESET_NAMES, "fig4-g-below-1"])
-def test_the_n_max_rule_judges_a_model_the_build_solves(monkeypatch, config):
+N_MAX_RULE_CASES = {**{name: preset(name) for name in PRESET_NAMES},
+                    "fig4-g-below-1": replace(preset("fig4"), g_values=(0.1, 0.2, 0.3))}
+
+
+@pytest.mark.parametrize("name", N_MAX_RULE_CASES)
+def test_the_n_max_rule_judges_a_model_the_build_solves(built, tmp_path, name):
     # the model config's n_max rule builds is one the build solves, fig4's
     # panel-c coupling 1.0 included when every coupling of g_values is
     # below it
-    memos = []
-    real = runner_module.prepare_model
-
-    def recording(params, solved):
-        memos.append(solved)
-        return real(params, solved)
-
-    monkeypatch.setattr(runner_module, "prepare_model", recording)
-    build_tables(config)
-    assert largest_model(config) in memos[0]
+    config = N_MAX_RULE_CASES[name]
+    spied = built(name) if name in PRESET_NAMES else spied_run(config, tmp_path)
+    assert largest_model(config) in spied.solved
