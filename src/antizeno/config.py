@@ -194,7 +194,7 @@ FIELD_RULES = [
     ("g_values", "non-empty and >= 0", lambda v, c: bool(v) and min(v) >= 0),
     ("n_max", ">= 1 (or null for automatic)", lambda v, c: v is None or v >= 1),
     ("n_max", f"a cutoff at which the largest model the run solves has n <= {N_MAX_CAP} and a "
-              f"finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), "
+              f"finite Gershgorin bound on its spectrum, 2*(n + omega0/2 + 2*g*sqrt(n)), "
               f"at g = the largest coupling the run solves, in units of omega, and n = n_max + "
               f"{CUTOFF_STEP} when a coupling is > 0 (the cutoff check), n_max when none is, or "
               f"{CUTOFF_CAP} when automatic", lambda v, c: _exists(largest_model, c)),

@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class RunResult:
 def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, list]]]:
     """Run the experiment; return (metadata, tables keyed by name).
 
+    With the cutoff fixed, each distinct coupling of ``couplings(config)`` is
+    prepared once, largest first, before any survival run: all but fig1 refuse
+    a degenerate ground state, and the largest above 0 gets the cutoff check.
     A table maps each column name, in schema order, to its list of cells.
     Single-table experiments use the key "data"; fig4 uses "a", "b", "c".
     A builder may add its own metadata keys (``commensurate_no_jitter``,
@@ -66,21 +69,15 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
     n_max = config.n_max if config.n_max is not None else max(  # auto: converged at every coupling
         converge_cutoff(model_params(config, g, CUTOFF_STEP), solved) for g in couplings(config))
 
-    @cache
-    def prepare(g: float) -> PreparedModel:
-        """The prepared model at coupling g/omega, made once per build (callers
-        pass a float: the cache tells 1 from 1.0); every experiment but fig1
-        starts from the ground state, so it refuses a degenerate ground manifold."""
-        prep = prepare_model(model_params(config, g, n_max), solved)
+    prepared: dict[float, PreparedModel] = {}
+    for g in sorted(set(couplings(config)), reverse=True):
+        prep = prepared[g] = prepare_model(model_params(config, g, n_max), solved)
         if prep.ground.even_chain is None and config.experiment != "fig1":
             raise ValueError(f"g_values: {config.experiment} needs a unique ground state at every "
-                             f"coupling it runs; g/omega = {g!r} has a gap of "
+                             f"coupling it runs; g/omega = {prep.params.g!r} has a gap of "
                              f"{prep.ground.gap:.3e}, below DEGENERACY_GAP")
-        return prep
-
-    largest_g = float(max(couplings(config)))
-    if largest_g > 0:
-        assert_cutoff_converged(prepare(largest_g).params, solved)
+        if len(prepared) == 1 and g > 0:  # the largest coupling, once it passed the refusal
+            assert_cutoff_converged(prep.params, solved)
 
     metadata = {
         "tool": f"antizeno {__version__}",
@@ -89,11 +86,11 @@ def build_tables(config: ExperimentConfig) -> tuple[dict, dict[str, dict[str, li
         "cutoff_used": n_max,
         "cutoff_stable_to": CUTOFF_TOL,
     }
-    return metadata, _BUILDERS[config.experiment](config, prepare, metadata)
+    return metadata, _BUILDERS[config.experiment](config, prepared, metadata)
 
 
 # ---------------------------------------------------------------------------
-# table builders: (config, prepare, metadata) -> {table name: {column: cells}}
+# table builders: (config, prepared, metadata) -> {table name: {column: cells}}
 
 
 def _fit(metadata: dict, law: str, x, y, table: str, **at) -> tuple[float, float]:
@@ -124,7 +121,7 @@ def _commensurate(ratio: float) -> bool:
     return abs(ratio - round(ratio)) < 1e-12
 
 
-def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: Stack) -> list[dict]:
+def _ensemble_blocks(config: ExperimentConfig, prepared, metadata: dict, stack: Stack) -> list[dict]:
     """Draw one jitter stack of the plan once (its one period's schedule in
     ``stack.runs`` runs) and run every (g/omega, epsilon) of ``stack.pairs``
     on it. Every pair reuses the same draws, which pairs run k across a table.
@@ -141,7 +138,7 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: S
     metadata["commensurate_no_jitter"] = metadata.get("commensurate_no_jitter", False) or flagged
     blocks = []
     for g, eps in stack.pairs:
-        ens = ensemble_survival(prepare(float(g)), times, eps)
+        ens = ensemble_survival(prepared[g], times, eps)
         blocks.append({
             "g_over_omega": float(g),
             "epsilon": float(eps),
@@ -158,30 +155,30 @@ def _ensemble_blocks(config: ExperimentConfig, prepare, metadata: dict, stack: S
     return blocks
 
 
-def _build_fig1(config: ExperimentConfig, prepare, metadata: dict) -> dict:
+def _build_fig1(config: ExperimentConfig, prepared, metadata: dict) -> dict:
     g = np.asarray(config.g_values, dtype=float)
-    p_e = np.array([prepare(gi).ground.p_e for gi in g])
+    p_e = np.array([prepared[gi].ground.p_e for gi in config.g_values])
     data = {"g_over_omega": g.tolist(), "p_e": p_e.tolist()}
     data["lambda_fit"], data["r_squared"] = _fit(metadata, "quadratic", g, p_e, "data")
     return {"data": _table("g_over_omega p_e lambda_fit r_squared", data)}
 
 
-def _build_fig2(config: ExperimentConfig, prepare, metadata: dict) -> dict:
+def _build_fig2(config: ExperimentConfig, prepared, metadata: dict) -> dict:
     omega_t = np.arange(0.0, config.time_max + config.time_step / 2, config.time_step)
     table = {"omega_t": omega_t.tolist()}
     for g in config.g_values:
-        prep = prepare(float(g))
+        prep = prepared[g]
         _, initial = measure_no_click(prep.chain_ground(1), 0.0)
         values = excitation_trace(prep.params, initial, omega_t)
         table[FIG2_COLUMN.format(g)] = values.tolist()
     return {"data": table}
 
 
-def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
+def _build_fig3(config: ExperimentConfig, prepared, metadata: dict) -> dict:
     metadata["commensurate_no_jitter"] = _commensurate(config.ratio)  # the sweep runs jitter-free
     (sweep,) = plan(config).values()
     g = np.array([gi for gi, _ in sweep.pairs], dtype=float)
-    mean_final = np.array([sweep_T1(prepare(float(gi)), sweep.n, sweep.periods, config.ratio, eps)
+    mean_final = np.array([sweep_T1(prepared[gi], sweep.n, sweep.periods, config.ratio, eps)
                            for gi, eps in sweep.pairs])
     data = {"g_over_omega": g.tolist(), "mean_final_survival": mean_final.tolist()}
     data["gaussian_rate"], data["gaussian_r_squared"] = _fit(
@@ -189,8 +186,8 @@ def _build_fig3(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     return {"data": _table("g_over_omega mean_final_survival gaussian_rate gaussian_r_squared", data)}
 
 
-def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
-    panel = {name: _ensemble_blocks(config, prepare, metadata, stack)
+def _build_fig4(config: ExperimentConfig, prepared, metadata: dict) -> dict:
+    panel = {name: _ensemble_blocks(config, prepared, metadata, stack)
              for name, stack in plan(config).items()}
     # panel b: survival vs event count per coupling, with exponential fits
     for block in panel["b"]:
@@ -212,10 +209,10 @@ def _build_fig4(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     }
 
 
-def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
+def _build_fig5(config: ExperimentConfig, prepared, metadata: dict) -> dict:
     blocks = []
     for w, stack in plan(config).items():
-        (block,) = _ensemble_blocks(config, prepare, metadata, stack)
+        (block,) = _ensemble_blocks(config, prepared, metadata, stack)
         # in omega*t units, t/T1 = omega*t / (omega*T1)
         t_over_t1 = (np.asarray(block["omega_t"]) / w).tolist()
         rate, _ = _fit(metadata, "exponential", t_over_t1, block["cumulative_mean"], "data",
@@ -233,13 +230,13 @@ def _build_fig5(config: ExperimentConfig, prepare, metadata: dict) -> dict:
     )}
 
 
-def _build_survival(config: ExperimentConfig, prepare, metadata: dict,
+def _build_survival(config: ExperimentConfig, prepared, metadata: dict,
                     schema: str = "g_over_omega epsilon event omega_t single_mean single_std "
                                   "cumulative_mean cumulative_std chi_n") -> dict:
     """Every (g, epsilon) of the config on one jitter stack, as the columns
     of ``schema``."""
     (stack,) = plan(config).values()
-    return {"data": _table(schema, *_ensemble_blocks(config, prepare, metadata, stack))}
+    return {"data": _table(schema, *_ensemble_blocks(config, prepared, metadata, stack))}
 
 
 _BUILDERS = {

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from antizeno import protocol
-from antizeno.config import PRESET_NAMES, ExperimentConfig, preset
-from helpers import record_eigh, spied_run
+from helpers import SHARED_CONFIGS, record_eigh, spied_run
 
 
 @pytest.fixture(scope="session")
@@ -24,15 +23,6 @@ def eigh_calls(monkeypatch):
     """Every ``np.linalg.eigh`` call while the test runs, as (dimension,
     bytes of the matrix): the suite's one eigensolve counter."""
     return record_eigh(monkeypatch)
-
-
-# The configs the session builds once: every preset, and a small survival
-# run (two couplings, a detector that misses, a few short jittered runs).
-SHARED_CONFIGS = {
-    **{name: preset(name) for name in PRESET_NAMES},
-    "survival": ExperimentConfig(g_values=(0.5, 1.0), epsilon_values=(0.1,), n_max=20,
-                                 n_measurements=4, runs=3),
-}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Inputs the test modules share: the resonant model, the sqrt(2) period
-ratio of every preset, random states as plain arrays, and a run with the
-suite's spies on."""
+ratio of every preset, random states as plain arrays, the configs the
+session builds once, and a run with the suite's spies on."""
 
 import math
 import os
@@ -12,9 +12,19 @@ import numpy as np
 import pytest
 
 from antizeno import protocol, runner
+from antizeno.config import PRESET_NAMES, ExperimentConfig, preset
 from antizeno.model import ModelParams
 
 SQRT2 = math.sqrt(2.0)
+
+# The configs the session builds once (the ``built`` fixture): every preset,
+# and a small survival run (two couplings, a detector that misses, a few
+# short jittered runs).
+SHARED_CONFIGS = {
+    **{name: preset(name) for name in PRESET_NAMES},
+    "survival": ExperimentConfig(g_values=(0.5, 1.0), epsilon_values=(0.1,), n_max=20,
+                                 n_measurements=4, runs=3),
+}
 
 
 def resonant(g, n_max=40, kind="rabi"):

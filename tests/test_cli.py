@@ -721,7 +721,7 @@ class TestFlags:
 class TestMultiTableOutput:
     @pytest.fixture
     def fake_two_panel(self, monkeypatch):
-        def builder(config, prepare, metadata):
+        def builder(config, prepared, metadata):
             return {"a": {"x": [1], "y": [2.0]}, "b": {"x": [3], "y": [4.0]}}
 
         monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)
@@ -751,7 +751,7 @@ class TestOutputSet:
 
     @pytest.fixture
     def three_panel(self, monkeypatch, tmp_path):
-        def builder(config, prepare, metadata):
+        def builder(config, prepared, metadata):
             return {name: {"x": [1], "y": [2.0]} for name in "abc"}
 
         monkeypatch.setitem(runner_module._BUILDERS, "survival", builder)

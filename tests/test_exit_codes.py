@@ -185,14 +185,14 @@ FOUND = [
      "[antizeno.config]: time_max: fig2 needs a grid whose phases the run resolves"),
     # Hamiltonian entries past the float range printed numpy's overflow
     # warning (a traceback under -W error) and exited 2 from numkit naming
-    # no field: omega*n at the cutoff check's n_max + 10, and a bond g*sqrt(n).
-    # In units of omega, fig1 at omega0/omega = 1e-307 runs (its tied
-    # manifolds report the averaged p_e), and fig6 there has no unique
-    # ground state
+    # no field: the photon term n at the cutoff check's n_max + 10, and a
+    # bond g*sqrt(n). In units of omega, fig1 at omega0/omega = 1e-307 runs
+    # (its tied manifolds report the averaged p_e), and fig6 there has no
+    # unique ground state
     ("fig1", {"omega": 1e307, "n_max": 12}, 0, ""),
     ("fig6", {"omega": 1.7e308}, 2, "[antizeno.runner]: g_values: fig6 needs a unique ground state"),
     ("fig5", {"g_values": [1e308]}, 2,
-     "a finite Gershgorin bound on its spectrum, 2*(omega*n + omega0/2 + 2*g*sqrt(n)), at g"),
+     "a finite Gershgorin bound on its spectrum, 2*(n + omega0/2 + 2*g*sqrt(n)), at g"),
     # finite entries whose spectrum passes the float range warned from
     # numpy in the ground-state solve, then exited 3 (a traceback under -W
     # error); in units of omega its g/omega = 4.5 is truly unconverged at

@@ -8,15 +8,15 @@ import pytest
 
 from antizeno.analysis import fit_exponential, fit_quadratic_origin
 from antizeno.config import (
-    EXPERIMENTS, FIG4_PANELS, FORMATS, PRESET_NAMES, ExperimentConfig, largest_model, model_params,
-    preset,
+    EXPERIMENTS, FIG4_PANELS, FORMATS, PRESET_NAMES, ExperimentConfig, couplings, largest_model,
+    model_params, preset,
 )
 from antizeno.model import ModelParams, ground_state
 from antizeno import config as config_module
 from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables
-from helpers import spied_run
+from helpers import SHARED_CONFIGS, spied_run
 from oracle import jitter_mean_survival
 
 
@@ -486,16 +486,38 @@ def test_a_run_changes_no_process_wide_state(built, name):
     assert spied.touched == []
 
 
-def test_fig4_prepares_each_coupling_once(built, tmp_path):
-    # panels a, b and c share g/omega = 1, and panel b's couplings are not
-    # all on the panel-c grid: one prepared model per distinct coupling, an
-    # integer 1 in g_values and panel c's 1.0 included
-    integer_one = replace(preset("fig4"), g_values=(1 / 3, 2 / 3, 1))
-    for g_values, prepared in ((preset("fig4").g_values, built("fig4").prepared),
-                               (integer_one.g_values, spied_run(integer_one, tmp_path).prepared)):
-        distinct = set(g_values) | set(config_module.FIG4_PANEL_C_GRID)
-        assert len(distinct) == 13
-        assert len(prepared) == len(set(prepared)) == 13, g_values
+PREPARE_CASES = {**SHARED_CONFIGS,
+                 "fig4-integer-one": replace(preset("fig4"), g_values=(1 / 3, 2 / 3, 1))}
+
+
+@pytest.mark.parametrize("name", PREPARE_CASES)
+def test_a_build_prepares_each_coupling_once(built, tmp_path, name):
+    # the model phase prepares exactly the couplings the build solves, one
+    # model each: fig4's panels a, b and c share g/omega = 1, panel b's
+    # couplings are not all on the panel-c grid, and an integer 1 in
+    # g_values is panel c's 1.0
+    config = PREPARE_CASES[name]
+    spied = built(name) if name in SHARED_CONFIGS else spied_run(config, tmp_path)
+    distinct = sorted(set(couplings(config)))
+    assert len(distinct) == (13 if config.experiment == "fig4" else len(config.g_values))
+    assert sorted(spied.prepared) == distinct
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_every_model_is_prepared_before_the_first_survival_run(monkeypatch, name):
+    # the model phase ends before any survival run, so a coupling the build
+    # refuses is refused before a run spends its time: fig3 sweeps one
+    # coupling at a time, and fig4 runs panel a before panel b's couplings
+    calls = []
+    for module, attr in ((runner_module, "prepare_model"), (protocol, "run_survival")):
+        def spy(*args, attr=attr, real=getattr(module, attr)):
+            calls.append(attr)
+            return real(*args)
+        monkeypatch.setattr(module, attr, spy)
+    build_tables(preset(name))
+    prepares = len(set(couplings(preset(name))))
+    assert calls.count("prepare_model") == prepares
+    assert calls.index("run_survival") == prepares
 
 
 @pytest.mark.parametrize("name,solves", [("fig1", 102), ("fig4", 27)])
