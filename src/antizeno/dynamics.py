@@ -31,8 +31,12 @@ _DENSITY_HERM_TOL = 1e-12
 _DENSITY_TRACE_TOL = 1e-10
 _DENSITY_MIN_EIG = -1e-10
 
-# Runs advanced together in one batch. Density batches stay small so that
-# their (runs, dim, dim) temporaries add little to peak memory.
+# Runs advanced together in one batch: "pure" sizes the blocks of an
+# epsilon = 0 survival run (amplitudes in the chain eigenbasis, see
+# ``protocol``) and of ``excitation_trace``; "density" the blocks of
+# QuantumState density matrices that epsilon > 0 runs take. Density
+# batches stay small so that their (runs, dim, dim) temporaries add little
+# to peak memory.
 BATCH_RUNS = {"pure": 256, "density": 4}
 
 
@@ -40,6 +44,15 @@ def _worst(deviation: np.ndarray) -> str:
     """Largest entry of a per-run deviation, naming its run."""
     run = int(np.argmax(deviation))
     return f"{float(deviation[run]):.3e} (run {run})"
+
+
+def _check_norm(norm: np.ndarray) -> None:
+    """The pure-state rule: every run's norm within ``_PURE_NORM_TOL`` of 1
+    (a NaN norm breaks it too). ``QuantumState`` and the survival kernel's
+    amplitudes both obey it."""
+    deviation = np.abs(norm - 1.0)
+    if not np.max(deviation) <= _PURE_NORM_TOL:
+        raise NumericalError(f"pure state norm deviates from 1 by {_worst(deviation)}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,7 @@ class QuantumState:
         if self.kind == "pure":
             if data.ndim != 2:
                 raise ValueError(f"pure state data must have shape (runs, n), got {data.shape}")
-            norm = np.linalg.norm(data, axis=-1)
-            if np.max(np.abs(norm - 1.0)) > _PURE_NORM_TOL:
-                raise NumericalError(f"pure state norm deviates from 1 by {_worst(np.abs(norm - 1.0))}")
+            _check_norm(np.linalg.norm(data, axis=-1))
         elif self.kind == "density":
             if data.ndim != 3 or data.shape[-2] != data.shape[-1]:
                 raise ValueError(f"density data must have shape (runs, n, n), got {data.shape}")

@@ -12,10 +12,17 @@ The ground state has even parity and both free evolution and the no-click
 map preserve parity, so every state a run visits lives on the even chain
 |g,0>, |e,1>, |g,2>, ... of dimension n_max + 1 (a ``PreparedModel``
 diagonalizes the real tridiagonal chain Hamiltonian once, the first time a
-run needs it). Runs of equal length are advanced together: each event is one
-batched evolve and one batched measurement over all runs of a block
+run needs it). Runs of equal length are advanced together in blocks
 (``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
-operations per event instead of a Python loop per run.
+operations per event instead of a Python loop per run. An ideal detector
+(epsilon = 0) keeps each run pure: its amplitudes c = psi V in the chain
+eigenbasis take one step per event, the phases exp(-i E dt) and then the
+real no-click projector P = V^T diag(ground) V that the prepared model
+keeps. A detector with epsilon > 0 mixes the state, so those runs are
+density matrices, each event one batched ``evolve`` and one batched
+``measure_no_click`` on ``QuantumState`` batches (they move to the
+eigenbasis only once the benchmark can time a faster density pass,
+ROADMAP item 1a).
 
 A schedule is a 1-d array of event times in 1/omega; a stack of runs is a
 ``(runs, N)`` array, one schedule per row, validated once. ``jitter_schedule``,
@@ -42,13 +49,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .dynamics import BATCH_RUNS, QuantumState, evolve
+from .dynamics import BATCH_RUNS, QuantumState, _check_norm, evolve
 from .errors import NumericalError
-from .measurement import _epsilon, measure_no_click
+from .measurement import _check_no_click, _epsilon, measure_no_click
 from .model import (
     DEGENERACY_GAP,
     GroundStateDecomposition,
     ModelParams,
+    even_chain_excited,
     even_chain_hamiltonian,
     ground_state,
 )
@@ -110,7 +118,8 @@ class PreparedModel:
 
     ``chain``, the spectrum every survival run evolves with, is diagonalized
     the first time it is read, so a caller that needs only the ground state
-    does not pay for it."""
+    does not pay for it; ``no_click``, the ideal detector's projector in its
+    eigenbasis, is built from it on first read."""
 
     params: ModelParams
     ground: GroundStateDecomposition
@@ -119,6 +128,16 @@ class PreparedModel:
     def chain(self) -> SpectralDecomposition:
         """Spectral decomposition of the even-chain Hamiltonian."""
         return hermitian_eig(even_chain_hamiltonian(self.params))
+
+    @cached_property
+    def no_click(self) -> np.ndarray:
+        """The ideal detector's no-click projector in the eigenbasis of
+        ``chain``: the real P = V^T diag(ground) V, which keeps the sites of a
+        de-excited qubit (read-only; no further eigensolve)."""
+        kept = self.chain.eigenvectors[~even_chain_excited(self.params.n_max)]
+        projector = kept.T @ kept
+        projector.flags.writeable = False
+        return projector
 
     def chain_ground(self, runs: int) -> QuantumState:
         """``runs`` copies of the ground state on the even chain, as a batch.
@@ -290,9 +309,12 @@ def run_survival(prep: PreparedModel, times, epsilon: float) -> SurvivalTrace:
     The evolution before the first event is a no-op (the ground state is
     stationary), so the first single-event survival equals the ground-state
     no-click probability. With epsilon = 0 the conditional state stays pure
-    and the cheap pure-state path is used; otherwise the state is promoted
-    to a density matrix. The stack is run in blocks of runs, each event one
-    batched step for the whole block.
+    and runs as amplitudes in the chain eigenbasis, one phase-and-project
+    step per event; otherwise the state is promoted to a density matrix and
+    each event is one ``evolve`` and one ``measure_no_click``. The stack is
+    run in blocks of runs, each event one batched step for the whole block.
+    Both paths check the state at every event and stop with
+    ``NumericalError``, naming the run's row of the stack.
     """
     times, epsilon = _time_stack(times), _epsilon(epsilon)
     singles = np.empty(times.shape)
@@ -311,9 +333,9 @@ def run_survival(prep: PreparedModel, times, epsilon: float) -> SurvivalTrace:
 
 def _survival_block(prep: PreparedModel, times: np.ndarray, epsilon: float) -> np.ndarray:
     """No-click probabilities of one block of runs (rows of ``times``)."""
-    state = prep.chain_ground(len(times))
-    if epsilon > 0.0:
-        state = state.promoted()
+    if epsilon == 0.0:
+        return _pure_block(prep, times)
+    state = prep.chain_ground(len(times)).promoted()
     singles = np.empty(times.shape)
     previous = np.zeros(len(times))
     for i in range(times.shape[1]):
@@ -321,6 +343,42 @@ def _survival_block(prep: PreparedModel, times: np.ndarray, epsilon: float) -> n
         singles[:, i], state = measure_no_click(state, epsilon)
         previous = times[:, i]
     return singles
+
+
+def _pure_block(prep: PreparedModel, times: np.ndarray) -> np.ndarray:
+    """``_survival_block`` at epsilon = 0, on the amplitudes c = psi V of
+    each run in the eigenbasis of ``prep.chain``: free evolution multiplies
+    c by the phases exp(-i E dt), and each event is one ``_no_click_step``."""
+    amplitudes = prep.chain_ground(len(times)).data @ prep.chain.eigenvectors
+    exponents = -1j * prep.chain.eigenvalues
+    steps = np.diff(times, axis=1, prepend=0.0)
+    singles = np.empty(times.shape)
+    for i in range(times.shape[1]):
+        amplitudes *= np.exp(np.multiply.outer(steps[:, i], exponents))
+        singles[:, i], amplitudes = _no_click_step(amplitudes, prep.no_click)
+    return singles
+
+
+def _no_click_step(amplitudes: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ideal measurement of every run: the no-click probability, as the
+    weight the projector keeps over the state's own weight (so a run the
+    projector leaves alone scores exactly 1), and the renormalized
+    conditional amplitudes. The state first meets the pure-state norm rule;
+    a certain click is refused as ``measure_no_click`` refuses it."""
+    weight = _weight(amplitudes)
+    _check_norm(np.sqrt(weight))
+    amplitudes = amplitudes @ projector
+    kept = _weight(amplitudes)
+    prob = kept / weight
+    _check_no_click(prob)
+    amplitudes /= np.sqrt(kept)[:, None]
+    return np.minimum(prob, 1.0), amplitudes
+
+
+def _weight(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of complex amplitudes."""
+    parts = amplitudes.view(float)
+    return np.einsum("rn,rn->r", parts, parts)
 
 
 def ensemble_survival(prep: PreparedModel, times, epsilon: float) -> EnsembleTrace:

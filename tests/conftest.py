@@ -42,10 +42,13 @@ def break_state(monkeypatch):
     makes each run of the stack rows ``rows`` (all rows if None; rows count
     on across the runs made after install) carry ``change(data)`` of its
     state after its ``event``-th measurement on to the next step unchecked,
-    as a numerical breakdown would leave it. Returns the list of (event,
-    state kind) of every measurement made, in order."""
+    as a numerical breakdown would leave it. The data is the density
+    matrices of a run at epsilon > 0 and its amplitudes in the chain
+    eigenbasis at epsilon = 0 (``protocol._no_click_step``). Returns the
+    list of (event, state kind) of every measurement made, in order."""
     made = []
-    real_block, real_measure = protocol._survival_block, protocol.measure_no_click
+    real_block = protocol._survival_block
+    real_measure, real_step = protocol.measure_no_click, protocol._no_click_step
 
     def install(event, change, rows=None):
         block = {"rows": range(0), "event": 0}
@@ -55,22 +58,36 @@ def break_state(monkeypatch):
             block.update(rows=range(first, first + len(times)), event=0)
             return real_block(prep, times, epsilon)
 
+        def corrupted(kind, data):
+            """Count one measurement; return its post-state data, broken if
+            this is the event and the block holds a broken row."""
+            block["event"] += 1
+            made.append((block["event"], kind))
+            hit = [k for k, row in enumerate(block["rows"]) if rows is None or row in rows]
+            if block["event"] != event or not hit:
+                return None
+            data = np.array(data)
+            data[hit] = change(data[hit])
+            return data
+
         def measure(state, epsilon):
             prob, post = real_measure(state, epsilon)
-            block["event"] += 1
-            made.append((block["event"], post.kind))
-            hit = [k for k, row in enumerate(block["rows"]) if rows is None or row in rows]
-            if block["event"] == event and hit:
-                data = np.array(post.data)
-                data[hit] = change(data[hit])
+            data = corrupted(post.kind, post.data)
+            if data is not None:
                 broken = object.__new__(type(post))  # skips the checks that build a state
                 object.__setattr__(broken, "kind", post.kind)
                 object.__setattr__(broken, "data", data)
                 post = broken
             return prob, post
 
+        def step(amplitudes, projector):
+            prob, post = real_step(amplitudes, projector)
+            data = corrupted("pure", post)
+            return prob, (post if data is None else data)
+
         monkeypatch.setattr(protocol, "_survival_block", survival_block)
         monkeypatch.setattr(protocol, "measure_no_click", measure)
+        monkeypatch.setattr(protocol, "_no_click_step", step)
         return made
 
     return install

@@ -458,14 +458,43 @@ class TestRunSurvival:
     def test_density_path_matches_trajectory_sum(self, params, eps, jitter):
         # oracle: the 2^8 pure-state trajectories of an 8-event schedule,
         # weighted by which events the detector acted at; no density code
-        prep = prepare_model(params)
-        base = two_period_schedule(2 * np.pi, SQRT2, 8)
-        stack = jitter_times(base, jitter, 3, 11)
-        trace = run_survival(prep, stack, eps)
-        h = even_chain_hamiltonian(params).matrix
-        for row, times in enumerate(stack):
-            expected = trajectory_survival(h, prep.ground.even_chain, times, eps)
-            assert np.max(np.abs(trace.cumulative[row] - expected)) <= 1e-13
+        _assert_matches_trajectory_sum(params, eps, jitter)
+
+    @pytest.mark.parametrize("params", [
+        resonant(0.5, n_max=20), resonant(1.0, n_max=20), resonant(0.6, n_max=20, kind="jc"),
+    ], ids=["rabi-0.5", "rabi-1", "jc-0.6"])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2 * np.pi], ids=["plain", "jittered"])
+    def test_pure_path_matches_trajectory_sum(self, params, jitter):
+        # the same oracle pins the eigenbasis kernel on a stack of several
+        # rows; at epsilon = 0 only the always-projected trajectory counts
+        _assert_matches_trajectory_sum(params, 0.0, jitter)
+
+    @pytest.mark.parametrize("kind", ["rabi", "jc"])
+    @pytest.mark.parametrize("jitter", [0.0, 0.2 * np.pi], ids=["plain", "jittered"])
+    def test_uncoupled_qubit_never_clicks(self, kind, jitter):
+        # at g = 0 the ground state |g,0> is an eigenstate on a ground site:
+        # every ideal event keeps all of it, so every single is exactly 1.0,
+        # on a stack of periods and across the rows of a jittered one
+        prep = prepare_model(resonant(0.0, n_max=12, kind=kind))
+        periods = jitter_times(two_period_schedule(2 * np.pi, SQRT2, 8), jitter, 300, 5)
+        stack = periods * np.linspace(0.1, 5.0, 300)[:, None]
+        trace = run_survival(prep, stack, 0.0)
+        assert np.all(trace.single == 1.0)
+        assert np.all(trace.cumulative == 1.0)
+
+    def test_no_click_projector_is_read_from_the_chain(self, eigh_calls):
+        # P = V^T diag(ground) V in the chain eigenbasis: a real symmetric
+        # projector onto the ground sites, made without another eigensolve
+        prep = prepare_model(resonant(0.7, n_max=10))
+        v = prep.chain.eigenvectors
+        solves = len(eigh_calls)
+        projector = prep.no_click
+        assert len(eigh_calls) == solves and prep.no_click is projector
+        assert np.allclose(projector, projector.T, rtol=0, atol=1e-15)
+        assert np.allclose(projector @ projector, projector, rtol=0, atol=1e-14)
+        ground = np.arange(11) % 2 == 0
+        assert np.allclose(v @ projector @ v.T, np.diag(ground.astype(float)), rtol=0, atol=1e-14)
+        assert not projector.flags.writeable
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.4])
     def test_batched_rows_equal_single_runs(self, eps):
@@ -561,6 +590,19 @@ class TestRunSurvival:
             prep.chain_ground(1)
 
 
+def _assert_matches_trajectory_sum(params, eps, jitter):
+    """Each row of a 3-row stack of 8-event schedules against the oracle's
+    trajectory sum, to 1e-13."""
+    prep = prepare_model(params)
+    base = two_period_schedule(2 * np.pi, SQRT2, 8)
+    stack = jitter_times(base, jitter, 3, 11)
+    trace = run_survival(prep, stack, eps)
+    h = even_chain_hamiltonian(params).matrix
+    for row, times in enumerate(stack):
+        expected = trajectory_survival(h, prep.ground.even_chain, times, eps)
+        assert np.max(np.abs(trace.cumulative[row] - expected)) <= 1e-13
+
+
 def _shift_last_site(data):
     """Move 1e-3 of population from the first to the last chain site: the
     trace and Hermiticity hold, but the nearly empty last site goes negative."""
@@ -580,6 +622,7 @@ def _non_hermitian(data):
 # breaks (None: all), the check's message naming the first broken row)
 CORRUPTIONS = {
     "pure norm": (0.0, lambda d: 1.01 * d, None, r"pure state norm deviates from 1 .*\(run 0\)"),
+    "pure nan in row 5": (0.0, lambda d: np.nan * d, [5], r"norm deviates from 1 by nan \(run 5\)$"),
     "density trace": (0.1, lambda d: 1.01 * d, None, "density matrix trace deviates from 1"),
     "hermiticity": (0.1, _non_hermitian, None, "density matrix not Hermitian"),
     "positivity": (0.1, _shift_last_site, None, "density matrix not positive"),
