@@ -12,6 +12,9 @@ spectral decomposition per parameter set, reused across all times. Pure
 states get V exp(-i E t) V^dagger psi without forming it; density matrices
 get U rho U^dagger with U = V exp(-i E t) V^dagger. A step costs O(dim^2)
 per pure run and O(dim^3) per density run; each run may have its own time.
+
+Every state rule goes through one NaN-safe comparison, ``_require``, which
+names the worst run; the ideal no-click rule lives in ``measurement``.
 """
 
 from __future__ import annotations
@@ -41,18 +44,33 @@ BATCH_RUNS = {"pure": 256, "density": 4}
 
 
 def _worst(deviation: np.ndarray) -> str:
-    """Largest entry of a per-run deviation, naming its run."""
+    """Largest entry of a per-run deviation (its first NaN, if any), naming
+    its run."""
     run = int(np.argmax(deviation))
     return f"{float(deviation[run]):.3e} (run {run})"
 
 
+def _require(deviation: np.ndarray, tol: float, what: str) -> None:
+    """The one comparison of every state check: a run whose deviation is not
+    at most ``tol`` (a NaN one included) stops the batch, naming the worst."""
+    if not np.max(deviation) <= tol:
+        raise NumericalError(f"{what} {_worst(deviation)}")
+
+
 def _check_norm(norm: np.ndarray) -> None:
-    """The pure-state rule: every run's norm within ``_PURE_NORM_TOL`` of 1
-    (a NaN norm breaks it too). ``QuantumState`` and the survival kernel's
-    amplitudes both obey it."""
-    deviation = np.abs(norm - 1.0)
-    if not np.max(deviation) <= _PURE_NORM_TOL:
-        raise NumericalError(f"pure state norm deviates from 1 by {_worst(deviation)}")
+    """The pure-state rule: every run's norm within ``_PURE_NORM_TOL`` of 1."""
+    _require(np.abs(norm - 1.0), _PURE_NORM_TOL, "pure state norm deviates from 1 by")
+
+
+def _check_density(data: np.ndarray) -> None:
+    """The density rules, in order, on every run of a (runs, n, n) batch:
+    Hermitian, unit trace, positive (min eigenvalue >= ``_DENSITY_MIN_EIG``)."""
+    herm = np.max(np.abs(data - data.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    _require(herm, _DENSITY_HERM_TOL, "density matrix not Hermitian: max dev")
+    trace = np.trace(data, axis1=-2, axis2=-1).real
+    _require(np.abs(trace - 1.0), _DENSITY_TRACE_TOL, "density matrix trace deviates from 1 by")
+    min_eig = np.linalg.eigvalsh(data)[..., 0]
+    _require(-min_eig, -_DENSITY_MIN_EIG, "density matrix not positive: min eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -60,11 +78,9 @@ class QuantumState:
     """A batch of pure states (amplitude vectors, shape (runs, n)) or of
     density matrices (shape (runs, n, n)) on the even parity chain.
 
-    Invariants are enforced at construction, for every run: unit norm for
-    pure states; Hermiticity, unit trace and positivity (min eigenvalue
-    >= -1e-10) for density matrices. A broken invariant means the numerics
-    broke down and raises ``NumericalError``; a wrong shape or kind raises
-    ``ValueError``.
+    Construction checks every run (``_check_norm``, ``_check_density``): a
+    broken invariant means the numerics broke down and raises
+    ``NumericalError``; a wrong shape or kind raises ``ValueError``.
     """
 
     kind: str  # "pure" | "density"
@@ -79,17 +95,7 @@ class QuantumState:
         elif self.kind == "density":
             if data.ndim != 3 or data.shape[-2] != data.shape[-1]:
                 raise ValueError(f"density data must have shape (runs, n, n), got {data.shape}")
-            herm = np.max(np.abs(data - data.conj().swapaxes(-1, -2)), axis=(-2, -1))
-            if np.max(herm) > _DENSITY_HERM_TOL:
-                raise NumericalError(f"density matrix not Hermitian: max dev {_worst(herm)}")
-            trace = np.trace(data, axis1=-2, axis2=-1).real
-            if np.max(np.abs(trace - 1.0)) > _DENSITY_TRACE_TOL:
-                raise NumericalError(
-                    f"density matrix trace deviates from 1 by {_worst(np.abs(trace - 1.0))}"
-                )
-            min_eig = np.linalg.eigvalsh(data)[..., 0]
-            if np.min(min_eig) < _DENSITY_MIN_EIG:
-                raise NumericalError(f"density matrix not positive: min eigenvalue {_worst(-min_eig)}")
+            _check_density(data)
         else:
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
         data.flags.writeable = False
@@ -134,9 +140,7 @@ def excitation_probability(state: QuantumState) -> np.ndarray:
     """Qubit excitation probability <P_e> of each run of a batch of pure
     states."""
     populations = state.data.real**2 + state.data.imag**2
-    drift = np.max(np.abs(np.sum(populations, axis=-1) - 1.0))
-    if drift > 1e-8:
-        raise NumericalError(f"state norm^2 deviates from 1 by {drift:.3e}")
+    _check_norm(np.sqrt(np.sum(populations, axis=-1)))
     return np.sum(populations[:, _model.even_chain_excited(state.dim - 1)], axis=-1)
 
 

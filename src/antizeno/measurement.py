@@ -14,22 +14,23 @@ pure input stays pure and the map reduces to projecting out the excited
 qubit component.
 
 P_g is diagonal on the even parity chain (it keeps the even sites), so the
-projected branch is computed by masking rather than explicit projector
-products. Every run of a batch is measured in one array operation.
+no-click branch of a density matrix masks rather than multiplies. Pure
+states at epsilon = 0 take the one ideal-measurement rule, ``_no_click_step``,
+with the projector diag(ground); the survival kernel (``protocol``) applies
+it with that projector in the chain eigenbasis. Every run of a batch is
+measured in one array operation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import QuantumState
-from .errors import NumericalError
+from .dynamics import QuantumState, _check_norm, _require
 from .model import _is_finite, even_chain_excited
 
 __all__ = ["measure_no_click"]
 
-# Below this no-click trace the state is (numerically) fully excited and the
-# conditional state is undefined.
+# Below this no-click trace the conditional state is undefined (a certain click).
 _CERTAIN_CLICK_TOL = 1e-15
 
 
@@ -43,24 +44,16 @@ def _epsilon(epsilon) -> float:
 
 def measure_no_click(s: QuantumState, epsilon: float) -> tuple[np.ndarray, QuantumState]:
     """Apply the no-click branch of the measurement map, at detector
-    inefficiency ``epsilon``, to every run.
-
-    Returns the no-click probability of each run and the conditional
-    (normalized) post state. Raises ``NumericalError`` ("certain click") if
-    the no-click probability of any run underflows, i.e. the state is fully
-    excited under an ideal measurement.
-    """
+    inefficiency ``epsilon``, to every run: the no-click probability of each
+    run and the conditional (normalized) post state. A run whose no-click
+    probability underflows (a certain click) raises ``NumericalError``."""
     epsilon = _epsilon(epsilon)
-    excited = even_chain_excited(s.dim - 1)
+    ground = ~even_chain_excited(s.dim - 1)
     if epsilon == 0.0 and s.kind == "pure":
-        projected = s.data.copy()
-        projected[..., excited] = 0.0
-        prob = np.sum(projected.real**2 + projected.imag**2, axis=-1)
-        _check_no_click(prob)
-        return np.minimum(prob, 1.0), QuantumState("pure", projected / np.sqrt(prob)[..., None])
+        prob, post = _no_click_step(np.ascontiguousarray(s.data), np.diag(ground.astype(float)))
+        return prob, QuantumState("pure", post)
 
     rho = s.promoted().data
-    ground = ~excited
     sigma = epsilon * rho
     # (1 - eps) * P_g rho P_g keeps only the ground-qubit block
     sigma += (1.0 - epsilon) * (rho * np.outer(ground, ground))
@@ -69,6 +62,29 @@ def measure_no_click(s: QuantumState, epsilon: float) -> tuple[np.ndarray, Quant
     return np.minimum(prob, 1.0), QuantumState("density", sigma / prob[..., None, None])
 
 
+def _no_click_step(amplitudes: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ideal measurement of every run (a row of ``amplitudes``) with the
+    real no-click ``projector`` of their basis. The no-click probability is
+    the weight kept over the state's own (a run the projector leaves alone
+    scores exactly 1); the state first meets the pure-state norm rule."""
+    weight = _weight(amplitudes)
+    _check_norm(np.sqrt(weight))
+    amplitudes = amplitudes @ projector
+    kept = _weight(amplitudes)
+    prob = kept / weight
+    _check_no_click(prob)
+    amplitudes /= np.sqrt(kept)[:, None]
+    return np.minimum(prob, 1.0), amplitudes
+
+
+def _weight(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of complex amplitudes."""
+    parts = amplitudes.view(float)
+    return np.einsum("rn,rn->r", parts, parts)
+
+
 def _check_no_click(prob: np.ndarray) -> None:
-    if np.min(prob) < _CERTAIN_CLICK_TOL:
-        raise NumericalError("certain click: state has no de-excited component")
+    """The certain-click rule: every run's no-click probability at least
+    ``_CERTAIN_CLICK_TOL``, naming the worst run by its shortfall."""
+    _require(_CERTAIN_CLICK_TOL - prob, 0.0,
+             "certain click: state has no de-excited component, short by")

@@ -17,12 +17,12 @@ run needs it). Runs of equal length are advanced together in blocks
 operations per event instead of a Python loop per run. An ideal detector
 (epsilon = 0) keeps each run pure: its amplitudes c = psi V in the chain
 eigenbasis take one step per event, the phases exp(-i E dt) and then the
-real no-click projector P = V^T diag(ground) V that the prepared model
-keeps. A detector with epsilon > 0 mixes the state, so those runs are
-density matrices, each event one batched ``evolve`` and one batched
-``measure_no_click`` on ``QuantumState`` batches (they move to the
-eigenbasis only once the benchmark can time a faster density pass,
-ROADMAP item 1a).
+one ideal-measurement rule, ``measurement._no_click_step``, with the real
+projector P = V^T diag(ground) V that the prepared model keeps. A detector
+with epsilon > 0 mixes the state, so those runs are density matrices, each
+event one batched ``evolve`` and one batched ``measure_no_click`` on
+``QuantumState`` batches (they move to the eigenbasis only once the
+benchmark can time a faster density pass, ROADMAP item 1a).
 
 A schedule is a 1-d array of event times in 1/omega; a stack of runs is a
 ``(runs, N)`` array, one schedule per row, validated once. ``jitter_schedule``,
@@ -49,9 +49,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .dynamics import BATCH_RUNS, QuantumState, _check_norm, evolve
+from .dynamics import BATCH_RUNS, QuantumState, evolve
 from .errors import NumericalError
-from .measurement import _check_no_click, _epsilon, measure_no_click
+from .measurement import _epsilon, _no_click_step, measure_no_click
 from .model import (
     DEGENERACY_GAP,
     GroundStateDecomposition,
@@ -357,28 +357,6 @@ def _pure_block(prep: PreparedModel, times: np.ndarray) -> np.ndarray:
         amplitudes *= np.exp(np.multiply.outer(steps[:, i], exponents))
         singles[:, i], amplitudes = _no_click_step(amplitudes, prep.no_click)
     return singles
-
-
-def _no_click_step(amplitudes: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One ideal measurement of every run: the no-click probability, as the
-    weight the projector keeps over the state's own weight (so a run the
-    projector leaves alone scores exactly 1), and the renormalized
-    conditional amplitudes. The state first meets the pure-state norm rule;
-    a certain click is refused as ``measure_no_click`` refuses it."""
-    weight = _weight(amplitudes)
-    _check_norm(np.sqrt(weight))
-    amplitudes = amplitudes @ projector
-    kept = _weight(amplitudes)
-    prob = kept / weight
-    _check_no_click(prob)
-    amplitudes /= np.sqrt(kept)[:, None]
-    return np.minimum(prob, 1.0), amplitudes
-
-
-def _weight(amplitudes: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of complex amplitudes."""
-    parts = amplitudes.view(float)
-    return np.einsum("rn,rn->r", parts, parts)
 
 
 def ensemble_survival(prep: PreparedModel, times, epsilon: float) -> EnsembleTrace:

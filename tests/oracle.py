@@ -10,10 +10,16 @@ Rabi spectrum with no Fock cutoff at all. Like the package, it works in
 units of the resonator frequency omega: frequencies in omega, times in
 1/omega. Nothing here validates its arguments, except that
 ``jitter_mean_survival`` refuses inputs its exact form does not cover and
-``braak_g`` a series it has not summed.
+``braak_g`` a series it has not summed. ``oracle_tables`` rebuilds whole
+output tables; of the package it reads only ``config.plan`` and the fig2
+column names, never a kernel.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+
+from antizeno.config import FIG2_COLUMN, plan
 
 QUBIT = {
     "sigma_x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -111,19 +117,21 @@ def qubit_p_e(data):
     return np.sum(np.abs(data[..., half:]) ** 2, axis=-1)
 
 
-def no_click(data, epsilon):
+def no_click(data, epsilon, batch=False):
     """No-click branch (1 - epsilon) P_g rho P_g + epsilon rho on a
-    qubit-major state vector or density matrix: (probability, normalized
-    post state). A vector stays a vector only at epsilon = 0."""
+    qubit-major state vector or density matrix, or with ``batch`` on a stack
+    of them along the first axis: (probability, normalized post state). A
+    vector stays a vector only at epsilon = 0."""
     p_g = np.diag(~excited(data.shape[-1])).astype(complex)
-    if data.ndim == 1 and epsilon == 0.0:
-        projected = p_g @ data
-        prob = np.vdot(projected, projected).real
-        return prob, projected / np.sqrt(prob)
-    rho = np.outer(data, data.conj()) if data.ndim == 1 else data
+    vector = data.ndim == 1 + batch
+    if vector and epsilon == 0.0:
+        projected = data @ p_g  # P_g is diagonal: rows project as columns do
+        prob = np.sum(np.abs(projected) ** 2, axis=-1)
+        return prob, projected / np.sqrt(prob)[..., None]
+    rho = data[..., :, None] * data[..., None, :].conj() if vector else data
     sigma = (1.0 - epsilon) * p_g @ rho @ p_g + epsilon * rho
-    prob = np.trace(sigma).real
-    return prob, sigma / prob
+    prob = np.trace(sigma, axis1=-2, axis2=-1).real
+    return prob, sigma / prob[..., None, None]
 
 
 def series_propagator(h, t, squarings=10, terms=30):
@@ -370,3 +378,172 @@ def braak_roots(g, delta, top=1, bisections=50):
         (np.sort(root[(j == k) & (which == 0)]), np.sort(root[(j == k) & (which == 1)]))
         for k in range(couplings)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Whole tables: every numeric data column a build writes, rebuilt from the
+# config and ``config.plan`` alone.
+
+EXTINCT = 1e-12  # survival below this is left out of an exponential fit
+
+
+def oracle_tables(config):
+    """The data columns of a build of ``config`` (fig1-fig6 or survival,
+    at a fixed ``n_max``), as {table: {column: array}}.
+
+    Each coupling's model is ``kron_hamiltonian`` on the full 2(n_max+1)
+    space with one ``np.linalg.eigh``; its ground state is the lowest
+    eigenvector. Runs start there and take ``no_click`` at each event of
+    the stacks ``plan(config)`` lists, every row of a stack at once: pure
+    amplitudes at epsilon = 0, density matrices otherwise. Row k of a
+    jittered stack moves its events by ``default_rng(s_k).uniform``, with
+    s_k word k of ``SeedSequence(seed).generate_state(runs, uint64)``. Fits
+    are refit from the oracle's own columns with ``np.polyfit`` (exponential
+    laws, in log space) and ``np.linalg.lstsq`` (y = lam x^2).
+    """
+    spectra = {}
+
+    def spectrum(g):
+        if g not in spectra:
+            p = SimpleNamespace(omega0=float(config.omega0) / float(config.omega), g=float(g),
+                                n_max=config.n_max, kind="rabi")
+            spectra[g] = np.linalg.eigh(kron_hamiltonian(p))
+        return spectra[g]
+
+    def blocks(stack):
+        """Per (g, epsilon) of the stack: the base schedule and the per-event
+        means and stds of single and cumulative survival over its runs."""
+        (omega_t1,) = stack.periods
+        base = _two_period(omega_t1, config.ratio, stack.n)
+        times = np.tile(base, (stack.runs, 1))
+        if stack.jitter > 0:
+            seeds = np.random.SeedSequence(config.seed).generate_state(stack.runs, np.uint64)
+            times += [np.random.default_rng(int(s)).uniform(-stack.jitter, stack.jitter, stack.n)
+                      for s in seeds]
+        out = []
+        for g, eps in stack.pairs:
+            single = _survival(*spectrum(g), times, eps)
+            cumulative = np.cumprod(single, axis=1)
+            mean = single.mean(axis=0)
+            out.append({
+                "g_over_omega": g, "epsilon": eps, "event": np.arange(1, stack.n + 1),
+                "omega_t": base, "single_mean": mean, "single_std": single.std(axis=0),
+                "cumulative_mean": cumulative.mean(axis=0), "cumulative_std": cumulative.std(axis=0),
+                "chi_n": (1.0 - mean) / g**2 if g**2 > 0 else np.full(stack.n, np.nan),
+            })
+        return out
+
+    kind = config.experiment
+    if kind == "fig1":
+        g = np.asarray(config.g_values, dtype=float)
+        p_e = np.array([qubit_p_e(spectrum(gi)[1][:, 0]) for gi in config.g_values])
+        return {"data": _columns("g_over_omega p_e lambda_fit r_squared",
+                                 {"g_over_omega": g, "p_e": p_e, **_quadratic_fit(g, p_e)})}
+    if kind == "fig2":
+        omega_t = np.arange(0.0, config.time_max + config.time_step / 2, config.time_step)
+        table = {"omega_t": omega_t}
+        for g in config.g_values:
+            energies, vectors = spectrum(g)
+            start = no_click(vectors[:, 0], 0.0)[1]
+            states = ((start @ vectors.conj()) * np.exp(-1j * np.outer(omega_t, energies))) @ vectors.T
+            table[FIG2_COLUMN.format(g)] = qubit_p_e(states)
+        return {"data": table}
+    if kind == "fig3":
+        (sweep,) = plan(config).values()
+        times = np.array([_two_period(t1, config.ratio, sweep.n) for t1 in sweep.periods])
+        g = np.array([gi for gi, _ in sweep.pairs], dtype=float)
+        final = np.array([np.mean(np.prod(_survival(*spectrum(gi), times, eps), axis=1))
+                          for gi, eps in sweep.pairs])
+        rate, r_squared = _exponential_fit(g**2, final)
+        return {"data": _columns("g_over_omega mean_final_survival gaussian_rate gaussian_r_squared",
+                                 {"g_over_omega": g, "mean_final_survival": final,
+                                  "gaussian_rate": rate, "gaussian_r_squared": r_squared})}
+    if kind == "fig4":
+        panels = {name: blocks(stack) for name, stack in plan(config).items()}
+        (a,) = panels["a"]
+        for block in panels["b"]:
+            block["fit_rate"], block["fit_r_squared"] = _exponential_fit(
+                block["event"], block["cumulative_mean"])
+        grid = np.array([block["g_over_omega"] for block in panels["c"]])
+        pbar = np.array([np.mean(block["single_mean"]) for block in panels["c"]])
+        fit = _quadratic_fit(grid, 1.0 - pbar)
+        return {
+            "a": _columns("event omega_t single_mean single_std cumulative_mean cumulative_std", a),
+            "b": _columns("g_over_omega event omega_t cumulative_mean cumulative_std fit_rate "
+                          "fit_r_squared", *panels["b"]),
+            "c": _columns("g_over_omega mean_single_survival chi_bar_fit r_squared",
+                          {"g_over_omega": grid, "mean_single_survival": pbar,
+                           "chi_bar_fit": fit["lambda_fit"], "r_squared": fit["r_squared"]}),
+        }
+    if kind == "fig5":
+        rows = []
+        for omega_t1, stack in plan(config).items():
+            (block,) = blocks(stack)
+            t_over_t1 = block["omega_t"] / omega_t1
+            rate, _ = _exponential_fit(t_over_t1, block["cumulative_mean"])
+            rows.append({**block, "omega_t1": omega_t1, "t_over_t1": t_over_t1,
+                         "rate_per_t_over_t1": rate})
+        rates = [block["rate_per_t_over_t1"] for block in rows]
+        for block in rows:
+            block["rate_ratio_max_min"] = max(rates) / min(rates)
+        return {"data": _columns("omega_t1 event omega_t t_over_t1 cumulative_mean cumulative_std "
+                                 "rate_per_t_over_t1 rate_ratio_max_min", *rows)}
+    (stack,) = plan(config).values()
+    schema = "epsilon event omega_t single_mean single_std cumulative_mean cumulative_std"
+    if kind == "survival":
+        schema = f"g_over_omega {schema} chi_n"
+    return {"data": _columns(schema, *blocks(stack))}
+
+
+def _two_period(omega_t1, ratio, n):
+    """Event times T1, T1+T2, 2 T1+T2, ... of n events, T2 = ratio T1."""
+    return np.cumsum(np.resize([omega_t1, ratio * omega_t1], n))
+
+
+def _survival(energies, vectors, times, epsilon):
+    """(rows, N) per-event no-click probabilities of a stack of schedules
+    run from the lowest eigenvector: each row evolves under
+    exp(-i H dt) = V exp(-i E dt) V^dagger between its events."""
+    rows = len(times)
+    state = np.tile(vectors[:, 0], (rows, 1))
+    if epsilon > 0.0:
+        state = state[:, :, None] * state[:, None, :].conj()
+    singles, previous = [], np.zeros(rows)
+    for t in times.T:
+        phases = np.exp(-1j * np.outer(t - previous, energies))
+        if state.ndim == 2:
+            state = ((state @ vectors.conj()) * phases) @ vectors.T
+        else:
+            u = (vectors * phases[:, None, :]) @ vectors.conj().T
+            state = u @ state @ u.conj().transpose(0, 2, 1)
+        prob, state = no_click(state, epsilon, batch=True)
+        singles.append(prob)
+        previous = t
+    return np.array(singles).T
+
+
+def _columns(schema, *blocks):
+    """One table of the columns of ``schema`` stacked over ``blocks``; a
+    scalar cell repeats down its block."""
+    names = schema.split()
+    parts = [np.broadcast_arrays(*(block[name] for name in names)) for block in blocks]
+    return {name: np.concatenate([part[i] for part in parts]) for i, name in enumerate(names)}
+
+
+def _r_squared(y, predicted):
+    return 1.0 - np.sum((y - predicted) ** 2) / np.sum((y - y.mean()) ** 2)
+
+
+def _exponential_fit(x, y):
+    """(rate, R^2 in log space) of y = exp(c - rate x), fitted on log y over
+    the points at or above ``EXTINCT``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    keep = y >= EXTINCT
+    slope, intercept = np.polyfit(x[keep], np.log(y[keep]), 1)
+    return -slope, _r_squared(np.log(y[keep]), slope * x[keep] + intercept)
+
+
+def _quadratic_fit(x, y):
+    """lam and R^2 of y = lam x^2, fitted through the origin."""
+    (lam,), *_ = np.linalg.lstsq(x[:, None] ** 2, y, rcond=None)
+    return {"lambda_fit": lam, "r_squared": _r_squared(y, lam * x**2)}

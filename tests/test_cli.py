@@ -307,6 +307,18 @@ class TestCliRuns:
         assert "numerical failure [antizeno.dynamics]: pure state norm deviates from 1" in err
         assert not out.exists()
 
+    def test_nan_density_state_exits_3(self, tmp_path, capsys, break_state):
+        # at epsilon 0.1 the runs are density matrices; run 2's state after
+        # event 2 turns NaN, and the next step's Hermiticity check names it
+        made = break_state(2, lambda data: np.nan * data, [2])
+        out = tmp_path / "x.csv"
+        assert main(small_survival_args(tmp_path, "x.csv") + ["--epsilon", "0.1"]) == 3
+        assert made == [(1, "density"), (2, "density")]
+        err = capsys.readouterr().err
+        assert ("numerical failure [antizeno.dynamics]: density matrix not Hermitian: "
+                "max dev nan (run 2)") in err
+        assert not out.exists()
+
     def test_unwritable_path_exits_4(self, tmp_path, capsys):
         args = small_survival_args(tmp_path)
         args[args.index("--out") + 1] = str(tmp_path / "missing_dir" / "x.csv")

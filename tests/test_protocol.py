@@ -628,6 +628,7 @@ CORRUPTIONS = {
     "positivity": (0.1, _shift_last_site, None, "density matrix not positive"),
     "positivity in row 5": (0.1, _shift_last_site, [5], r"not positive: min eigenvalue .*\(run 5\)$"),
     "trace in row 5": (0.1, lambda d: 1.01 * d, [5], r"trace deviates from 1 by .*\(run 5\)$"),
+    "density nan in row 5": (0.1, lambda d: np.nan * d, [5], r"not Hermitian: max dev nan \(run 5\)$"),
 }
 
 
@@ -645,6 +646,20 @@ def test_state_corrupted_mid_run_is_caught(break_state, check):
     with pytest.raises(NumericalError, match=message):
         run_survival(prep, times, epsilon)
     assert made[-1] == (2, "pure" if epsilon == 0.0 else "density")
+
+
+def test_certain_click_mid_run_names_its_row(break_state):
+    # row 5's amplitudes after event 2 become the ones that the free
+    # evolution to event 3 (one period T1 = 2 pi later) carries onto the
+    # excited site |e,1>: event 3's ideal measurement finds nothing to keep
+    prep = prepare_model(resonant(0.5, n_max=20))
+    times = np.tile(two_period_schedule(2 * np.pi, SQRT2, 4), (6, 1))
+    chain = prep.chain
+    excited = chain.eigenvectors[1] * np.exp(2j * np.pi * chain.eigenvalues)
+    made = break_state(2, lambda d: np.broadcast_to(excited, d.shape), [5])
+    with pytest.raises(NumericalError, match=r"^certain click: .*\(run 5\)$"):
+        run_survival(prep, times, 0.0)
+    assert made[-1] == (2, "pure")
 
 
 def test_prepare_model_solves_the_ground_state_then_the_chain_on_first_read(eigh_calls):

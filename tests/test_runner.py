@@ -17,7 +17,7 @@ from antizeno import protocol
 from antizeno import runner as runner_module
 from antizeno.runner import build_tables
 from helpers import SHARED_CONFIGS, spied_run
-from oracle import jitter_mean_survival
+from oracle import jitter_mean_survival, oracle_tables
 
 
 def columns_of(tables, name="data"):
@@ -355,6 +355,31 @@ class TestFitsRefitFromTheirFiles:
             self.assert_refit(rows, fit, {"rate_per_t_over_t1": "rate"}, entry)
             rates.append(fit.coefficients["rate"])
         assert set(table["rate_ratio_max_min"]) == {max(rates) / min(rates)}
+
+
+# Cells compared with the oracle at 1e-13 absolute (fig2's p1e_* columns
+# too); every other column, coordinates, chi_n and fits, at 1e-13 relative.
+# The largest gaps measured are 1.5e-14 absolute (fig2) and 1.2e-14 relative
+# (fig4 panel b's fit_rate).
+PROBABILITY_COLUMNS = {"p_e", "mean_final_survival", "mean_single_survival", "single_mean",
+                       "single_std", "cumulative_mean", "cumulative_std"}
+
+
+@pytest.mark.parametrize("name", SHARED_CONFIGS)
+def test_every_emitted_number_is_rebuilt_by_the_oracle(built, name):
+    # every column of every table, from the oracle's full-space runs, its
+    # own draws and its own fits (oracle_tables), never the package's kernels
+    tables = built(name).tables
+    expected = oracle_tables(SHARED_CONFIGS[name])
+    assert {t: list(columns) for t, columns in tables.items()} == \
+        {t: list(columns) for t, columns in expected.items()}
+    for table, columns in tables.items():
+        for column, cells in columns.items():
+            probability = column in PROBABILITY_COLUMNS or column.startswith("p1e_")
+            np.testing.assert_allclose(
+                np.asarray(cells, dtype=float), expected[table][column], equal_nan=True,
+                rtol=0.0 if probability else 1e-13, atol=1e-13 if probability else 0.0,
+                err_msg=f"{name} {table}.{column}")
 
 
 class TestFig6Builder:
