@@ -154,7 +154,11 @@ _RESOLVED = (("jitter_width", f"a half-window whose phases the run resolves: the
              ("omega_t1_values", *_PHASES))
 _STACK_SIZE = ("runs", "a jitter stack of at most 10^6 event times (runs times n_measurements)", _SIZED)
 INPUT_RULES = {
-    "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3)],
+    "fig1": [("g_values", "at least 3 couplings for the quadratic fit", lambda v, c: len(v) >= 3),
+             ("omega0", f"a splitting the solve resolves: omega*t = 1 {_BOUND}, at couplings 0",
+              lambda v, c: _resolved(1.0, replace(c, g_values=(0.0,)))),
+             ("g_values", f"couplings the solve resolves: omega*t = 1 {_BOUND}",
+              lambda v, c: _resolved(1.0, c))],
     "fig2": [("g_values", "couplings distinct to 6 significant digits (they name the columns)",
               lambda v, c: len({FIG2_COLUMN.format(g) for g in v}) == len(v)),
              ("time_max", "a grid of at most 10^6 steps (time_max / time_step)",

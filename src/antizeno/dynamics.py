@@ -117,6 +117,12 @@ class QuantumState:
         return QuantumState("density", psi[..., :, None] * psi[..., None, :].conj())
 
 
+def _phases(t: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """exp(-i E t) of each time t and energy E, as exp(t (x) (-iE)): the one
+    phase rule of ``evolve`` and of ``protocol``'s pure survival runs."""
+    return np.exp(np.multiply.outer(t, -1j * energies))
+
+
 def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
     """Propagate each run of a batch for its own time (1/omega), ``t`` of shape
     (runs,), under exp(-i H t)."""
@@ -128,7 +134,7 @@ def evolve(spec: SpectralDecomposition, s: QuantumState, t) -> QuantumState:
     if t.shape != (s.runs,):
         raise ValueError(f"expected one time per run ({s.runs}), got shape {t.shape}")
     v = spec.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(t, spec.eigenvalues))
+    phases = _phases(t, spec.eigenvalues)
     if s.kind == "pure":
         # rows are states: psi -> V (phases * V^dagger psi)
         return QuantumState("pure", ((s.data @ v.conj()) * phases) @ v.T)

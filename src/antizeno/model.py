@@ -1,19 +1,16 @@
 """Qubit-resonator Hamiltonians, ground-state structure and the quadratic
 self-excitation law.
 
-Two Hamiltonians are provided: the full model with counter-rotating coupling
-sigma_x (a + a^dagger), and its rotating-wave (excitation-conserving)
-counterpart used as a null reference. ``hamiltonian`` assembles either one
-on the full space directly from its diagonal and its g*sqrt(n) coupling
-elements in the qubit-major basis of ``operators``; the ground-state solve
-is its only caller. The full model conserves the parity
-(-1)**(n+s), and its ground state lives in the even sector: it is a chain
-|g,0>, |e,1>, |g,2>, ... whose coefficients grow with the coupling. On
-that chain both models are real, symmetric and tridiagonal
-(``even_chain_hamiltonian``), which is where the survival protocol runs. The
-qubit excitation probability in that ground state scales quadratically with
-g at resonance; for small coupling the leading chain coefficient has the
-closed form -g/(1 + omega0).
+The full model has the counter-rotating coupling sigma_x (a + a^dagger);
+its rotating-wave (excitation-conserving) counterpart is a null reference.
+Both conserve the parity (-1)**(n+s), so the truncated space is two real
+tridiagonal chains, and ``_chain`` is the one statement of their matrix
+elements. The ground state lies on the even chain |g,0>, |e,1>, |g,2>, ...
+(``even_chain_hamiltonian``), where the survival protocol runs;
+``hamiltonian``, which the ground-state solve diagonalizes, places both
+chains in the qubit-major basis of ``operators``. The ground state's qubit
+excitation probability grows as g**2 at resonance; for small coupling the
+leading chain coefficient is -g/(1 + omega0).
 
 ``ModelParams`` is the whole model, its Hamiltonian kind included, and this
 module owns every rule on which models can be built (a finite Gershgorin
@@ -136,53 +133,52 @@ class GroundStateDecomposition:
     gap: float
 
 
+def _sites(n_max: int, parity: int) -> np.ndarray:
+    """Qubit-major index of each site k = 0..n_max of the chain of ``parity``
+    (0 even, 1 odd): |e,k> where k + parity is odd, |g,k> elsewhere."""
+    k = np.arange(n_max + 1)
+    return k + (n_max + 1) * ((k + parity) % 2)
+
+
+def _chain(p: ModelParams, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sites (``_sites``), diagonal and bonds of the chain of ``parity``:
+    k + omega0/2 on an excited site and k - omega0/2 on a ground one, and
+    g*sqrt(k+1) between k and k+1. The rotating-wave model ("jc") keeps only
+    the bonds that leave an excited site, the exchange bonds |e,k> <-> |g,k+1>."""
+    k, site = np.arange(p.n_max + 1), _sites(p.n_max, parity)
+    excited = site > p.n_max
+    diagonal = k + 0.5 * p.omega0 * np.where(excited, 1.0, -1.0)
+    bonds = p.g * np.sqrt(k[1:])
+    if p.kind == "jc":
+        bonds[~excited[:-1]] = 0.0
+    return site, diagonal, bonds
+
+
 def hamiltonian(p: ModelParams) -> HermitianOperator:
-    """The model on the full space, a complex matrix in the qubit-major
-    basis of ``operators``, assembled entry by entry.
-
-    "rabi" is a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger).
-    "jc" is its rotating-wave counterpart, with g (sigma^+ a + sigma^- a^dagger)
-    as the coupling: it conserves the excitation number and has the
-    separable ground state |g,0> for g < 1 at resonance.
-
-    The diagonal is n -+ omega0/2 on |g,n> and |e,n>. Every coupling
-    element is g*sqrt(n): the exchange bonds |g,n> <-> |e,n-1> and, in the
-    full model, the counter-rotating bonds |g,n-1> <-> |e,n>.
-    """
-    nf = p.n_max + 1
-    n = np.arange(nf)
-    g_site, e_site = n, nf + n
-    h = np.zeros((2 * nf, 2 * nf), dtype=complex)
-    h[g_site, g_site] = n - 0.5 * p.omega0
-    h[e_site, e_site] = n + 0.5 * p.omega0
-    bonds = p.g * np.sqrt(n[1:])
-    h[g_site[1:], e_site[:-1]] = h[e_site[:-1], g_site[1:]] = bonds
-    if p.kind == "rabi":
-        h[g_site[:-1], e_site[1:]] = h[e_site[1:], g_site[:-1]] = bonds
+    """The model on the full space, a complex matrix: both chains of
+    ``_chain`` placed at their sites of the qubit-major basis. "rabi" is
+    a^dagger a + (omega0/2) sigma_z + g sigma_x (a + a^dagger); "jc", its
+    rotating-wave counterpart with the coupling g (sigma^+ a + sigma^- a^dagger),
+    conserves the excitation number and has the separable ground state
+    |g,0> for g < 1 at resonance."""
+    h = np.zeros((2 * p.n_max + 2, 2 * p.n_max + 2), dtype=complex)
+    for parity in (0, 1):
+        site, diagonal, bonds = _chain(p, parity)
+        h[site, site] = diagonal
+        h[site[:-1], site[1:]] = h[site[1:], site[:-1]] = bonds
     return HermitianOperator(h)
 
 
 def even_chain_hamiltonian(p: ModelParams) -> HermitianOperator:
-    """The model restricted to the even parity chain |g,0>, |e,1>, |g,2>, ...
-
-    Chain site k is |g,k> for even k and |e,k> for odd k, k = 0..n_max, so
-    the chain holds the whole even sector of the truncated space. The
-    matrix is real, symmetric and tridiagonal: the diagonal is
-    k - omega0/2 on |g,k> and k + omega0/2 on |e,k>, and the
-    bond between k and k+1 is g*sqrt(k+1). The rotating-wave model ("jc")
-    keeps only the (e,k) <-> (g,k+1) bonds, i.e. those leaving odd k.
-    """
-    k = np.arange(p.n_max + 1)
-    diagonal = k + 0.5 * p.omega0 * np.where(even_chain_excited(p.n_max), 1.0, -1.0)
-    bonds = p.g * np.sqrt(k[1:])
-    if p.kind == "jc":
-        bonds[0::2] = 0.0
+    """The model on the even parity chain |g,0>, |e,1>, |g,2>, ... (the whole
+    even sector): ``_chain`` at parity 0, a real symmetric tridiagonal matrix."""
+    _, diagonal, bonds = _chain(p, 0)
     return HermitianOperator(np.diag(diagonal) + np.diag(bonds, 1) + np.diag(bonds, -1))
 
 
 def even_chain_excited(n_max: int) -> np.ndarray:
     """Which even-chain sites carry an excited qubit (the odd ones)."""
-    return np.arange(n_max + 1) % 2 == 1
+    return _sites(n_max, 0) > n_max
 
 
 def _block_p_e(vec: np.ndarray) -> float:
@@ -230,9 +226,7 @@ def _even_ground_state(p: ModelParams, solved: dict | None) -> GroundStateDecomp
     c0 = state[0]
     if abs(c0) > 0:
         state = state * (c0.conjugate() / abs(c0))
-    # chain site k is |g,k> for even k and |e,k> for odd k
-    k = np.arange(p.n_max + 1)
-    chain = state[np.where(k % 2 == 0, k, p.n_max + 1 + k)]
+    chain = state[_sites(p.n_max, 0)]
     odd_weight = 1.0 - float(np.sum(np.abs(chain) ** 2))
     if odd_weight > 0.5:  # the ground state lies in the odd sector
         solved[p] = None

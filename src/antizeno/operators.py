@@ -7,9 +7,9 @@ projectors block-diagonal. The sigma_z sign convention is
 sigma_z|e> = +|e>, sigma_z|g> = -|g>, so +omega0/2*sigma_z puts the bare
 qubit ground state at -omega0/2.
 
-The module holds no code: the photon truncation n_max and its cap are
-checked by ``model.ModelParams``, and ``model.hamiltonian`` builds the one
-full-space matrix in this basis. It remains as the home of the convention
-that ``model`` and the test oracle share, and because outside tools import
-every module of the package by name.
+The module holds no code: ``model.ModelParams`` checks the truncation
+n_max, and one rule in ``model`` states the matrix elements of both parity
+chains, which ``model.hamiltonian`` places in this basis. It remains as the
+home of the convention that ``model`` and the test oracle share, and
+because outside tools import every module of the package by name.
 """

@@ -16,13 +16,12 @@ run needs it). Runs of equal length are advanced together in blocks
 (``dynamics.BATCH_RUNS``), so ensembles and period sweeps cost a few array
 operations per event instead of a Python loop per run. An ideal detector
 (epsilon = 0) keeps each run pure: its amplitudes c = psi V in the chain
-eigenbasis take one step per event, the phases exp(-i E dt) and then the
-one ideal-measurement rule, ``measurement._no_click_step``, with the real
-projector P = V^T diag(ground) V that the prepared model keeps. A detector
-with epsilon > 0 mixes the state, so those runs are density matrices, each
-event one batched ``evolve`` and one batched ``measure_no_click`` on
-``QuantumState`` batches (they move to the eigenbasis only once the
-benchmark can time a faster density pass, ROADMAP item 1a).
+eigenbasis take the phases of ``dynamics._phases``, then ``_no_click_step``
+with the real projector P = V^T diag(ground) V of the prepared model. With
+epsilon > 0 the runs are ``QuantumState`` density batches, each event one
+``evolve`` and one ``measure_no_click`` (they move to the eigenbasis once
+the benchmark can time a faster density pass, ROADMAP item 1a). Both take
+the intervals between events from one ``np.diff``.
 
 A schedule is a 1-d array of event times in 1/omega; a stack of runs is a
 ``(runs, N)`` array, one schedule per row, validated once. ``jitter_schedule``,
@@ -49,7 +48,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .dynamics import BATCH_RUNS, QuantumState, evolve
+from .dynamics import BATCH_RUNS, QuantumState, _phases, evolve
 from .errors import NumericalError
 from .measurement import _epsilon, _no_click_step, measure_no_click
 from .model import (
@@ -333,28 +332,25 @@ def run_survival(prep: PreparedModel, times, epsilon: float) -> SurvivalTrace:
 
 def _survival_block(prep: PreparedModel, times: np.ndarray, epsilon: float) -> np.ndarray:
     """No-click probabilities of one block of runs (rows of ``times``)."""
+    steps = np.diff(times, axis=1, prepend=0.0)
     if epsilon == 0.0:
-        return _pure_block(prep, times)
+        return _pure_block(prep, steps)
     state = prep.chain_ground(len(times)).promoted()
     singles = np.empty(times.shape)
-    previous = np.zeros(len(times))
     for i in range(times.shape[1]):
-        state = evolve(prep.chain, state, times[:, i] - previous)
+        state = evolve(prep.chain, state, steps[:, i])
         singles[:, i], state = measure_no_click(state, epsilon)
-        previous = times[:, i]
     return singles
 
 
-def _pure_block(prep: PreparedModel, times: np.ndarray) -> np.ndarray:
-    """``_survival_block`` at epsilon = 0, on the amplitudes c = psi V of
-    each run in the eigenbasis of ``prep.chain``: free evolution multiplies
-    c by the phases exp(-i E dt), and each event is one ``_no_click_step``."""
-    amplitudes = prep.chain_ground(len(times)).data @ prep.chain.eigenvectors
-    exponents = -1j * prep.chain.eigenvalues
-    steps = np.diff(times, axis=1, prepend=0.0)
-    singles = np.empty(times.shape)
-    for i in range(times.shape[1]):
-        amplitudes *= np.exp(np.multiply.outer(steps[:, i], exponents))
+def _pure_block(prep: PreparedModel, steps: np.ndarray) -> np.ndarray:
+    """``_survival_block`` at epsilon = 0, from the intervals between events, on
+    the amplitudes c = psi V in the eigenbasis of ``prep.chain``: each event
+    multiplies c by the phases exp(-i E dt), then is one ``_no_click_step``."""
+    amplitudes = prep.chain_ground(len(steps)).data @ prep.chain.eigenvectors
+    singles = np.empty(steps.shape)
+    for i in range(steps.shape[1]):
+        amplitudes *= _phases(steps[:, i], prep.chain.eigenvalues)
         singles[:, i], amplitudes = _no_click_step(amplitudes, prep.no_click)
     return singles
 

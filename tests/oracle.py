@@ -1,10 +1,10 @@
 """Independent reference code for the tests, in plain numpy.
 
-The package works on the even parity chain and assembles its one
-full-space Hamiltonian entry by entry. This module rebuilds the qubit (x)
-Fock algebra the textbook way, from Kronecker products of qubit and field
-operators, in the qubit-major basis of ``antizeno.operators``: index(s, n)
-= s*(n_max+1) + n, s=0 -> |g>, s=1 -> |e>. It also holds the closed forms
+The package states the matrix elements once, per parity chain, and places
+both chains in its one full-space Hamiltonian. This module rebuilds the
+qubit (x) Fock algebra the textbook way, from Kronecker products of qubit
+and field operators, in the qubit-major basis of ``antizeno.operators``:
+index(s, n) = s*(n_max+1) + n, s=0 -> |g>, s=1 -> |e>. It also holds the closed forms
 the tests compare against, and Braak's G-functions, whose zeros give the
 Rabi spectrum with no Fock cutoff at all. Like the package, it works in
 units of the resonator frequency omega: frequencies in omega, times in

@@ -497,6 +497,8 @@ class TestCliRuns:
 DATA = Path(__file__).parent / "data"
 BROKEN_RULES = {
     ("fig1", "g_values"): ["--preset", "fig1", "--g", "0.5,1"],
+    ("fig1", "omega0"): ["--preset", "fig1", "--omega0", "1e9"],
+    ("fig1", "g_values", "spectrum"): ["--preset", "fig1", "--g", "0.5,1,1e8"],
     ("fig2", "g_values"): ["--preset", "fig2", "--g", "0.1234561,0.1234562"],
     # time_max has no flag: a config file sets it
     ("fig2", "time_max"): ["--config", str(DATA / "fig2_grid_too_large.json")],

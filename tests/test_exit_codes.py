@@ -265,6 +265,17 @@ FOUND = [
     # at fault
     ("survival", {"jitter_width": 1e300}, 2,
      "[antizeno.config]: jitter_width: survival needs a half-window whose phases the run resolves"),
+    # fig1 runs no schedule, so no phase rule bounded its solve: at
+    # omega0/omega = 1e300, and at g/omega = 1e8, it exited 3 claiming an
+    # odd-sector Rabi ground state, and at omega0/omega = 1e9 on eigh's
+    # rounding (dE=1.192e-07). The bound of the phase rules at omega*t = 1
+    # names the field whose term passes it
+    ("fig1", {"omega0": 1e300, "n_max": 12}, 2,
+     "[antizeno.config]: omega0: fig1 needs a splitting the solve resolves: omega*t = 1 times"),
+    ("fig1", {"omega0": 1e9, "n_max": 12}, 2,
+     "[antizeno.config]: omega0: fig1 needs a splitting the solve resolves"),
+    ("fig1", {"g_values": [0.5, 1, 1e8], "n_max": 12}, 2,
+     "[antizeno.config]: g_values: fig1 needs couplings the solve resolves: omega*t = 1 times"),
 ]
 
 
